@@ -11,7 +11,18 @@ chunks) is bitwise identical to computing it whole:
 
 The per-element float32 operations never get reassociated, which makes the
 partitioned executor's outputs comparable to the reference with ==, not a
-tolerance.
+tolerance. All three weighted kernels sum through ``_accumulate``: it stacks
+the running sums and a block of product terms as the rows of one array and
+reduces over that outer axis, which numpy does row after row, element by
+element. A reduce whose rows hold a single value would be summed pairwise
+instead, so that case runs ``np.add.accumulate``, which is always sequential.
+No kernel uses ``matmul``, ``dot`` or ``einsum``: BLAS reorders the sums.
+
+Kernel scratch is not charged to the secure arena. It is the convolution's
+zero-padded input and im2col patch matrix (channels * kernel_size**2 *
+out_h * out_w values), which grow with the layer's input, and one block of
+product terms, which holds at most ``_BLOCK_FLOATS`` values, or two output
+rows when a layer subset's output alone is larger than that.
 """
 
 from __future__ import annotations
@@ -22,12 +33,50 @@ from .errors import DimensionError, RangeError
 from .model import FLOAT, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore, validate_weights
 
 _ZERO = np.float32(0.0)
+_BLOCK_FLOATS = 1 << 16  # float32 values in one block of accumulation terms
 
 
 def _activate(values: np.ndarray, activation: str | None) -> np.ndarray:
     if activation == "relu":
         return np.maximum(values, _ZERO)
     return values
+
+
+def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """``acc + t[0] + t[1] + ... + t[n-1]``, added strictly in ascending i.
+
+    ``t[i] = weights[:, i] * inputs[i]``, broadcast to ``acc``'s shape: input
+    i is a scalar for connected layers and an im2col patch row for
+    convolutions. ``acc`` is (rows, *rest), ``weights`` (rows, n) and
+    ``inputs`` (n, *rest).
+    """
+    m = acc.size
+    if m == 0:
+        return acc
+    rows, n = weights.shape
+    rest = inputs.shape[1:]
+    unit = (1,) * len(rest)
+    block = max(1, min(n, _BLOCK_FLOATS // m - 1))
+    terms = np.empty((block + 1, m), dtype=FLOAT)
+    total = acc.reshape(m)
+    for lo in range(0, n, block):
+        hi = min(lo + block, n)
+        part = terms[: hi - lo + 1]
+        part[0] = total  # row 0 carries the running sums into the block
+        np.multiply(
+            weights[:, lo:hi].T.reshape(hi - lo, rows, *unit),
+            inputs[lo:hi].reshape(hi - lo, 1, *rest),
+            out=part[1:].reshape(hi - lo, rows, *rest),
+        )
+        total = np.add.accumulate(part[:, 0])[-1:] if m == 1 else np.add.reduce(part, axis=0)
+    return total.reshape(acc.shape)
+
+
+def _group_rows(g: int, abs_start: int, count: int, per_group: int) -> slice | None:
+    """The local rows of neurons [abs_start, abs_start+count) in branch group g."""
+    lo = max(abs_start, g * per_group)
+    hi = min(abs_start + count, (g + 1) * per_group)
+    return slice(lo - abs_start, hi - abs_start) if lo < hi else None
 
 
 def _flat_input(x: Tensor, expected: int, where: str) -> np.ndarray:
@@ -62,20 +111,13 @@ def connected_forward_rows(
 
     acc = np.zeros(count, dtype=FLOAT)
     if groups == 1:
-        for i in range(cols):
-            acc += rows.weights[:, i] * xf[i]
+        acc = _accumulate(acc, rows.weights, xf)
     else:
         per_group = total_rows // groups
         for g in range(groups):
-            lo = max(abs_start, g * per_group)
-            hi = min(abs_start + count, (g + 1) * per_group)
-            if lo >= hi:
-                continue
-            seg = slice(lo - abs_start, hi - abs_start)
-            block = rows.weights[seg]
-            base = g * cols
-            for i in range(cols):
-                acc[seg] += block[:, i] * xf[base + i]
+            seg = _group_rows(g, abs_start, count, per_group)
+            if seg is not None:
+                acc[seg] = _accumulate(acc[seg], rows.weights[seg], xf[g * cols : (g + 1) * cols])
     out = _activate(acc + rows.biases, spec.activation)
     return Tensor((count,), out)
 
@@ -151,21 +193,22 @@ class DenseAccumulator:
             raise DimensionError("chunk runs past the layer input")
         w = self._rows.weights
         cols = self._rows.cols
-        count = self._rows.rows
+        end = base + values.size
         if self._groups == 1:
-            for off in range(values.size):
-                self._acc += w[:, base + off] * values[off]
+            self._acc = _accumulate(self._acc, w[:, base:end], values)
         else:
-            for off in range(values.size):
-                i = base + off
+            # split the chunk at group boundaries; each piece feeds one group's rows
+            i = base
+            while i < end:
                 g, col = divmod(i, cols)
-                lo = max(self._abs_start, g * self._per_group)
-                hi = min(self._abs_start + count, (g + 1) * self._per_group)
-                if lo >= hi:
-                    continue
-                seg = slice(lo - self._abs_start, hi - self._abs_start)
-                self._acc[seg] += w[seg, col] * values[off]
-        self._next = base + values.size
+                stop = min(end, (g + 1) * cols)
+                seg = _group_rows(g, self._abs_start, self._rows.rows, self._per_group)
+                if seg is not None:
+                    self._acc[seg] = _accumulate(
+                        self._acc[seg], w[seg, col : col + stop - i], values[i - base : stop - base]
+                    )
+                i = stop
+        self._next = end
 
     def finish(self) -> Tensor:
         if self._next != self._total:
@@ -196,17 +239,12 @@ def conv_forward_subset(
     padded = np.zeros((c, h + 2 * p, wd + 2 * p), dtype=FLOAT)
     padded[:, p : p + h, p : p + wd] = x.as_map()
 
-    # acc[f, pos] accumulates over the flat (channel, ky, kx) column index,
-    # which is exactly the weight-row order.
+    # im2col: row (ci, ky, kx) holds that tap's input for every output pixel,
+    # in the flat weight-row order the accumulation must follow
+    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::s, ::s]
+    patches = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, oh * ow)
     acc = np.zeros((count, oh * ow), dtype=FLOAT)
-    block = w.weights[start : start + count]
-    col = 0
-    for ci in range(c):
-        for ky in range(k):
-            for kx in range(k):
-                patch = padded[ci, ky : ky + oh * s : s, kx : kx + ow * s : s]
-                acc += block[:, col : col + 1] * patch.reshape(1, oh * ow)
-                col += 1
+    acc = _accumulate(acc, w.weights[start : start + count], patches)
     out = _activate(acc + w.biases[start : start + count, None], spec.activation)
     return Tensor((count, oh, ow), out.reshape(-1))
 

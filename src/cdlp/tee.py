@@ -22,6 +22,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, Sequence
 
+import numpy as np
+
 from . import container
 from .errors import SecureMemoryError, SessionStateError
 
@@ -196,6 +198,40 @@ class SharedBuffer:
         return bytes(self._data[offset : offset + length])
 
 
+_KEY = np.dtype("<u8")  # a window's first (up to) 8 bytes, packed little-endian
+
+
+def _window_keys(data: bytes, window: int) -> np.ndarray:
+    """One key per ``window``-byte slice of ``data``, in slice order, packing
+    the slice's first ``min(window, 8)`` bytes."""
+    count = len(data) - window + 1
+    if count <= 0:
+        return np.empty(0, _KEY)
+    width = min(window, _KEY.itemsize)
+    raw = np.frombuffer(data, np.uint8)
+    if width < _KEY.itemsize:
+        # pad so the last slice's 8-byte load stays inside the buffer
+        raw = np.concatenate((raw, np.zeros(_KEY.itemsize - width, np.uint8)))
+    keys = np.ndarray((count,), _KEY, raw, strides=(1,))
+    if width < _KEY.itemsize:
+        keys = keys & _KEY.type((1 << 8 * width) - 1)
+    return keys
+
+
+def _in_sorted(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
+    """Mask of the ``queries`` present in the sorted, non-empty ``table``."""
+    at = np.minimum(np.searchsorted(table, queries), table.size - 1)
+    return table[at] == queries
+
+
+def _common(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The values of one sorted array found in the other, sorted; the
+    shorter array is searched for in the longer."""
+    if a.size > b.size:
+        a, b = b, a
+    return a[_in_sorted(b, a)]
+
+
 def find_plaintext_leak(
     buffers: Sequence[SharedBuffer] | SharedBuffer,
     secrets: Iterable[bytes],
@@ -204,21 +240,32 @@ def find_plaintext_leak(
     """Return the first ``window``-byte slice of any secret found in any
     buffer's write log, or None if nothing leaked.
 
-    Secrets shorter than the window cannot be detected and are skipped.
+    Secrets are searched in order, each from its start; a logged slice lies
+    within one write record. Secrets shorter than the window cannot be
+    detected and are skipped.
     """
+    if window < 1:
+        raise ValueError(f"window must be at least 1 byte, got {window}")
     if isinstance(buffers, SharedBuffer):
         buffers = [buffers]
-    logged: set[bytes] = set()
-    for buf in buffers:
-        for record in buf.writes:
-            data = record.data
-            for i in range(len(data) - window + 1):
-                logged.add(data[i : i + window])
+    records = [record.data for buf in buffers for record in buf.writes]
+    record_keys = [_window_keys(data, window) for data in records]
+    logged = np.sort(np.concatenate([np.empty(0, _KEY), *record_keys]))
     for secret in secrets:
-        for i in range(len(secret) - window + 1):
-            piece = secret[i : i + window]
-            if piece in logged:
-                return piece
+        keys = _window_keys(secret, window)
+        shared = _common(logged, np.sort(keys))  # sorted queries keep searchsorted fast
+        if not shared.size:
+            continue
+        hits = np.flatnonzero(_in_sorted(shared, keys))  # in secret order
+        if window > _KEY.itemsize:
+            # a key holds only the first 8 bytes: confirm the whole slice
+            full = set()
+            for data, logged_keys in zip(records, record_keys):
+                matched = np.flatnonzero(_in_sorted(shared, logged_keys))
+                full.update(data[i : i + window] for i in matched)
+            hits = [i for i in hits if secret[i : i + window] in full]
+        if len(hits):
+            return secret[hits[0] : hits[0] + window]
     return None
 
 

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdlp import nn
 from cdlp.errors import DimensionError, RangeError
 from cdlp.model import BranchTopology, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore
 from cdlp.nn import (
@@ -64,6 +65,16 @@ def conv_oracle(x3, w, b, kernel, stride, pad, activation):
                     v = v if v > f32(0.0) else f32(0.0)
                 out[f, oy, ox] = v
     return out
+
+
+def grouped_oracle(x, w, b, groups, activation):
+    """dense_oracle per branch group: group g's rows read x's g-th slice."""
+    rows, cols = w.shape[0] // groups, w.shape[1]
+    return np.concatenate([
+        dense_oracle(x[g * cols : (g + 1) * cols], w[g * rows : (g + 1) * rows],
+                     b[g * rows : (g + 1) * rows], activation)
+        for g in range(groups)
+    ])
 
 
 def pool_oracle(x3, size, stride):
@@ -209,6 +220,94 @@ def test_branched_layer_streaming_matches_resident():
     assert acc.finish().data.tobytes() == whole.data[2:7].tobytes()
 
 
+def test_single_neuron_subset_matches_oracle():
+    # a reduce over one value per row would sum pairwise, not in order
+    rng = np.random.default_rng(20)
+    spec = LayerSpec.connected(3, "linear")
+    w = rng.standard_normal((3, 500)).astype(f32)
+    b = rng.standard_normal(3).astype(f32)
+    x = rng.standard_normal(500).astype(f32)
+    expect = dense_oracle(x, w, b, "linear")
+    got = connected_forward_subset(Tensor((500,), x), LayerWeights(w, b), spec, 1, 1)
+    assert got.data.tobytes() == expect[1:2].tobytes()
+    acc = DenseAccumulator(LayerWeights(w, b), spec, 2, 1)
+    acc.feed(x[:333], 0)
+    acc.feed(x[333:], 333)
+    assert acc.finish().data.tobytes() == expect[2:3].tobytes()
+
+
+def test_empty_subsets_yield_empty_outputs():
+    spec = LayerSpec.connected(3, "relu")
+    w = LayerWeights(np.ones((3, 4), f32), np.ones(3, f32))
+    acc = DenseAccumulator(w, spec, 3, 0)
+    acc.feed(np.ones(4, f32), 0)
+    assert acc.finish().size == 0
+    conv = LayerSpec.convolutional(2, 3, 1, 1, "relu")
+    cw = LayerWeights(np.ones((2, 9), f32), np.ones(2, f32))
+    out = conv_forward_subset(Tensor((1, 4, 4), np.ones(16, f32)), cw, conv, 1, 0)
+    assert out.dims == (0, 4, 4) and out.size == 0
+
+
+def test_negative_zero_products_keep_the_oracle_sign():
+    spec = LayerSpec.connected(2, "linear")
+    w = np.array([[-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0]], f32)
+    x = np.array([1.0, -2.0, 3.0], f32)
+    b = np.zeros(2, f32)
+    expect = dense_oracle(x, w, b, "linear")
+    got = connected_forward(Tensor((3,), x), LayerWeights(w, b), spec)
+    assert got.data.tobytes() == expect.tobytes()
+    acc = DenseAccumulator(LayerWeights(w, b), spec, 0, 2)
+    acc.feed(x, 0)
+    assert acc.finish().data.tobytes() == expect.tobytes()
+    x3 = np.array([[[1.0, -0.0], [-3.0, 0.0]]], f32)
+    cw = np.array([[-0.0, -0.0, -0.0, -0.0]], f32)
+    conv = LayerSpec.convolutional(1, 2, 1, 0, "linear")
+    got = conv_forward(Tensor((1, 2, 2), x3.reshape(-1)), LayerWeights(cw, np.zeros(1, f32)), conv)
+    assert got.data.tobytes() == conv_oracle(x3, cw, np.zeros(1, f32), 2, 1, 0, "linear").tobytes()
+
+
+@given(
+    seed=st.integers(0, 10_000),
+    groups=st.integers(2, 4),
+    cols=st.integers(1, 9),
+    data=st.data(),
+)
+@settings(max_examples=60, deadline=None)
+def test_grouped_streaming_chunks_match_oracle(seed, groups, cols, data):
+    """Chunks of any length, straddling group boundaries or not."""
+    per_group = data.draw(st.integers(1, 4))
+    total = per_group * groups
+    start = data.draw(st.integers(0, total - 1))
+    count = data.draw(st.integers(0, total - start))
+    rng = np.random.default_rng(seed)
+    spec = LayerSpec.connected(total, "relu")
+    w = rng.standard_normal((total, cols)).astype(f32)
+    b = rng.standard_normal(total).astype(f32)
+    x = rng.standard_normal(cols * groups).astype(f32)
+    acc = DenseAccumulator(LayerWeights(w, b), spec, start, count, groups=groups)
+    base = 0
+    while base < x.size:
+        step = data.draw(st.integers(1, x.size - base))
+        acc.feed(x[base : base + step], base)
+        base += step
+    expect = grouped_oracle(x, w, b, groups, "relu")[start : start + count]
+    assert acc.finish().data.tobytes() == expect.tobytes()
+
+
+@pytest.mark.parametrize(
+    "rows, cols",
+    [(1, nn._BLOCK_FLOATS + 7), (2, nn._BLOCK_FLOATS // 2 + 7), (nn._BLOCK_FLOATS + 3, 2)],
+)
+def test_layers_beyond_one_scratch_block_match_oracle(rows, cols):
+    rng = np.random.default_rng(rows + cols)
+    spec = LayerSpec.connected(rows, "linear")
+    w = rng.standard_normal((rows, cols)).astype(f32)
+    b = rng.standard_normal(rows).astype(f32)
+    x = rng.standard_normal(cols).astype(f32)
+    got = connected_forward(Tensor((cols,), x), LayerWeights(w, b), spec)
+    assert got.data.tobytes() == dense_oracle(x, w, b, "linear").tobytes()
+
+
 # --- convolutional ---
 
 def test_conv_identity_1x1_kernel():
@@ -253,6 +352,19 @@ def test_conv_strided_matches_oracle():
     expect = conv_oracle(x.as_map(), w, b, 3, 2, 0, "linear")
     assert got.dims == expect.shape
     assert got.data.tobytes() == expect.tobytes()
+
+
+def test_one_filter_conv_with_one_output_pixel_matches_oracle():
+    # one filter, 1x1 output: a single row to sum, the pairwise trap
+    spec = LayerSpec.convolutional(1, 5, 1, 0, "linear")
+    for seed in range(21, 27):
+        rng = np.random.default_rng(seed)
+        x = random_tensor(rng, (4, 5, 5))
+        w = rng.standard_normal((1, 4 * 5 * 5)).astype(f32)
+        b = rng.standard_normal(1).astype(f32)
+        got = conv_forward(x, LayerWeights(w, b), spec)
+        assert got.dims == (1, 1, 1)
+        assert got.data.tobytes() == conv_oracle(x.as_map(), w, b, 5, 1, 0, "linear").tobytes()
 
 
 def test_conv_filter_subsets_concatenate_to_whole():

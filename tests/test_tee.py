@@ -269,3 +269,42 @@ def test_find_plaintext_leak_skips_short_secrets():
     buf = SharedBuffer()
     buf.append(b"abcdef", TaintTag.PUBLIC)
     assert find_plaintext_leak(buf, [b"abc"]) is None
+
+
+def leak_oracle(buffers, secrets, window):
+    """The plain set-of-slices scan: first matching slice in secret order."""
+    logged = set()
+    for buf in buffers:
+        for record in buf.writes:
+            for i in range(len(record.data) - window + 1):
+                logged.add(record.data[i : i + window])
+    for secret in secrets:
+        for i in range(len(secret) - window + 1):
+            if secret[i : i + window] in logged:
+                return secret[i : i + window]
+    return None
+
+
+_few_bytes = st.binary(max_size=30).map(lambda b: bytes(v % 3 for v in b))
+
+
+@given(
+    records=st.lists(st.lists(_few_bytes, max_size=4), max_size=3),
+    secrets=st.lists(_few_bytes, max_size=4),
+    window=st.integers(1, 20),
+)
+@settings(max_examples=300, deadline=None)
+def test_find_plaintext_leak_matches_oracle(records, secrets, window):
+    """Same first slice as the plain scan; slices never span two records."""
+    buffers = []
+    for writes in records:
+        buf = SharedBuffer()
+        for data in writes:
+            buf.append(data, TaintTag.PUBLIC)
+        buffers.append(buf)
+    assert find_plaintext_leak(buffers, secrets, window) == leak_oracle(buffers, secrets, window)
+
+
+def test_find_plaintext_leak_rejects_empty_window():
+    with pytest.raises(ValueError):
+        find_plaintext_leak(SharedBuffer(), [b"secret"], 0)
