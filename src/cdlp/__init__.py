@@ -40,9 +40,7 @@ from .model import (
     WeightStore,
 )
 from .nn import (
-    connected_forward,
-    connected_forward_subset,
-    conv_forward,
+    connected_forward_rows,
     conv_forward_subset,
     maxpool_forward,
     reference_forward,

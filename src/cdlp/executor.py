@@ -24,15 +24,8 @@ import numpy as np
 from .container import encrypt_partition
 from .errors import DimensionError, PlanError
 from .model import FLOAT, FLOAT_BYTES, ModelSpec, Tensor, WeightStore
-from .nn import (
-    DenseAccumulator,
-    connected_forward_rows,
-    conv_forward_subset,
-    maxpool_forward,
-    reference_forward,
-    softmax_forward,
-)
-from .planner import DEFAULT_SPILL_CHUNK_BYTES, WORLD_SECURE, PartitionPlan, validate_plan
+from .nn import DenseAccumulator, layer_forward, reference_forward
+from .planner import SPILL_CHUNK_BYTES, WORLD_SECURE, PartitionPlan, validate_plan
 from .tee import (
     CostLedger,
     PartitionRecord,
@@ -60,7 +53,6 @@ class SpilledActivations:
     """Encrypted activation chunks parked in a shared buffer."""
 
     buffer: SharedBuffer
-    chunk_bytes: int
     chunks: list[SpilledChunk] = field(default_factory=list)
     total_count: int = 0
 
@@ -72,7 +64,6 @@ def spill_activations(
     buffer: SharedBuffer,
     arena: SecureArena,
     into: SpilledActivations | None = None,
-    plaintext_log: list[bytes] | None = None,
 ) -> SpilledActivations:
     """Encrypt activations into the shared buffer in chunks.
 
@@ -84,7 +75,7 @@ def spill_activations(
     if chunk_size <= 0:
         raise ValueError(f"chunk size must be positive, got {chunk_size}")
     values = output.data if isinstance(output, Tensor) else np.ascontiguousarray(output, FLOAT)
-    spilled = into if into is not None else SpilledActivations(buffer, chunk_size)
+    spilled = into if into is not None else SpilledActivations(buffer)
     floats_per_chunk = max(1, chunk_size // FLOAT_BYTES)
     for lo in range(0, values.size, floats_per_chunk):
         hi = min(lo + floats_per_chunk, values.size)
@@ -100,8 +91,6 @@ def spill_activations(
             SpilledChunk(chunk_id, spilled.total_count, hi - lo, offset, len(data))
         )
         spilled.total_count += hi - lo
-        if plaintext_log is not None:
-            plaintext_log.append(plain)
     return spilled
 
 
@@ -134,9 +123,7 @@ class RunResult:
     output: Tensor
     ledger: CostLedger
     arena_peak: int
-    timings: list[tuple[int, float]]  # (partition id, wall seconds), informational
     shared: SharedBuffer
-    spilled_plaintexts: list[bytes]
 
 
 @dataclass
@@ -172,9 +159,6 @@ def run_partitioned(
     input_tensor: Tensor,
     arena: SecureArena,
     key: bytes,
-    chunk_size: int = DEFAULT_SPILL_CHUNK_BYTES,
-    shared: SharedBuffer | None = None,
-    validate: bool = True,
 ) -> RunResult:
     """Execute the plan; the output is bitwise equal to reference_forward.
 
@@ -183,19 +167,18 @@ def run_partitioned(
     costs one session invocation, and its weights are freed before the
     next partition loads.
     """
-    if validate:
-        problems = validate_plan(plan, model, arena.capacity)
-        if problems:
-            raise PlanError("invalid plan: " + "; ".join(problems))
+    problems = validate_plan(plan, model, arena.capacity)
+    if problems:
+        raise PlanError("invalid plan: " + "; ".join(problems))
     if model.layers and input_tensor.dims != model.input_dims:
         raise DimensionError(
             f"input dims {input_tensor.dims} do not match model {model.input_dims}"
         )
 
-    shared = shared if shared is not None else SharedBuffer()
+    shared = SharedBuffer()
     app = TrustedApp(arena)
     session = Session(app)
-    runner = _Runner(model, partition_data, plan, session, shared, key, chunk_size)
+    runner = _Runner(model, partition_data, plan, session, shared, key)
 
     acts = _Activations(input_tensor.data)
     # the client hands the inference input over through shared memory
@@ -214,31 +197,19 @@ def run_partitioned(
     output = Tensor(out_dims, acts.values.copy())
     if acts.allocation is not None:
         arena.free(acts.allocation)
-    return RunResult(
-        output, app.ledger, arena.peak_usage, runner.timings, shared, runner.spilled_plaintexts
-    )
+    return RunResult(output, app.ledger, arena.peak_usage, shared)
 
 
 class _Runner:
-    def __init__(self, model, partition_data, plan, session, shared, key, chunk_size):
+    def __init__(self, model, partition_data, plan, session, shared, key):
         self.model = model
         self.partition_data = partition_data
         self.plan = plan
         self.session = session
         self.shared = shared
         self.key = key
-        self.chunk_size = chunk_size
-        self.timings: list[tuple[int, float]] = []
-        self.spilled_plaintexts: list[bytes] = []
 
     def run_layer(self, layer_index: int, parts, acts: _Activations) -> None:
-        model = self.model
-        layer = model.layers[layer_index]
-        units = model.units(layer_index)
-        if layer.kind in ("maxpool", "softmax") and (
-            len(parts) != 1 or (parts[0].start, parts[0].end) != (0, units)
-        ):
-            raise PlanError(f"{layer.kind} layer {layer_index} cannot be split")
         if parts[0].world == WORLD_SECURE:
             self._run_secure_layer(layer_index, parts, acts)
         else:
@@ -251,14 +222,8 @@ class _Runner:
             raise PlanError(
                 f"normal-world layer {layer_index} would read confidential activations"
             )
-        model = self.model
-        layer = model.layers[layer_index]
-        x = Tensor(model.in_dims(layer_index), acts.values)
-        pieces = []
-        for p in parts:
-            started = time.perf_counter()
-            pieces.append(self._kernel(layer_index, p, x, self.partition_data[p.id]).data)
-            self.timings.append((p.id, time.perf_counter() - started))
+        x = Tensor(self.model.in_dims(layer_index), acts.values)
+        pieces = [self._kernel(layer_index, p, x, self.partition_data[p.id]).data for p in parts]
         acts.values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
         acts.shared_offset = None
 
@@ -282,7 +247,7 @@ class _Runner:
             acts.shared_offset = self.shared.append(acts.values.tobytes(), TaintTag.PUBLIC)
 
         out = {"allocation": None, "buffer": None}
-        out_spill = SpilledActivations(self.shared, self.chunk_size) if spill_out else None
+        out_spill = SpilledActivations(self.shared) if spill_out else None
 
         for p in parts:
             container_bytes = self.partition_data[p.id]
@@ -304,8 +269,7 @@ class _Runner:
                         result = self._kernel(layer_index, p, x, blob.data)
                     if out_spill is not None:
                         spill_activations(
-                            result, self.chunk_size, self.key, buffers[0], app.arena,
-                            into=out_spill, plaintext_log=self.spilled_plaintexts,
+                            result, SPILL_CHUNK_BYTES, self.key, buffers[0], app.arena, out_spill
                         )
                     else:
                         lo = p.start * per_unit
@@ -315,9 +279,7 @@ class _Runner:
 
             arena.begin_window()
             decrypted_before = ledger.decrypted_bytes
-            started = time.perf_counter()
             self.session.invoke(p.id, (self.shared,), trusted_fn)
-            self.timings.append((p.id, time.perf_counter() - started))
             ledger.partition_records.append(
                 PartitionRecord(
                     p.id, ledger.decrypted_bytes - decrypted_before, arena.window_peak
@@ -350,26 +312,17 @@ class _Runner:
 
     def _kernel(self, layer_index, p, x: Tensor, blob: bytes) -> Tensor:
         model = self.model
-        layer = model.layers[layer_index]
-        if layer.kind == "connected":
+        rows = None
+        if model.is_parameterized(layer_index):
             rows = partition_weights(model, layer_index, p.start, p.end, blob)
-            return connected_forward_rows(
-                x, rows, layer, p.start, model.units(layer_index),
-                model.branch_groups(layer_index),
-            )
-        if layer.kind == "convolutional":
-            rows = partition_weights(model, layer_index, p.start, p.end, blob)
-            return conv_forward_subset(x, rows, layer, 0, p.end - p.start)
-        if layer.kind == "maxpool":
-            return maxpool_forward(x, layer)
-        return softmax_forward(x)
+        return layer_forward(model, layer_index, x, rows, p.start)
 
     def _stream_kernel(self, layer_index, p, spilled, blob, app) -> Tensor:
         model = self.model
-        layer = model.layers[layer_index]
         rows = partition_weights(model, layer_index, p.start, p.end, blob)
-        accumulator = DenseAccumulator.from_rows(
-            rows, layer, p.start, model.units(layer_index), model.branch_groups(layer_index)
+        accumulator = DenseAccumulator(
+            rows, model.layers[layer_index], p.start, model.units(layer_index),
+            model.branch_groups(layer_index),
         )
         stream_spilled(spilled, self.key, app.arena, accumulator.feed, app.ledger)
         return accumulator.finish()

@@ -1,5 +1,14 @@
 """From-scratch CNN forward pass.
 
+Each layer kind has one kernel, and it runs on a row slice the caller has
+already cut: ``connected_forward_rows`` and ``conv_forward_subset`` take the
+weights of rows (neurons or filters) [start, start+len), while the weightless
+``maxpool_forward`` and ``softmax_forward`` always run whole. ``layer_forward``
+is the one dispatch for the partitioned executor and for ``reference_forward``,
+which is its whole-row case. A resident connected layer is a single
+``DenseAccumulator.feed`` of its whole input; a spilled one feeds the same
+accumulator chunk by chunk.
+
 Every kernel fixes its accumulation order so that computing a layer in
 pieces (neuron subsets, filter subsets, branch groups, streamed input
 chunks) is bitwise identical to computing it whole:
@@ -30,7 +39,8 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DimensionError, RangeError
-from .model import FLOAT, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore, validate_weights
+from .model import FLOAT, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore
+from .model import output_dims, validate_weights
 
 _ZERO = np.float32(0.0)
 _BLOCK_FLOATS = 1 << 16  # float32 values in one block of accumulation terms
@@ -79,104 +89,35 @@ def _group_rows(g: int, abs_start: int, count: int, per_group: int) -> slice | N
     return slice(lo - abs_start, hi - abs_start) if lo < hi else None
 
 
-def _flat_input(x: Tensor, expected: int, where: str) -> np.ndarray:
-    if x.size != expected:
-        raise DimensionError(f"{where}: input has {x.size} values, expected {expected}")
-    return x.data
-
-
-def connected_forward_rows(
-    x: Tensor,
-    rows: LayerWeights,
-    spec: LayerSpec,
-    abs_start: int,
-    total_rows: int,
-    groups: int = 1,
-) -> Tensor:
-    """Connected-layer outputs for an already-sliced row range.
+class DenseAccumulator:
+    """Ascending-order partial sums of a connected layer's row slice, fed
+    its input in consecutive chunks.
 
     ``rows`` holds the weights of neurons [abs_start, abs_start+len) of a
-    layer with ``total_rows`` neurons in all; the absolute position only
-    matters for branched layers, where it decides which input slice each
-    neuron reads.
-    """
-    if spec.kind != "connected":
-        raise DimensionError(f"connected kernel got a {spec.kind} layer")
-    count, cols = rows.rows, rows.cols
-    if abs_start < 0 or abs_start + count > total_rows:
-        raise RangeError(f"subset [{abs_start}, {abs_start + count}) outside {total_rows} neurons")
-    if total_rows % groups:
-        raise DimensionError(f"{total_rows} neurons not divisible into {groups} groups")
-    xf = _flat_input(x, cols * groups, "connected")
-
-    acc = np.zeros(count, dtype=FLOAT)
-    if groups == 1:
-        acc = _accumulate(acc, rows.weights, xf)
-    else:
-        per_group = total_rows // groups
-        for g in range(groups):
-            seg = _group_rows(g, abs_start, count, per_group)
-            if seg is not None:
-                acc[seg] = _accumulate(acc[seg], rows.weights[seg], xf[g * cols : (g + 1) * cols])
-    out = _activate(acc + rows.biases, spec.activation)
-    return Tensor((count,), out)
-
-
-def connected_forward_subset(
-    x: Tensor,
-    w: LayerWeights,
-    spec: LayerSpec,
-    start: int,
-    count: int,
-    groups: int = 1,
-) -> Tensor:
-    """Outputs for neurons [start, start+count) of a connected layer.
-
-    Bitwise equal to the same slice of connected_forward. ``groups`` > 1
-    means the layer is branched: row j reads only its group's input slice.
-    """
-    if start < 0 or count < 0 or start + count > w.rows:
-        raise RangeError(f"subset [{start}, {start + count}) outside {w.rows} neurons")
-    sliced = LayerWeights(w.weights[start : start + count], w.biases[start : start + count])
-    return connected_forward_rows(x, sliced, spec, start, w.rows, groups)
-
-
-def connected_forward(x: Tensor, w: LayerWeights, spec: LayerSpec, groups: int = 1) -> Tensor:
-    """Full connected layer; see connected_forward_subset for the contract."""
-    return connected_forward_subset(x, w, spec, 0, w.rows, groups)
-
-
-class DenseAccumulator:
-    """Ascending-order partial sums for a neuron subset fed input in chunks.
-
-    Streaming the input in consecutive chunks reproduces, bit for bit, the
-    resident computation: every neuron sees the same products in the same
-    order. Used when a layer's input activations arrive from encrypted
-    spill chunks instead of living in memory whole.
+    layer with ``total_rows`` neurons in all (default: the rows are the
+    whole layer). The absolute position only matters for branched layers,
+    where it decides which input slice each neuron reads. Any chunking of
+    the input gives, bit for bit, the same result: every neuron sees the
+    same products in the same order.
     """
 
-    def __init__(self, w: LayerWeights, spec: LayerSpec, start: int, count: int, groups: int = 1):
-        if start < 0 or count < 0 or start + count > w.rows:
-            raise RangeError(f"subset [{start}, {start + count}) outside {w.rows} neurons")
-        sliced = LayerWeights(w.weights[start : start + count], w.biases[start : start + count])
-        self._init_rows(sliced, spec, start, w.rows, groups)
-
-    @classmethod
-    def from_rows(
-        cls, rows: LayerWeights, spec: LayerSpec, abs_start: int, total_rows: int, groups: int = 1
-    ) -> "DenseAccumulator":
-        """Build from an already-sliced row range (see connected_forward_rows)."""
-        self = cls.__new__(cls)
-        self._init_rows(rows, spec, abs_start, total_rows, groups)
-        return self
-
-    def _init_rows(self, rows: LayerWeights, spec, abs_start, total_rows, groups):
+    def __init__(
+        self,
+        rows: LayerWeights,
+        spec: LayerSpec,
+        abs_start: int = 0,
+        total_rows: int | None = None,
+        groups: int = 1,
+    ):
         if spec.kind != "connected":
-            raise DimensionError("streaming accumulation supports connected layers only")
+            raise DimensionError(f"connected kernel got a {spec.kind} layer")
+        total_rows = rows.rows if total_rows is None else total_rows
         if abs_start < 0 or abs_start + rows.rows > total_rows:
             raise RangeError(
                 f"subset [{abs_start}, {abs_start + rows.rows}) outside {total_rows} neurons"
             )
+        if total_rows % groups:
+            raise DimensionError(f"{total_rows} neurons not divisible into {groups} groups")
         self._rows = rows
         self._spec = spec
         self._abs_start = abs_start
@@ -190,7 +131,9 @@ class DenseAccumulator:
         if base != self._next:
             raise DimensionError(f"chunk starts at {base}, expected {self._next}")
         if base + values.size > self._total:
-            raise DimensionError("chunk runs past the layer input")
+            raise DimensionError(
+                f"connected input runs to {base + values.size} values, expected {self._total}"
+            )
         w = self._rows.weights
         cols = self._rows.cols
         end = base + values.size
@@ -212,29 +155,35 @@ class DenseAccumulator:
 
     def finish(self) -> Tensor:
         if self._next != self._total:
-            raise DimensionError(f"only {self._next} of {self._total} inputs streamed")
+            raise DimensionError(f"connected input has {self._next} values, expected {self._total}")
         out = _activate(self._acc + self._rows.biases, self._spec.activation)
         return Tensor((self._rows.rows,), out)
 
 
-def conv_forward_subset(
-    x: Tensor, w: LayerWeights, spec: LayerSpec, start: int, count: int
+def connected_forward_rows(
+    x: Tensor,
+    rows: LayerWeights,
+    spec: LayerSpec,
+    abs_start: int = 0,
+    total_rows: int | None = None,
+    groups: int = 1,
 ) -> Tensor:
-    """Cross-correlation with zero padding for filters [start, start+count)."""
+    """Connected-layer outputs for an already-sliced row range: the whole
+    input fed to one DenseAccumulator (same arguments) at once."""
+    accumulator = DenseAccumulator(rows, spec, abs_start, total_rows, groups)
+    accumulator.feed(x.data, 0)
+    return accumulator.finish()
+
+
+def conv_forward_subset(x: Tensor, rows: LayerWeights, spec: LayerSpec) -> Tensor:
+    """Cross-correlation with zero padding for an already-sliced filter range."""
     if spec.kind != "convolutional":
         raise DimensionError(f"convolutional kernel got a {spec.kind} layer")
-    if start < 0 or count < 0 or start + count > w.rows:
-        raise RangeError(f"filter subset [{start}, {start + count}) outside {w.rows}")
-    if len(x.dims) != 3:
-        raise DimensionError(f"convolutional input must be 3-D, got dims {x.dims}")
+    _, oh, ow = output_dims(spec, x.dims)
     c, h, wd = x.dims
     k, s, p = spec.kernel_size, spec.stride, spec.padding
-    if w.cols != c * k * k:
-        raise DimensionError(f"weight rows of {w.cols} values, expected {c}*{k}*{k}")
-    if h + 2 * p < k or wd + 2 * p < k:
-        raise DimensionError(f"kernel {k} does not fit {h}x{wd} input with padding {p}")
-    oh = (h + 2 * p - k) // s + 1
-    ow = (wd + 2 * p - k) // s + 1
+    if rows.cols != c * k * k:
+        raise DimensionError(f"weight rows of {rows.cols} values, expected {c}*{k}*{k}")
 
     padded = np.zeros((c, h + 2 * p, wd + 2 * p), dtype=FLOAT)
     padded[:, p : p + h, p : p + wd] = x.as_map()
@@ -243,29 +192,18 @@ def conv_forward_subset(
     # in the flat weight-row order the accumulation must follow
     windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::s, ::s]
     patches = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, oh * ow)
-    acc = np.zeros((count, oh * ow), dtype=FLOAT)
-    acc = _accumulate(acc, w.weights[start : start + count], patches)
-    out = _activate(acc + w.biases[start : start + count, None], spec.activation)
-    return Tensor((count, oh, ow), out.reshape(-1))
-
-
-def conv_forward(x: Tensor, w: LayerWeights, spec: LayerSpec) -> Tensor:
-    return conv_forward_subset(x, w, spec, 0, w.rows)
+    acc = np.zeros((rows.rows, oh * ow), dtype=FLOAT)
+    acc = _accumulate(acc, rows.weights, patches)
+    out = _activate(acc + rows.biases[:, None], spec.activation)
+    return Tensor((rows.rows, oh, ow), out.reshape(-1))
 
 
 def maxpool_forward(x: Tensor, spec: LayerSpec) -> Tensor:
     """Per-window maximum; windows must tile the input exactly."""
     if spec.kind != "maxpool":
         raise DimensionError(f"maxpool kernel got a {spec.kind} layer")
-    if len(x.dims) != 3:
-        raise DimensionError(f"maxpool input must be 3-D, got dims {x.dims}")
-    c, h, w = x.dims
+    c, oh, ow = output_dims(spec, x.dims)
     k, s = spec.size, spec.stride
-    for side in (h, w):
-        if side < k or (side - k) % s != 0:
-            raise DimensionError(f"pool window {k} stride {s} does not divide {h}x{w} input")
-    oh = (h - k) // s + 1
-    ow = (w - k) // s + 1
     m = x.as_map()
     out = np.full((c, oh, ow), -np.inf, dtype=FLOAT)
     for ky in range(k):
@@ -284,23 +222,26 @@ def softmax_forward(x: Tensor) -> Tensor:
 
 
 def layer_forward(
-    model: ModelSpec, weights: WeightStore, layer_index: int, x: Tensor
+    model: ModelSpec, layer_index: int, x: Tensor, rows: LayerWeights | None, start: int = 0
 ) -> Tensor:
-    """Apply layer ``layer_index`` whole, honoring the branch topology."""
+    """Apply rows [start, start+len) of layer ``layer_index``, honoring the
+    branch topology; ``rows`` is None for a weightless layer, which always
+    runs whole."""
     layer = model.layers[layer_index]
     if layer.kind == "connected":
-        return connected_forward(
-            x, weights.layers[layer_index], layer, model.branch_groups(layer_index)
+        return connected_forward_rows(
+            x, rows, layer, start, model.units(layer_index), model.branch_groups(layer_index)
         )
     if layer.kind == "convolutional":
-        return conv_forward(x, weights.layers[layer_index], layer)
+        return conv_forward_subset(x, rows, layer)
     if layer.kind == "maxpool":
         return maxpool_forward(x, layer)
     return softmax_forward(x)
 
 
 def reference_forward(model: ModelSpec, weights: WeightStore, x: Tensor) -> Tensor:
-    """Sequential whole-layer forward pass.
+    """Sequential whole-layer forward pass: ``layer_forward`` on every
+    layer's full rows.
 
     The equivalence oracle for every partitioned execution: those must
     reproduce this output bitwise.
@@ -309,5 +250,5 @@ def reference_forward(model: ModelSpec, weights: WeightStore, x: Tensor) -> Tens
     if model.layers and x.dims != model.input_dims:
         raise DimensionError(f"input dims {x.dims} do not match model {model.input_dims}")
     for i in range(len(model.layers)):
-        x = layer_forward(model, weights, i, x)
+        x = layer_forward(model, i, x, weights.layers[i])
     return x

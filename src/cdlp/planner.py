@@ -11,7 +11,12 @@ partition, at 4 bytes per float:
 A layer whose input activations cannot sit in the arena even for a
 single-neuron subset gets its spill flag set: the producer encrypts the
 activations into shared memory and every subset streams them back in,
-one chunk at a time.
+one chunk at a time. A chunk holds ``SPILL_CHUNK_BYTES`` of activations;
+the executor spills with the same constant, so a spilled subset's
+footprint counts one chunk in place of its inputs.
+
+A layered plan is the sublayer plan with whole-layer subsets, and a
+weightless (maxpool or softmax) layer always runs as one partition.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ SCHEMES = (SCHEME_LAYERED, SCHEME_SUBLAYER, SCHEME_BRANCHED)
 WORLD_SECURE = "secure"
 WORLD_NORMAL = "normal"
 
-DEFAULT_SPILL_CHUNK_BYTES = 4096
+SPILL_CHUNK_BYTES = 4096
 
 
 @dataclass(frozen=True)
@@ -86,18 +91,15 @@ def _subset_footprint(model: ModelSpec, layer_index: int, subset_size: int) -> i
     )
 
 
-def _spilled_subset_footprint(
-    model: ModelSpec, layer_index: int, subset_size: int, chunk_bytes: int
-) -> int:
+def _spilled_subset_footprint(model: ModelSpec, layer_index: int, subset_size: int) -> int:
     cols = model.param_shape(layer_index)[1]
     per_unit_out = model.output_units_per_row(layer_index)
-    return chunk_bytes + FLOAT_BYTES * subset_size * (cols + 1 + per_unit_out)
+    return SPILL_CHUNK_BYTES + FLOAT_BYTES * subset_size * (cols + 1 + per_unit_out)
 
 
 def plan_layered(model: ModelSpec, cap: int) -> PartitionPlan:
     """One secure, encrypted partition per layer, in layer order."""
     _check_cap(cap)
-    partitions = []
     for i in range(len(model.layers)):
         footprint = estimate_layer_footprint(model, i)
         if footprint > cap:
@@ -105,17 +107,12 @@ def plan_layered(model: ModelSpec, cap: int) -> PartitionPlan:
                 f"layer {i} ({model.layers[i].kind}) needs {footprint} bytes, "
                 f"budget is {cap}"
             )
-        partitions.append(
-            Partition(i, i, 0, model.units(i), WORLD_SECURE, footprint, True)
-        )
-    return PartitionPlan(SCHEME_LAYERED, partitions)
+    whole = {i: model.units(i) for i in range(len(model.layers)) if model.is_parameterized(i)}
+    return PartitionPlan(SCHEME_LAYERED, plan_sublayer(model, cap, whole).partitions)
 
 
 def plan_sublayer(
-    model: ModelSpec,
-    cap: int,
-    subset_size: int | Mapping[int, int] | None = None,
-    chunk_bytes: int = DEFAULT_SPILL_CHUNK_BYTES,
+    model: ModelSpec, cap: int, subset_size: int | Mapping[int, int] | None = None
 ) -> PartitionPlan:
     """Split oversized layers into contiguous subsets that fit the budget.
 
@@ -126,7 +123,7 @@ def plan_sublayer(
     layered plan exactly.
     """
     _check_cap(cap)
-    spill = _spill_layers(model, cap, chunk_bytes)
+    spill = _spill_layers(model, cap)
     partitions: list[Partition] = []
     sublayer: dict[int, SubsetParams] = {}
     next_id = 0
@@ -153,14 +150,14 @@ def plan_sublayer(
         elif estimate_layer_footprint(model, i) <= cap:
             size = units
         else:
-            size = _auto_subset_size(model, i, cap, chunk_bytes, spilled=i in spill)
+            size = _auto_subset_size(model, i, cap, spilled=i in spill)
 
         count = math.ceil(units / size)
         sublayer[i] = SubsetParams(size, count)
         for start in range(0, units, size):
             end = min(start + size, units)
             if i in spill:
-                footprint = _spilled_subset_footprint(model, i, end - start, chunk_bytes)
+                footprint = _spilled_subset_footprint(model, i, end - start)
             elif count == 1:
                 footprint = estimate_layer_footprint(model, i)
             else:
@@ -272,6 +269,8 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
         worlds = {p.world for p in parts}
         if len(worlds) > 1:
             problems.append(f"layer {i} mixes worlds {sorted(worlds)}")
+        if len(parts) > 1 and not model.is_parameterized(i):
+            problems.append(f"{model.layers[i].kind} layer {i} cannot be split")
 
     for j in sorted(plan.spill):
         if not 1 <= j < len(model.layers):
@@ -357,7 +356,7 @@ def _requested_subset(subset_size, layer_index: int) -> int | None:
     return int(subset_size)
 
 
-def _spill_layers(model: ModelSpec, cap: int, chunk_bytes: int) -> set[int]:
+def _spill_layers(model: ModelSpec, cap: int) -> set[int]:
     """Layers whose full input activations cannot share the arena with even
     a single-unit subset; their inputs will stream from encrypted spill."""
     spill: set[int] = set()
@@ -374,14 +373,12 @@ def _spill_layers(model: ModelSpec, cap: int, chunk_bytes: int) -> set[int]:
     return spill
 
 
-def _auto_subset_size(
-    model: ModelSpec, layer_index: int, cap: int, chunk_bytes: int, spilled: bool
-) -> int:
+def _auto_subset_size(model: ModelSpec, layer_index: int, cap: int, spilled: bool) -> int:
     """Largest subset size whose footprint fits the budget."""
     cols = model.param_shape(layer_index)[1]
     per_unit = cols + 1 + model.output_units_per_row(layer_index)
     if spilled:
-        budget = cap - chunk_bytes
+        budget = cap - SPILL_CHUNK_BYTES
     else:
         budget = cap - FLOAT_BYTES * model.in_elems(layer_index)
     size = budget // (FLOAT_BYTES * per_unit)

@@ -7,6 +7,7 @@ import math
 import numpy as np
 
 from cdlp.model import BranchTopology, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore
+from cdlp.nn import layer_forward
 
 
 def random_tensor(rng: np.random.Generator, dims) -> Tensor:
@@ -80,3 +81,14 @@ def random_case(seed: int) -> tuple[ModelSpec, WeightStore, Tensor]:
     rng = np.random.default_rng(seed)
     model = random_model(rng)
     return model, random_weight_store(model, rng), random_tensor(rng, model.input_dims)
+
+
+def spilled_secrets(model: ModelSpec, store: WeightStore, plan, x: Tensor) -> list[bytes]:
+    """The plaintext a run spills: for each spill-flagged layer j, the
+    reference activations of layer j-1 for input ``x``."""
+    secrets = []
+    for i in range(max(plan.spill, default=0)):
+        x = layer_forward(model, i, x, store.layers[i])
+        if i + 1 in plan.spill:
+            secrets.append(x.tobytes())
+    return secrets

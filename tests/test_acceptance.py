@@ -18,7 +18,7 @@ from cdlp.planner import plan_branched, plan_layered, plan_sublayer
 from cdlp.tee import SecureArena, estimate_overhead, find_plaintext_leak
 from cdlp.weights import split_weights
 
-from support import random_case, random_tensor, random_weight_store
+from support import random_case, random_tensor, random_weight_store, spilled_secrets
 
 KEY = bytes.fromhex("5ec2e75ec2e75ec2e75ec2e75ec2e700")
 CAP = 7 * 2**20
@@ -40,8 +40,7 @@ def checked_run(model, store, plan, x, cap=CAP):
     data = prepare_partition_data(store, plan, KEY)
     result = run_partitioned(model, data, plan, x, SecureArena(cap), KEY)
     secrets = [b for b in split_weights(store, plan) if len(b) >= 8]
-    if result.spilled_plaintexts:
-        secrets.append(b"".join(result.spilled_plaintexts))
+    secrets += spilled_secrets(model, store, plan, x)
     assert find_plaintext_leak(result.shared, secrets) is None
     return result
 

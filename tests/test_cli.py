@@ -1,4 +1,5 @@
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from cdlp.cli import main, read_tensor_file, write_tensor_file
 from cdlp.config import canonical_config_text, load_canonical_model
 from cdlp.model import Tensor
+from cdlp.planner import parse_manifest, render_manifest
 from cdlp.weights import serialize_weights
 
 from support import random_tensor, random_weight_store
@@ -119,6 +121,24 @@ def test_encrypt_missing_weights_exits_2(workspace):
         "encrypt", "--cfg", cfg, "--weights", tmp / "missing.weights", "--plan", manifest,
         "--key", KEY_HEX, "--out", tmp / "parts",
     ) == 2
+
+
+def test_encrypt_rejects_a_split_maxpool_layer(workspace):
+    tmp, cfg, weights, _ = workspace
+    manifest = tmp / "plan.manifest"
+    run_cli("plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP, "--out", manifest)
+    plan = parse_manifest(manifest.read_text())
+    pool = plan.partitions[1]
+    assert pool.layer_index == 1 and load_canonical_model().layers[1].kind == "maxpool"
+    half = pool.end // 2
+    plan.partitions[1:2] = [replace(pool, end=half), replace(pool, id=100, start=half)]
+    manifest.write_text(render_manifest(plan))
+    code = run_cli(
+        "encrypt", "--cfg", cfg, "--weights", weights, "--plan", manifest,
+        "--key", KEY_HEX, "--out", tmp / "parts",
+    )
+    assert code == 3
+    assert not (tmp / "parts").exists()
 
 
 def test_reencrypting_changes_ciphertext_not_plaintext(workspace):

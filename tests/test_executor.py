@@ -15,7 +15,7 @@ from cdlp.executor import (
 )
 from cdlp.model import FLOAT_BYTES, LayerSpec, ModelSpec, Tensor
 from cdlp.planner import (
-    DEFAULT_SPILL_CHUNK_BYTES,
+    SPILL_CHUNK_BYTES,
     plan_branched,
     plan_layered,
     plan_sublayer,
@@ -23,16 +23,16 @@ from cdlp.planner import (
 from cdlp.tee import CostLedger, SecureArena, SharedBuffer, TaintTag, find_plaintext_leak
 from cdlp.weights import split_weights
 
-from support import random_case, random_tensor, random_weight_store
+from support import random_case, random_tensor, random_weight_store, spilled_secrets
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
 CAP = 7 * 2**20
 
 
-def run_plan(model, store, plan, x, cap=CAP, **kwargs):
+def run_plan(model, store, plan, x, cap=CAP):
     data = prepare_partition_data(store, plan, KEY)
     arena = SecureArena(cap)
-    return run_partitioned(model, data, plan, x, arena, KEY, **kwargs)
+    return run_partitioned(model, data, plan, x, arena, KEY)
 
 
 def canonical_case(seed=42):
@@ -143,7 +143,7 @@ def test_arena_peak_within_budget_and_planned_footprints():
     result = run_plan(model, store, plan, x, cap=cap)
     assert result.arena_peak <= cap
     biggest = max(p.footprint_bytes for p in plan.partitions)
-    assert result.arena_peak <= biggest + DEFAULT_SPILL_CHUNK_BYTES
+    assert result.arena_peak <= biggest + SPILL_CHUNK_BYTES
 
 
 def test_runtime_oom_when_arena_smaller_than_plan_needs():
@@ -176,6 +176,10 @@ def spill_model():
     return model, random_weight_store(model, rng), random_tensor(rng, (8, 1, 1))
 
 
+def ciphertext_writes(result):
+    return sum(w.tag == TaintTag.CIPHERTEXT for w in result.shared.writes)
+
+
 def test_spill_redecryption_cost_is_exact():
     model, store, x = spill_model()
     plan = plan_sublayer(model, CAP, subset_size={0: 1000, 1: 50})
@@ -185,14 +189,16 @@ def test_spill_redecryption_cost_is_exact():
     assert compare_runs(plain.output, spilled.output).bitwise_equal
     extra = spilled.ledger.decrypted_bytes - plain.ledger.decrypted_bytes
     assert extra == 4 * 4 * 1000
-    assert spilled.spilled_plaintexts and not plain.spilled_plaintexts
+    # the 4000 spilled bytes leave the arena as exactly one 4 KiB ciphertext chunk
+    assert ciphertext_writes(spilled) == ciphertext_writes(plain) + 1
 
 
 def test_spilled_activations_never_touch_shared_memory_in_the_clear():
     model, store, x = spill_model()
     plan = plan_sublayer(model, CAP, subset_size={0: 1000, 1: 50}).with_spill(1)
     result = run_plan(model, store, plan, x)
-    secrets = list(result.spilled_plaintexts)
+    secrets = spilled_secrets(model, store, plan, x)
+    assert len(secrets) == 1 and len(secrets[0]) == 4000
     secrets += [b for b in split_weights(store, plan) if len(b) >= 8]
     assert find_plaintext_leak(result.shared, secrets) is None
 

@@ -10,9 +10,7 @@ from cdlp.errors import DimensionError, RangeError
 from cdlp.model import BranchTopology, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore
 from cdlp.nn import (
     DenseAccumulator,
-    connected_forward,
-    connected_forward_subset,
-    conv_forward,
+    connected_forward_rows,
     conv_forward_subset,
     maxpool_forward,
     reference_forward,
@@ -99,19 +97,24 @@ def bitwise_equal(a: Tensor, b: Tensor) -> bool:
     return a.dims == b.dims and a.data.tobytes() == b.data.tobytes()
 
 
+def rows_of(w: LayerWeights, start: int, count: int) -> LayerWeights:
+    """The row slice [start, start+count) of a layer's weights."""
+    return LayerWeights(w.weights[start : start + count], w.biases[start : start + count])
+
+
 # --- connected ---
 
 def test_connected_identity_weights():
     spec = LayerSpec.connected(2, "linear")
     w = LayerWeights(np.eye(2, dtype=f32), np.zeros(2, f32))
-    out = connected_forward(Tensor((2,), [1, 2]), w, spec)
+    out = connected_forward_rows(Tensor((2,), [1, 2]), w, spec)
     assert out.data.tolist() == [1.0, 2.0]
 
 
 def test_connected_zero_weights_expose_bias():
     spec = LayerSpec.connected(1, "linear")
     w = LayerWeights(np.zeros((1, 3), f32), np.array([5], f32))
-    out = connected_forward(Tensor((3,), [1, 1, 1]), w, spec)
+    out = connected_forward_rows(Tensor((3,), [1, 1, 1]), w, spec)
     assert out.data.tolist() == [5.0]
 
 
@@ -121,7 +124,7 @@ def test_connected_matches_scalar_oracle_bitwise():
     w = rng.standard_normal((3, 7)).astype(f32)
     b = rng.standard_normal(3).astype(f32)
     spec = LayerSpec.connected(3, "relu")
-    got = connected_forward(Tensor((7,), x), LayerWeights(w, b), spec)
+    got = connected_forward_rows(Tensor((7,), x), LayerWeights(w, b), spec)
     assert got.data.tobytes() == dense_oracle(x, w, b, "relu").tobytes()
 
 
@@ -129,7 +132,7 @@ def test_connected_shape_mismatch():
     spec = LayerSpec.connected(2, "linear")
     w = LayerWeights(np.zeros((2, 3), f32), np.zeros(2, f32))
     with pytest.raises(DimensionError):
-        connected_forward(Tensor((4,), np.zeros(4, f32)), w, spec)
+        connected_forward_rows(Tensor((4,), np.zeros(4, f32)), w, spec)
 
 
 def test_subset_full_range_equals_whole():
@@ -137,7 +140,9 @@ def test_subset_full_range_equals_whole():
     spec = LayerSpec.connected(5, "relu")
     w = LayerWeights(rng.standard_normal((5, 6)).astype(f32), rng.standard_normal(5).astype(f32))
     x = random_tensor(rng, (6,))
-    assert bitwise_equal(connected_forward_subset(x, w, spec, 0, 5), connected_forward(x, w, spec))
+    assert bitwise_equal(
+        connected_forward_rows(x, rows_of(w, 0, 5), spec, 0, 5), connected_forward_rows(x, w, spec)
+    )
 
 
 def test_subset_halves_concatenate_to_whole():
@@ -145,16 +150,16 @@ def test_subset_halves_concatenate_to_whole():
     spec = LayerSpec.connected(4, "linear")
     w = LayerWeights(rng.standard_normal((4, 5)).astype(f32), rng.standard_normal(4).astype(f32))
     x = random_tensor(rng, (5,))
-    lo = connected_forward_subset(x, w, spec, 0, 2)
-    hi = connected_forward_subset(x, w, spec, 2, 2)
-    whole = connected_forward(x, w, spec)
+    lo = connected_forward_rows(x, rows_of(w, 0, 2), spec, 0, 4)
+    hi = connected_forward_rows(x, rows_of(w, 2, 2), spec, 2, 4)
+    whole = connected_forward_rows(x, w, spec)
     assert np.concatenate([lo.data, hi.data]).tobytes() == whole.data.tobytes()
 
 
 def test_subset_empty_is_allowed():
     spec = LayerSpec.connected(3, "linear")
     w = LayerWeights(np.zeros((3, 2), f32), np.zeros(3, f32))
-    out = connected_forward_subset(Tensor((2,), [1, 2]), w, spec, 1, 0)
+    out = connected_forward_rows(Tensor((2,), [1, 2]), rows_of(w, 1, 0), spec, 1, 3)
     assert out.size == 0
 
 
@@ -162,7 +167,7 @@ def test_subset_out_of_range():
     spec = LayerSpec.connected(3, "linear")
     w = LayerWeights(np.zeros((3, 2), f32), np.zeros(3, f32))
     with pytest.raises(RangeError):
-        connected_forward_subset(Tensor((2,), [1, 2]), w, spec, 2, 2)
+        connected_forward_rows(Tensor((2,), [1, 2]), rows_of(w, 0, 2), spec, 2, 3)
 
 
 @given(
@@ -182,10 +187,10 @@ def test_subset_decomposition_property(seed, n_in, n_out, data):
     w = LayerWeights(rng.standard_normal((n_out, n_in)).astype(f32), rng.standard_normal(n_out).astype(f32))
     x = random_tensor(rng, (n_in,))
     pieces = [
-        connected_forward_subset(x, w, spec, a, b - a).data
+        connected_forward_rows(x, rows_of(w, a, b - a), spec, a, n_out).data
         for a, b in zip(bounds, bounds[1:])
     ]
-    assert np.concatenate(pieces).tobytes() == connected_forward(x, w, spec).data.tobytes()
+    assert np.concatenate(pieces).tobytes() == connected_forward_rows(x, w, spec).data.tobytes()
 
 
 def test_streaming_accumulator_matches_resident():
@@ -193,17 +198,17 @@ def test_streaming_accumulator_matches_resident():
     spec = LayerSpec.connected(6, "relu")
     w = LayerWeights(rng.standard_normal((6, 11)).astype(f32), rng.standard_normal(6).astype(f32))
     x = random_tensor(rng, (11,))
-    acc = DenseAccumulator(w, spec, 1, 4)
+    acc = DenseAccumulator(rows_of(w, 1, 4), spec, 1, 6)
     acc.feed(x.data[0:5], 0)
     acc.feed(x.data[5:9], 5)
     acc.feed(x.data[9:11], 9)
-    assert bitwise_equal(acc.finish(), connected_forward_subset(x, w, spec, 1, 4))
+    assert bitwise_equal(acc.finish(), connected_forward_rows(x, rows_of(w, 1, 4), spec, 1, 6))
 
 
 def test_streaming_accumulator_rejects_gaps():
     spec = LayerSpec.connected(2, "linear")
     w = LayerWeights(np.zeros((2, 4), f32), np.zeros(2, f32))
-    acc = DenseAccumulator(w, spec, 0, 2)
+    acc = DenseAccumulator(w, spec)
     with pytest.raises(DimensionError):
         acc.feed(np.zeros(2, f32), 1)
 
@@ -213,8 +218,8 @@ def test_branched_layer_streaming_matches_resident():
     spec = LayerSpec.connected(8, "relu")
     w = LayerWeights(rng.standard_normal((8, 3)).astype(f32), rng.standard_normal(8).astype(f32))
     x = random_tensor(rng, (6,))  # 2 groups of 3 inputs
-    whole = connected_forward(x, w, spec, groups=2)
-    acc = DenseAccumulator(w, spec, 2, 5, groups=2)  # subset spans both groups
+    whole = connected_forward_rows(x, w, spec, groups=2)
+    acc = DenseAccumulator(rows_of(w, 2, 5), spec, 2, 8, groups=2)  # subset spans both groups
     acc.feed(x.data[0:4], 0)
     acc.feed(x.data[4:6], 4)
     assert acc.finish().data.tobytes() == whole.data[2:7].tobytes()
@@ -228,9 +233,9 @@ def test_single_neuron_subset_matches_oracle():
     b = rng.standard_normal(3).astype(f32)
     x = rng.standard_normal(500).astype(f32)
     expect = dense_oracle(x, w, b, "linear")
-    got = connected_forward_subset(Tensor((500,), x), LayerWeights(w, b), spec, 1, 1)
+    got = connected_forward_rows(Tensor((500,), x), rows_of(LayerWeights(w, b), 1, 1), spec, 1, 3)
     assert got.data.tobytes() == expect[1:2].tobytes()
-    acc = DenseAccumulator(LayerWeights(w, b), spec, 2, 1)
+    acc = DenseAccumulator(rows_of(LayerWeights(w, b), 2, 1), spec, 2, 3)
     acc.feed(x[:333], 0)
     acc.feed(x[333:], 333)
     assert acc.finish().data.tobytes() == expect[2:3].tobytes()
@@ -239,12 +244,12 @@ def test_single_neuron_subset_matches_oracle():
 def test_empty_subsets_yield_empty_outputs():
     spec = LayerSpec.connected(3, "relu")
     w = LayerWeights(np.ones((3, 4), f32), np.ones(3, f32))
-    acc = DenseAccumulator(w, spec, 3, 0)
+    acc = DenseAccumulator(rows_of(w, 3, 0), spec, 3, 3)
     acc.feed(np.ones(4, f32), 0)
     assert acc.finish().size == 0
     conv = LayerSpec.convolutional(2, 3, 1, 1, "relu")
     cw = LayerWeights(np.ones((2, 9), f32), np.ones(2, f32))
-    out = conv_forward_subset(Tensor((1, 4, 4), np.ones(16, f32)), cw, conv, 1, 0)
+    out = conv_forward_subset(Tensor((1, 4, 4), np.ones(16, f32)), rows_of(cw, 1, 0), conv)
     assert out.dims == (0, 4, 4) and out.size == 0
 
 
@@ -254,16 +259,27 @@ def test_negative_zero_products_keep_the_oracle_sign():
     x = np.array([1.0, -2.0, 3.0], f32)
     b = np.zeros(2, f32)
     expect = dense_oracle(x, w, b, "linear")
-    got = connected_forward(Tensor((3,), x), LayerWeights(w, b), spec)
+    got = connected_forward_rows(Tensor((3,), x), LayerWeights(w, b), spec)
     assert got.data.tobytes() == expect.tobytes()
-    acc = DenseAccumulator(LayerWeights(w, b), spec, 0, 2)
+    acc = DenseAccumulator(LayerWeights(w, b), spec)
     acc.feed(x, 0)
     assert acc.finish().data.tobytes() == expect.tobytes()
     x3 = np.array([[[1.0, -0.0], [-3.0, 0.0]]], f32)
     cw = np.array([[-0.0, -0.0, -0.0, -0.0]], f32)
     conv = LayerSpec.convolutional(1, 2, 1, 0, "linear")
-    got = conv_forward(Tensor((1, 2, 2), x3.reshape(-1)), LayerWeights(cw, np.zeros(1, f32)), conv)
+    got = conv_forward_subset(
+        Tensor((1, 2, 2), x3.reshape(-1)), LayerWeights(cw, np.zeros(1, f32)), conv
+    )
     assert got.data.tobytes() == conv_oracle(x3, cw, np.zeros(1, f32), 2, 1, 0, "linear").tobytes()
+
+
+def test_group_count_must_divide_the_layer():
+    spec = LayerSpec.connected(3, "linear")
+    w = LayerWeights(np.ones((3, 2), f32), np.zeros(3, f32))
+    with pytest.raises(DimensionError):
+        DenseAccumulator(w, spec, 0, 3, groups=2)
+    with pytest.raises(DimensionError):
+        connected_forward_rows(Tensor((4,), np.ones(4, f32)), w, spec, 0, 3, groups=2)
 
 
 @given(
@@ -284,7 +300,7 @@ def test_grouped_streaming_chunks_match_oracle(seed, groups, cols, data):
     w = rng.standard_normal((total, cols)).astype(f32)
     b = rng.standard_normal(total).astype(f32)
     x = rng.standard_normal(cols * groups).astype(f32)
-    acc = DenseAccumulator(LayerWeights(w, b), spec, start, count, groups=groups)
+    acc = DenseAccumulator(rows_of(LayerWeights(w, b), start, count), spec, start, total, groups)
     base = 0
     while base < x.size:
         step = data.draw(st.integers(1, x.size - base))
@@ -304,7 +320,7 @@ def test_layers_beyond_one_scratch_block_match_oracle(rows, cols):
     w = rng.standard_normal((rows, cols)).astype(f32)
     b = rng.standard_normal(rows).astype(f32)
     x = rng.standard_normal(cols).astype(f32)
-    got = connected_forward(Tensor((cols,), x), LayerWeights(w, b), spec)
+    got = connected_forward_rows(Tensor((cols,), x), LayerWeights(w, b), spec)
     assert got.data.tobytes() == dense_oracle(x, w, b, "linear").tobytes()
 
 
@@ -314,7 +330,7 @@ def test_conv_identity_1x1_kernel():
     spec = LayerSpec.convolutional(1, 1, 1, 0, "linear")
     w = LayerWeights(np.ones((1, 1), f32), np.zeros(1, f32))
     x = Tensor((1, 3, 3), np.ones(9, f32))
-    out = conv_forward(x, w, spec)
+    out = conv_forward_subset(x, w, spec)
     assert out.dims == (1, 3, 3)
     assert out.data.tolist() == [1.0] * 9
 
@@ -324,7 +340,7 @@ def test_conv_single_window_is_dot_product():
     spec = LayerSpec.convolutional(1, 2, 1, 0, "linear")
     x = random_tensor(rng, (1, 2, 2))
     w = LayerWeights(rng.standard_normal((1, 4)).astype(f32), np.array([0.25], f32))
-    out = conv_forward(x, w, spec)
+    out = conv_forward_subset(x, w, spec)
     expect = dense_oracle(x.data, w.weights, w.biases, "linear")
     assert out.dims == (1, 1, 1)
     assert out.data.tobytes() == expect.tobytes()
@@ -336,7 +352,7 @@ def test_conv_matches_naive_loop_oracle_bitwise():
     w = rng.standard_normal((4, 3 * 3 * 3)).astype(f32)
     b = rng.standard_normal(4).astype(f32)
     spec = LayerSpec.convolutional(4, 3, 1, 1, "relu")
-    got = conv_forward(x, LayerWeights(w, b), spec)
+    got = conv_forward_subset(x, LayerWeights(w, b), spec)
     expect = conv_oracle(x.as_map(), w, b, 3, 1, 1, "relu")
     assert got.dims == (4, 8, 8)
     assert got.data.tobytes() == expect.tobytes()
@@ -348,7 +364,7 @@ def test_conv_strided_matches_oracle():
     w = rng.standard_normal((3, 2 * 3 * 3)).astype(f32)
     b = rng.standard_normal(3).astype(f32)
     spec = LayerSpec.convolutional(3, 3, 2, 0, "linear")
-    got = conv_forward(x, LayerWeights(w, b), spec)
+    got = conv_forward_subset(x, LayerWeights(w, b), spec)
     expect = conv_oracle(x.as_map(), w, b, 3, 2, 0, "linear")
     assert got.dims == expect.shape
     assert got.data.tobytes() == expect.tobytes()
@@ -362,7 +378,7 @@ def test_one_filter_conv_with_one_output_pixel_matches_oracle():
         x = random_tensor(rng, (4, 5, 5))
         w = rng.standard_normal((1, 4 * 5 * 5)).astype(f32)
         b = rng.standard_normal(1).astype(f32)
-        got = conv_forward(x, LayerWeights(w, b), spec)
+        got = conv_forward_subset(x, LayerWeights(w, b), spec)
         assert got.dims == (1, 1, 1)
         assert got.data.tobytes() == conv_oracle(x.as_map(), w, b, 5, 1, 0, "linear").tobytes()
 
@@ -372,8 +388,8 @@ def test_conv_filter_subsets_concatenate_to_whole():
     x = random_tensor(rng, (2, 5, 5))
     spec = LayerSpec.convolutional(5, 3, 1, 1, "relu")
     w = LayerWeights(rng.standard_normal((5, 18)).astype(f32), rng.standard_normal(5).astype(f32))
-    whole = conv_forward(x, w, spec)
-    parts = [conv_forward_subset(x, w, spec, 0, 2), conv_forward_subset(x, w, spec, 2, 3)]
+    whole = conv_forward_subset(x, w, spec)
+    parts = [conv_forward_subset(x, rows_of(w, lo, n), spec) for lo, n in ((0, 2), (2, 3))]
     assert np.concatenate([p.data for p in parts]).tobytes() == whole.data.tobytes()
 
 
@@ -381,7 +397,7 @@ def test_conv_geometry_mismatch():
     spec = LayerSpec.convolutional(1, 5, 1, 0, "linear")
     w = LayerWeights(np.zeros((1, 25), f32), np.zeros(1, f32))
     with pytest.raises(DimensionError):
-        conv_forward(Tensor((1, 3, 3), np.zeros(9, f32)), w, spec)
+        conv_forward_subset(Tensor((1, 3, 3), np.zeros(9, f32)), w, spec)
 
 
 # --- maxpool ---
@@ -456,8 +472,8 @@ def test_reference_equals_manual_composition():
     )
     store = random_weight_store(model, rng)
     x = random_tensor(rng, (4, 1, 1))
-    manual = connected_forward(
-        connected_forward(x, store.layers[0], model.layers[0]), store.layers[1], model.layers[1]
+    manual = connected_forward_rows(
+        connected_forward_rows(x, store.layers[0], model.layers[0]), store.layers[1], model.layers[1]
     )
     assert bitwise_equal(reference_forward(model, store, x), manual)
 
@@ -474,14 +490,14 @@ def test_branched_model_equals_isolated_subnetworks():
     full = reference_forward(model, store, x)
 
     # run each branch as its own little network over its input slice
-    first = connected_forward(x, store.layers[0], model.layers[0])
+    first = connected_forward_rows(x, store.layers[0], model.layers[0])
     for g in range(2):
         part = Tensor((4,), first.data[g * 4 : (g + 1) * 4])
         for i in (1, 2):
             lw = store.layers[i]
             rows = lw.rows // 2
             sub = type(lw)(lw.weights[g * rows : (g + 1) * rows], lw.biases[g * rows : (g + 1) * rows])
-            part = connected_forward(part, sub, model.layers[i])
+            part = connected_forward_rows(part, sub, model.layers[i])
         m = model.layers[2].outputs // 2
         assert part.data.tobytes() == full.data[g * m : (g + 1) * m].tobytes()
 
@@ -491,10 +507,10 @@ def test_branch_independence_zeroing_other_branch():
     spec = LayerSpec.connected(6, "relu")
     w = LayerWeights(rng.standard_normal((6, 4)).astype(f32), rng.standard_normal(6).astype(f32))
     x = random_tensor(rng, (8,))  # 2 groups of 4
-    base = connected_forward(x, w, spec, groups=2)
+    base = connected_forward_rows(x, w, spec, groups=2)
     zeroed = x.data.copy()
     zeroed[4:] = 0
-    other = connected_forward(Tensor((8,), zeroed), w, spec, groups=2)
+    other = connected_forward_rows(Tensor((8,), zeroed), w, spec, groups=2)
     assert base.data[:3].tobytes() == other.data[:3].tobytes()
 
 

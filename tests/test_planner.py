@@ -6,8 +6,11 @@ from hypothesis import strategies as st
 
 from cdlp.config import load_canonical_model
 from cdlp.errors import LayerTooLargeError, PlanError, PlanInfeasibleError
-from cdlp.model import BranchTopology, LayerSpec, ModelSpec
+from cdlp.executor import prepare_partition_data, run_partitioned
+from cdlp.model import BranchTopology, LayerSpec, ModelSpec, Tensor, WeightStore
 from cdlp.planner import (
+    SCHEME_LAYERED,
+    PartitionPlan,
     estimate_layer_footprint,
     parse_manifest,
     plan_branched,
@@ -16,6 +19,7 @@ from cdlp.planner import (
     render_manifest,
     validate_plan,
 )
+from cdlp.tee import SecureArena
 
 from support import random_model
 import numpy as np
@@ -265,6 +269,26 @@ def test_validation_checks_spill_flags():
     assert validate_plan(plan.with_spill(1), model, CAP) == []
     problems = validate_plan(plan.with_spill(0), model, CAP)
     assert any("spill" in p for p in problems)
+
+
+def test_validation_rejects_split_weightless_layers():
+    model = ModelSpec([LayerSpec.maxpool(2, 2), LayerSpec.softmax()], (1, 4, 4))
+    pool, soft = plan_layered(model, CAP).partitions
+    split = PartitionPlan(SCHEME_LAYERED, [
+        dataclasses.replace(pool, end=2),
+        dataclasses.replace(pool, id=1, start=2),
+        dataclasses.replace(soft, id=2, end=1),
+        dataclasses.replace(soft, id=3, start=1),
+    ])
+    assert validate_plan(split, model, CAP) == [
+        "maxpool layer 0 cannot be split",
+        "softmax layer 1 cannot be split",
+    ]
+    key = bytes(16)
+    data = prepare_partition_data(WeightStore([None, None]), split, key)
+    x = Tensor((1, 4, 4), np.arange(16, dtype=np.float32))
+    with pytest.raises(PlanError, match="invalid plan: maxpool layer 0 cannot be split"):
+        run_partitioned(model, data, split, x, SecureArena(CAP), key)
 
 
 # --- manifest ---
