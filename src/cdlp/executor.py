@@ -68,7 +68,8 @@ def spill_activations(
     """Encrypt activations into the shared buffer in chunks.
 
     Each chunk briefly occupies arena space while it is encrypted; only
-    its ciphertext (tagged as such) ever reaches normal-world memory.
+    its container (a public header, then the ciphertext tagged as such)
+    ever reaches normal-world memory.
     Passing ``into`` appends to an existing spill set, which is how a
     layer split into subsets spills incrementally.
     """
@@ -86,7 +87,7 @@ def spill_activations(
             data = encrypt_partition(plain, key, chunk_id)
         finally:
             arena.free(staging)
-        offset = buffer.append(data, TaintTag.CIPHERTEXT)
+        offset = buffer.append_container(data)
         spilled.chunks.append(
             SpilledChunk(chunk_id, spilled.total_count, hi - lo, offset, len(data))
         )
@@ -251,7 +252,7 @@ class _Runner:
 
         for p in parts:
             container_bytes = self.partition_data[p.id]
-            offset = self.shared.append(container_bytes, TaintTag.CIPHERTEXT)
+            offset = self.shared.append_container(container_bytes)
 
             def trusted_fn(app, buffers, p=p, offset=offset, length=len(container_bytes)):
                 blob = ledger_decrypt(

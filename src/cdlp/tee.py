@@ -180,6 +180,18 @@ class SharedBuffer:
         self.write(offset, data, tag)
         return offset
 
+    def append_container(self, data: bytes) -> int:
+        """Append an encrypted container and return its offset.
+
+        The header is public metadata and is logged as its own PUBLIC
+        write, the ciphertext and MAC as one CIPHERTEXT write, so no logged
+        slice spans both: a header's length field next to ciphertext bytes
+        can otherwise match a run of zero activations by chance.
+        """
+        offset = self.append(data[: container.HEADER_BYTES], TaintTag.PUBLIC)
+        self.append(data[container.HEADER_BYTES :], TaintTag.CIPHERTEXT)
+        return offset
+
     def write(self, offset: int, data: bytes, tag: TaintTag) -> None:
         if not isinstance(tag, TaintTag):
             raise TypeError(f"tag must be a TaintTag, got {tag!r}")
@@ -187,15 +199,15 @@ class SharedBuffer:
             raise ValueError("negative offset")
         data = bytes(data)
         end = offset + len(data)
-        if end > len(self._data):
-            self._data.extend(b"\x00" * (end - len(self._data)))
-        self._data[offset:end] = data
+        if offset > len(self._data):
+            self._data.extend(bytes(offset - len(self._data)))
+        self._data[offset:end] = data  # a slice reaching past the end grows the buffer
         self.writes.append(WriteRecord(offset, len(data), tag, data))
 
     def read(self, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0 or offset + length > len(self._data):
             raise ValueError(f"read [{offset}, {offset + length}) outside buffer")
-        return bytes(self._data[offset : offset + length])
+        return bytes(memoryview(self._data)[offset : offset + length])  # one copy
 
 
 _KEY = np.dtype("<u8")  # a window's first (up to) 8 bytes, packed little-endian

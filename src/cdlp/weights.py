@@ -99,7 +99,13 @@ def split_weights(store: WeightStore, plan) -> list[bytes]:
 def partition_weights(
     model: ModelSpec, layer_index: int, start: int, end: int, blob: bytes
 ) -> LayerWeights:
-    """Parse a partition blob back into the row slice it serializes."""
+    """Parse a partition blob back into the row slice it serializes.
+
+    The arrays are read-only views of ``blob``, not copies, so the weights
+    take no memory beyond the blob itself: a decrypted blob is charged to
+    the arena and released only after the kernel that reads the views has
+    returned, and a normal-world blob is immutable ``bytes``.
+    """
     shape = model.param_shape(layer_index)
     if shape is None:
         raise DimensionError(f"layer {layer_index} takes no weights")
@@ -111,13 +117,11 @@ def partition_weights(
             f"partition blob of {len(blob)} bytes, expected {expect} "
             f"for {rows} rows of layer {layer_index}"
         )
-    biases = np.frombuffer(blob, FLOAT, count=rows).copy()
-    weights = (
-        np.frombuffer(blob, FLOAT, count=rows * cols, offset=FLOAT_BYTES * rows)
-        .reshape(rows, cols)
-        .copy()
-    )
-    return LayerWeights(weights, biases)
+    biases = np.frombuffer(blob, FLOAT, count=rows)
+    weights = np.frombuffer(blob, FLOAT, count=rows * cols, offset=FLOAT_BYTES * rows)
+    biases.flags.writeable = False  # a bytearray blob would give writable views
+    weights.flags.writeable = False
+    return LayerWeights(weights.reshape(rows, cols), biases)
 
 
 def merge_blobs(model: ModelSpec, plan, blobs: Mapping[int, bytes]) -> WeightStore:

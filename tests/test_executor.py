@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlp.config import load_canonical_model
+from cdlp.container import HEADER_BYTES, MAGIC
 from cdlp.errors import IntegrityError, PlanError, SecureMemoryError
 from cdlp.executor import (
     compare_runs,
@@ -85,7 +86,10 @@ def test_branched_run_matches_reference():
     assert compare_runs(result.output, run_reference(model, store, x).output).bitwise_equal
     # the normal-to-secure handoff crosses shared memory tagged public:
     # at least the model input and the extracted features
-    public_writes = [w for w in result.shared.writes if w.tag == TaintTag.PUBLIC]
+    public_writes = [
+        w for w in result.shared.writes
+        if w.tag == TaintTag.PUBLIC and not w.data.startswith(MAGIC)  # not a container header
+    ]
     assert len(public_writes) >= 2
 
 
@@ -272,6 +276,32 @@ def test_no_weight_window_reaches_shared_memory():
     result = run_plan(model, store, plan, x)
     secrets = [b for b in split_weights(store, plan) if len(b) >= 8]
     assert find_plaintext_leak(result.shared, secrets) is None
+
+
+def test_container_headers_are_logged_apart_from_their_ciphertext():
+    model, store, x = spill_model()
+    plan = plan_sublayer(model, CAP, subset_size={0: 1000, 1: 50}).with_spill(1)
+    result = run_plan(model, store, plan, x)
+    writes = result.shared.writes
+    ciphertexts = [i for i, w in enumerate(writes) if w.tag == TaintTag.CIPHERTEXT]
+    # 5 weight containers and 1 spill chunk, each a public header then its ciphertext
+    assert len(ciphertexts) == len(plan.partitions) + 1
+    for i in ciphertexts:
+        header = writes[i - 1]
+        assert header.tag == TaintTag.PUBLIC and header.data.startswith(MAGIC)
+        assert header.length == HEADER_BYTES and header.offset + HEADER_BYTES == writes[i].offset
+
+    buffer = SharedBuffer()
+    spilled = spill_activations(np.zeros(1000, np.float32), SPILL_CHUNK_BYTES, KEY, buffer,
+                                SecureArena(CAP))
+    chunk = spilled.chunks[0]
+    data = buffer.read(chunk.offset, chunk.length)
+    # the length field's zero bytes next to the first ciphertext bytes are no
+    # logged slice, so a secret holding them by chance is not reported
+    straddle = data[HEADER_BYTES - 6 : HEADER_BYTES + 2]
+    assert find_plaintext_leak(buffer, [straddle]) is None
+    inside = data[HEADER_BYTES + 8 : HEADER_BYTES + 16]
+    assert find_plaintext_leak(buffer, [inside]) == inside
 
 
 # --- comparisons and the baseline ---

@@ -1,5 +1,7 @@
 """Kernel tests against independently coded scalar oracles."""
 
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -322,6 +324,59 @@ def test_layers_beyond_one_scratch_block_match_oracle(rows, cols):
     x = rng.standard_normal(cols).astype(f32)
     got = connected_forward_rows(Tensor((cols,), x), LayerWeights(w, b), spec)
     assert got.data.tobytes() == dense_oracle(x, w, b, "linear").tobytes()
+
+
+# --- long weight rows: the term block is filled one tile of rows at a time ---
+
+@functools.cache
+def long_rows_case():
+    """A 256x2048 layer (8 KiB rows), its input and its oracle output."""
+    rng = np.random.default_rng(2048)
+    w = rng.standard_normal((256, 2048)).astype(f32)
+    b = rng.standard_normal(256).astype(f32)
+    x = rng.standard_normal(2048).astype(f32)
+    assert w.strides[0] >= nn._LONG_ROW_BYTES
+    return LayerWeights(w, b), x, dense_oracle(x, w, b, "relu")
+
+
+@pytest.mark.parametrize("start, count", [(0, 256), (0, 65), (3, 130)])
+def test_long_rows_match_oracle(start, count):
+    # 65 and 130 rows are no multiple of the tile; 130 rows from 3 cross tile edges
+    w, x, expect = long_rows_case()
+    spec = LayerSpec.connected(256, "relu")
+    got = connected_forward_rows(Tensor((2048,), x), rows_of(w, start, count), spec, start, 256)
+    assert got.data.tobytes() == expect[start : start + count].tobytes()
+
+
+def test_long_rows_streamed_across_tile_and_block_edges():
+    w, x, expect = long_rows_case()
+    spec = LayerSpec.connected(256, "relu")
+    start, count = nn._TILE_ROWS - 1, 130
+    block = nn._BLOCK_FLOATS // count - 1
+    acc = DenseAccumulator(rows_of(w, start, count), spec, start, 256)
+    # chunks of 1 value, cut one before and one after block edges, and a tail
+    cuts = [0, 1, block - 1, block + 1, 2 * block + 1, 1500, 2047, 2048]
+    for lo, hi in zip(cuts, cuts[1:]):
+        acc.feed(x[lo:hi], lo)
+    assert acc.finish().data.tobytes() == expect[start : start + count].tobytes()
+
+
+def test_grouped_long_rows_match_oracle():
+    rng = np.random.default_rng(1100)
+    groups, total, cols = 2, 80, 1100
+    spec = LayerSpec.connected(total, "relu")
+    w = rng.standard_normal((total, cols)).astype(f32)
+    b = rng.standard_normal(total).astype(f32)
+    x = rng.standard_normal(cols * groups).astype(f32)
+    assert w.strides[0] >= nn._LONG_ROW_BYTES
+    expect = grouped_oracle(x, w, b, groups, "relu")
+    whole = connected_forward_rows(Tensor((x.size,), x), LayerWeights(w, b), spec, groups=groups)
+    assert whole.data.tobytes() == expect.tobytes()
+    # rows 25..64 span both groups; chunks straddle the group edge at 1100
+    acc = DenseAccumulator(rows_of(LayerWeights(w, b), 25, 40), spec, 25, total, groups)
+    for lo, hi in zip([0, 700, 1101, 1600], [700, 1101, 1600, 2200]):
+        acc.feed(x[lo:hi], lo)
+    assert acc.finish().data.tobytes() == expect[25:65].tobytes()
 
 
 # --- convolutional ---

@@ -246,9 +246,12 @@ def test_write_log_records_every_byte():
     buf.append(b"ab", TaintTag.PUBLIC)
     buf.write(1, b"cd", TaintTag.CIPHERTEXT)
     assert buf.read(0, 3) == b"acd"
+    buf.write(5, b"e", TaintTag.PUBLIC)  # past the end: the gap reads as zeros
+    assert buf.read(0, len(buf)) == b"acd\x00\x00e"
     assert [(r.offset, r.length, r.tag) for r in buf.writes] == [
         (0, 2, TaintTag.PUBLIC),
         (1, 2, TaintTag.CIPHERTEXT),
+        (5, 1, TaintTag.PUBLIC),
     ]
 
 

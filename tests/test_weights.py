@@ -12,6 +12,7 @@ from cdlp.weights import (
     layer_blob,
     load_weights,
     merge_blobs,
+    partition_weights,
     serialize_weights,
     split_weights,
 )
@@ -130,3 +131,28 @@ def test_canonical_model_weights_round_trip():
     store = random_weight_store(model, np.random.default_rng(7))
     loaded = load_weights(serialize_weights(store), model)
     assert serialize_weights(loaded) == serialize_weights(store)
+
+
+def test_partition_weights_are_read_only_views_of_the_blob():
+    model, store, _ = random_case(8)
+    plan = plan_sublayer(model, CAP, subset_size={i: max(1, model.units(i) // 3)
+                                                  for i in range(len(model.layers))
+                                                  if model.is_parameterized(i)})
+    blobs = split_weights(store, plan)
+    for p, blob in zip(plan.partitions, blobs):
+        if not model.is_parameterized(p.layer_index):
+            continue
+        for source in (blob, bytearray(blob)):  # normal-world bytes, or a mutable buffer
+            rows = partition_weights(model, p.layer_index, p.start, p.end, source)
+            raw = np.frombuffer(source, np.uint8)
+            for array in (rows.weights, rows.biases):
+                assert np.shares_memory(array, raw)
+                assert not array.flags.writeable
+    # merging copies the views into a fresh, writable store equal to the original
+    merged = merge_blobs(model, plan, dict(zip((p.id for p in plan.partitions), blobs)))
+    for original, lw in zip(store.layers, merged.layers):
+        if original is None:
+            continue
+        assert lw.weights.flags.writeable and lw.biases.flags.writeable
+        assert lw.weights.tobytes() == original.weights.tobytes()
+        assert lw.biases.tobytes() == original.biases.tobytes()
