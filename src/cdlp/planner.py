@@ -1,30 +1,40 @@
 """Partition planning: layered, sub-layer, and branched schemes.
 
-Footprints are estimated peak secure-world bytes for executing one
-partition, at 4 bytes per float:
+A secure partition's footprint is the executor's peak arena use while it
+runs, at 4 bytes per float. ``partition_footprint`` is the one formula;
+every planner and ``validate_plan`` use it. The executor holds at once:
 
-* whole layer: inputs + outputs + weights + biases;
-* neuron/filter subset of size s: inputs + s weight rows + s biases +
-  the subset's own outputs;
-* branch partition: the per-branch slice of all four terms.
+* input: the layer's whole input, if it is resident in the arena. A
+  public input costs nothing: the model input, or a normal-world layer's
+  output, which the trusted app reads from shared memory;
+* output: the layer's whole output buffer, allocated at the first subset,
+  unless the next layer is spilled;
+* weights: rows x (cols + 1) floats, the partition's weight rows and
+  biases; nothing for maxpool or softmax;
+* chunk: one ``SPILL_CHUNK_BYTES`` chunk, capped at the data it carries,
+  when the layer streams a spilled input or spills its own output. A
+  streamed chunk is capped at the layer's whole input, so the figure is
+  an upper bound when the producer's subsets each output less than a
+  chunk.
 
-A layer whose input activations cannot sit in the arena even for a
-single-neuron subset gets its spill flag set: the producer encrypts the
-activations into shared memory and every subset streams them back in,
-one chunk at a time. A chunk holds ``SPILL_CHUNK_BYTES`` of activations;
-the executor spills with the same constant, so a spilled subset's
-footprint counts one chunk in place of its inputs.
+A layer whose input cannot stay resident next to even a single-row subset
+gets its spill flag set: the producer encrypts the activations into
+shared memory and every subset streams them back one chunk at a time.
 
 A layered plan is the sublayer plan with whole-layer subsets, and a
 weightless (maxpool or softmax) layer always runs as one partition.
+Normal-world partitions never touch the arena; they record the whole-layer
+figure of ``estimate_layer_footprint``. Kernel scratch lies outside the arena
+and outside every footprint (see ``nn``).
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import Mapping
+from typing import AbstractSet, Mapping
 
 from .errors import LayerTooLargeError, PlanError, PlanInfeasibleError
 from .model import FLOAT_BYTES, ModelSpec
@@ -67,41 +77,54 @@ class PartitionPlan:
     spill: frozenset[int] = field(default_factory=frozenset)
 
     def with_spill(self, *layer_indices: int) -> "PartitionPlan":
-        """Copy of the plan with extra layers marked for activation spill."""
+        """Copy of the plan with extra layers marked for activation spill.
+
+        The recorded footprints stay upper bounds, because spilling layer j
+        only lowers the footprints of layers j - 1 (its output leaves a chunk
+        at a time) and j (its input streams back a chunk at a time);
+        ``validate_plan`` accepts them for that reason.
+        """
         return replace(self, spill=self.spill | frozenset(layer_indices))
 
     def secure_partitions(self) -> list[Partition]:
         return [p for p in self.partitions if p.world == WORLD_SECURE]
 
 
-def estimate_layer_footprint(model: ModelSpec, layer_index: int) -> int:
-    """Bytes to run the whole layer: in + out activations, weights, biases."""
-    in_e = model.in_elems(layer_index)
-    out_e = model.out_elems(layer_index)
+def partition_footprint(
+    model: ModelSpec,
+    layer_index: int,
+    rows: int,
+    spill: AbstractSet[int] = frozenset(),
+    public_input: bool = False,
+) -> int:
+    """Peak arena bytes of a secure partition running ``rows`` rows of the
+    layer under the ``spill`` flags: input, output, weights and chunk, as
+    the module docstring lists them."""
     shape = model.param_shape(layer_index)
-    params = shape[0] * shape[1] + shape[0] if shape else 0
-    return FLOAT_BYTES * (in_e + out_e + params)
+    floats = rows * (shape[1] + 1) if shape else 0
+    chunk = 0
+    if layer_index in spill:
+        chunk = min(SPILL_CHUNK_BYTES, FLOAT_BYTES * model.in_elems(layer_index))
+    elif not public_input:
+        floats += model.in_elems(layer_index)
+    if layer_index + 1 in spill:
+        produced = FLOAT_BYTES * rows * model.output_units_per_row(layer_index)
+        chunk = max(chunk, min(SPILL_CHUNK_BYTES, produced))
+    else:
+        floats += model.out_elems(layer_index)
+    return FLOAT_BYTES * floats + chunk
 
 
-def _subset_footprint(model: ModelSpec, layer_index: int, subset_size: int) -> int:
-    cols = model.param_shape(layer_index)[1]
-    per_unit_out = model.output_units_per_row(layer_index)
-    return FLOAT_BYTES * (
-        model.in_elems(layer_index) + subset_size * (cols + 1 + per_unit_out)
-    )
-
-
-def _spilled_subset_footprint(model: ModelSpec, layer_index: int, subset_size: int) -> int:
-    cols = model.param_shape(layer_index)[1]
-    per_unit_out = model.output_units_per_row(layer_index)
-    return SPILL_CHUNK_BYTES + FLOAT_BYTES * subset_size * (cols + 1 + per_unit_out)
+def estimate_layer_footprint(model: ModelSpec, layer_index: int) -> int:
+    """Bytes to run the whole layer with its input resident and no spill."""
+    return partition_footprint(model, layer_index, model.units(layer_index))
 
 
 def plan_layered(model: ModelSpec, cap: int) -> PartitionPlan:
     """One secure, encrypted partition per layer, in layer order."""
     _check_cap(cap)
     for i in range(len(model.layers)):
-        footprint = estimate_layer_footprint(model, i)
+        footprint = partition_footprint(model, i, model.units(i), public_input=i == 0)
         if footprint > cap:
             raise LayerTooLargeError(
                 f"layer {i} ({model.layers[i].kind}) needs {footprint} bytes, "
@@ -126,44 +149,38 @@ def plan_sublayer(
     spill = _spill_layers(model, cap)
     partitions: list[Partition] = []
     sublayer: dict[int, SubsetParams] = {}
-    next_id = 0
     for i in range(len(model.layers)):
         units = model.units(i)
+
+        def footprint(rows: int, i: int = i) -> int:
+            return partition_footprint(model, i, rows, spill, public_input=i == 0)
+
         if not model.is_parameterized(i):
-            footprint = estimate_layer_footprint(model, i)
-            if footprint > cap:
+            size = units
+            if footprint(units) > cap:
                 raise PlanInfeasibleError(
                     f"layer {i} ({model.layers[i].kind}) activations alone need "
-                    f"{footprint} bytes, budget is {cap}"
+                    f"{footprint(units)} bytes, budget is {cap}"
                 )
-            partitions.append(Partition(next_id, i, 0, units, WORLD_SECURE, footprint, True))
-            next_id += 1
-            continue
-
-        wanted = _requested_subset(subset_size, i)
-        if wanted is not None:
-            if not 1 <= wanted <= units:
-                raise PlanError(
-                    f"subset size {wanted} outside [1, {units}] for layer {i}"
-                )
-            size = wanted
-        elif estimate_layer_footprint(model, i) <= cap:
-            size = units
         else:
-            size = _auto_subset_size(model, i, cap, spilled=i in spill)
-
-        count = math.ceil(units / size)
-        sublayer[i] = SubsetParams(size, count)
+            size = _requested_subset(subset_size, i)
+            if size is None:
+                # the largest subset that fits; footprints grow with the rows
+                size = bisect.bisect_right(range(1, units + 1), cap, key=footprint)
+                if size == 0:
+                    raise PlanInfeasibleError(
+                        f"layer {i} ({model.layers[i].kind}) needs {footprint(1)} bytes "
+                        f"for a single row, budget is {cap}"
+                    )
+            elif not 1 <= size <= units:
+                raise PlanError(f"subset size {size} outside [1, {units}] for layer {i}")
+            sublayer[i] = SubsetParams(size, math.ceil(units / size))
         for start in range(0, units, size):
             end = min(start + size, units)
-            if i in spill:
-                footprint = _spilled_subset_footprint(model, i, end - start)
-            elif count == 1:
-                footprint = estimate_layer_footprint(model, i)
-            else:
-                footprint = _subset_footprint(model, i, end - start)
-            partitions.append(Partition(next_id, i, start, end, WORLD_SECURE, footprint, True))
-            next_id += 1
+            footprint_bytes = footprint(end - start)
+            partitions.append(
+                Partition(len(partitions), i, start, end, WORLD_SECURE, footprint_bytes, True)
+            )
     return PartitionPlan(SCHEME_SUBLAYER, partitions, sublayer, frozenset(spill))
 
 
@@ -179,22 +196,14 @@ def plan_branched(model: ModelSpec, cap: int) -> PartitionPlan:
         raise PlanError("model has no branch topology")
     k = model.branch.branch_count
     split = model.branch.branch_layer_index
-    partitions: list[Partition] = []
-    next_id = 0
-    for i in range(split):
-        partitions.append(
-            Partition(
-                next_id, i, 0, model.units(i), WORLD_NORMAL,
-                estimate_layer_footprint(model, i), False,
-            )
-        )
-        next_id += 1
+    partitions = [
+        Partition(i, i, 0, model.units(i), WORLD_NORMAL, estimate_layer_footprint(model, i), False)
+        for i in range(split)
+    ]
     for i in range(split, len(model.layers)):
-        per_branch_in = model.in_elems(i) // k
-        per_branch_out = model.units(i) // k
-        footprint = FLOAT_BYTES * (
-            per_branch_in + per_branch_in * per_branch_out + 2 * per_branch_out
-        )
+        rows = model.units(i) // k
+        # the first secure layer reads the normal world's output from shared memory
+        footprint = partition_footprint(model, i, rows, public_input=i == split)
         if footprint > cap:
             raise LayerTooLargeError(
                 f"layer {i} branch partition needs {footprint} bytes, budget is {cap}"
@@ -202,11 +211,9 @@ def plan_branched(model: ModelSpec, cap: int) -> PartitionPlan:
         for g in range(k):
             partitions.append(
                 Partition(
-                    next_id, i, g * per_branch_out, (g + 1) * per_branch_out,
-                    WORLD_SECURE, footprint, True,
+                    len(partitions), i, g * rows, (g + 1) * rows, WORLD_SECURE, footprint, True
                 )
             )
-            next_id += 1
     return PartitionPlan(SCHEME_BRANCHED, partitions)
 
 
@@ -254,6 +261,7 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
             problems.append(f"layer {i} is not covered by any partition")
             continue
         units = model.units(i)
+        public_input = i == 0 or any(q.world != WORLD_SECURE for q in by_layer.get(i - 1, ()))
         cursor = 0
         for p in parts:  # plan order within the layer
             if p.start != cursor:
@@ -263,6 +271,12 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
                 )
             if not 0 <= p.start <= p.end <= units:
                 problems.append(f"partition {p.id} range [{p.start}, {p.end}) outside {units} units")
+            elif p.world == WORLD_SECURE:
+                need = partition_footprint(model, i, p.end - p.start, plan.spill, public_input)
+                if p.footprint_bytes < need:
+                    problems.append(
+                        f"partition {p.id} records {p.footprint_bytes} bytes but needs {need}"
+                    )
             cursor = max(cursor, p.end)
         if cursor != units:
             problems.append(f"layer {i} covered up to row {cursor} of {units}")
@@ -357,34 +371,16 @@ def _requested_subset(subset_size, layer_index: int) -> int | None:
 
 
 def _spill_layers(model: ModelSpec, cap: int) -> set[int]:
-    """Layers whose full input activations cannot share the arena with even
-    a single-unit subset; their inputs will stream from encrypted spill."""
+    """Layers whose input cannot stay resident next to even a single-row
+    subset; their inputs will stream from encrypted spill. Decided from the
+    last layer back, because spilling layer i + 1 frees layer i's output."""
     spill: set[int] = set()
-    for i in range(len(model.layers)):
-        if not model.is_parameterized(i):
-            continue
-        if _subset_footprint(model, i, 1) > cap:
-            if model.layers[i].kind != "connected" or i == 0:
+    for i in reversed(range(1, len(model.layers))):
+        if model.is_parameterized(i) and partition_footprint(model, i, 1, spill) > cap:
+            if model.layers[i].kind != "connected":
                 raise PlanInfeasibleError(
                     f"layer {i} ({model.layers[i].kind}) cannot stream its inputs "
                     f"and does not fit {cap} bytes"
                 )
             spill.add(i)
     return spill
-
-
-def _auto_subset_size(model: ModelSpec, layer_index: int, cap: int, spilled: bool) -> int:
-    """Largest subset size whose footprint fits the budget."""
-    cols = model.param_shape(layer_index)[1]
-    per_unit = cols + 1 + model.output_units_per_row(layer_index)
-    if spilled:
-        budget = cap - SPILL_CHUNK_BYTES
-    else:
-        budget = cap - FLOAT_BYTES * model.in_elems(layer_index)
-    size = budget // (FLOAT_BYTES * per_unit)
-    if size < 1:
-        raise PlanInfeasibleError(
-            f"layer {layer_index}: one weight row plus one activation chunk "
-            f"exceeds the {cap}-byte budget"
-        )
-    return min(int(size), model.units(layer_index))

@@ -171,6 +171,40 @@ def test_run_with_oracle_reports_equivalence(workspace, capsys):
     assert payload["partitions"] == 11
 
 
+def test_sublayer_plan_runs_at_its_cap(workspace, capsys):
+    tmp, cfg, _, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace, "sublayer", 24_000)
+    capsys.readouterr()
+    assert run_cli(
+        "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+        "--input", tensor, "--cap", 24_000, "--oracle", "--json",
+    ) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["equivalent"] is True
+    assert payload["arena_peak_bytes"] <= 24_000
+
+
+def test_run_rejects_a_manifest_that_understates_a_footprint(workspace, capsys):
+    tmp, cfg, _, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace, "sublayer", 24_000)
+    plan = parse_manifest(manifest.read_text())
+    *_, runner_up, victim = sorted(plan.partitions, key=lambda p: p.footprint_bytes)
+    assert victim.footprint_bytes > runner_up.footprint_bytes
+    # every recorded figure now fits a cap the victim's real footprint exceeds
+    cap = runner_up.footprint_bytes
+    plan.partitions[victim.id] = replace(victim, footprint_bytes=cap)
+    manifest.write_text(render_manifest(plan))
+    capsys.readouterr()
+    assert run_cli(
+        "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+        "--input", tensor, "--cap", cap,
+    ) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("planning failed: ")
+    assert f"partition {victim.id} records {cap} bytes but needs {victim.footprint_bytes}" in err
+
+
 def test_run_overhead_ratio_from_supplied_baseline(workspace, capsys):
     tmp, cfg, _, tensor = workspace
     manifest, parts = plan_and_encrypt(workspace)

@@ -1,3 +1,5 @@
+import bisect
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -20,6 +22,7 @@ from cdlp.planner import (
     plan_branched,
     plan_layered,
     plan_sublayer,
+    validate_plan,
 )
 from cdlp.tee import CostLedger, SecureArena, SharedBuffer, TaintTag, find_plaintext_leak
 from cdlp.weights import split_weights
@@ -147,7 +150,64 @@ def test_arena_peak_within_budget_and_planned_footprints():
     result = run_plan(model, store, plan, x, cap=cap)
     assert result.arena_peak <= cap
     biggest = max(p.footprint_bytes for p in plan.partitions)
-    assert result.arena_peak <= biggest + SPILL_CHUNK_BYTES
+    assert result.arena_peak == biggest
+
+
+def tightest_cap(plan_fn, model) -> int:
+    """The smallest cap at which ``plan_fn`` plans the model."""
+
+    def plans(cap: int) -> bool:
+        try:
+            plan_fn(model, cap)
+        except PlanError:
+            return False
+        return True
+
+    return 1 + bisect.bisect_left(range(1, CAP), True, key=plans)
+
+
+def assert_peaks_match_footprints(result, plan):
+    planned = {p.id: p.footprint_bytes for p in plan.secure_partitions()}
+    measured = {r.partition_id: r.arena_peak for r in result.ledger.partition_records}
+    assert measured == planned
+
+
+@given(seed=st.integers(0, 10_000), per_mille=st.integers(1000, 4000), data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_plans_run_at_their_cap_and_peak_at_their_footprints(seed, per_mille, data):
+    model, store, x = random_case(seed)
+    reference = run_reference(model, store, x).output
+    caps = {
+        fn: tightest_cap(fn, model) * per_mille // 1000 for fn in (plan_sublayer, plan_branched)
+    }
+    for plan_fn, cap in caps.items():
+        plan = plan_fn(model, cap)
+        assert validate_plan(plan, model, cap) == []
+        result = run_plan(model, store, plan, x, cap=cap)
+        assert compare_runs(result.output, reference).bitwise_equal
+        assert_peaks_match_footprints(result, plan)
+
+    layered = plan_layered(model, CAP)
+    assert_peaks_match_footprints(run_plan(model, store, layered, x), layered)
+
+    # spilling only lowers footprints, so the recorded ones still bound the peaks
+    connected = [i for i in range(1, len(model.layers)) if model.layers[i].kind == "connected"]
+    j = data.draw(st.sampled_from(connected))
+    cap = caps[plan_sublayer]
+    spilled = plan_sublayer(model, cap).with_spill(j)
+    assert validate_plan(spilled, model, cap) == []
+    result = run_plan(model, store, spilled, x, cap=cap)
+    assert compare_runs(result.output, reference).bitwise_equal
+    planned = {p.id: p.footprint_bytes for p in spilled.partitions}
+    assert all(r.arena_peak <= planned[r.partition_id] for r in result.ledger.partition_records)
+
+
+def test_canonical_sublayer_plan_runs_at_24000_bytes():
+    model, store, x = canonical_case(18)
+    plan = plan_sublayer(model, 24_000)
+    result = run_plan(model, store, plan, x, cap=24_000)
+    assert compare_runs(result.output, run_reference(model, store, x).output).bitwise_equal
+    assert_peaks_match_footprints(result, plan)
 
 
 def test_runtime_oom_when_arena_smaller_than_plan_needs():

@@ -90,10 +90,12 @@ def test_auto_selection_solves_the_budget_inequality():
     model = square_connected(2000)
     plan = plan_sublayer(model, CAP)
     params = plan.sublayer[0]
-    # 4*(2000 + 2000s + 2s) <= 7 MiB picks s=915, hence 3 subsets
-    assert params.subset_size == 915
+    # the model input is public; the arena holds the whole 2000-float output
+    # buffer and s rows of 2000 weights plus a bias:
+    # 4*(2000 + 2001s) <= 7 MiB picks s=916, hence 3 subsets
+    assert params.subset_size == 916
     assert params.subset_count == 3
-    assert [p.end - p.start for p in plan.partitions] == [915, 915, 170]
+    assert [p.end - p.start for p in plan.partitions] == [916, 916, 168]
     assert validate_plan(plan, model, CAP) == []
 
 
@@ -101,7 +103,8 @@ def test_single_neuron_subsets():
     model = square_connected(16)
     plan = plan_sublayer(model, CAP, subset_size=1)
     assert plan.sublayer[0].subset_count == 16
-    assert all(p.footprint_bytes == 4 * (16 + 16 + 2) for p in plan.partitions)
+    # public input; the 16-float output buffer, 16 weights and a bias
+    assert all(p.footprint_bytes == 4 * (16 + 17) for p in plan.partitions)
 
 
 def test_fitting_layers_stay_whole():
@@ -158,11 +161,16 @@ def test_every_scheme_covers_every_layer_exactly(seed):
         assert validate_plan(plan, model, CAP) == []
 
 
-@given(seed=st.integers(0, 10_000), caps=st.tuples(st.integers(12, 4000), st.integers(0, 4000)))
+@given(seed=st.integers(0, 10_000), caps=st.tuples(st.integers(0, 4000), st.integers(0, 4000)))
 @settings(max_examples=40, deadline=None)
 def test_more_budget_never_means_more_partitions(seed, caps):
     model = square_connected(24, layers=2)
-    small = 4 * (24 + 24 + 2) + caps[0]  # always feasible: one-neuron subsets fit
+    # layer 1 holds its resident 24-float input, its 24-float output buffer and
+    # one row of 24 weights plus a bias; spilling 24 floats saves nothing
+    floor = 4 * (24 + 24 + 25)
+    with pytest.raises(PlanInfeasibleError):
+        plan_sublayer(model, floor - 1)
+    small = floor + caps[0]  # always feasible: one-neuron subsets fit
     large = small + caps[1]
     a = plan_sublayer(model, small)
     b = plan_sublayer(model, large)
@@ -209,7 +217,8 @@ def test_branch_weight_footprint_is_inverse_square_in_branches():
     )
     plan = plan_branched(model, CAP)
     per_branch = plan.partitions[0].footprint_bytes
-    weight_term = per_branch - 4 * (n // k + 2 * (n // k))
+    # public input, the whole n-float output buffer, the branch's n/k biases
+    weight_term = per_branch - 4 * (n + n // k)
     assert weight_term == 4 * (n * n) // (k * k)
 
 
@@ -241,6 +250,21 @@ def test_validation_catches_overlap_and_budget():
     ])
     problems = validate_plan(over_budget, model, CAP)
     assert any("exceeds budget" in p for p in problems)
+
+
+def test_validation_catches_understated_footprints():
+    model = branched_model()
+    plan = plan_branched(model, CAP)
+    first = plan.secure_partitions()[0]
+    # layer 2 reads its 8-float input from shared memory and holds the whole
+    # 8-float output buffer and 4 rows of 8/2 weights plus a bias
+    assert first.footprint_bytes == 4 * (8 + 4 * 5) == 112
+    lowered = dataclasses.replace(plan, partitions=[
+        dataclasses.replace(p, footprint_bytes=108) if p == first else p for p in plan.partitions
+    ])
+    assert validate_plan(lowered, model, CAP) == [
+        f"partition {first.id} records 108 bytes but needs 112"
+    ]
 
 
 def test_validation_catches_world_inconsistency():
