@@ -26,7 +26,14 @@ import numpy as np
 
 from .config import parse_config
 from .errors import CdlpError, ConfigError, FormatError, PlanError
-from .executor import compare_runs, prepare_partition_data, run_partitioned, run_reference
+from .executor import (
+    compare_runs,
+    plan_digest,
+    prepare_partition_data,
+    run_partitioned,
+    run_reference,
+    weights_context,
+)
 from .model import FLOAT, ModelSpec, Tensor
 from .planner import (
     SCHEME_BRANCHED,
@@ -279,9 +286,13 @@ def cmd_run(args) -> int:
 def _decrypt_all(data, plan, key) -> dict[int, bytes]:
     from .container import decrypt_partition
 
+    digest = plan_digest(plan)
     blobs = {}
     for p in plan.partitions:
-        blobs[p.id] = decrypt_partition(data[p.id], key, p.id) if p.encrypted else data[p.id]
+        blob = data[p.id]
+        if p.encrypted:
+            blob = decrypt_partition(blob, key, p.id, weights_context(digest, p.layer_index))
+        blobs[p.id] = blob
     return blobs
 
 

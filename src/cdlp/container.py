@@ -1,38 +1,53 @@
-"""Encrypted partition container: AES-128-CTR with encrypt-then-MAC.
+"""Encrypted partition container: AES-128-GCM (RFC 5116, NIST SP 800-38D).
 
 Layout, integers little-endian:
 
     magic          4 bytes  "CDLP"
-    version        u16      1
+    version        u16      2
     partition_id   u16
-    nonce          16 bytes
+    nonce          12 bytes
     plaintext_len  u64
     ciphertext     plaintext_len bytes
-    mac            32 bytes HMAC-SHA256 over everything above
+    tag            16 bytes
 
-The MAC key is HMAC-SHA256(key, b"mac"); verification happens before any
-plaintext is produced. Nonces are random per container, so re-encrypting
-the same blob yields different bytes.
+The associated data is the header followed by a caller-supplied context,
+so one tag covers the framing, the ciphertext and the place the container
+was made for. A container read anywhere else fails to verify, and no
+plaintext is returned before the tag checks. Nonces are random per
+container, so re-encrypting the same blob yields different bytes; SP 800-38D
+allows 2^32 containers per key with random 96-bit nonces.
+
+The executor passes one of two contexts:
+
+* weights: ``b"weights"``, the plan digest and the partition's layer;
+* spill: ``b"spill"``, the plan digest, a 16-byte nonce drawn once per run,
+  the spilled layer and the chunk's full index (the u16 ``partition_id``
+  of a spill chunk wraps).
+
+The plan digest is the SHA-256 of the plan's manifest. It covers the
+manifest and not the model's config text because the encrypting and the
+running entry points, ``prepare_partition_data(store, plan, key)`` and
+``run_partitioned(model, data, plan, x, arena, key)``, never see the config
+text; the manifest names every partition's layer, rows and world.
 """
 
 from __future__ import annotations
 
-import hmac
 import os
 import struct
-from hashlib import sha256
 
-from cryptography.hazmat.primitives.ciphers import Cipher, algorithms, modes
+from cryptography.exceptions import InvalidTag
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from .errors import FormatError, IntegrityError
 
 MAGIC = b"CDLP"
-VERSION = 1
+VERSION = 2
 KEY_BYTES = 16
-NONCE_BYTES = 16
-MAC_BYTES = 32
+NONCE_BYTES = 12
+MAC_BYTES = 16  # the GCM tag
 
-_HEADER = struct.Struct("<4sHH16sQ")
+_HEADER = struct.Struct("<4sHH12sQ")
 HEADER_BYTES = _HEADER.size
 MIN_CONTAINER_BYTES = HEADER_BYTES + MAC_BYTES
 
@@ -42,34 +57,22 @@ def _check_key(key: bytes) -> None:
         raise ValueError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
 
 
-def _mac_key(key: bytes) -> bytes:
-    return hmac.new(key, b"mac", sha256).digest()
-
-
-def _keystream_xor(key: bytes, nonce: bytes, data: bytes) -> bytes:
-    cipher = Cipher(algorithms.AES(bytes(key)), modes.CTR(nonce))
-    return cipher.encryptor().update(data)
-
-
 def encrypt_partition(
-    blob: bytes, key: bytes, partition_id: int, nonce: bytes | None = None
+    blob: bytes, key: bytes, partition_id: int, context: bytes = b""
 ) -> bytes:
+    """Seal ``blob`` under a fresh nonce, bound to the header and ``context``."""
     _check_key(key)
     if not 0 <= partition_id <= 0xFFFF:
         raise ValueError(f"partition id {partition_id} outside u16 range")
-    if nonce is None:
-        nonce = os.urandom(NONCE_BYTES)
-    if len(nonce) != NONCE_BYTES:
-        raise ValueError(f"nonce must be {NONCE_BYTES} bytes")
-    body = _HEADER.pack(MAGIC, VERSION, partition_id, nonce, len(blob))
-    body += _keystream_xor(key, nonce, bytes(blob))
-    return body + hmac.new(_mac_key(key), body, sha256).digest()
+    nonce = os.urandom(NONCE_BYTES)
+    header = _HEADER.pack(MAGIC, VERSION, partition_id, nonce, len(blob))
+    return header + AESGCM(bytes(key)).encrypt(nonce, bytes(blob), header + context)
 
 
 def read_header(container: bytes) -> tuple[int, int]:
     """Validate framing and return (partition_id, plaintext_len).
 
-    Framing problems raise FormatError; nothing here checks the MAC.
+    Framing problems raise FormatError; nothing here checks the tag.
     """
     if len(container) < MIN_CONTAINER_BYTES:
         raise FormatError(f"container of {len(container)} bytes is too short")
@@ -87,17 +90,22 @@ def read_header(container: bytes) -> tuple[int, int]:
 
 
 def decrypt_partition(
-    container: bytes, key: bytes, expected_partition_id: int | None = None
+    container: bytes,
+    key: bytes,
+    expected_partition_id: int | None = None,
+    context: bytes = b"",
 ) -> bytes:
-    """Verify and decrypt; MAC failure raises IntegrityError, framing FormatError."""
+    """Verify and decrypt; a tag or context mismatch raises IntegrityError,
+    framing FormatError."""
     _check_key(key)
-    partition_id, plaintext_len = read_header(container)
-    body, mac = container[:-MAC_BYTES], container[-MAC_BYTES:]
-    if not hmac.compare_digest(mac, hmac.new(_mac_key(key), body, sha256).digest()):
-        raise IntegrityError("container MAC mismatch")
+    partition_id, _plaintext_len = read_header(container)
     if expected_partition_id is not None and partition_id != expected_partition_id:
         raise IntegrityError(
             f"container is for partition {partition_id}, expected {expected_partition_id}"
         )
-    _magic, _version, _pid, nonce, _len = _HEADER.unpack_from(container)
-    return _keystream_xor(key, nonce, container[HEADER_BYTES : HEADER_BYTES + plaintext_len])
+    nonce = _HEADER.unpack_from(container)[3]
+    aad = container[:HEADER_BYTES] + context
+    try:
+        return AESGCM(bytes(key)).decrypt(nonce, container[HEADER_BYTES:], aad)
+    except InvalidTag:
+        raise IntegrityError("container tag mismatch") from None

@@ -7,6 +7,11 @@ resident in secure memory between partitions; a layer flagged for spill
 has its inputs encrypted into shared memory by the producer and streamed
 back chunk by chunk, paying the re-decryption cost the ledger records.
 
+Every container is bound to where it belongs (see ``container``): weights
+to the plan digest and their layer, spill chunks also to the run, the
+spilled layer and the chunk's index, so shared memory can swap, replay or
+reorder containers only to make the run fail.
+
 Every run is bitwise comparable to run_reference: the kernels fix their
 accumulation order, and activations only ever move through lossless
 float32 byte round trips.
@@ -15,8 +20,11 @@ float32 byte round trips.
 from __future__ import annotations
 
 import itertools
+import os
+import struct
 import time
 from dataclasses import dataclass, field
+from hashlib import sha256
 from typing import Callable, Mapping
 
 import numpy as np
@@ -25,7 +33,13 @@ from .container import encrypt_partition
 from .errors import DimensionError, PlanError
 from .model import FLOAT, FLOAT_BYTES, ModelSpec, Tensor, WeightStore
 from .nn import DenseAccumulator, layer_forward, reference_forward
-from .planner import SPILL_CHUNK_BYTES, WORLD_SECURE, PartitionPlan, validate_plan
+from .planner import (
+    SPILL_CHUNK_BYTES,
+    WORLD_SECURE,
+    PartitionPlan,
+    render_manifest,
+    validate_plan,
+)
 from .tee import (
     CostLedger,
     PartitionRecord,
@@ -37,6 +51,19 @@ from .tee import (
     ledger_decrypt,
 )
 from .weights import partition_weights
+
+RUN_NONCE_BYTES = 16
+_INDEX = struct.Struct("<Q")
+
+
+def plan_digest(plan: PartitionPlan) -> bytes:
+    """SHA-256 of the plan's manifest, which every container's context holds."""
+    return sha256(render_manifest(plan).encode()).digest()
+
+
+def weights_context(digest: bytes, layer_index: int) -> bytes:
+    """Associated data of a weight container of the plan with ``digest``."""
+    return b"weights" + digest + _INDEX.pack(layer_index)
 
 
 @dataclass
@@ -55,6 +82,10 @@ class SpilledActivations:
     buffer: SharedBuffer
     chunks: list[SpilledChunk] = field(default_factory=list)
     total_count: int = 0
+    context: bytes = b""  # every chunk's associated data, before its index
+
+    def chunk_context(self, index: int) -> bytes:
+        return self.context + _INDEX.pack(index)
 
 
 def spill_activations(
@@ -83,8 +114,9 @@ def spill_activations(
         plain = values[lo:hi].tobytes()
         staging = arena.alloc(len(plain))
         try:
-            chunk_id = len(spilled.chunks) % 0x10000
-            data = encrypt_partition(plain, key, chunk_id)
+            index = len(spilled.chunks)
+            chunk_id = index % 0x10000
+            data = encrypt_partition(plain, key, chunk_id, spilled.chunk_context(index))
         finally:
             arena.free(staging)
         offset = buffer.append_container(data)
@@ -110,9 +142,11 @@ def stream_spilled(
     p passes is exactly the re-decryption penalty of spilling. A tampered
     chunk aborts before the consumer sees any of it.
     """
-    for chunk in spilled.chunks:
+    for index, chunk in enumerate(spilled.chunks):
         raw = spilled.buffer.read(chunk.offset, chunk.length)
-        blob = ledger_decrypt(arena, ledger, raw, key, expected_partition_id=chunk.chunk_id)
+        blob = ledger_decrypt(
+            arena, ledger, raw, key, chunk.chunk_id, spilled.chunk_context(index)
+        )
         try:
             consumer(np.frombuffer(blob.data, FLOAT), chunk.start)
         finally:
@@ -166,7 +200,8 @@ def run_partitioned(
     ``partition_data`` maps partition id to its encrypted container
     (secure world) or plaintext blob (normal world). Each secure partition
     costs one session invocation, and its weights are freed before the
-    next partition loads.
+    next partition loads. The containers must have been sealed for this
+    plan by ``prepare_partition_data``.
     """
     problems = validate_plan(plan, model, arena.capacity)
     if problems:
@@ -209,6 +244,9 @@ class _Runner:
         self.session = session
         self.shared = shared
         self.key = key
+        self.digest = plan_digest(plan)
+        # binds this run's spill chunks to it: another run's do not verify
+        self.run_nonce = os.urandom(RUN_NONCE_BYTES)
 
     def run_layer(self, layer_index: int, parts, acts: _Activations) -> None:
         if parts[0].world == WORLD_SECURE:
@@ -248,7 +286,11 @@ class _Runner:
             acts.shared_offset = self.shared.append(acts.values.tobytes(), TaintTag.PUBLIC)
 
         out = {"allocation": None, "buffer": None}
-        out_spill = SpilledActivations(self.shared) if spill_out else None
+        out_spill = None
+        if spill_out:
+            spill_context = b"spill" + self.digest + self.run_nonce + _INDEX.pack(layer_index + 1)
+            out_spill = SpilledActivations(self.shared, context=spill_context)
+        context = weights_context(self.digest, layer_index)
 
         for p in parts:
             container_bytes = self.partition_data[p.id]
@@ -257,7 +299,7 @@ class _Runner:
             def trusted_fn(app, buffers, p=p, offset=offset, length=len(container_bytes)):
                 blob = ledger_decrypt(
                     app.arena, app.ledger, buffers[0].read(offset, length),
-                    self.key, expected_partition_id=p.id,
+                    self.key, p.id, context,
                 )
                 try:
                     if out_spill is None and out["allocation"] is None:
@@ -334,9 +376,12 @@ def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) 
     partitions, plaintext blobs for normal-world ones."""
     from .weights import split_weights
 
+    digest = plan_digest(plan)
     data = {}
     for p, blob in zip(plan.partitions, split_weights(store, plan)):
-        data[p.id] = encrypt_partition(blob, key, p.id) if p.encrypted else blob
+        if p.encrypted:
+            blob = encrypt_partition(blob, key, p.id, weights_context(digest, p.layer_index))
+        data[p.id] = blob
     return data
 
 

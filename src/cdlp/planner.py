@@ -142,8 +142,8 @@ def plan_sublayer(
     With ``subset_size`` unset, the planner keeps fitting layers whole and
     picks the largest subset for the rest (fewest partitions, hence fewest
     context switches). An explicit size (one int, or a per-layer mapping)
-    overrides the choice; degenerate full-size subsets reproduce the
-    layered plan exactly.
+    overrides the choice and must fit the budget; degenerate full-size
+    subsets reproduce the layered plan exactly.
     """
     _check_cap(cap)
     spill = _spill_layers(model, cap)
@@ -174,6 +174,11 @@ def plan_sublayer(
                     )
             elif not 1 <= size <= units:
                 raise PlanError(f"subset size {size} outside [1, {units}] for layer {i}")
+            elif footprint(size) > cap:
+                raise PlanInfeasibleError(
+                    f"layer {i} ({model.layers[i].kind}) subsets of {size} rows need "
+                    f"{footprint(size)} bytes, budget is {cap}"
+                )
             sublayer[i] = SubsetParams(size, math.ceil(units / size))
         for start in range(0, units, size):
             end = min(start + size, units)

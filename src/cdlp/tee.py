@@ -184,7 +184,7 @@ class SharedBuffer:
         """Append an encrypted container and return its offset.
 
         The header is public metadata and is logged as its own PUBLIC
-        write, the ciphertext and MAC as one CIPHERTEXT write, so no logged
+        write, the ciphertext and tag as one CIPHERTEXT write, so no logged
         slice spans both: a header's length field next to ciphertext bytes
         can otherwise match a run of zero activations by chance.
         """
@@ -346,17 +346,21 @@ def ledger_decrypt(
     container_bytes: bytes,
     key: bytes,
     expected_partition_id: int | None = None,
+    context: bytes = b"",
 ) -> SecureBlob:
     """Decrypt a container into the arena, counting the plaintext bytes.
 
-    The plaintext is charged to the arena before decryption; on any
-    failure (no room, bad framing, MAC mismatch) the counter stays
-    untouched and the arena is left as it was.
+    ``context`` is the associated data the container was sealed with, past
+    its header. The plaintext is charged to the arena before decryption; on
+    any failure (no room, bad framing, tag or context mismatch) the counter
+    stays untouched and the arena is left as it was.
     """
     _pid, plaintext_len = container.read_header(container_bytes)
     allocation = arena.alloc(plaintext_len) if plaintext_len else None
     try:
-        blob = container.decrypt_partition(container_bytes, key, expected_partition_id)
+        blob = container.decrypt_partition(
+            container_bytes, key, expected_partition_id, context
+        )
     except Exception:
         if allocation is not None:
             arena.free(allocation)

@@ -6,6 +6,7 @@ import pytest
 
 from cdlp.cli import main, read_tensor_file, write_tensor_file
 from cdlp.config import canonical_config_text, load_canonical_model
+from cdlp.container import HEADER_BYTES
 from cdlp.model import Tensor
 from cdlp.planner import parse_manifest, render_manifest
 from cdlp.weights import serialize_weights
@@ -223,13 +224,32 @@ def test_run_corrupted_partition_exits_4(workspace, capsys):
     manifest, parts = plan_and_encrypt(workspace)
     victim = parts / "part_3.cdlp"
     data = bytearray(victim.read_bytes())
-    data[45] ^= 1
+    data[HEADER_BYTES + 13] ^= 1
     victim.write_bytes(bytes(data))
     assert run_cli(
         "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
         "--input", tensor, "--cap", CAP,
     ) == 4
     assert "IntegrityError" in capsys.readouterr().err
+
+
+def test_run_on_version_1_containers_exits_4_before_decrypting(workspace, capsys, monkeypatch):
+    tmp, cfg, _, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace)
+    for victim in parts.glob("*.cdlp"):
+        data = bytearray(victim.read_bytes())
+        data[4:6] = (1).to_bytes(2, "little")  # the header's version field
+        victim.write_bytes(bytes(data))
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a version 1 container reached decryption")
+
+    monkeypatch.setattr("cdlp.container.decrypt_partition", refuse)
+    assert run_cli(
+        "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+        "--input", tensor, "--cap", CAP,
+    ) == 4
+    assert "FormatError: unsupported container version 1" in capsys.readouterr().err
 
 
 def test_run_branched_model(tmp_path, capsys):

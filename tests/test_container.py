@@ -16,9 +16,9 @@ from cdlp.errors import FormatError, IntegrityError
 KEY = bytes(range(16))
 
 
-def test_empty_blob_container_is_64_bytes():
+def test_empty_blob_container_is_44_bytes():
     data = encrypt_partition(b"", KEY, 0)
-    assert len(data) == 4 + 2 + 2 + 16 + 8 + 0 + 32 == 64
+    assert len(data) == 4 + 2 + 2 + 12 + 8 + 0 + 16 == 44
     assert decrypt_partition(data, KEY) == b""
 
 

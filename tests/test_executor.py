@@ -5,9 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdlp import executor
 from cdlp.config import load_canonical_model
 from cdlp.container import HEADER_BYTES, MAGIC
-from cdlp.errors import IntegrityError, PlanError, SecureMemoryError
+from cdlp.errors import FormatError, IntegrityError, PlanError, SecureMemoryError
 from cdlp.executor import (
     compare_runs,
     prepare_partition_data,
@@ -362,6 +363,150 @@ def test_container_headers_are_logged_apart_from_their_ciphertext():
     assert find_plaintext_leak(buffer, [straddle]) is None
     inside = data[HEADER_BYTES + 8 : HEADER_BYTES + 16]
     assert find_plaintext_leak(buffer, [inside]) == inside
+
+
+# --- a hostile shared buffer ---
+
+def wide_spill_case(seed=19):
+    """16 -> 2048 -> 64, the second layer in four subsets that stream its
+    spilled input back as two 4 KiB chunks with ids 0 and 1, the ids of the
+    weight partitions 0 and 1. Two inputs, for two runs."""
+    model = ModelSpec(
+        [LayerSpec.connected(2048, "relu"), LayerSpec.connected(64, "linear")], (16, 1, 1)
+    )
+    rng = np.random.default_rng(seed)
+    store = random_weight_store(model, rng)
+    plan = plan_sublayer(model, CAP, subset_size={0: 2048, 1: 16}).with_spill(1)
+    return model, store, plan, [random_tensor(rng, (16, 1, 1)) for _ in range(2)]
+
+
+def hostile_buffer(monkeypatch, tamper):
+    """Give run_partitioned shared memory that passes every container read
+    through ``tamper(buffer, data)``; returns the buffers made, one per run."""
+    made = []
+
+    class HostileBuffer(SharedBuffer):
+        def __init__(self):
+            super().__init__()
+            self.containers = []  # (offset, length) of each appended container
+            self.reads = []  # the genuine bytes of each container read, in order
+            made.append(self)
+
+        def append_container(self, data):
+            offset = super().append_container(data)
+            self.containers.append((offset, len(data)))
+            return offset
+
+        def read(self, offset, length):
+            data = super().read(offset, length)
+            if (offset, length) not in self.containers:
+                return data
+            self.reads.append(data)
+            return tamper(self, data)
+
+        def appended(self, index):
+            """The genuine bytes of the ``index``-th container appended."""
+            return super().read(*self.containers[index])
+
+    monkeypatch.setattr(executor, "SharedBuffer", HostileBuffer)
+    return made
+
+
+def run_twice(model, data, plan, inputs):
+    """Run A then run B on the same containers; the buffers decide the rest."""
+    for x in inputs:
+        result = run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+    return result
+
+
+@given(
+    canonical=st.booleans(),
+    attack=st.sampled_from(["replay", "reorder", "truncate"]),
+    target=st.integers(0, 12),
+    pick=st.integers(0, 2**16),
+)
+@settings(max_examples=40, deadline=None)
+def test_a_hostile_shared_buffer_can_only_make_a_run_fail(canonical, attack, target, pick):
+    if canonical:
+        model, store, x_a = canonical_case(20)
+        plan = plan_layered(model, CAP)
+        inputs = [x_a, random_tensor(np.random.default_rng(21), model.input_dims)]
+    else:
+        model, store, plan, inputs = wide_spill_case()
+    data = prepare_partition_data(store, plan, KEY)
+    reference = run_reference(model, store, inputs[1]).output
+
+    def tamper(buffer, genuine):
+        # run A is left alone; run B sees one container read changed
+        if buffer is made[0] or len(buffer.reads) - 1 != target:
+            return genuine
+        if attack == "replay":  # run A's container at the same point
+            return made[0].reads[target]
+        if attack == "reorder":  # any container appended so far, of either kind
+            return buffer.appended(pick % len(buffer.containers))
+        return genuine[: pick % len(genuine)]
+
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        made = hostile_buffer(monkeypatch, tamper)
+        try:
+            result = run_twice(model, data, plan, inputs)
+        except (IntegrityError, FormatError):
+            return
+    assert compare_runs(result.output, reference).bitwise_equal
+
+
+def test_spill_chunks_replayed_from_another_run_raise(monkeypatch):
+    model, store, plan, inputs = wide_spill_case()
+    data = prepare_partition_data(store, plan, KEY)
+    weights = set(data.values())
+
+    def replay(buffer, genuine):
+        if buffer is made[0] or genuine in weights:
+            return genuine
+        return made[0].reads[len(buffer.reads) - 1]  # run A's chunk, same position
+
+    made = hostile_buffer(monkeypatch, replay)
+    with pytest.raises(IntegrityError):
+        run_twice(model, data, plan, inputs)
+
+
+def test_spill_chunk_in_a_weight_slot_raises(monkeypatch):
+    model, store, plan, (x, _) = wide_spill_case()
+    data = prepare_partition_data(store, plan, KEY)
+
+    def chunk_for_weights(buffer, genuine):
+        # containers appended: weights 0, spill chunks 0 and 1, then weights 1,
+        # the second container read; chunk 1 carries its id
+        return buffer.appended(2) if len(buffer.reads) == 2 else genuine
+
+    hostile_buffer(monkeypatch, chunk_for_weights)
+    with pytest.raises(IntegrityError):
+        run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+
+
+def test_weight_container_in_a_spill_slot_raises(monkeypatch):
+    model, store, plan, (x, _) = wide_spill_case()
+    data = prepare_partition_data(store, plan, KEY)
+
+    def weights_for_chunk(buffer, genuine):
+        # the third container read is spill chunk 0; weights 0 carry its id
+        return buffer.appended(0) if len(buffer.reads) == 3 else genuine
+
+    hostile_buffer(monkeypatch, weights_for_chunk)
+    with pytest.raises(IntegrityError):
+        run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+
+
+def test_container_sealed_for_another_plan_raises():
+    model, store, plan, (x, _) = wide_spill_case()
+    other = plan_sublayer(model, CAP, subset_size={0: 2048, 1: 32}).with_spill(1)
+    theirs = prepare_partition_data(store, other, KEY)
+    # partition 0 holds the same rows, so the same plaintext, in both plans
+    for pid in (0, 1):
+        data = prepare_partition_data(store, plan, KEY)
+        data[pid] = theirs[pid]
+        with pytest.raises(IntegrityError):
+            run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
 
 
 # --- comparisons and the baseline ---

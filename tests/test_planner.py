@@ -122,6 +122,15 @@ def test_explicit_subset_size_out_of_range():
         plan_sublayer(square_connected(8), CAP, subset_size=9)
 
 
+def test_explicit_subset_size_over_budget_is_infeasible():
+    model = load_canonical_model()
+    # 84-row subsets of layer 5 need 41472 bytes
+    with pytest.raises(PlanInfeasibleError, match="41472 bytes, budget is 30000"):
+        plan_sublayer(model, 30_000, subset_size={5: 84})
+    fitting = plan_sublayer(model, 30_000, subset_size={5: 42})
+    assert validate_plan(fitting, model, 30_000) == []
+
+
 def test_spill_flag_set_when_inputs_cannot_stay_resident():
     # inputs 20000 floats: even s=1 needs 4*(20000+20000+2) bytes resident
     model = ModelSpec(
