@@ -164,6 +164,11 @@ def cmd_plan(args) -> int:
     return EXIT_OK
 
 
+def _part_file_name(p) -> str:
+    """The file a partition's container (``.cdlp``) or plaintext blob (``.blob``) lives in."""
+    return f"part_{p.id}.cdlp" if p.encrypted else f"part_{p.id}.blob"
+
+
 def cmd_encrypt(args) -> int:
     key = _parse_key(args.key)
     model = _load_model(args.cfg)
@@ -181,7 +186,7 @@ def cmd_encrypt(args) -> int:
     data = prepare_partition_data(store, plan, key)
     files = []
     for p in plan.partitions:
-        name = f"part_{p.id}.cdlp" if p.encrypted else f"part_{p.id}.blob"
+        name = _part_file_name(p)
         (out_dir / name).write_bytes(data[p.id])
         files.append(name)
     (out_dir / "plan.manifest").write_text(render_manifest(plan))
@@ -244,8 +249,7 @@ def cmd_run(args) -> int:
         raise UsageError(f"no such directory: {parts_dir}")
     data = {}
     for p in plan.partitions:
-        name = f"part_{p.id}.cdlp" if p.encrypted else f"part_{p.id}.blob"
-        path = parts_dir / name
+        path = parts_dir / _part_file_name(p)
         if not path.exists():
             raise UsageError(f"missing partition file: {path}")
         data[p.id] = path.read_bytes()

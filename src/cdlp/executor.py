@@ -1,11 +1,21 @@
 """Partitioned execution over the simulated TEE.
 
-Drives a PartitionPlan end to end: encrypted weight blobs are staged in
-shared memory, decrypted into the arena one partition at a time, used,
-and freed before the next partition loads. Activations that fit stay
-resident in secure memory between partitions; a layer flagged for spill
-has its inputs encrypted into shared memory by the producer and streamed
-back chunk by chunk, paying the re-decryption cost the ledger records.
+``run_partitioned`` is one loop over the plan's partitions in layer
+order, and every partition takes the same step: parse its weight blob,
+run its rows of the layer, and store them. The world decides where the
+blob comes from and where inputs and outputs live. A normal-world
+partition runs on its plaintext blob, reading and writing public
+activations. A secure one runs inside a session invocation: its
+container is staged in shared memory, decrypted into the arena, and
+freed before the next partition loads.
+
+Between layers the activations live in one of three places. Public ones
+(the input, or a normal-world layer's outputs) cross to the secure world
+through shared memory in the clear. A secure layer's outputs stay
+resident in the arena until the next layer has run. If the next layer
+is flagged for spill, the outputs are encrypted into shared memory
+instead and streamed back chunk by chunk, paying the re-decryption cost
+the ledger records.
 
 Every container is bound to where it belongs (see ``container``): weights
 to the plan digest and their layer, spill chunks also to the run, the
@@ -50,7 +60,7 @@ from .tee import (
     TrustedApp,
     ledger_decrypt,
 )
-from .weights import partition_weights
+from .weights import partition_weights, split_weights
 
 RUN_NONCE_BYTES = 16
 _INDEX = struct.Struct("<Q")
@@ -70,7 +80,6 @@ def weights_context(digest: bytes, layer_index: int) -> bytes:
 class SpilledChunk:
     chunk_id: int
     start: int  # first activation index held by this chunk
-    count: int
     offset: int  # container position in the shared buffer
     length: int  # container byte length
 
@@ -120,9 +129,7 @@ def spill_activations(
         finally:
             arena.free(staging)
         offset = buffer.append_container(data)
-        spilled.chunks.append(
-            SpilledChunk(chunk_id, spilled.total_count, hi - lo, offset, len(data))
-        )
+        spilled.chunks.append(SpilledChunk(chunk_id, spilled.total_count, offset, len(data)))
         spilled.total_count += hi - lo
     return spilled
 
@@ -174,19 +181,6 @@ class CompareReport:
     first_mismatch: int | None
 
 
-class _Activations:
-    """Tracks where the inter-layer activations currently live."""
-
-    __slots__ = ("place", "values", "allocation", "shared_offset", "spilled")
-
-    def __init__(self, values: np.ndarray):
-        self.place = "public"
-        self.values = values
-        self.allocation = None
-        self.shared_offset: int | None = None
-        self.spilled: SpilledActivations | None = None
-
-
 def run_partitioned(
     model: ModelSpec,
     partition_data: Mapping[int, bytes],
@@ -201,7 +195,8 @@ def run_partitioned(
     (secure world) or plaintext blob (normal world). Each secure partition
     costs one session invocation, and its weights are freed before the
     next partition loads. The containers must have been sealed for this
-    plan by ``prepare_partition_data``.
+    plan by ``prepare_partition_data``. Whether the run returns or raises,
+    it frees all the arena memory it took.
     """
     problems = validate_plan(plan, model, arena.capacity)
     if problems:
@@ -213,169 +208,118 @@ def run_partitioned(
 
     shared = SharedBuffer()
     app = TrustedApp(arena)
+    ledger = app.ledger
     session = Session(app)
-    runner = _Runner(model, partition_data, plan, session, shared, key)
+    digest = plan_digest(plan)
+    # binds this run's spill chunks to it: another run's do not verify
+    run_nonce = os.urandom(RUN_NONCE_BYTES)
 
-    acts = _Activations(input_tensor.data)
+    # The layer inputs are public ``values``, in shared memory at ``offset``
+    # once the secure world is to read them; resident ``values``, charged to
+    # the arena as ``held``; or ``spilled`` chunks. A layer writes its
+    # outputs to ``out_values``, charged as ``out`` in the secure world, or,
+    # when the next layer streams its inputs, to ``out_spill``.
+    values = input_tensor.data
     # the client hands the inference input over through shared memory
-    acts.shared_offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
+    offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
+    held = spilled = out = out_values = out_spill = None
+
+    def step(p, blob: bytes, secure: bool) -> None:
+        """Run partition ``p`` on its plaintext weight blob and store its rows."""
+        nonlocal out
+        i = p.layer_index
+        if secure and out_values is not None and out is None:
+            out = arena.alloc(FLOAT_BYTES * out_values.size)  # by the layer's first subset
+        if spilled is not None:
+            accumulator = DenseAccumulator(
+                partition_weights(model, i, p.start, p.end, blob), model.layers[i],
+                p.start, model.units(i), model.branch_groups(i),
+            )
+            stream_spilled(spilled, key, arena, accumulator.feed, ledger)
+            result = accumulator.finish()
+        else:
+            rows = None
+            if model.is_parameterized(i):
+                rows = partition_weights(model, i, p.start, p.end, blob)
+            x = values
+            if secure and held is None:
+                # the trusted app reads public inputs straight from shared memory
+                x = np.frombuffer(shared.read(offset, FLOAT_BYTES * values.size), FLOAT)
+            result = layer_forward(model, i, Tensor(model.in_dims(i), x), rows, p.start)
+        if out_spill is not None:
+            spill_activations(result, SPILL_CHUNK_BYTES, key, shared, arena, out_spill)
+        else:
+            lo = p.start * model.output_units_per_row(i)
+            out_values[lo : lo + result.size] = result.data
+
+    def trusted_step(p, staged: int, length: int) -> None:
+        """The secure world's side of ``p``: decrypt its staged container and run it."""
+        container = shared.read(staged, length)
+        weights = ledger_decrypt(
+            arena, ledger, container, key, p.id, weights_context(digest, p.layer_index)
+        )
+        try:
+            step(p, weights.data, True)
+        finally:
+            weights.release(arena)
+
     try:
-        for layer_index, group in itertools.groupby(
-            plan.partitions, key=lambda p: p.layer_index
-        ):
-            runner.run_layer(layer_index, list(group), acts)
+        for i, group in itertools.groupby(plan.partitions, key=lambda p: p.layer_index):
+            parts = list(group)
+            secure = parts[0].world == WORLD_SECURE
+            public = held is None and spilled is None
+            if not secure and not public:
+                raise PlanError(f"normal-world layer {i} would read confidential activations")
+            if secure and i in plan.spill and spilled is None:
+                raise PlanError(f"layer {i} expects spilled inputs")
+            if secure and public and offset is None:
+                # normal-to-secure handoff: the extracted features cross through
+                # shared memory in the clear, a documented boundary of branched
+                # execution rather than a leak
+                offset = shared.append(values.tobytes(), TaintTag.PUBLIC)
+
+            out_values = out_spill = None
+            if secure and i + 1 in plan.spill:
+                context = b"spill" + digest + run_nonce + _INDEX.pack(i + 1)
+                out_spill = SpilledActivations(shared, context=context)
+            else:
+                out_values = np.zeros(model.out_elems(i), FLOAT)
+            for p in parts:
+                blob = partition_data[p.id]
+                if not secure:
+                    step(p, blob, False)
+                    continue
+                staged = shared.append_container(blob)
+                arena.begin_window()
+                decrypted_before = ledger.decrypted_bytes
+                session.invoke(
+                    p.id, (shared,), lambda _app, _buffers: trusted_step(p, staged, len(blob))
+                )
+                ledger.partition_records.append(
+                    PartitionRecord(
+                        p.id, ledger.decrypted_bytes - decrypted_before, arena.window_peak
+                    )
+                )
+
+            if held is not None:
+                arena.free(held)
+            held, out = out, None
+            values, offset, spilled = out_values, None, out_spill
+        if spilled is not None:
+            raise PlanError("plan leaves the final activations spilled")
     finally:
         session.close()
+        for allocation in (held, out):
+            if allocation is not None:
+                arena.free(allocation)
 
-    if acts.place == "spilled":
-        raise PlanError("plan leaves the final activations spilled")
     out_dims = model.out_dims(len(model.layers) - 1) if model.layers else input_tensor.dims
-    output = Tensor(out_dims, acts.values.copy())
-    if acts.allocation is not None:
-        arena.free(acts.allocation)
-    return RunResult(output, app.ledger, arena.peak_usage, shared)
-
-
-class _Runner:
-    def __init__(self, model, partition_data, plan, session, shared, key):
-        self.model = model
-        self.partition_data = partition_data
-        self.plan = plan
-        self.session = session
-        self.shared = shared
-        self.key = key
-        self.digest = plan_digest(plan)
-        # binds this run's spill chunks to it: another run's do not verify
-        self.run_nonce = os.urandom(RUN_NONCE_BYTES)
-
-    def run_layer(self, layer_index: int, parts, acts: _Activations) -> None:
-        if parts[0].world == WORLD_SECURE:
-            self._run_secure_layer(layer_index, parts, acts)
-        else:
-            self._run_normal_layer(layer_index, parts, acts)
-
-    # --- normal world ---
-
-    def _run_normal_layer(self, layer_index, parts, acts):
-        if acts.place != "public":
-            raise PlanError(
-                f"normal-world layer {layer_index} would read confidential activations"
-            )
-        x = Tensor(self.model.in_dims(layer_index), acts.values)
-        pieces = [self._kernel(layer_index, p, x, self.partition_data[p.id]).data for p in parts]
-        acts.values = pieces[0] if len(pieces) == 1 else np.concatenate(pieces)
-        acts.shared_offset = None
-
-    # --- secure world ---
-
-    def _run_secure_layer(self, layer_index, parts, acts):
-        model = self.model
-        arena = self.session.app.arena
-        ledger = self.session.app.ledger
-        out_elems = model.out_elems(layer_index)
-        per_unit = model.output_units_per_row(layer_index)
-        spill_in = layer_index in self.plan.spill
-        spill_out = (layer_index + 1) in self.plan.spill
-
-        if spill_in and acts.place != "spilled":
-            raise PlanError(f"layer {layer_index} expects spilled inputs")
-        if acts.place == "public" and acts.shared_offset is None:
-            # normal-to-secure handoff: the extracted features cross through
-            # shared memory in the clear, a documented boundary of branched
-            # execution rather than a leak
-            acts.shared_offset = self.shared.append(acts.values.tobytes(), TaintTag.PUBLIC)
-
-        out = {"allocation": None, "buffer": None}
-        out_spill = None
-        if spill_out:
-            spill_context = b"spill" + self.digest + self.run_nonce + _INDEX.pack(layer_index + 1)
-            out_spill = SpilledActivations(self.shared, context=spill_context)
-        context = weights_context(self.digest, layer_index)
-
-        for p in parts:
-            container_bytes = self.partition_data[p.id]
-            offset = self.shared.append_container(container_bytes)
-
-            def trusted_fn(app, buffers, p=p, offset=offset, length=len(container_bytes)):
-                blob = ledger_decrypt(
-                    app.arena, app.ledger, buffers[0].read(offset, length),
-                    self.key, p.id, context,
-                )
-                try:
-                    if out_spill is None and out["allocation"] is None:
-                        out["allocation"] = app.arena.alloc(FLOAT_BYTES * out_elems)
-                        out["buffer"] = np.zeros(out_elems, FLOAT)
-                    if spill_in:
-                        result = self._stream_kernel(layer_index, p, acts.spilled, blob.data, app)
-                    else:
-                        x = self._kernel_input(layer_index, acts, buffers[0])
-                        result = self._kernel(layer_index, p, x, blob.data)
-                    if out_spill is not None:
-                        spill_activations(
-                            result, SPILL_CHUNK_BYTES, self.key, buffers[0], app.arena, out_spill
-                        )
-                    else:
-                        lo = p.start * per_unit
-                        out["buffer"][lo : lo + result.size] = result.data
-                finally:
-                    blob.release(app.arena)
-
-            arena.begin_window()
-            decrypted_before = ledger.decrypted_bytes
-            self.session.invoke(p.id, (self.shared,), trusted_fn)
-            ledger.partition_records.append(
-                PartitionRecord(
-                    p.id, ledger.decrypted_bytes - decrypted_before, arena.window_peak
-                )
-            )
-
-        if acts.allocation is not None:
-            arena.free(acts.allocation)
-        acts.allocation = None
-        acts.shared_offset = None
-        acts.spilled = None
-        if spill_out:
-            acts.place = "spilled"
-            acts.values = None
-            acts.spilled = out_spill
-        else:
-            acts.place = "secure"
-            acts.values = out["buffer"]
-            acts.allocation = out["allocation"]
-
-    # --- kernels ---
-
-    def _kernel_input(self, layer_index, acts, buffer) -> Tensor:
-        in_dims = self.model.in_dims(layer_index)
-        if acts.place == "public":
-            # the trusted app reads public inputs straight from shared memory
-            raw = buffer.read(acts.shared_offset, FLOAT_BYTES * acts.values.size)
-            return Tensor(in_dims, np.frombuffer(raw, FLOAT))
-        return Tensor(in_dims, acts.values)
-
-    def _kernel(self, layer_index, p, x: Tensor, blob: bytes) -> Tensor:
-        model = self.model
-        rows = None
-        if model.is_parameterized(layer_index):
-            rows = partition_weights(model, layer_index, p.start, p.end, blob)
-        return layer_forward(model, layer_index, x, rows, p.start)
-
-    def _stream_kernel(self, layer_index, p, spilled, blob, app) -> Tensor:
-        model = self.model
-        rows = partition_weights(model, layer_index, p.start, p.end, blob)
-        accumulator = DenseAccumulator(
-            rows, model.layers[layer_index], p.start, model.units(layer_index),
-            model.branch_groups(layer_index),
-        )
-        stream_spilled(spilled, self.key, app.arena, accumulator.feed, app.ledger)
-        return accumulator.finish()
+    return RunResult(Tensor(out_dims, values.copy()), ledger, arena.peak_usage, shared)
 
 
 def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) -> dict[int, bytes]:
     """Split a weight store along the plan: encrypted containers for secure
     partitions, plaintext blobs for normal-world ones."""
-    from .weights import split_weights
-
     digest = plan_digest(plan)
     data = {}
     for p, blob in zip(plan.partitions, split_weights(store, plan)):

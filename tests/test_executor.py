@@ -18,6 +18,7 @@ from cdlp.executor import (
     stream_spilled,
 )
 from cdlp.model import FLOAT_BYTES, LayerSpec, ModelSpec, Tensor
+from cdlp.nn import layer_forward
 from cdlp.planner import (
     SPILL_CHUNK_BYTES,
     plan_branched,
@@ -230,6 +231,36 @@ def test_all_arena_memory_returned_after_run():
     assert arena.peak_usage > 0
 
 
+def tamper_tag(data, pid):
+    bad = dict(data)
+    bad[pid] = bad[pid][:-1] + bytes([bad[pid][-1] ^ 0x01])  # the GCM tag's last byte
+    return bad
+
+
+@pytest.mark.parametrize("scheme", ["layered", "sublayer"])
+def test_a_failed_run_frees_its_arena_memory(scheme):
+    model, store, x = canonical_case(19)
+    if scheme == "layered":
+        plan = plan_layered(model, CAP)
+        victim = 4  # a conv layer reading the resident outputs of layer 3
+    else:
+        plan = plan_sublayer(model, 100_000)
+        # a later subset of a split layer: its layer's outputs are charged too
+        victim = next(p.id for p in plan.partitions if p.start > 0 and p.layer_index > 0)
+    cap = max(p.footprint_bytes for p in plan.partitions)
+    arena = SecureArena(cap)
+    data = prepare_partition_data(store, plan, KEY)
+    with pytest.raises(IntegrityError):
+        run_partitioned(model, tamper_tag(data, victim), plan, x, arena, KEY)
+    assert arena.current_usage == 0
+
+    # the same arena, still at the plan's cap, runs the good containers
+    result = run_partitioned(model, data, plan, x, arena, KEY)
+    assert compare_runs(result.output, run_reference(model, store, x).output).bitwise_equal
+    assert result.arena_peak == cap
+    assert arena.current_usage == 0
+
+
 # --- spill path ---
 
 def spill_model():
@@ -266,6 +297,57 @@ def test_spilled_activations_never_touch_shared_memory_in_the_clear():
     assert len(secrets) == 1 and len(secrets[0]) == 4000
     secrets += [b for b in split_weights(store, plan) if len(b) >= 8]
     assert find_plaintext_leak(result.shared, secrets) is None
+
+
+def test_branched_plan_with_a_spilled_secure_layer():
+    from cdlp.model import BranchTopology
+
+    # a public normal-to-secure handoff and a spill in one run
+    model = ModelSpec(
+        [
+            LayerSpec.convolutional(8, 3, 1, 1, activation="relu"),
+            LayerSpec.maxpool(2, 2),
+            LayerSpec.connected(256, "relu"),
+            LayerSpec.connected(256, "relu"),
+            LayerSpec.connected(64, "linear"),
+        ],
+        (3, 32, 32),
+        BranchTopology(3, 4),
+    )
+    rng = np.random.default_rng(21)
+    store = random_weight_store(model, rng)
+    x = random_tensor(rng, model.input_dims)
+    plan = plan_branched(model, CAP).with_spill(4)
+    assert validate_plan(plan, model, CAP) == []
+    assert {p.world for p in plan.partitions if p.layer_index < 3} == {"normal"}
+    assert {p.world for p in plan.partitions if p.layer_index >= 3} == {"secure"}
+
+    result = run_plan(model, store, plan, x)
+    assert compare_runs(result.output, run_reference(model, store, x).output).bitwise_equal
+    secure_blobs = [b for p, b in zip(plan.partitions, split_weights(store, plan)) if p.encrypted]
+    # each of layer 4's four branches streams layer 3's 256 outputs back
+    assert result.ledger.decrypted_bytes == sum(map(len, secure_blobs)) + 4 * 256 * FLOAT_BYTES
+    planned = {p.id: p.footprint_bytes for p in plan.partitions}
+    assert all(r.arena_peak <= planned[r.partition_id] for r in result.ledger.partition_records)
+
+    # in the clear, shared memory holds only the input and the features the
+    # normal-world prefix hands over; the spilled activations share ReLU's
+    # zero runs with the features, so the audit covers the other writes
+    features = x
+    for i in range(3):
+        features = layer_forward(model, i, features, store.layers[i])
+    public = [
+        w for w in result.shared.writes
+        if w.tag == TaintTag.PUBLIC and not w.data.startswith(MAGIC)  # not a container header
+    ]
+    assert [w.data for w in public] == [x.tobytes(), features.tobytes()]
+    sealed = SharedBuffer()
+    for w in result.shared.writes:
+        if w not in public:
+            sealed.append(w.data, w.tag)
+    secrets = spilled_secrets(model, store, plan, x)
+    assert len(secrets) == 1 and len(secrets[0]) == 256 * FLOAT_BYTES
+    assert find_plaintext_leak(sealed, secrets + secure_blobs) is None
 
 
 def test_spill_stream_round_trip():
