@@ -26,14 +26,7 @@ import numpy as np
 
 from .config import parse_config
 from .errors import CdlpError, ConfigError, FormatError, PlanError
-from .executor import (
-    compare_runs,
-    plan_digest,
-    prepare_partition_data,
-    run_partitioned,
-    run_reference,
-    weights_context,
-)
+from .executor import compare_runs, prepare_partition_data, run_partitioned, run_reference
 from .model import FLOAT, ModelSpec, Tensor
 from .planner import (
     SCHEME_BRANCHED,
@@ -48,7 +41,7 @@ from .planner import (
     validate_plan,
 )
 from .tee import CostConstants, SecureArena, estimate_overhead, ledger_overhead
-from .weights import load_weights, merge_blobs
+from .weights import load_weights
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -90,18 +83,11 @@ def _parse_key(text: str) -> bytes:
         raise UsageError("key is not valid hex") from None
 
 
-def _load_model(path) -> ModelSpec:
+def _existing(path) -> Path:
     path = Path(path)
     if not path.exists():
         raise UsageError(f"no such file: {path}")
-    return parse_config(path.read_text())
-
-
-def _load_plan(path) -> PartitionPlan:
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"no such file: {path}")
-    return parse_manifest(path.read_text())
+    return path
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -143,7 +129,7 @@ def _plan_payload(plan: PartitionPlan) -> dict:
 
 
 def cmd_plan(args) -> int:
-    model = _load_model(args.cfg)
+    model = parse_config(_existing(args.cfg).read_text())
     plan = _plan_for(model, args.scheme, args.cap, args.s)
     manifest = render_manifest(plan)
     if args.out:
@@ -171,12 +157,9 @@ def _part_file_name(p) -> str:
 
 def cmd_encrypt(args) -> int:
     key = _parse_key(args.key)
-    model = _load_model(args.cfg)
-    weights_path = Path(args.weights)
-    if not weights_path.exists():
-        raise UsageError(f"no such file: {weights_path}")
-    store = load_weights(weights_path.read_bytes(), model)
-    plan = _load_plan(args.plan)
+    model = parse_config(_existing(args.cfg).read_text())
+    store = load_weights(_existing(args.weights).read_bytes(), model)
+    plan = parse_manifest(_existing(args.plan).read_text())
     problems = validate_plan(plan, model, None)
     if problems:
         raise PlanError("plan does not fit the model: " + "; ".join(problems))
@@ -242,8 +225,8 @@ class RunReport:
 
 def cmd_run(args) -> int:
     key = _parse_key(args.key)
-    model = _load_model(args.cfg)
-    plan = _load_plan(args.plan)
+    model = parse_config(_existing(args.cfg).read_text())
+    plan = parse_manifest(_existing(args.plan).read_text())
     parts_dir = Path(args.parts)
     if not parts_dir.is_dir():
         raise UsageError(f"no such directory: {parts_dir}")
@@ -254,6 +237,8 @@ def cmd_run(args) -> int:
             raise UsageError(f"missing partition file: {path}")
         data[p.id] = path.read_bytes()
     x = read_tensor_file(args.input)
+    # the plaintext weights file the containers were sealed from
+    oracle = load_weights(_existing(args.oracle).read_bytes(), model) if args.oracle else None
 
     constants = CostConstants(args.tcs, args.td)
     arena = SecureArena(args.cap)
@@ -262,9 +247,8 @@ def cmd_run(args) -> int:
 
     baseline = args.baseline
     equivalent = None
-    if args.oracle:
-        store = merge_blobs(model, plan, _decrypt_all(data, plan, key))
-        reference = run_reference(model, store, x)
+    if oracle is not None:
+        reference = run_reference(model, oracle, x)
         equivalent = compare_runs(result.output, reference.output).bitwise_equal
         if baseline is None:
             baseline = reference.wall_seconds
@@ -285,19 +269,6 @@ def cmd_run(args) -> int:
     if equivalent is False:
         return EXIT_RUNTIME
     return EXIT_OK
-
-
-def _decrypt_all(data, plan, key) -> dict[int, bytes]:
-    from .container import decrypt_partition
-
-    digest = plan_digest(plan)
-    blobs = {}
-    for p in plan.partitions:
-        blob = data[p.id]
-        if p.encrypted:
-            blob = decrypt_partition(blob, key, p.id, weights_context(digest, p.layer_index))
-        blobs[p.id] = blob
-    return blobs
 
 
 def cmd_estimate(args) -> int:
@@ -350,8 +321,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--key", required=True)
     p.add_argument("--input", required=True, help="input tensor file")
     p.add_argument("--cap", required=True, type=int)
-    p.add_argument("--oracle", action="store_true",
-                   help="also run the plaintext reference and check bitwise equality")
+    p.add_argument("--oracle", metavar="WEIGHTS", default=None,
+                   help="also run the plaintext reference on this weights file "
+                   "and check bitwise equality")
     p.add_argument("--baseline", type=float, default=None,
                    help="baseline inference seconds for the overhead ratio")
     p.add_argument("--tcs", type=float, default=CostConstants().switch_seconds,

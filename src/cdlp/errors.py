@@ -39,12 +39,14 @@ class PlanError(CdlpError):
     """A partition plan could not be produced or failed validation."""
 
 
-class LayerTooLargeError(PlanError):
-    """A single partition's footprint exceeds the secure memory budget."""
-
-
 class PlanInfeasibleError(PlanError):
-    """No subset size fits the budget even with activation spill."""
+    """The scheme cannot fit the model into the secure memory budget; the
+    sublayer scheme raises it only when activation spill cannot help."""
+
+
+class LayerTooLargeError(PlanInfeasibleError):
+    """A partition of fixed size (a whole layer, one branch, or a requested
+    subset) exceeds the secure memory budget."""
 
 
 class SecureMemoryError(CdlpError):

@@ -1,8 +1,14 @@
 """Partition planning: layered, sub-layer, and branched schemes.
 
+The three planners are calls of one loop, ``_plan``. It gives each layer
+a world, normal before the branch point and secure after it, and a
+subset size: the whole layer, one branch, a requested size, or the
+largest size that fits the budget. It prices every secure partition with
+``partition_footprint`` and rejects a fixed size that does not fit.
+
 A secure partition's footprint is the executor's peak arena use while it
 runs, at 4 bytes per float. ``partition_footprint`` is the one formula;
-every planner and ``validate_plan`` use it. The executor holds at once:
+the planning loop and ``validate_plan`` use it. The executor holds at once:
 
 * input: the layer's whole input, if it is resident in the arena. A
   public input costs nothing: the model input, or a normal-world layer's
@@ -12,17 +18,19 @@ every planner and ``validate_plan`` use it. The executor holds at once:
 * weights: rows x (cols + 1) floats, the partition's weight rows and
   biases; nothing for maxpool or softmax;
 * chunk: one ``SPILL_CHUNK_BYTES`` chunk, capped at the data it carries,
-  when the layer streams a spilled input or spills its own output. A
-  streamed chunk is capped at the layer's whole input, so the figure is
-  an upper bound when the producer's subsets each output less than a
-  chunk.
+  when the layer streams a spilled input or spills its own output. The
+  producer cuts its chunks per partition, so a streamed chunk is capped
+  at the output of the producer's largest partition.
 
-A layer whose input cannot stay resident next to even a single-row subset
-gets its spill flag set: the producer encrypts the activations into
-shared memory and every subset streams them back one chunk at a time.
+A layer whose input cannot stay resident next to even a single-row
+subset, or whose producer cannot hold that input next to even its own
+smallest partition, gets its spill flag set: the producer encrypts the
+activations into shared memory and every subset streams them back one
+chunk at a time. The producer then takes no larger subsets than a
+single row of the spilled layer can stream back, so a cap that plans a
+model still plans it with more budget.
 
-A layered plan is the sublayer plan with whole-layer subsets, and a
-weightless (maxpool or softmax) layer always runs as one partition.
+A weightless (maxpool or softmax) layer always runs as one partition.
 Normal-world partitions never touch the arena; they record the whole-layer
 figure of ``estimate_layer_footprint``. Kernel scratch lies outside the arena
 and outside every footprint (see ``nn``).
@@ -31,10 +39,9 @@ and outside every footprint (see ``nn``).
 from __future__ import annotations
 
 import bisect
-import math
 import re
 from dataclasses import dataclass, field, replace
-from typing import AbstractSet, Mapping
+from typing import AbstractSet, Callable, Mapping
 
 from .errors import LayerTooLargeError, PlanError, PlanInfeasibleError
 from .model import FLOAT_BYTES, ModelSpec
@@ -60,7 +67,11 @@ class Partition:
     end: int
     world: str
     footprint_bytes: int
-    encrypted: bool
+
+    @property
+    def encrypted(self) -> bool:
+        """Secure partitions ship as containers, normal-world ones as plaintext."""
+        return self.world == WORLD_SECURE
 
 
 @dataclass(frozen=True)
@@ -73,8 +84,20 @@ class SubsetParams:
 class PartitionPlan:
     scheme: str
     partitions: list[Partition]
-    sublayer: dict[int, SubsetParams] = field(default_factory=dict)
     spill: frozenset[int] = field(default_factory=frozenset)
+
+    @property
+    def sublayer(self) -> dict[int, SubsetParams]:
+        """Layers split into more than one partition: the first subset's
+        rows and the partition count."""
+        by_layer: dict[int, list[Partition]] = {}
+        for p in self.partitions:
+            by_layer.setdefault(p.layer_index, []).append(p)
+        return {
+            i: SubsetParams(parts[0].end - parts[0].start, len(parts))
+            for i, parts in sorted(by_layer.items())
+            if len(parts) > 1
+        }
 
     def with_spill(self, *layer_indices: int) -> "PartitionPlan":
         """Copy of the plan with extra layers marked for activation spill.
@@ -96,15 +119,21 @@ def partition_footprint(
     rows: int,
     spill: AbstractSet[int] = frozenset(),
     public_input: bool = False,
+    producer_rows: int | None = None,
 ) -> int:
     """Peak arena bytes of a secure partition running ``rows`` rows of the
     layer under the ``spill`` flags: input, output, weights and chunk, as
-    the module docstring lists them."""
+    the module docstring lists them. ``producer_rows`` is the row count of
+    the previous layer's largest partition, which sizes a streamed chunk;
+    None means the whole previous layer."""
     shape = model.param_shape(layer_index)
     floats = rows * (shape[1] + 1) if shape else 0
     chunk = 0
     if layer_index in spill:
-        chunk = min(SPILL_CHUNK_BYTES, FLOAT_BYTES * model.in_elems(layer_index))
+        streamed = model.in_elems(layer_index)
+        if producer_rows is not None:
+            streamed = producer_rows * model.output_units_per_row(layer_index - 1)
+        chunk = min(SPILL_CHUNK_BYTES, FLOAT_BYTES * streamed)
     elif not public_input:
         floats += model.in_elems(layer_index)
     if layer_index + 1 in spill:
@@ -122,16 +151,7 @@ def estimate_layer_footprint(model: ModelSpec, layer_index: int) -> int:
 
 def plan_layered(model: ModelSpec, cap: int) -> PartitionPlan:
     """One secure, encrypted partition per layer, in layer order."""
-    _check_cap(cap)
-    for i in range(len(model.layers)):
-        footprint = partition_footprint(model, i, model.units(i), public_input=i == 0)
-        if footprint > cap:
-            raise LayerTooLargeError(
-                f"layer {i} ({model.layers[i].kind}) needs {footprint} bytes, "
-                f"budget is {cap}"
-            )
-    whole = {i: model.units(i) for i in range(len(model.layers)) if model.is_parameterized(i)}
-    return PartitionPlan(SCHEME_LAYERED, plan_sublayer(model, cap, whole).partitions)
+    return _plan(model, cap, SCHEME_LAYERED, model.units)
 
 
 def plan_sublayer(
@@ -143,50 +163,16 @@ def plan_sublayer(
     picks the largest subset for the rest (fewest partitions, hence fewest
     context switches). An explicit size (one int, or a per-layer mapping)
     overrides the choice and must fit the budget; degenerate full-size
-    subsets reproduce the layered plan exactly.
+    subsets reproduce the layered plan exactly. Layers whose inputs cannot
+    stay resident stream them from encrypted spill.
     """
-    _check_cap(cap)
-    spill = _spill_layers(model, cap)
-    partitions: list[Partition] = []
-    sublayer: dict[int, SubsetParams] = {}
-    for i in range(len(model.layers)):
-        units = model.units(i)
 
-        def footprint(rows: int, i: int = i) -> int:
-            return partition_footprint(model, i, rows, spill, public_input=i == 0)
-
+    def size_of(i: int) -> int | None:
         if not model.is_parameterized(i):
-            size = units
-            if footprint(units) > cap:
-                raise PlanInfeasibleError(
-                    f"layer {i} ({model.layers[i].kind}) activations alone need "
-                    f"{footprint(units)} bytes, budget is {cap}"
-                )
-        else:
-            size = _requested_subset(subset_size, i)
-            if size is None:
-                # the largest subset that fits; footprints grow with the rows
-                size = bisect.bisect_right(range(1, units + 1), cap, key=footprint)
-                if size == 0:
-                    raise PlanInfeasibleError(
-                        f"layer {i} ({model.layers[i].kind}) needs {footprint(1)} bytes "
-                        f"for a single row, budget is {cap}"
-                    )
-            elif not 1 <= size <= units:
-                raise PlanError(f"subset size {size} outside [1, {units}] for layer {i}")
-            elif footprint(size) > cap:
-                raise PlanInfeasibleError(
-                    f"layer {i} ({model.layers[i].kind}) subsets of {size} rows need "
-                    f"{footprint(size)} bytes, budget is {cap}"
-                )
-            sublayer[i] = SubsetParams(size, math.ceil(units / size))
-        for start in range(0, units, size):
-            end = min(start + size, units)
-            footprint_bytes = footprint(end - start)
-            partitions.append(
-                Partition(len(partitions), i, start, end, WORLD_SECURE, footprint_bytes, True)
-            )
-    return PartitionPlan(SCHEME_SUBLAYER, partitions, sublayer, frozenset(spill))
+            return model.units(i)
+        return subset_size.get(i) if isinstance(subset_size, Mapping) else subset_size
+
+    return _plan(model, cap, SCHEME_SUBLAYER, size_of, spill=True)
 
 
 def plan_branched(model: ModelSpec, cap: int) -> PartitionPlan:
@@ -196,30 +182,77 @@ def plan_branched(model: ModelSpec, cap: int) -> PartitionPlan:
     layer at or after the branch point becomes k encrypted partitions, one
     per mutually independent group.
     """
-    _check_cap(cap)
     if model.branch is None:
         raise PlanError("model has no branch topology")
-    k = model.branch.branch_count
-    split = model.branch.branch_layer_index
-    partitions = [
-        Partition(i, i, 0, model.units(i), WORLD_NORMAL, estimate_layer_footprint(model, i), False)
-        for i in range(split)
-    ]
-    for i in range(split, len(model.layers)):
-        rows = model.units(i) // k
-        # the first secure layer reads the normal world's output from shared memory
-        footprint = partition_footprint(model, i, rows, public_input=i == split)
-        if footprint > cap:
-            raise LayerTooLargeError(
-                f"layer {i} branch partition needs {footprint} bytes, budget is {cap}"
+    return _plan(
+        model, cap, SCHEME_BRANCHED, lambda i: model.units(i) // model.branch_groups(i),
+        secure_from=model.branch.branch_layer_index,
+    )
+
+
+def _plan(
+    model: ModelSpec,
+    cap: int,
+    scheme: str,
+    size_of: Callable[[int], int | None],
+    secure_from: int = 0,
+    spill: bool = False,
+) -> PartitionPlan:
+    """The one planning loop. Layers before ``secure_from`` run whole in the
+    normal world; every later layer i runs in the secure world in subsets of
+    ``size_of(i)`` rows, or of the largest size that fits ``cap`` where that
+    is None. With ``spill``, layers whose inputs cannot stay resident
+    stream them from encrypted spill."""
+    if cap <= 0:
+        raise PlanError(f"memory budget must be positive, got {cap}")
+    flags = frozenset(_spill_layers(model, cap) if spill else ())
+    partitions: list[Partition] = []
+    producer_rows = None  # the previous secure layer's subset size
+    for i in range(len(model.layers)):
+        units, kind = model.units(i), model.layers[i].kind
+        if i < secure_from:
+            footprint_bytes = estimate_layer_footprint(model, i)
+            partitions.append(Partition(len(partitions), i, 0, units, WORLD_NORMAL, footprint_bytes))
+            continue
+
+        def footprint(rows: int, i: int = i) -> int:
+            return partition_footprint(
+                model, i, rows, flags, public_input=i == secure_from, producer_rows=producer_rows
             )
-        for g in range(k):
-            partitions.append(
-                Partition(
-                    len(partitions), i, g * rows, (g + 1) * rows, WORLD_SECURE, footprint, True
+
+        def need(rows: int, i: int = i) -> int:
+            """The footprint of ``rows`` rows and, if layer i + 1 streams
+            their output, that of its single-row partition, if larger."""
+            if i + 1 not in flags:
+                return footprint(rows)
+            streamed = partition_footprint(model, i + 1, 1, flags, producer_rows=rows)
+            return max(footprint(rows), streamed)
+
+        size = size_of(i)
+        if size is None:
+            if footprint(1) > cap:
+                raise PlanInfeasibleError(
+                    f"layer {i} ({kind}) needs {footprint(1)} bytes "
+                    f"for a single row, budget is {cap}"
                 )
+            # the largest subset that fits and whose output chunks the next
+            # layer can stream; both footprints grow with the rows. If even
+            # one row's chunks are too large, layer i + 1 raises.
+            size = max(1, bisect.bisect_right(range(1, units + 1), cap, key=need))
+        elif not 1 <= size <= units:
+            raise PlanError(f"subset size {size} outside [1, {units}] for layer {i}")
+        elif footprint(size) > cap:
+            raise LayerTooLargeError(
+                f"layer {i} ({kind}) in partitions of {size} of its {units} rows "
+                f"needs {footprint(size)} bytes, budget is {cap}"
             )
-    return PartitionPlan(SCHEME_BRANCHED, partitions)
+        for start in range(0, units, size):
+            end = min(start + size, units)
+            partitions.append(
+                Partition(len(partitions), i, start, end, WORLD_SECURE, footprint(end - start))
+            )
+        producer_rows = size
+    return PartitionPlan(scheme, partitions, flags)
 
 
 def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> list[str]:
@@ -243,15 +276,11 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
             continue
         if p.world == WORLD_SECURE:
             seen_secure = True
-            if not p.encrypted:
-                problems.append(f"partition {p.id} is secure but not encrypted")
             if cap is not None and p.footprint_bytes > cap:
                 problems.append(
                     f"partition {p.id} footprint {p.footprint_bytes} exceeds budget {cap}"
                 )
         elif p.world == WORLD_NORMAL:
-            if p.encrypted:
-                problems.append(f"partition {p.id} is normal-world but encrypted")
             if seen_secure:
                 problems.append(
                     f"partition {p.id} runs in the normal world after a secure partition"
@@ -266,7 +295,9 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
             problems.append(f"layer {i} is not covered by any partition")
             continue
         units = model.units(i)
-        public_input = i == 0 or any(q.world != WORLD_SECURE for q in by_layer.get(i - 1, ()))
+        producer = by_layer.get(i - 1, [])
+        public_input = i == 0 or any(q.world != WORLD_SECURE for q in producer)
+        producer_rows = max((q.end - q.start for q in producer), default=None)
         cursor = 0
         for p in parts:  # plan order within the layer
             if p.start != cursor:
@@ -277,7 +308,9 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
             if not 0 <= p.start <= p.end <= units:
                 problems.append(f"partition {p.id} range [{p.start}, {p.end}) outside {units} units")
             elif p.world == WORLD_SECURE:
-                need = partition_footprint(model, i, p.end - p.start, plan.spill, public_input)
+                need = partition_footprint(
+                    model, i, p.end - p.start, plan.spill, public_input, producer_rows
+                )
                 if p.footprint_bytes < need:
                     problems.append(
                         f"partition {p.id} records {p.footprint_bytes} bytes but needs {need}"
@@ -306,9 +339,6 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
 def render_manifest(plan: PartitionPlan) -> str:
     """Line-oriented plan manifest; parse_manifest round-trips it."""
     lines = [f"scheme {plan.scheme}"]
-    for i in sorted(plan.sublayer):
-        params = plan.sublayer[i]
-        lines.append(f"sublayer {i} s {params.subset_size} p {params.subset_count}")
     for i in sorted(plan.spill):
         lines.append(f"spill {i}")
     for p in plan.partitions:
@@ -327,7 +357,6 @@ _PARTITION_RE = re.compile(
 def parse_manifest(text: str) -> PartitionPlan:
     scheme = None
     partitions = []
-    sublayer: dict[int, SubsetParams] = {}
     spill: set[int] = set()
     for number, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -335,12 +364,6 @@ def parse_manifest(text: str) -> PartitionPlan:
             continue
         if line.startswith("scheme "):
             scheme = line.split(" ", 1)[1]
-            continue
-        if line.startswith("sublayer "):
-            parts = line.split()
-            if len(parts) != 6 or parts[2] != "s" or parts[4] != "p":
-                raise PlanError(f"manifest line {number}: malformed sublayer entry")
-            sublayer[int(parts[1])] = SubsetParams(int(parts[3]), int(parts[5]))
             continue
         if line.startswith("spill "):
             spill.add(int(line.split(" ", 1)[1]))
@@ -350,42 +373,43 @@ def parse_manifest(text: str) -> PartitionPlan:
             raise PlanError(f"manifest line {number}: unrecognized entry {line!r}")
         pid, layer, start, end, world, footprint = m.groups()
         partitions.append(
-            Partition(
-                int(pid), int(layer), int(start), int(end), world,
-                int(footprint), world == WORLD_SECURE,
-            )
+            Partition(int(pid), int(layer), int(start), int(end), world, int(footprint))
         )
     if scheme is None:
         raise PlanError("manifest has no scheme line")
     if scheme not in SCHEMES:
         raise PlanError(f"manifest names unknown scheme {scheme!r}")
-    return PartitionPlan(scheme, partitions, sublayer, frozenset(spill))
-
-
-def _check_cap(cap: int) -> None:
-    if cap <= 0:
-        raise PlanError(f"memory budget must be positive, got {cap}")
-
-
-def _requested_subset(subset_size, layer_index: int) -> int | None:
-    if subset_size is None:
-        return None
-    if isinstance(subset_size, Mapping):
-        return subset_size.get(layer_index)
-    return int(subset_size)
+    return PartitionPlan(scheme, partitions, frozenset(spill))
 
 
 def _spill_layers(model: ModelSpec, cap: int) -> set[int]:
-    """Layers whose input cannot stay resident next to even a single-row
-    subset; their inputs will stream from encrypted spill. Decided from the
-    last layer back, because spilling layer i + 1 frees layer i's output."""
+    """Layers whose inputs will stream from encrypted spill: those whose
+    input cannot stay resident next to even a single-row subset, and those
+    whose producer cannot hold them next to even its own smallest
+    partition. Decided from the last layer back, because spilling layer
+    i + 1 frees layer i's output."""
     spill: set[int] = set()
     for i in reversed(range(1, len(model.layers))):
-        if model.is_parameterized(i) and partition_footprint(model, i, 1, spill) > cap:
+        if not model.is_parameterized(i):
+            continue
+        if partition_footprint(model, i, 1, spill) > cap:
             if model.layers[i].kind != "connected":
                 raise PlanInfeasibleError(
                     f"layer {i} ({model.layers[i].kind}) cannot stream its inputs "
                     f"and does not fit {cap} bytes"
                 )
             spill.add(i)
+        elif model.layers[i].kind == "connected" and _least_footprint(model, i - 1, spill) > cap:
+            spill.add(i)
     return spill
+
+
+def _least_footprint(model: ModelSpec, i: int, spill: AbstractSet[int]) -> int:
+    """Layer i's smallest footprint under the later layers' spill flags: one
+    row (a weightless layer runs whole), its input streamed if it can be,
+    in chunks of one row of its own producer."""
+    rows = model.units(i) if not model.is_parameterized(i) else 1
+    if i == 0 or model.layers[i].kind != "connected":
+        return partition_footprint(model, i, rows, spill, public_input=i == 0)
+    producer_rows = 1 if model.is_parameterized(i - 1) else None
+    return partition_footprint(model, i, rows, spill | {i}, producer_rows=producer_rows)

@@ -7,9 +7,9 @@ import pytest
 from cdlp.cli import main, read_tensor_file, write_tensor_file
 from cdlp.config import canonical_config_text, load_canonical_model
 from cdlp.container import HEADER_BYTES
-from cdlp.model import Tensor
+from cdlp.model import LayerWeights, Tensor
 from cdlp.planner import parse_manifest, render_manifest
-from cdlp.weights import serialize_weights
+from cdlp.weights import load_weights, serialize_weights
 
 from support import random_tensor, random_weight_store
 
@@ -154,17 +154,17 @@ def test_reencrypting_changes_ciphertext_not_plaintext(workspace):
     assert first != second  # fresh nonce
     assert run_cli(
         "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
-        "--input", tensor, "--cap", CAP, "--oracle",
+        "--input", tensor, "--cap", CAP, "--oracle", weights,
     ) == 0
 
 
 def test_run_with_oracle_reports_equivalence(workspace, capsys):
-    tmp, cfg, _, tensor = workspace
+    tmp, cfg, weights, tensor = workspace
     manifest, parts = plan_and_encrypt(workspace)
     capsys.readouterr()
     assert run_cli(
         "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
-        "--input", tensor, "--cap", CAP, "--oracle", "--json",
+        "--input", tensor, "--cap", CAP, "--oracle", weights, "--json",
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["equivalent"] is True
@@ -172,13 +172,36 @@ def test_run_with_oracle_reports_equivalence(workspace, capsys):
     assert payload["partitions"] == 11
 
 
+def test_oracle_checks_the_run_against_the_weights_file(workspace, capsys):
+    tmp, cfg, weights, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace)
+    # containers sealed from other weights, under the same plan and key: the
+    # last connected layer negated, so the softmax peaks at another class
+    model = load_canonical_model()
+    store = load_weights(weights.read_bytes(), model)
+    last = store.layers[9]
+    store.layers[9] = LayerWeights(-last.weights, -last.biases)
+    other = tmp / "other.weights"
+    other.write_bytes(serialize_weights(store))
+    assert run_cli(
+        "encrypt", "--cfg", cfg, "--weights", other, "--plan", manifest,
+        "--key", KEY_HEX, "--out", parts,
+    ) == 0
+    capsys.readouterr()
+    assert run_cli(
+        "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+        "--input", tensor, "--cap", CAP, "--oracle", weights, "--json",
+    ) == 4
+    assert json.loads(capsys.readouterr().out)["equivalent"] is False
+
+
 def test_sublayer_plan_runs_at_its_cap(workspace, capsys):
-    tmp, cfg, _, tensor = workspace
+    tmp, cfg, weights, tensor = workspace
     manifest, parts = plan_and_encrypt(workspace, "sublayer", 24_000)
     capsys.readouterr()
     assert run_cli(
         "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
-        "--input", tensor, "--cap", 24_000, "--oracle", "--json",
+        "--input", tensor, "--cap", 24_000, "--oracle", weights, "--json",
     ) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["equivalent"] is True
@@ -276,7 +299,7 @@ def test_run_branched_model(tmp_path, capsys):
     assert (parts / "part_0.blob").exists()  # normal-world prefix stays plaintext
     capsys.readouterr()
     assert run_cli("run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
-                   "--input", tensor, "--cap", CAP, "--oracle", "--json") == 0
+                   "--input", tensor, "--cap", CAP, "--oracle", weights, "--json") == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["equivalent"] is True
     assert payload["context_switches"] == 4  # two branches of one branched layer

@@ -212,6 +212,29 @@ def test_canonical_sublayer_plan_runs_at_24000_bytes():
     assert_peaks_match_footprints(result, plan)
 
 
+def test_streamed_chunks_are_priced_at_the_producers_partition_output():
+    # at 20000 bytes layers 1 and 2 stream their inputs from spill; layer 0
+    # runs in 833-row subsets, so a streamed chunk of layer 1 holds 3332
+    # bytes, and layer 1 runs row by row, so one of layer 2 holds 4 bytes
+    model = ModelSpec(
+        [
+            LayerSpec.connected(3000, "relu"),
+            LayerSpec.connected(3000, "relu"),
+            LayerSpec.connected(8, "linear"),
+        ],
+        (4, 1, 1),
+    )
+    rng = np.random.default_rng(29)
+    store, x = random_weight_store(model, rng), random_tensor(rng, model.input_dims)
+    plan = plan_sublayer(model, 20_000)
+    assert plan.spill == frozenset({1, 2})
+    assert len(plan.partitions) == 3012
+    assert validate_plan(plan, model, 20_000) == []
+    result = run_plan(model, store, plan, x, cap=20_000)
+    assert compare_runs(result.output, run_reference(model, store, x).output).bitwise_equal
+    assert_peaks_match_footprints(result, plan)
+
+
 def test_runtime_oom_when_arena_smaller_than_plan_needs():
     model, store, x = canonical_case(9)
     plan = plan_layered(model, CAP)

@@ -11,6 +11,7 @@ from cdlp.model import BranchTopology, LayerSpec, ModelSpec, Tensor, WeightStore
 from cdlp.planner import (
     SCHEME_LAYERED,
     PartitionPlan,
+    SubsetParams,
     estimate_layer_footprint,
     parse_manifest,
     plan_branched,
@@ -175,15 +176,48 @@ def test_every_scheme_covers_every_layer_exactly(seed):
 def test_more_budget_never_means_more_partitions(seed, caps):
     model = square_connected(24, layers=2)
     # layer 1 holds its resident 24-float input, its 24-float output buffer and
-    # one row of 24 weights plus a bias; spilling 24 floats saves nothing
-    floor = 4 * (24 + 24 + 25)
+    # one row of 24 weights plus a bias: 292 bytes. Below that its input
+    # spills. Layer 0 then holds r rows of 24 weights plus a bias and an
+    # r-float output chunk (104r bytes), and layer 1 streams those r floats
+    # back next to its output buffer and a row: 4 * (24 + 25 + r) bytes. With
+    # r = 1 that is 200 bytes, the floor.
+    floor = 4 * (24 + 25 + 1)
     with pytest.raises(PlanInfeasibleError):
         plan_sublayer(model, floor - 1)
-    small = floor + caps[0]  # always feasible: one-neuron subsets fit
+    for cap in (floor, 4 * (24 + 24 + 25) - 1):
+        spilled = plan_sublayer(model, cap)
+        assert spilled.spill == frozenset({1})
+        assert validate_plan(spilled, model, cap) == []
+    # With resident inputs (292 bytes and up) the partition count only falls.
+    # The 291-byte plan spills and runs layer 0 in pairs of rows (36
+    # partitions), which the greedy planner gives up at 292 bytes (48).
+    small = 4 * (24 + 24 + 25) + caps[0]  # always feasible: one-neuron subsets fit
     large = small + caps[1]
     a = plan_sublayer(model, small)
     b = plan_sublayer(model, large)
     assert len(b.partitions) <= len(a.partitions)
+
+
+@pytest.mark.parametrize("outputs", [(64, 42, 62, 4), (64, 64, 56, 36)])
+def test_a_cap_that_plans_still_plans_with_more_budget(outputs):
+    # With (64, 42, 62, 4) at 260 bytes layer 2's input could stay resident,
+    # but layer 1 cannot hold it next to even one row of its own, so layer 2
+    # streams it. With (64, 64, 56, 36) at 392 bytes layer 0 picks the
+    # largest subsets whose chunks a single row of layer 1 can stream back.
+    model = ModelSpec(
+        [LayerSpec.connected(n, "relu") for n in outputs], (1, 6, 6), BranchTopology(1, 2)
+    )
+
+    def plans(cap):
+        try:
+            plan = plan_sublayer(model, cap)
+        except PlanInfeasibleError:
+            return False
+        assert validate_plan(plan, model, cap) == []
+        return True
+
+    floor = next(cap for cap in range(1, 1000) if plans(cap))
+    assert all(plans(cap) for cap in range(floor, 1000))
 
 
 # --- branched ---
@@ -210,6 +244,12 @@ def test_branched_partition_counts():
     assert not any(p.encrypted for p in normals)
     assert all(p.encrypted for p in secures)
     assert validate_plan(plan, branched_model(), CAP) == []
+
+
+def test_branched_plan_lists_its_split_layers():
+    plan = plan_branched(branched_model(), CAP)
+    # layers 2 and 3 run as two branches each; the normal-world prefix runs whole
+    assert plan.sublayer == {2: SubsetParams(4, 2), 3: SubsetParams(2, 2)}
 
 
 def test_branched_requires_topology():
@@ -276,14 +316,13 @@ def test_validation_catches_understated_footprints():
     ]
 
 
-def test_validation_catches_world_inconsistency():
+def test_validation_reports_an_unknown_world():
     model = square_connected(8)
     plan = plan_layered(model, CAP)
     broken = dataclasses.replace(plan, partitions=[
-        dataclasses.replace(plan.partitions[0], world="normal")
+        dataclasses.replace(plan.partitions[0], world="enclave")
     ])
-    problems = validate_plan(broken, model, CAP)
-    assert any("encrypted" in p for p in problems)
+    assert validate_plan(broken, model, CAP) == ["partition 0 has unknown world 'enclave'"]
 
 
 def test_validation_catches_gaps():
@@ -331,9 +370,14 @@ def test_manifest_round_trip():
     for plan in (
         plan_layered(model, CAP),
         plan_sublayer(model, 100_000),
+        plan_sublayer(model, 100_000).with_spill(9),
+        plan_branched(branched_model(), CAP),
     ):
-        again = parse_manifest(render_manifest(plan))
+        text = render_manifest(plan)
+        assert not any(line.startswith("sublayer ") for line in text.splitlines())
+        again = parse_manifest(text)
         assert again == plan
+        assert again.sublayer == plan.sublayer
 
 
 def test_manifest_round_trip_with_spill():
@@ -350,6 +394,13 @@ def test_manifest_partition_line_format():
     plan = plan_layered(square_connected(8), CAP)
     line = render_manifest(plan).splitlines()[1]
     assert line == f"partition 0 layer 0 range 0..8 world secure bytes {plan.partitions[0].footprint_bytes}"
+
+
+def test_manifest_rejects_a_sublayer_line():
+    # subset sizes follow from the partition lines, so a manifest does not state them
+    text = "scheme sublayer\nsublayer 4 s 10 p 3\n"
+    with pytest.raises(PlanError, match="line 2: unrecognized entry 'sublayer 4 s 10 p 3'"):
+        parse_manifest(text)
 
 
 def test_manifest_rejects_garbage():
