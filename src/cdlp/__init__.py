@@ -23,6 +23,7 @@ from .errors import (
 )
 from .executor import (
     CompareReport,
+    PartitionTrace,
     RunResult,
     compare_runs,
     prepare_partition_data,

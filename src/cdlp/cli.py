@@ -19,7 +19,6 @@ import json
 import math
 import struct
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -106,20 +105,21 @@ def _plan_for(model: ModelSpec, scheme: str, cap: int, subset) -> PartitionPlan:
     return plan_branched(model, cap)
 
 
+def _partition_payload(p) -> dict:
+    return {
+        "id": p.id,
+        "layer": p.layer_index,
+        "start": p.start,
+        "end": p.end,
+        "world": p.world,
+        "footprint_bytes": p.footprint_bytes,
+    }
+
+
 def _plan_payload(plan: PartitionPlan) -> dict:
     return {
         "scheme": plan.scheme,
-        "partitions": [
-            {
-                "id": p.id,
-                "layer": p.layer_index,
-                "start": p.start,
-                "end": p.end,
-                "world": p.world,
-                "footprint_bytes": p.footprint_bytes,
-            }
-            for p in plan.partitions
-        ],
+        "partitions": [_partition_payload(p) for p in plan.partitions],
         "sublayer": {
             str(i): {"subset_size": s.subset_size, "subset_count": s.subset_count}
             for i, s in sorted(plan.sublayer.items())
@@ -181,48 +181,6 @@ def cmd_encrypt(args) -> int:
     return EXIT_OK
 
 
-@dataclass
-class RunReport:
-    scheme: str
-    partitions: int
-    context_switches: int
-    decrypted_bytes: int
-    overhead_seconds: float
-    arena_peak: int
-    baseline_seconds: float | None = None
-    overhead_ratio: float | None = None
-    equivalent: bool | None = None
-
-    def payload(self) -> dict:
-        return {
-            "scheme": self.scheme,
-            "partitions": self.partitions,
-            "context_switches": self.context_switches,
-            "decrypted_bytes": self.decrypted_bytes,
-            "overhead_seconds": self.overhead_seconds,
-            "arena_peak_bytes": self.arena_peak,
-            "baseline_seconds": self.baseline_seconds,
-            "overhead_ratio": self.overhead_ratio,
-            "equivalent": self.equivalent,
-        }
-
-    def human(self) -> list[str]:
-        lines = [
-            f"scheme: {self.scheme}",
-            f"partitions: {self.partitions}",
-            f"context switches: {self.context_switches}",
-            f"decrypted bytes: {self.decrypted_bytes}",
-            f"estimated overhead seconds: {self.overhead_seconds!r}",
-            f"arena peak bytes: {self.arena_peak}",
-        ]
-        if self.baseline_seconds is not None:
-            lines.append(f"baseline seconds: {self.baseline_seconds!r}")
-            lines.append(f"overhead ratio: {self.overhead_ratio!r}")
-        if self.equivalent is not None:
-            lines.append(f"equivalent to reference: {str(self.equivalent).lower()}")
-        return lines
-
-
 def cmd_run(args) -> int:
     key = _parse_key(args.key)
     model = parse_config(_existing(args.cfg).read_text())
@@ -254,18 +212,47 @@ def cmd_run(args) -> int:
             baseline = reference.wall_seconds
     ratio = (baseline + overhead) / baseline if baseline else None
 
-    report = RunReport(
-        plan.scheme,
-        len(plan.partitions),
-        result.ledger.context_switches,
-        result.ledger.decrypted_bytes,
-        overhead,
-        result.arena_peak,
-        baseline,
-        ratio,
-        equivalent,
-    )
-    _emit(args, report.payload(), report.human())
+    ledger = result.ledger
+    payload = {
+        "scheme": plan.scheme,
+        "partitions": len(plan.partitions),
+        "context_switches": ledger.context_switches,
+        "decrypted_bytes": ledger.decrypted_bytes,
+        "overhead_seconds": overhead,
+        "arena_peak_bytes": result.arena_peak,
+        "baseline_seconds": baseline,
+        "overhead_ratio": ratio,
+        "equivalent": equivalent,
+        "trace": [
+            {
+                **_partition_payload(t.partition),
+                "arena_peak_bytes": t.arena_peak,
+                "decrypted_bytes": t.decrypted_bytes,
+            }
+            for t in result.partitions
+        ],
+    }
+    human = [
+        f"scheme: {plan.scheme}",
+        f"partitions: {len(plan.partitions)}",
+        f"context switches: {ledger.context_switches}",
+        f"decrypted bytes: {ledger.decrypted_bytes}",
+        f"estimated overhead seconds: {overhead!r}",
+        f"arena peak bytes: {result.arena_peak}",
+    ]
+    if baseline is not None:
+        human.append(f"baseline seconds: {baseline!r}")
+        human.append(f"overhead ratio: {ratio!r}")
+    if equivalent is not None:
+        human.append(f"equivalent to reference: {str(equivalent).lower()}")
+    for t in result.partitions:
+        p = t.partition
+        human.append(
+            f"partition {p.id}: layer {p.layer_index} rows [{p.start}, {p.end}) {p.world}, "
+            f"footprint {p.footprint_bytes}, arena peak {t.arena_peak}, "
+            f"decrypted {t.decrypted_bytes}"
+        )
+    _emit(args, payload, human)
     if equivalent is False:
         return EXIT_RUNTIME
     return EXIT_OK

@@ -7,7 +7,9 @@ blob comes from and where inputs and outputs live. A normal-world
 partition runs on its plaintext blob, reading and writing public
 activations. A secure one runs inside a session invocation: its
 container is staged in shared memory, decrypted into the arena, and
-freed before the next partition loads.
+freed before the next partition loads. The run returns one
+``PartitionTrace`` per partition, in plan order: the bytes it decrypted
+and the arena peak it reached, next to the footprint the plan recorded.
 
 Between layers the activations live in one of three places. Public ones
 (the input, or a normal-world layer's outputs) cross to the secure world
@@ -46,13 +48,13 @@ from .nn import DenseAccumulator, layer_forward, reference_forward
 from .planner import (
     SPILL_CHUNK_BYTES,
     WORLD_SECURE,
+    Partition,
     PartitionPlan,
     render_manifest,
     validate_plan,
 )
 from .tee import (
     CostLedger,
-    PartitionRecord,
     SecureArena,
     Session,
     SharedBuffer,
@@ -99,13 +101,12 @@ class SpilledActivations:
 
 def spill_activations(
     output: Tensor | np.ndarray,
-    chunk_size: int,
     key: bytes,
     buffer: SharedBuffer,
     arena: SecureArena,
     into: SpilledActivations | None = None,
 ) -> SpilledActivations:
-    """Encrypt activations into the shared buffer in chunks.
+    """Encrypt activations into the shared buffer in SPILL_CHUNK_BYTES chunks.
 
     Each chunk briefly occupies arena space while it is encrypted; only
     its container (a public header, then the ciphertext tagged as such)
@@ -113,11 +114,9 @@ def spill_activations(
     Passing ``into`` appends to an existing spill set, which is how a
     layer split into subsets spills incrementally.
     """
-    if chunk_size <= 0:
-        raise ValueError(f"chunk size must be positive, got {chunk_size}")
     values = output.data if isinstance(output, Tensor) else np.ascontiguousarray(output, FLOAT)
     spilled = into if into is not None else SpilledActivations(buffer)
-    floats_per_chunk = max(1, chunk_size // FLOAT_BYTES)
+    floats_per_chunk = SPILL_CHUNK_BYTES // FLOAT_BYTES
     for lo in range(0, values.size, floats_per_chunk):
         hi = min(lo + floats_per_chunk, values.size)
         plain = values[lo:hi].tobytes()
@@ -161,11 +160,25 @@ def stream_spilled(
 
 
 @dataclass
+class PartitionTrace:
+    """What one partition of a run cost; a normal-world one costs nothing."""
+
+    partition: Partition
+    decrypted_bytes: int = 0
+    arena_peak: int = 0  # measured, against the plan's partition.footprint_bytes
+
+
+@dataclass
 class RunResult:
     output: Tensor
     ledger: CostLedger
-    arena_peak: int
+    partitions: list[PartitionTrace]  # one per plan partition, in plan order
     shared: SharedBuffer
+
+    @property
+    def arena_peak(self) -> int:
+        """The run's own arena peak: the largest of its partitions'."""
+        return max((t.arena_peak for t in self.partitions), default=0)
 
 
 @dataclass
@@ -194,7 +207,8 @@ def run_partitioned(
     ``partition_data`` maps partition id to its encrypted container
     (secure world) or plaintext blob (normal world). Each secure partition
     costs one session invocation, and its weights are freed before the
-    next partition loads. The containers must have been sealed for this
+    next partition loads. The result traces every partition: the bytes it
+    decrypted and its arena peak. The containers must have been sealed for this
     plan by ``prepare_partition_data``. Whether the run returns or raises,
     it frees all the arena memory it took.
     """
@@ -223,6 +237,7 @@ def run_partitioned(
     # the client hands the inference input over through shared memory
     offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
     held = spilled = out = out_values = out_spill = None
+    traces = []
 
     def step(p, blob: bytes, secure: bool) -> None:
         """Run partition ``p`` on its plaintext weight blob and store its rows."""
@@ -247,7 +262,7 @@ def run_partitioned(
                 x = np.frombuffer(shared.read(offset, FLOAT_BYTES * values.size), FLOAT)
             result = layer_forward(model, i, Tensor(model.in_dims(i), x), rows, p.start)
         if out_spill is not None:
-            spill_activations(result, SPILL_CHUNK_BYTES, key, shared, arena, out_spill)
+            spill_activations(result, key, shared, arena, out_spill)
         else:
             lo = p.start * model.output_units_per_row(i)
             out_values[lo : lo + result.size] = result.data
@@ -267,12 +282,7 @@ def run_partitioned(
         for i, group in itertools.groupby(plan.partitions, key=lambda p: p.layer_index):
             parts = list(group)
             secure = parts[0].world == WORLD_SECURE
-            public = held is None and spilled is None
-            if not secure and not public:
-                raise PlanError(f"normal-world layer {i} would read confidential activations")
-            if secure and i in plan.spill and spilled is None:
-                raise PlanError(f"layer {i} expects spilled inputs")
-            if secure and public and offset is None:
+            if secure and held is None and spilled is None and offset is None:
                 # normal-to-secure handoff: the extracted features cross through
                 # shared memory in the clear, a documented boundary of branched
                 # execution rather than a leak
@@ -288,25 +298,20 @@ def run_partitioned(
                 blob = partition_data[p.id]
                 if not secure:
                     step(p, blob, False)
+                    traces.append(PartitionTrace(p))
                     continue
                 staged = shared.append_container(blob)
-                arena.begin_window()
+                arena.reset_peak()
                 decrypted_before = ledger.decrypted_bytes
-                session.invoke(
-                    p.id, (shared,), lambda _app, _buffers: trusted_step(p, staged, len(blob))
-                )
-                ledger.partition_records.append(
-                    PartitionRecord(
-                        p.id, ledger.decrypted_bytes - decrypted_before, arena.window_peak
-                    )
+                session.invoke(lambda: trusted_step(p, staged, len(blob)))
+                traces.append(
+                    PartitionTrace(p, ledger.decrypted_bytes - decrypted_before, arena.peak_usage)
                 )
 
             if held is not None:
                 arena.free(held)
             held, out = out, None
             values, offset, spilled = out_values, None, out_spill
-        if spilled is not None:
-            raise PlanError("plan leaves the final activations spilled")
     finally:
         session.close()
         for allocation in (held, out):
@@ -314,7 +319,7 @@ def run_partitioned(
                 arena.free(allocation)
 
     out_dims = model.out_dims(len(model.layers) - 1) if model.layers else input_tensor.dims
-    return RunResult(Tensor(out_dims, values.copy()), ledger, arena.peak_usage, shared)
+    return RunResult(Tensor(out_dims, values.copy()), ledger, traces, shared)
 
 
 def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) -> dict[int, bytes]:

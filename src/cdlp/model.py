@@ -38,11 +38,6 @@ class Tensor:
             )
         self.data = arr
 
-    @classmethod
-    def from_array(cls, arr: np.ndarray) -> "Tensor":
-        arr = np.asarray(arr)
-        return cls(arr.shape if arr.ndim else (1,), arr.reshape(-1))
-
     @property
     def size(self) -> int:
         return self.data.size
@@ -239,11 +234,6 @@ class ModelSpec:
                     f"layer {j} sizes {self.in_elems(j)}->{layer.outputs} "
                     f"not divisible by {b.branch_count} branches"
                 )
-
-    @property
-    def shapes(self) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        """Per layer (input dims, output dims)."""
-        return self._shapes
 
     def in_dims(self, i: int) -> tuple[int, ...]:
         return self._shapes[i][0]

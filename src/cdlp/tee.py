@@ -3,13 +3,18 @@
 Models the pieces of a TrustZone/GlobalPlatform setup that the rest of
 the package needs to reason about confidentiality and cost:
 
-* SecureArena: a capped secure-world allocator with peak tracking;
+* SecureArena: a capped secure-world allocator with one peak, which a
+  run restarts before each secure partition to measure that partition;
 * SharedBuffer: normal-world memory whose writes are taint-tagged, with
   no way to write confidential plaintext through the interface;
 * Session: the client <-> trusted-application call protocol, charging two
   one-way context switches per invocation;
-* CostLedger / CostConstants: counters and the overhead formula
+* CostLedger / CostConstants: a run's two counters, context switches
+  and decrypted bytes, and the overhead formula
   2 * invocations * t_switch + decrypted_bytes * t_byte.
+
+What each partition cost is the executor's per-partition trace, not the
+ledger's.
 
 Execution is in-process and time is derived from counters, never from
 sleeps, so runs are deterministic.
@@ -46,19 +51,11 @@ class CostConstants:
 
 
 @dataclass
-class PartitionRecord:
-    partition_id: int
-    decrypted_bytes: int
-    arena_peak: int
-
-
-@dataclass
 class CostLedger:
     """Monotone counters of confidentiality-relevant events."""
 
     context_switches: int = 0
     decrypted_bytes: int = 0
-    partition_records: list[PartitionRecord] = field(default_factory=list)
 
 
 def estimate_overhead(
@@ -103,7 +100,6 @@ class SecureArena:
         self.capacity = capacity
         self._current = 0
         self._peak = 0
-        self._window_peak = 0
 
     @property
     def current_usage(self) -> int:
@@ -123,7 +119,6 @@ class SecureArena:
             )
         self._current += size
         self._peak = max(self._peak, self._current)
-        self._window_peak = max(self._window_peak, self._current)
         return Allocation(size)
 
     def free(self, allocation: Allocation) -> None:
@@ -132,13 +127,9 @@ class SecureArena:
         allocation.freed = True
         self._current -= allocation.size
 
-    def begin_window(self) -> None:
-        """Start a peak-tracking window (used for per-partition records)."""
-        self._window_peak = self._current
-
-    @property
-    def window_peak(self) -> int:
-        return self._window_peak
+    def reset_peak(self) -> None:
+        """Track the peak afresh from the current usage."""
+        self._peak = self._current
 
 
 class TaintTag(str, Enum):
@@ -283,11 +274,10 @@ def find_plaintext_leak(
 
 @dataclass
 class TrustedApp:
-    """One trusted application: its identity, arena, and ledger."""
+    """One trusted application: its arena and ledger."""
 
     arena: SecureArena
     ledger: CostLedger = field(default_factory=CostLedger)
-    app_id: str = "cdlp-runner"
 
 
 _session_ids = itertools.count(1)
@@ -305,13 +295,8 @@ class Session:
     def state(self) -> str:
         return "open" if self._open else "closed"
 
-    def invoke(
-        self,
-        command_id: int,
-        buffers: Sequence[SharedBuffer],
-        trusted_fn: Callable[[TrustedApp, Sequence[SharedBuffer]], object],
-    ):
-        """Run ``trusted_fn`` inside the secure world.
+    def invoke(self, trusted_fn: Callable[[], object]):
+        """Run ``trusted_fn`` inside the secure world and return its result.
 
         Costs exactly two one-way context switches (entry and exit),
         charged even if the function raises.
@@ -319,7 +304,7 @@ class Session:
         if not self._open:
             raise SessionStateError(f"invoke on closed session {self.session_id}")
         self.app.ledger.context_switches += 2
-        return trusted_fn(self.app, buffers)
+        return trusted_fn()
 
     def close(self) -> None:
         self._open = False

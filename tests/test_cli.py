@@ -208,6 +208,29 @@ def test_sublayer_plan_runs_at_its_cap(workspace, capsys):
     assert payload["arena_peak_bytes"] <= 24_000
 
 
+def test_run_traces_every_partition(workspace, capsys):
+    tmp, cfg, _, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace, "sublayer", 24_000)
+    args = ["run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+            "--input", tensor, "--cap", 24_000]
+    capsys.readouterr()
+    assert run_cli(*args, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    trace = payload["trace"]
+    assert len(trace) == payload["partitions"] == 22
+    assert [entry["id"] for entry in trace] == list(range(22))
+    secure = [entry for entry in trace if entry["world"] == "secure"]
+    assert all(entry["arena_peak_bytes"] == entry["footprint_bytes"] for entry in secure)
+    assert payload["arena_peak_bytes"] == max(entry["arena_peak_bytes"] for entry in trace) == 23_792
+    assert sum(entry["decrypted_bytes"] for entry in trace) == payload["decrypted_bytes"]
+
+    assert run_cli(*args) == 0
+    lines = [line for line in capsys.readouterr().out.splitlines() if line.startswith("partition ")]
+    assert len(lines) == 22
+    assert lines[0].startswith(f"partition 0: layer 0 rows [0, {trace[0]['end']}) secure, ")
+    assert lines[-1].endswith(f"decrypted {trace[-1]['decrypted_bytes']}")
+
+
 def test_run_rejects_a_manifest_that_understates_a_footprint(workspace, capsys):
     tmp, cfg, _, tensor = workspace
     manifest, parts = plan_and_encrypt(workspace, "sublayer", 24_000)

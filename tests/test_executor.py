@@ -1,4 +1,5 @@
 import bisect
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -126,7 +127,12 @@ def test_normal_partitions_cost_nothing():
         len(b) for p, b in zip(plan.partitions, split_weights(store, plan)) if p.encrypted
     )
     assert result.ledger.decrypted_bytes == secure_blob_bytes
-    assert {r.partition_id for r in result.ledger.partition_records} == {p.id for p in secure}
+    # one trace per plan partition, in plan order; the normal-world ones record 0 and 0
+    assert [t.partition for t in result.partitions] == plan.partitions
+    charged = {t.partition.id for t in result.partitions if t.decrypted_bytes or t.arena_peak}
+    assert charged == {p.id for p in secure}
+    assert sum(t.decrypted_bytes for t in result.partitions) == result.ledger.decrypted_bytes
+    assert_peaks_match_footprints(result, plan)
 
 
 @given(seed=st.integers(0, 10_000))
@@ -155,6 +161,21 @@ def test_arena_peak_within_budget_and_planned_footprints():
     assert result.arena_peak == biggest
 
 
+def test_a_reused_arena_reports_the_runs_own_peak():
+    model, store, x = canonical_case(22)
+    arena = SecureArena(CAP)
+    layered = plan_layered(model, CAP)
+    first = run_partitioned(model, prepare_partition_data(store, layered, KEY), layered, x,
+                            arena, KEY)
+    assert first.arena_peak == 194_560
+    # the second run on the same arena peaks at its own largest footprint,
+    # not at the first run's
+    sublayer = plan_sublayer(model, 24_000)
+    second = run_partitioned(model, prepare_partition_data(store, sublayer, KEY), sublayer, x,
+                             arena, KEY)
+    assert second.arena_peak == max(p.footprint_bytes for p in sublayer.partitions) == 23_792
+
+
 def tightest_cap(plan_fn, model) -> int:
     """The smallest cap at which ``plan_fn`` plans the model."""
 
@@ -170,7 +191,7 @@ def tightest_cap(plan_fn, model) -> int:
 
 def assert_peaks_match_footprints(result, plan):
     planned = {p.id: p.footprint_bytes for p in plan.secure_partitions()}
-    measured = {r.partition_id: r.arena_peak for r in result.ledger.partition_records}
+    measured = {t.partition.id: t.arena_peak for t in result.partitions if t.partition.encrypted}
     assert measured == planned
 
 
@@ -201,7 +222,7 @@ def test_plans_run_at_their_cap_and_peak_at_their_footprints(seed, per_mille, da
     result = run_plan(model, store, spilled, x, cap=cap)
     assert compare_runs(result.output, reference).bitwise_equal
     planned = {p.id: p.footprint_bytes for p in spilled.partitions}
-    assert all(r.arena_peak <= planned[r.partition_id] for r in result.ledger.partition_records)
+    assert all(t.arena_peak <= planned[t.partition.id] for t in result.partitions)
 
 
 def test_canonical_sublayer_plan_runs_at_24000_bytes():
@@ -252,6 +273,52 @@ def test_all_arena_memory_returned_after_run():
     run_partitioned(model, data, plan, x, arena, KEY)
     assert arena.current_usage == 0
     assert arena.peak_usage > 0
+
+
+def unsound_plan(case):
+    """A plan of a 8 -> 8 -> 8 -> 4 model, branched after layer 0, that
+    ``validate_plan`` rejects, and the problem it reports."""
+    from cdlp.model import BranchTopology
+
+    model = ModelSpec(
+        [
+            LayerSpec.connected(8, "relu"),
+            LayerSpec.connected(8, "relu"),
+            LayerSpec.connected(4, "linear"),
+        ],
+        (8, 1, 1),
+        BranchTopology(1, 2),
+    )
+    layered = plan_layered(model, CAP)
+    if case == "normal after secure":
+        last = layered.partitions[-1]
+        plan = replace(layered, partitions=layered.partitions[:-1] + [replace(last, world="normal")])
+        problem = f"partition {last.id} runs in the normal world after a secure partition"
+    elif case == "spill into layer 0":
+        plan, problem = layered.with_spill(0), "spill flag on layer 0 is out of range"
+    elif case == "spill past the last layer":
+        plan, problem = layered.with_spill(3), "spill flag on layer 3 is out of range"
+    else:  # a spill whose producer runs in the normal world
+        plan = plan_branched(model, CAP).with_spill(1)
+        problem = "spill flag on layer 1 but layer 0 runs in the normal world"
+    return model, plan, problem
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["normal after secure", "spill into layer 0", "spill past the last layer", "public producer"],
+)
+def test_an_unsound_plan_fails_validation_before_any_switch(case, monkeypatch):
+    model, plan, problem = unsound_plan(case)
+    rng = np.random.default_rng(23)
+    store, x = random_weight_store(model, rng), random_tensor(rng, model.input_dims)
+    data = prepare_partition_data(store, plan, KEY)
+    invoked = []
+    monkeypatch.setattr(executor.Session, "invoke", lambda self, fn: invoked.append(fn))
+    with pytest.raises(PlanError) as err:
+        run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+    assert problem in str(err.value).removeprefix("invalid plan: ").split("; ")
+    assert invoked == []
 
 
 def tamper_tag(data, pid):
@@ -351,7 +418,7 @@ def test_branched_plan_with_a_spilled_secure_layer():
     # each of layer 4's four branches streams layer 3's 256 outputs back
     assert result.ledger.decrypted_bytes == sum(map(len, secure_blobs)) + 4 * 256 * FLOAT_BYTES
     planned = {p.id: p.footprint_bytes for p in plan.partitions}
-    assert all(r.arena_peak <= planned[r.partition_id] for r in result.ledger.partition_records)
+    assert all(t.arena_peak <= planned[t.partition.id] for t in result.partitions)
 
     # in the clear, shared memory holds only the input and the features the
     # normal-world prefix hands over; the spilled activations share ReLU's
@@ -375,14 +442,15 @@ def test_branched_plan_with_a_spilled_secure_layer():
 
 def test_spill_stream_round_trip():
     rng = np.random.default_rng(12)
-    values = rng.standard_normal(1000).astype(np.float32)
+    values = rng.standard_normal(2500).astype(np.float32)
     arena = SecureArena(CAP)
     buffer = SharedBuffer()
-    spilled = spill_activations(Tensor((1000,), values), 256, KEY, buffer, arena)
-    assert spilled.total_count == 1000
-    assert len(spilled.chunks) == (1000 * FLOAT_BYTES + 255) // 256
+    spilled = spill_activations(Tensor((2500,), values), KEY, buffer, arena)
+    assert spilled.total_count == 2500
+    chunks = (2500 * FLOAT_BYTES + SPILL_CHUNK_BYTES - 1) // SPILL_CHUNK_BYTES
+    assert len(spilled.chunks) == chunks == 3  # two whole 4 KiB chunks and a partial one
 
-    collected = np.zeros(1000, np.float32)
+    collected = np.zeros(2500, np.float32)
 
     def consumer(chunk, base):
         collected[base : base + chunk.size] = chunk
@@ -390,7 +458,7 @@ def test_spill_stream_round_trip():
     ledger = CostLedger()
     stream_spilled(spilled, KEY, arena, consumer, ledger)
     assert collected.tobytes() == values.tobytes()
-    assert ledger.decrypted_bytes == 4000
+    assert ledger.decrypted_bytes == 10000
     assert arena.current_usage == 0
 
 
@@ -398,7 +466,7 @@ def test_streaming_twice_doubles_the_cost():
     rng = np.random.default_rng(13)
     values = rng.standard_normal(128).astype(np.float32)
     arena = SecureArena(CAP)
-    spilled = spill_activations(Tensor((128,), values), 4096, KEY, SharedBuffer(), arena)
+    spilled = spill_activations(Tensor((128,), values), KEY, SharedBuffer(), arena)
     ledger = CostLedger()
     for _ in range(2):
         stream_spilled(spilled, KEY, arena, lambda c, b: None, ledger)
@@ -407,10 +475,11 @@ def test_streaming_twice_doubles_the_cost():
 
 def test_tampered_spill_chunk_aborts_before_consumption():
     rng = np.random.default_rng(14)
-    values = rng.standard_normal(64).astype(np.float32)
+    values = rng.standard_normal(3000).astype(np.float32)
     arena = SecureArena(CAP)
     buffer = SharedBuffer()
-    spilled = spill_activations(Tensor((64,), values), 64, KEY, buffer, arena)
+    spilled = spill_activations(Tensor((3000,), values), KEY, buffer, arena)
+    assert len(spilled.chunks) == 3
     victim = spilled.chunks[1]
     tampered = bytearray(buffer.read(victim.offset, victim.length))
     tampered[40] ^= 1
@@ -458,8 +527,7 @@ def test_container_headers_are_logged_apart_from_their_ciphertext():
         assert header.length == HEADER_BYTES and header.offset + HEADER_BYTES == writes[i].offset
 
     buffer = SharedBuffer()
-    spilled = spill_activations(np.zeros(1000, np.float32), SPILL_CHUNK_BYTES, KEY, buffer,
-                                SecureArena(CAP))
+    spilled = spill_activations(np.zeros(1000, np.float32), KEY, buffer, SecureArena(CAP))
     chunk = spilled.chunks[0]
     data = buffer.read(chunk.offset, chunk.length)
     # the length field's zero bytes next to the first ciphertext bytes are no
@@ -643,10 +711,8 @@ def test_partition_records_cover_decrypted_total():
     model, store, x = canonical_case(17)
     plan = plan_sublayer(model, 100_000)
     result = run_plan(model, store, plan, x, cap=100_000)
-    assert sum(r.decrypted_bytes for r in result.ledger.partition_records) == (
-        result.ledger.decrypted_bytes
-    )
-    peaks = [r.arena_peak for r in result.ledger.partition_records]
+    assert sum(t.decrypted_bytes for t in result.partitions) == result.ledger.decrypted_bytes
+    peaks = [t.arena_peak for t in result.partitions]
     assert max(peaks) == result.arena_peak
 
 

@@ -86,14 +86,18 @@ def test_peak_is_max_prefix_live_sum(sizes, data):
     assert arena.current_usage <= arena.capacity
 
 
-def test_window_peak_tracks_since_mark():
+def test_reset_peak_restarts_from_current_usage():
     arena = SecureArena(100)
     big = arena.alloc(80)
     arena.free(big)
-    arena.begin_window()
-    arena.alloc(10)
-    assert arena.window_peak == 10
     assert arena.peak_usage == 80
+    arena.reset_peak()
+    assert arena.peak_usage == 0
+    arena.alloc(10)
+    assert arena.peak_usage == 10
+    arena.reset_peak()  # from the 10 bytes still in use
+    arena.alloc(5)
+    assert arena.peak_usage == 15
 
 
 # --- sessions ---
@@ -105,7 +109,7 @@ def _app(capacity=1 << 20) -> TrustedApp:
 def test_invoke_counts_two_switches():
     app = _app()
     session = Session(app)
-    session.invoke(0, (), lambda a, b: None)
+    session.invoke(lambda: None)
     assert app.ledger.context_switches == 2
 
 
@@ -113,7 +117,7 @@ def test_eleven_invokes_give_twenty_two_switches():
     app = _app()
     session = Session(app)
     for i in range(11):
-        session.invoke(i, (), lambda a, b: None)
+        session.invoke(lambda: None)
     assert app.ledger.context_switches == 22
 
 
@@ -122,23 +126,23 @@ def test_invoke_after_close():
     session.close()
     assert session.state == "closed"
     with pytest.raises(SessionStateError):
-        session.invoke(0, (), lambda a, b: None)
+        session.invoke(lambda: None)
 
 
 def test_switches_charged_when_trusted_fn_raises():
     app = _app()
     session = Session(app)
     with pytest.raises(RuntimeError):
-        session.invoke(0, (), lambda a, b: (_ for _ in ()).throw(RuntimeError("boom")))
+        session.invoke(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
     assert app.ledger.context_switches == 2
 
 
-def test_invoke_passes_buffers_and_returns_result():
+def test_invoke_returns_the_functions_result():
     app = _app()
     buf = SharedBuffer()
     buf.append(b"hello", TaintTag.PUBLIC)
     session = Session(app)
-    result = session.invoke(7, (buf,), lambda a, bufs: bufs[0].read(0, 5))
+    result = session.invoke(lambda: buf.read(0, 5))
     assert result == b"hello"
 
 
