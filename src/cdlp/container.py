@@ -3,12 +3,15 @@
 Layout, integers little-endian:
 
     magic          4 bytes  "CDLP"
-    version        u16      2
+    version        u16      3
     partition_id   u16
     nonce          12 bytes
     plaintext_len  u64
     ciphertext     plaintext_len bytes
     tag            16 bytes
+
+A weights container's plaintext is a partition blob, biases then column-major
+weights (see ``weights``); version 2 held row-major ones and is refused.
 
 The associated data is the header followed by a caller-supplied context,
 so one tag covers the framing, the ciphertext and the place the container
@@ -42,7 +45,7 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 from .errors import FormatError, IntegrityError
 
 MAGIC = b"CDLP"
-VERSION = 2
+VERSION = 3
 KEY_BYTES = 16
 NONCE_BYTES = 12
 MAC_BYTES = 16  # the GCM tag

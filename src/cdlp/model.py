@@ -128,17 +128,19 @@ class BranchTopology:
 
 @dataclass
 class LayerWeights:
-    """Row-major weight matrix plus bias vector for one layer.
+    """Weight matrix plus bias vector for one layer.
 
     Rows are output neurons (connected) or filters (convolutional). For a
     branched connected layer the row length is the per-group input count.
+    Weights are stored column-major, so a kernel's block of columns is
+    contiguous (see ``nn``); ``tobytes()`` still writes row-major order.
     """
 
     weights: np.ndarray
     biases: np.ndarray
 
     def __post_init__(self):
-        self.weights = np.ascontiguousarray(self.weights, dtype=FLOAT)
+        self.weights = np.asfortranarray(self.weights, dtype=FLOAT)
         self.biases = np.ascontiguousarray(self.biases, dtype=FLOAT).reshape(-1)
         if self.weights.ndim != 2:
             raise DimensionError(f"weight matrix must be 2-D, got {self.weights.shape}")

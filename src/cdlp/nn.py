@@ -27,14 +27,10 @@ element. A reduce whose rows hold a single value would be summed pairwise
 instead, so that case runs ``np.add.accumulate``, which is always sequential.
 No kernel uses ``matmul``, ``dot`` or ``einsum``: BLAS reorders the sums.
 
-A term block is the weight block transposed, times the inputs. Connected
-weight rows that lie ``_LONG_ROW_BYTES`` (4 KiB) or more apart would put every
-row of a weight column into the same cache set, so such a block is filled by
-copying the weights transposed ``_TILE_ROWS`` rows at a time and then
-multiplying it in place by the input column. Each term is the same float32
-product and the block is reduced the same way, so outputs and the scratch
-bound below do not change; short rows and convolutions multiply by
-broadcasting, which is faster for them.
+A term block is the weight block transposed, times the inputs. Weights are
+stored column-major (see ``LayerWeights``), so that block is one contiguous
+array and one broadcast multiply fills the terms. Stored row-major, a long
+connected row would put every row of a weight column into one cache set.
 
 Kernel scratch is not charged to the secure arena. It is the convolution's
 zero-padded input and im2col patch matrix (channels * kernel_size**2 *
@@ -53,8 +49,6 @@ from .model import output_dims, validate_weights
 
 _ZERO = np.float32(0.0)
 _BLOCK_FLOATS = 1 << 16  # float32 values in one block of accumulation terms
-_LONG_ROW_BYTES = 4096  # weight rows this far apart fill the term block by tiles
-_TILE_ROWS = 32  # weight rows transposed into the term block per copy
 
 
 def _activate(values: np.ndarray, activation: str | None) -> np.ndarray:
@@ -77,7 +71,6 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
     rows, n = weights.shape
     rest = inputs.shape[1:]
     unit = (1,) * len(rest)
-    tiled = not rest and weights.strides[0] >= _LONG_ROW_BYTES
     block = max(1, min(n, _BLOCK_FLOATS // m - 1))
     terms = np.empty((block + 1, m), dtype=FLOAT)
     total = acc.reshape(m)
@@ -85,17 +78,11 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
         hi = min(lo + block, n)
         part = terms[: hi - lo + 1]
         part[0] = total  # row 0 carries the running sums into the block
-        if tiled:
-            # a column of long rows falls into one cache set: copy a few rows at a time
-            for r in range(0, rows, _TILE_ROWS):
-                part[1:, r : r + _TILE_ROWS] = weights[r : r + _TILE_ROWS, lo:hi].T
-            part[1:] *= inputs[lo:hi, None]
-        else:
-            np.multiply(
-                weights[:, lo:hi].T.reshape(hi - lo, rows, *unit),
-                inputs[lo:hi].reshape(hi - lo, 1, *rest),
-                out=part[1:].reshape(hi - lo, rows, *rest),
-            )
+        np.multiply(
+            weights[:, lo:hi].T.reshape(hi - lo, rows, *unit),
+            inputs[lo:hi].reshape(hi - lo, 1, *rest),
+            out=part[1:].reshape(hi - lo, rows, *rest),
+        )
         total = np.add.accumulate(part[:, 0])[-1:] if m == 1 else np.add.reduce(part, axis=0)
     return total.reshape(acc.shape)
 

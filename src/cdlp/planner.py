@@ -289,6 +289,20 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
             problems.append(f"partition {p.id} has unknown world {p.world!r}")
         by_layer.setdefault(p.layer_index, []).append(p)
 
+    spill: set[int] = set()  # the sound flags, the only ones footprints are priced with
+    for j in sorted(plan.spill):
+        if not 1 <= j < len(model.layers):
+            problems.append(f"spill flag on layer {j} is out of range")
+            continue
+        before = len(problems)
+        if model.layers[j].kind != "connected":
+            problems.append(f"spill flag on layer {j} ({model.layers[j].kind}); only connected layers stream")
+        producer = by_layer.get(j - 1)
+        if producer and any(p.world != WORLD_SECURE for p in producer):
+            problems.append(f"spill flag on layer {j} but layer {j - 1} runs in the normal world")
+        if len(problems) == before:
+            spill.add(j)
+
     for i in range(len(model.layers)):
         parts = by_layer.get(i)
         if not parts:
@@ -309,7 +323,7 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
                 problems.append(f"partition {p.id} range [{p.start}, {p.end}) outside {units} units")
             elif p.world == WORLD_SECURE:
                 need = partition_footprint(
-                    model, i, p.end - p.start, plan.spill, public_input, producer_rows
+                    model, i, p.end - p.start, spill, public_input, producer_rows
                 )
                 if p.footprint_bytes < need:
                     problems.append(
@@ -324,15 +338,6 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
         if len(parts) > 1 and not model.is_parameterized(i):
             problems.append(f"{model.layers[i].kind} layer {i} cannot be split")
 
-    for j in sorted(plan.spill):
-        if not 1 <= j < len(model.layers):
-            problems.append(f"spill flag on layer {j} is out of range")
-            continue
-        if model.layers[j].kind != "connected":
-            problems.append(f"spill flag on layer {j} ({model.layers[j].kind}); only connected layers stream")
-        producer = by_layer.get(j - 1)
-        if producer and any(p.world != WORLD_SECURE for p in producer):
-            problems.append(f"spill flag on layer {j} but layer {j - 1} runs in the normal world")
     return problems
 
 

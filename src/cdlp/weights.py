@@ -7,9 +7,11 @@ File layout, all little-endian:
         biases   rows x float32
         weights  rows x cols x float32, row-major
 
-A partition blob is the same biases-then-weights layout restricted to the
-partition's row range, with no header, so the blobs of one layer are a
-disjoint exact cover of its section in the file.
+The file stays row-major whatever the memory layout (``tobytes()`` writes
+logical order). A partition blob has no header: the biases of the partition's
+rows, then its weights column by column, the order ``LayerWeights`` holds them
+in. The blobs of one layer hold each of its values once, but do not
+concatenate to its section in the file.
 """
 
 from __future__ import annotations
@@ -66,7 +68,7 @@ def load_weights(data: bytes, model: ModelSpec) -> WeightStore:
         weights = (
             np.frombuffer(data, FLOAT, count=rows * cols, offset=offset)
             .reshape(rows, cols)
-            .copy()
+            .copy(order="F")
         )
         offset += FLOAT_BYTES * rows * cols
         layers.append(LayerWeights(weights, biases))
@@ -78,13 +80,13 @@ def load_weights(data: bytes, model: ModelSpec) -> WeightStore:
 
 
 def layer_blob(store: WeightStore, layer_index: int, start: int, end: int) -> bytes:
-    """Serialized biases+weights for rows [start, end) of one layer."""
+    """Biases, then column-major weights, of rows [start, end) of one layer."""
     lw = store.layers[layer_index]
     if lw is None:
         return b""
     if not 0 <= start <= end <= lw.rows:
         raise DimensionError(f"rows [{start}, {end}) outside layer of {lw.rows} rows")
-    return lw.biases[start:end].tobytes() + lw.weights[start:end].tobytes()
+    return lw.biases[start:end].tobytes() + lw.weights[start:end].T.tobytes()
 
 
 def split_weights(store: WeightStore, plan) -> list[bytes]:
@@ -101,10 +103,10 @@ def partition_weights(
 ) -> LayerWeights:
     """Parse a partition blob back into the row slice it serializes.
 
-    The arrays are read-only views of ``blob``, not copies, so the weights
-    take no memory beyond the blob itself: a decrypted blob is charged to
-    the arena and released only after the kernel that reads the views has
-    returned, and a normal-world blob is immutable ``bytes``.
+    Both arrays are read-only views of ``blob`` (the weights a column-major
+    one), not copies, so they take no memory beyond the blob: a decrypted
+    blob is charged to the arena and released only after the kernel that
+    reads the views has returned, and a normal-world blob is immutable ``bytes``.
     """
     shape = model.param_shape(layer_index)
     if shape is None:
@@ -121,7 +123,7 @@ def partition_weights(
     weights = np.frombuffer(blob, FLOAT, count=rows * cols, offset=FLOAT_BYTES * rows)
     biases.flags.writeable = False  # a bytearray blob would give writable views
     weights.flags.writeable = False
-    return LayerWeights(weights.reshape(rows, cols), biases)
+    return LayerWeights(weights.reshape(cols, rows).T, biases)
 
 
 def merge_blobs(model: ModelSpec, plan, blobs: Mapping[int, bytes]) -> WeightStore:
@@ -132,9 +134,7 @@ def merge_blobs(model: ModelSpec, plan, blobs: Mapping[int, bytes]) -> WeightSto
         if shape is None:
             layers.append(None)
         else:
-            layers.append(
-                LayerWeights(np.zeros(shape, FLOAT), np.zeros(shape[0], FLOAT))
-            )
+            layers.append(LayerWeights(np.zeros(shape, FLOAT), np.zeros(shape[0], FLOAT)))
     for p in plan.partitions:
         if not model.is_parameterized(p.layer_index):
             continue

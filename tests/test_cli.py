@@ -298,6 +298,26 @@ def test_run_on_version_1_containers_exits_4_before_decrypting(workspace, capsys
     assert "FormatError: unsupported container version 1" in capsys.readouterr().err
 
 
+def test_run_on_version_2_containers_exits_4_before_decrypting(workspace, capsys, monkeypatch):
+    """Version 2 held row-major weights; such a blob must not be read as columns."""
+    tmp, cfg, _, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace)
+    for victim in parts.glob("*.cdlp"):
+        data = bytearray(victim.read_bytes())
+        data[4:6] = (2).to_bytes(2, "little")  # the header's version field
+        victim.write_bytes(bytes(data))
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a version 2 container reached decryption")
+
+    monkeypatch.setattr("cdlp.container.decrypt_partition", refuse)
+    assert run_cli(
+        "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+        "--input", tensor, "--cap", CAP,
+    ) == 4
+    assert "FormatError: unsupported container version 2" in capsys.readouterr().err
+
+
 def test_run_branched_model(tmp_path, capsys):
     cfg = tmp_path / "branched.cfg"
     cfg.write_text(

@@ -321,6 +321,16 @@ def test_an_unsound_plan_fails_validation_before_any_switch(case, monkeypatch):
     assert invoked == []
 
 
+@pytest.mark.parametrize(
+    "case",
+    ["normal after secure", "spill into layer 0", "spill past the last layer", "public producer"],
+)
+def test_an_unsound_plan_reports_only_its_own_problem(case):
+    """A rejected spill flag does not also inflate the footprints it would price."""
+    model, plan, problem = unsound_plan(case)
+    assert validate_plan(plan, model, CAP) == [problem]
+
+
 def tamper_tag(data, pid):
     bad = dict(data)
     bad[pid] = bad[pid][:-1] + bytes([bad[pid][-1] ^ 0x01])  # the GCM tag's last byte

@@ -326,7 +326,7 @@ def test_layers_beyond_one_scratch_block_match_oracle(rows, cols):
     assert got.data.tobytes() == dense_oracle(x, w, b, "linear").tobytes()
 
 
-# --- long weight rows: the term block is filled one tile of rows at a time ---
+# --- long weight rows: column-major storage keeps each term block contiguous ---
 
 @functools.cache
 def long_rows_case():
@@ -335,13 +335,13 @@ def long_rows_case():
     w = rng.standard_normal((256, 2048)).astype(f32)
     b = rng.standard_normal(256).astype(f32)
     x = rng.standard_normal(2048).astype(f32)
-    assert w.strides[0] >= nn._LONG_ROW_BYTES
-    return LayerWeights(w, b), x, dense_oracle(x, w, b, "relu")
+    rows = LayerWeights(w, b)
+    assert rows.weights.flags.f_contiguous
+    return rows, x, dense_oracle(x, w, b, "relu")
 
 
 @pytest.mark.parametrize("start, count", [(0, 256), (0, 65), (3, 130)])
 def test_long_rows_match_oracle(start, count):
-    # 65 and 130 rows are no multiple of the tile; 130 rows from 3 cross tile edges
     w, x, expect = long_rows_case()
     spec = LayerSpec.connected(256, "relu")
     got = connected_forward_rows(Tensor((2048,), x), rows_of(w, start, count), spec, start, 256)
@@ -351,7 +351,7 @@ def test_long_rows_match_oracle(start, count):
 def test_long_rows_streamed_across_tile_and_block_edges():
     w, x, expect = long_rows_case()
     spec = LayerSpec.connected(256, "relu")
-    start, count = nn._TILE_ROWS - 1, 130
+    start, count = 31, 130
     block = nn._BLOCK_FLOATS // count - 1
     acc = DenseAccumulator(rows_of(w, start, count), spec, start, 256)
     # chunks of 1 value, cut one before and one after block edges, and a tail
@@ -368,15 +368,37 @@ def test_grouped_long_rows_match_oracle():
     w = rng.standard_normal((total, cols)).astype(f32)
     b = rng.standard_normal(total).astype(f32)
     x = rng.standard_normal(cols * groups).astype(f32)
-    assert w.strides[0] >= nn._LONG_ROW_BYTES
+    rows = LayerWeights(w, b)
+    assert rows.weights.flags.f_contiguous
     expect = grouped_oracle(x, w, b, groups, "relu")
-    whole = connected_forward_rows(Tensor((x.size,), x), LayerWeights(w, b), spec, groups=groups)
+    whole = connected_forward_rows(Tensor((x.size,), x), rows, spec, groups=groups)
     assert whole.data.tobytes() == expect.tobytes()
     # rows 25..64 span both groups; chunks straddle the group edge at 1100
-    acc = DenseAccumulator(rows_of(LayerWeights(w, b), 25, 40), spec, 25, total, groups)
+    acc = DenseAccumulator(rows_of(rows, 25, 40), spec, 25, total, groups)
     for lo, hi in zip([0, 700, 1101, 1600], [700, 1101, 1600, 2200]):
         acc.feed(x[lo:hi], lo)
     assert acc.finish().data.tobytes() == expect[25:65].tobytes()
+
+
+@pytest.mark.parametrize(
+    "shape, rows, cols, rest",
+    [
+        ((256, 2048), slice(None), slice(None), ()),
+        ((80, 1100), slice(25, 40), slice(300, 1100), ()),  # one group's rows and inputs
+        ((16, 150), slice(None), slice(None), (100,)),  # im2col patch rows
+    ],
+    ids=["connected", "grouped", "conv"],
+)
+def test_accumulate_gives_the_same_bits_for_c_and_f_ordered_weights(shape, rows, cols, rest):
+    rng = np.random.default_rng(sum(shape))
+    w = rng.standard_normal(shape).astype(f32)
+    c_order = np.ascontiguousarray(w)[rows, cols]
+    f_order = np.asfortranarray(w)[rows, cols]
+    x = rng.standard_normal((c_order.shape[1], *rest)).astype(f32)
+    acc = rng.standard_normal((c_order.shape[0], *rest)).astype(f32)
+    got_c = nn._accumulate(acc, c_order, x)
+    got_f = nn._accumulate(acc, f_order, x)
+    assert got_c.tobytes() == got_f.tobytes()
 
 
 # --- convolutional ---

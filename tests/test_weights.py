@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,7 +7,7 @@ from hypothesis import strategies as st
 
 from cdlp.config import load_canonical_model
 from cdlp.errors import FormatError
-from cdlp.model import LayerSpec, ModelSpec, WeightStore
+from cdlp.model import LayerSpec, LayerWeights, ModelSpec, WeightStore
 from cdlp.planner import plan_branched, plan_layered, plan_sublayer
 from cdlp.weights import (
     HEADER_BYTES,
@@ -47,6 +49,36 @@ def test_round_trip_is_bitwise(seed):
         assert a.biases.tobytes() == b.biases.tobytes()
 
 
+def test_layer_weights_are_stored_column_major():
+    rng = np.random.default_rng(9)
+    c_order = rng.standard_normal((5, 7)).astype(np.float32)
+    lw = LayerWeights(c_order, np.zeros(5, np.float32))
+    assert lw.weights.flags.f_contiguous
+    assert np.array_equal(lw.weights, c_order)
+    model, store, _ = random_case(9)
+    loaded = load_weights(serialize_weights(store), model)
+    assert all(lw is None or lw.weights.flags.f_contiguous for lw in loaded.layers)
+
+
+def test_weights_file_stays_row_major():
+    """The file is unchanged by the column-major memory layout."""
+    model = ModelSpec(
+        [LayerSpec.connected(3, "relu"), LayerSpec.connected(2, "linear")], (4, 1, 1)
+    )
+    rng = np.random.default_rng(10)
+    arrays = [
+        (rng.standard_normal((3, 4)).astype(np.float32), rng.standard_normal(3).astype(np.float32)),
+        (rng.standard_normal((2, 3)).astype(np.float32), rng.standard_normal(2).astype(np.float32)),
+    ]
+    expect = struct.pack("<4I", 0, 2, 0, 0)
+    for w, b in arrays:
+        assert w.flags.c_contiguous
+        expect += b.tobytes() + w.tobytes()
+    store = WeightStore([LayerWeights(w, b) for w, b in arrays])
+    assert serialize_weights(store) == expect
+    assert serialize_weights(load_weights(expect, model)) == expect
+
+
 def test_truncated_by_one_byte():
     model, store, _ = random_case(1)
     data = serialize_weights(store)
@@ -69,13 +101,14 @@ def test_bad_version():
 
 
 def test_single_partition_blob_equals_layer_section():
+    """A whole-layer blob is the layer's biases, then its weights column by column."""
     model = ModelSpec([LayerSpec.connected(3, "linear")], (4, 1, 1))
     store = random_weight_store(model, np.random.default_rng(4))
     plan = plan_layered(model, CAP)
     blobs = split_weights(store, plan)
     assert len(blobs) == 1
-    section = serialize_weights(store)[HEADER_BYTES:]
-    assert blobs[0] == section
+    lw = store.layers[0]
+    assert blobs[0] == lw.biases.tobytes() + lw.weights.T.tobytes()
 
 
 def test_sublayer_blobs_are_disjoint_row_ranges():
@@ -145,6 +178,7 @@ def test_partition_weights_are_read_only_views_of_the_blob():
         for source in (blob, bytearray(blob)):  # normal-world bytes, or a mutable buffer
             rows = partition_weights(model, p.layer_index, p.start, p.end, source)
             raw = np.frombuffer(source, np.uint8)
+            assert rows.weights.flags.f_contiguous
             for array in (rows.weights, rows.biases):
                 assert np.shares_memory(array, raw)
                 assert not array.flags.writeable
