@@ -11,7 +11,13 @@ the package needs to reason about confidentiality and cost:
   one-way context switches per invocation;
 * CostLedger / CostConstants: a run's two counters, context switches
   and decrypted bytes, and the overhead formula
-  2 * invocations * t_switch + decrypted_bytes * t_byte.
+  2 * invocations * t_switch + decrypted_bytes * t_byte;
+* find_plaintext_leak: the audit that no slice of a secret (plaintext
+  weights, spilled activations) appears in a shared buffer's write log.
+  It keys every slice on both sides by its first 8 bytes, joins the two
+  key sets with membership-table filters and one sort-merge, and confirms
+  longer slices byte for byte, so it is exact: no hash collision can hide
+  a leak or report one.
 
 What each partition cost is the executor's per-partition trace, not the
 ledger's.
@@ -25,7 +31,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -167,8 +173,10 @@ class SharedBuffer:
         return len(self._data)
 
     def append(self, data: bytes, tag: TaintTag) -> int:
+        """Write ``data`` at the end of the buffer and return its offset."""
         offset = len(self._data)
-        self.write(offset, data, tag)
+        data = self._log(offset, data, tag)
+        self._data += data
         return offset
 
     def append_container(self, data: bytes) -> int:
@@ -184,16 +192,20 @@ class SharedBuffer:
         return offset
 
     def write(self, offset: int, data: bytes, tag: TaintTag) -> None:
-        if not isinstance(tag, TaintTag):
-            raise TypeError(f"tag must be a TaintTag, got {tag!r}")
         if offset < 0:
             raise ValueError("negative offset")
-        data = bytes(data)
-        end = offset + len(data)
+        data = self._log(offset, data, tag)
         if offset > len(self._data):
             self._data.extend(bytes(offset - len(self._data)))
-        self._data[offset:end] = data  # a slice reaching past the end grows the buffer
+        self._data[offset : offset + len(data)] = data  # a slice past the end grows the buffer
+
+    def _log(self, offset: int, data: bytes, tag: TaintTag) -> bytes:
+        """Check the tag, log the write and return its data as bytes."""
+        if not isinstance(tag, TaintTag):
+            raise TypeError(f"tag must be a TaintTag, got {tag!r}")
+        data = bytes(data)
         self.writes.append(WriteRecord(offset, len(data), tag, data))
+        return data
 
     def read(self, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0 or offset + length > len(self._data):
@@ -221,18 +233,70 @@ def _window_keys(data: bytes, window: int) -> np.ndarray:
     return keys
 
 
+_SLOT_BITS = 20  # a table of 2**20 one-byte flags, 1 MiB, stays in one core's L2
+_SLOT_MASK = np.uint64((1 << _SLOT_BITS) - 1)
+_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # odd, about 2**64 over the golden ratio
+# the slot field of the hash each filter pass reads: a pass that read the
+# same field as the pass before it would keep almost every key that one kept
+_PASS_SHIFTS = tuple(np.uint64(shift) for shift in (44, 24, 44))
+_CHUNK = 1 << 16  # keys hashed per step, so the temporaries stay in cache
+
+
+def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
+    """Each key's slot in a membership table: the 20 bits of its
+    multiplicative hash from bit ``shift`` up. Equal keys share a slot;
+    distinct keys may too."""
+    slots = keys * _FIBONACCI  # wraps modulo 2**64
+    slots >>= shift
+    slots &= _SLOT_MASK
+    return slots.view(np.intp)  # below 2**_SLOT_BITS, so the view is exact
+
+
+def _chunks(pieces: list[np.ndarray]) -> Iterator[np.ndarray]:
+    for keys in pieces:
+        for start in range(0, keys.size, _CHUNK):
+            yield keys[start : start + _CHUNK]
+
+
+def _survivors(
+    pieces: list[np.ndarray], members: list[np.ndarray], shift: np.uint64
+) -> list[np.ndarray]:
+    """The keys of ``pieces`` whose slot some key of ``members`` fills."""
+    table = np.zeros(1 << _SLOT_BITS, np.bool_)
+    for chunk in _chunks(members):
+        table[_slots(chunk, shift)] = True
+    return [np.compress(table.take(_slots(chunk, shift)), chunk) for chunk in _chunks(pieces)]
+
+
+def _distinct(pieces: list[np.ndarray]) -> np.ndarray:
+    """The keys of ``pieces``, sorted, each once."""
+    # not np.unique: numpy 2 hashes before it sorts, some 30 times slower
+    keys = np.sort(np.concatenate([np.empty(0, _KEY), *pieces]))
+    keep = np.ones(keys.size, np.bool_)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    return keys[keep]
+
+
+def _shared_keys(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
+    """The distinct keys found in both ``a`` and ``b``, sorted.
+
+    The filter passes alternate sides, the first building its table from
+    the smaller side; one merge of the sorted survivors then keeps the keys
+    present in both.
+    """
+    if sum(keys.size for keys in a) > sum(keys.size for keys in b):
+        a, b = b, a
+    for shift in _PASS_SHIFTS:
+        a, b = _survivors(b, a, shift), a
+    merged = np.concatenate((_distinct(a), _distinct(b)))
+    merged.sort(kind="stable")  # merges the two sorted runs
+    return merged[1:][merged[1:] == merged[:-1]]
+
+
 def _in_sorted(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     """Mask of the ``queries`` present in the sorted, non-empty ``table``."""
     at = np.minimum(np.searchsorted(table, queries), table.size - 1)
     return table[at] == queries
-
-
-def _common(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """The values of one sorted array found in the other, sorted; the
-    shorter array is searched for in the longer."""
-    if a.size > b.size:
-        a, b = b, a
-    return a[_in_sorted(b, a)]
 
 
 def find_plaintext_leak(
@@ -246,26 +310,40 @@ def find_plaintext_leak(
     Secrets are searched in order, each from its start; a logged slice lies
     within one write record. Secrets shorter than the window cannot be
     detected and are skipped.
+
+    Every slice is keyed by its first ``min(window, 8)`` bytes, and the
+    keys that the log and the secrets share are found once, by a join in
+    two steps (``_shared_keys``). Filter passes through a 1 MiB membership
+    table drop most keys of each side: a table marks the hashed slots of
+    one side's keys, and only the other side's keys whose slot is marked
+    go on. A shared key marks its own slot, so no pass drops it. The sorted,
+    deduplicated survivors of both sides are then merged, and the merge
+    keeps only the keys present in both. Only if that set is not empty are
+    the secrets scanned in order for their first shared key, and a window
+    over 8 bytes is confirmed on the whole slice. Every step that decides a
+    match compares whole keys or slices, so the result is exact, and no
+    state is kept between calls.
     """
     if window < 1:
         raise ValueError(f"window must be at least 1 byte, got {window}")
     if isinstance(buffers, SharedBuffer):
         buffers = [buffers]
+    secrets = list(secrets)
     records = [record.data for buf in buffers for record in buf.writes]
     record_keys = [_window_keys(data, window) for data in records]
-    logged = np.sort(np.concatenate([np.empty(0, _KEY), *record_keys]))
-    for secret in secrets:
-        keys = _window_keys(secret, window)
-        shared = _common(logged, np.sort(keys))  # sorted queries keep searchsorted fast
-        if not shared.size:
-            continue
+    secret_keys = [_window_keys(secret, window) for secret in secrets]
+    shared = _shared_keys(record_keys, secret_keys)
+    if not shared.size:
+        return None
+    if window > _KEY.itemsize:
+        # a key holds only the first 8 bytes: confirm the whole slice
+        full = set()
+        for data, logged_keys in zip(records, record_keys):
+            matched = np.flatnonzero(_in_sorted(shared, logged_keys))
+            full.update(data[i : i + window] for i in matched)
+    for secret, keys in zip(secrets, secret_keys):
         hits = np.flatnonzero(_in_sorted(shared, keys))  # in secret order
         if window > _KEY.itemsize:
-            # a key holds only the first 8 bytes: confirm the whole slice
-            full = set()
-            for data, logged_keys in zip(records, record_keys):
-                matched = np.flatnonzero(_in_sorted(shared, logged_keys))
-                full.update(data[i : i + window] for i in matched)
             hits = [i for i in hits if secret[i : i + window] in full]
         if len(hits):
             return secret[hits[0] : hits[0] + window]

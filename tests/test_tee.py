@@ -1,9 +1,12 @@
 import os
+import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdlp import tee
 from cdlp.container import encrypt_partition
 from cdlp.errors import SecureMemoryError, SessionStateError
 from cdlp.tee import (
@@ -309,6 +312,98 @@ def test_find_plaintext_leak_matches_oracle(records, secrets, window):
         for data in writes:
             buf.append(data, TaintTag.PUBLIC)
         buffers.append(buf)
+    assert find_plaintext_leak(buffers, secrets, window) == leak_oracle(buffers, secrets, window)
+
+
+def _buffers(records):
+    """One buffer per list of (data, tag) writes."""
+    buffers = []
+    for writes in records:
+        buf = SharedBuffer()
+        for data, tag in writes:
+            buf.append(data, tag)
+        buffers.append(buf)
+    return buffers
+
+
+@pytest.mark.parametrize(
+    "log_sizes, secret_sizes",
+    [
+        ([1 << 20, 3000, 700, 40_000], [64 << 10, 32 << 10, 16 << 10, 16 << 10]),
+        ([64 << 10, 30 << 10, 2000], [512 << 10, 256 << 10, 160 << 10, 100 << 10]),
+    ],
+    ids=["log-8x-secrets", "secrets-8x-log"],
+)
+def test_find_plaintext_leak_at_scale(log_sizes, secret_sizes):
+    """A planted 8-byte slice is found in a large ciphertext record, and
+    the same buffers without it are clean, whichever side is larger."""
+    rng = np.random.default_rng(7)
+    records = [rng.bytes(size) for size in log_sizes]
+    secrets = [rng.bytes(size) for size in secret_sizes]
+    tags = [TaintTag.CIPHERTEXT, TaintTag.PUBLIC, TaintTag.CIPHERTEXT, TaintTag.PUBLIC]
+    writes = list(zip(records, tags))
+    assert find_plaintext_leak(_buffers([writes[:2], writes[2:]]), secrets) is None
+
+    piece = secrets[2][5000:5008]
+    at = len(records[0]) // 2 + 13
+    planted = records[0][:at] + piece + records[0][at + 8 :]
+    writes[0] = (planted, TaintTag.CIPHERTEXT)
+    buffers = _buffers([writes[:2], writes[2:]])
+    assert find_plaintext_leak(buffers, secrets) == piece == leak_oracle(buffers, secrets, 8)
+
+
+def test_keys_sharing_every_filter_slot_are_not_a_leak():
+    """Two distinct windows whose keys share each pass's table slot survive
+    every filter; only the merge on whole keys tells them apart."""
+    inverse = pow(int(tee._FIBONACCI), -1, 1 << 64)  # key + inverse adds 1 to the hash
+    rng = random.Random(3)
+    while True:
+        first = rng.getrandbits(64)
+        second = (first + inverse) % (1 << 64)
+        keys = np.array([first, second], np.uint64)
+        if all(len(set(tee._slots(keys, shift).tolist())) == 1 for shift in tee._PASS_SHIFTS):
+            break
+    secret, logged = (key.to_bytes(8, "little") for key in (first, second))
+    buf = SharedBuffer()
+    buf.append(logged, TaintTag.CIPHERTEXT)
+    assert find_plaintext_leak(buf, [secret]) is None
+    buf.append(secret, TaintTag.PUBLIC)
+    assert find_plaintext_leak(buf, [secret]) == secret
+
+
+@pytest.mark.parametrize("window", [8, 12])
+def test_find_plaintext_leak_keeps_keys_exact_above_2_63(window):
+    """Keys of 2**63 and more that differ only in their lowest bit stay
+    apart: a key promoted to float64 would merge them."""
+    rng = random.Random(11)
+    high = [(1 << 63) | rng.getrandbits(63) | 1 for _ in range(200)]
+    tail = bytes(window - 8)
+    logged = b"".join(key.to_bytes(8, "little") + tail for key in high)
+    secret = b"".join((key ^ 1).to_bytes(8, "little") + tail for key in high)
+    buf = SharedBuffer()
+    buf.append(logged, TaintTag.PUBLIC)
+    assert find_plaintext_leak(buf, [secret], window) is None
+
+    shared = high[150].to_bytes(8, "little") + tail
+    leaky = shared + secret
+    assert find_plaintext_leak(buf, [leaky], window) == shared == leak_oracle([buf], [leaky], window)
+
+
+_binary_records = st.tuples(st.integers(0, 4096), st.integers(0, 2**32)).map(
+    lambda draw: bytes(b & 1 for b in random.Random(draw[1]).randbytes(draw[0]))
+)
+
+
+@given(
+    records=st.lists(st.lists(_binary_records, max_size=4), max_size=3),
+    secrets=st.lists(_binary_records, max_size=4),
+    window=st.integers(1, 20),
+)
+@settings(max_examples=100, deadline=None)
+def test_find_plaintext_leak_matches_oracle_on_long_records(records, secrets, window):
+    """Records of up to 4 KiB over two symbols: every window size sees many
+    shared keys, and long windows must be confirmed on the whole slice."""
+    buffers = _buffers([[(data, TaintTag.CIPHERTEXT) for data in writes] for writes in records])
     assert find_plaintext_leak(buffers, secrets, window) == leak_oracle(buffers, secrets, window)
 
 
