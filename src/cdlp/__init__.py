@@ -6,7 +6,7 @@ schemes (layered, sub-layer, branched) and a cost ledger predicts the
 confidentiality overhead.
 """
 
-from .config import load_canonical_model, parse_config, render_config
+from .config import load_canonical_model, parse_config
 from .container import decrypt_partition, encrypt_partition
 from .errors import (
     CdlpError,
@@ -19,7 +19,6 @@ from .errors import (
     PlanInfeasibleError,
     RangeError,
     SecureMemoryError,
-    SessionStateError,
 )
 from .executor import (
     CompareReport,
@@ -50,7 +49,6 @@ from .nn import (
 from .planner import (
     Partition,
     PartitionPlan,
-    estimate_layer_footprint,
     parse_manifest,
     plan_branched,
     plan_layered,
@@ -65,12 +63,11 @@ from .tee import (
     Session,
     SharedBuffer,
     TaintTag,
-    TrustedApp,
     estimate_overhead,
     find_plaintext_leak,
     ledger_decrypt,
     ledger_overhead,
 )
-from .weights import load_weights, merge_blobs, serialize_weights, split_weights
+from .weights import load_weights, serialize_weights, split_weights
 
 __version__ = "0.1.0"

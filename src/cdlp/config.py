@@ -115,23 +115,6 @@ def parse_config(text: str) -> ModelSpec:
     )
 
 
-def render_config(model: ModelSpec) -> str:
-    """Regenerate canonical configuration text; parse(render(m)) == m."""
-    lines = [
-        "[net]",
-        f"channels={model.input_dims[0]}",
-        f"height={model.input_dims[1]}",
-        f"width={model.input_dims[2]}",
-    ]
-    for i, layer in enumerate(model.layers):
-        if model.branch is not None and model.branch.branch_layer_index == i:
-            lines += ["", "[branch]", f"branches={model.branch.branch_count}"]
-        lines += ["", f"[{layer.kind}]"]
-        for key in _LAYER_KEYS[layer.kind]:
-            lines.append(f"{key}={getattr(layer, key)}")
-    return "\n".join(lines) + "\n"
-
-
 def canonical_config_text() -> str:
     """The 11-layer classifier configuration shipped with the package."""
     path = importlib.resources.files(__package__) / "data" / CANONICAL_CONFIG_NAME

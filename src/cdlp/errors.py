@@ -51,7 +51,3 @@ class LayerTooLargeError(PlanInfeasibleError):
 
 class SecureMemoryError(CdlpError):
     """Secure arena capacity would be exceeded."""
-
-
-class SessionStateError(CdlpError):
-    """Operation attempted on a closed session."""

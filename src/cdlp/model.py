@@ -157,10 +157,6 @@ class LayerWeights:
     def cols(self) -> int:
         return self.weights.shape[1]
 
-    @property
-    def value_count(self) -> int:
-        return self.weights.size + self.biases.size
-
 
 def output_dims(layer: LayerSpec, in_dims: tuple[int, ...]) -> tuple[int, ...]:
     """Output dims of ``layer`` applied to ``in_dims``; raises on bad geometry."""
@@ -291,15 +287,6 @@ class WeightStore:
     """Per-layer weights in layer order; None for weightless layers."""
 
     layers: list[LayerWeights | None]
-
-    @property
-    def total_bytes(self) -> int:
-        """Exact byte length of the serialized weights file."""
-        from .weights import HEADER_BYTES  # local import avoids a cycle
-
-        return HEADER_BYTES + FLOAT_BYTES * sum(
-            lw.value_count for lw in self.layers if lw is not None
-        )
 
 
 def validate_weights(model: ModelSpec, store: WeightStore) -> None:

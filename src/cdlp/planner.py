@@ -31,9 +31,9 @@ single row of the spilled layer can stream back, so a cap that plans a
 model still plans it with more budget.
 
 A weightless (maxpool or softmax) layer always runs as one partition.
-Normal-world partitions never touch the arena; they record the whole-layer
-figure of ``estimate_layer_footprint``. Kernel scratch lies outside the arena
-and outside every footprint (see ``nn``).
+Normal-world partitions never touch the arena; they record the footprint of
+the whole layer with its input resident and no spill. Kernel scratch lies
+outside the arena and outside every footprint (see ``nn``).
 """
 
 from __future__ import annotations
@@ -144,11 +144,6 @@ def partition_footprint(
     return FLOAT_BYTES * floats + chunk
 
 
-def estimate_layer_footprint(model: ModelSpec, layer_index: int) -> int:
-    """Bytes to run the whole layer with its input resident and no spill."""
-    return partition_footprint(model, layer_index, model.units(layer_index))
-
-
 def plan_layered(model: ModelSpec, cap: int) -> PartitionPlan:
     """One secure, encrypted partition per layer, in layer order."""
     return _plan(model, cap, SCHEME_LAYERED, model.units)
@@ -164,8 +159,15 @@ def plan_sublayer(
     context switches). An explicit size (one int, or a per-layer mapping)
     overrides the choice and must fit the budget; degenerate full-size
     subsets reproduce the layered plan exactly. Layers whose inputs cannot
-    stay resident stream them from encrypted spill.
+    stay resident stream them from encrypted spill. A mapping that names a
+    layer the model lacks, or a weightless layer, raises PlanError.
     """
+    if isinstance(subset_size, Mapping):
+        for i in subset_size:
+            if not (0 <= i < len(model.layers) and model.is_parameterized(i)):
+                raise PlanError(
+                    f"subset size given for layer {i}, which has no weight rows to split"
+                )
 
     def size_of(i: int) -> int | None:
         if not model.is_parameterized(i):
@@ -211,7 +213,7 @@ def _plan(
     for i in range(len(model.layers)):
         units, kind = model.units(i), model.layers[i].kind
         if i < secure_from:
-            footprint_bytes = estimate_layer_footprint(model, i)
+            footprint_bytes = partition_footprint(model, i, units)
             partitions.append(Partition(len(partitions), i, 0, units, WORLD_NORMAL, footprint_bytes))
             continue
 

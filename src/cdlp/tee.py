@@ -7,8 +7,8 @@ the package needs to reason about confidentiality and cost:
   run restarts before each secure partition to measure that partition;
 * SharedBuffer: normal-world memory whose writes are taint-tagged, with
   no way to write confidential plaintext through the interface;
-* Session: the client <-> trusted-application call protocol, charging two
-  one-way context switches per invocation;
+* Session: the client's calls into the trusted application; its only
+  state is the ledger it charges two one-way switches per invocation;
 * CostLedger / CostConstants: a run's two counters, context switches
   and decrypted bytes, and the overhead formula
   2 * invocations * t_switch + decrypted_bytes * t_byte;
@@ -28,15 +28,14 @@ sleeps, so runs are deterministic.
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
 from . import container
-from .errors import SecureMemoryError, SessionStateError
+from .errors import SecureMemoryError
 
 DEFAULT_SECURE_CAPACITY = 7 * 2**20  # secure-world budget for one trusted app
 
@@ -350,28 +349,12 @@ def find_plaintext_leak(
     return None
 
 
-@dataclass
-class TrustedApp:
-    """One trusted application: its arena and ledger."""
-
-    arena: SecureArena
-    ledger: CostLedger = field(default_factory=CostLedger)
-
-
-_session_ids = itertools.count(1)
-
-
 class Session:
-    """Connection from a client application to one trusted application."""
+    """Connection from the client application to the trusted application;
+    it charges ``ledger`` for the world switches of each invocation."""
 
-    def __init__(self, app: TrustedApp):
-        self.app = app
-        self.session_id = next(_session_ids)
-        self._open = True
-
-    @property
-    def state(self) -> str:
-        return "open" if self._open else "closed"
+    def __init__(self, ledger: CostLedger):
+        self.ledger = ledger
 
     def invoke(self, trusted_fn: Callable[[], object]):
         """Run ``trusted_fn`` inside the secure world and return its result.
@@ -379,13 +362,8 @@ class Session:
         Costs exactly two one-way context switches (entry and exit),
         charged even if the function raises.
         """
-        if not self._open:
-            raise SessionStateError(f"invoke on closed session {self.session_id}")
-        self.app.ledger.context_switches += 2
+        self.ledger.context_switches += 2
         return trusted_fn()
-
-    def close(self) -> None:
-        self._open = False
 
 
 class SecureBlob:

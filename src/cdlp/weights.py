@@ -17,7 +17,6 @@ concatenate to its section in the file.
 from __future__ import annotations
 
 import struct
-from typing import Mapping
 
 import numpy as np
 
@@ -90,11 +89,8 @@ def layer_blob(store: WeightStore, layer_index: int, start: int, end: int) -> by
 
 
 def split_weights(store: WeightStore, plan) -> list[bytes]:
-    """One blob per plan partition, in plan order.
-
-    Together the blobs of a layer cover its rows exactly once, so the
-    full store can be reassembled from them (see merge_blobs).
-    """
+    """One blob per plan partition, in plan order; together the blobs of a
+    layer cover its rows exactly once."""
     return [layer_blob(store, p.layer_index, p.start, p.end) for p in plan.partitions]
 
 
@@ -125,21 +121,3 @@ def partition_weights(
     weights.flags.writeable = False
     return LayerWeights(weights.reshape(cols, rows).T, biases)
 
-
-def merge_blobs(model: ModelSpec, plan, blobs: Mapping[int, bytes]) -> WeightStore:
-    """Reassemble a full WeightStore from per-partition blobs (id -> blob)."""
-    layers: list[LayerWeights | None] = []
-    for i in range(len(model.layers)):
-        shape = model.param_shape(i)
-        if shape is None:
-            layers.append(None)
-        else:
-            layers.append(LayerWeights(np.zeros(shape, FLOAT), np.zeros(shape[0], FLOAT)))
-    for p in plan.partitions:
-        if not model.is_parameterized(p.layer_index):
-            continue
-        lw = partition_weights(model, p.layer_index, p.start, p.end, blobs[p.id])
-        target = layers[p.layer_index]
-        target.biases[p.start : p.end] = lw.biases
-        target.weights[p.start : p.end] = lw.weights
-    return WeightStore(layers)

@@ -1,13 +1,26 @@
-"""Shared helpers: seeded model/weight generators for the test suite."""
+"""Shared helpers: seeded model/weight generators for the test suite, and
+the inverses of config parsing and weight splitting that the round-trip
+tests check against."""
 
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import numpy as np
 
-from cdlp.model import BranchTopology, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore
+from cdlp.config import _LAYER_KEYS
+from cdlp.model import (
+    FLOAT,
+    BranchTopology,
+    LayerSpec,
+    LayerWeights,
+    ModelSpec,
+    Tensor,
+    WeightStore,
+)
 from cdlp.nn import layer_forward
+from cdlp.weights import partition_weights
 
 
 def random_tensor(rng: np.random.Generator, dims) -> Tensor:
@@ -92,3 +105,39 @@ def spilled_secrets(model: ModelSpec, store: WeightStore, plan, x: Tensor) -> li
         if i + 1 in plan.spill:
             secrets.append(x.tobytes())
     return secrets
+
+
+def render_config(model: ModelSpec) -> str:
+    """Regenerate canonical configuration text; parse(render(m)) == m."""
+    lines = [
+        "[net]",
+        f"channels={model.input_dims[0]}",
+        f"height={model.input_dims[1]}",
+        f"width={model.input_dims[2]}",
+    ]
+    for i, layer in enumerate(model.layers):
+        if model.branch is not None and model.branch.branch_layer_index == i:
+            lines += ["", "[branch]", f"branches={model.branch.branch_count}"]
+        lines += ["", f"[{layer.kind}]"]
+        for key in _LAYER_KEYS[layer.kind]:
+            lines.append(f"{key}={getattr(layer, key)}")
+    return "\n".join(lines) + "\n"
+
+
+def merge_blobs(model: ModelSpec, plan, blobs: Mapping[int, bytes]) -> WeightStore:
+    """Reassemble a full WeightStore from per-partition blobs (id -> blob)."""
+    layers: list[LayerWeights | None] = []
+    for i in range(len(model.layers)):
+        shape = model.param_shape(i)
+        if shape is None:
+            layers.append(None)
+        else:
+            layers.append(LayerWeights(np.zeros(shape, FLOAT), np.zeros(shape[0], FLOAT)))
+    for p in plan.partitions:
+        if not model.is_parameterized(p.layer_index):
+            continue
+        lw = partition_weights(model, p.layer_index, p.start, p.end, blobs[p.id])
+        target = layers[p.layer_index]
+        target.biases[p.start : p.end] = lw.biases
+        target.weights[p.start : p.end] = lw.weights
+    return WeightStore(layers)

@@ -1,7 +1,9 @@
 import pytest
 
-from cdlp.config import canonical_config_text, load_canonical_model, parse_config, render_config
+from cdlp.config import canonical_config_text, load_canonical_model, parse_config
 from cdlp.errors import ConfigError, DimensionError
+
+from support import render_config
 
 MINIMAL = "[net]\nchannels=1\nheight=4\nwidth=4\n\n[connected]\noutputs=2\nactivation=linear"
 

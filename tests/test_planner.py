@@ -12,8 +12,8 @@ from cdlp.planner import (
     SCHEME_LAYERED,
     PartitionPlan,
     SubsetParams,
-    estimate_layer_footprint,
     parse_manifest,
+    partition_footprint,
     plan_branched,
     plan_layered,
     plan_sublayer,
@@ -40,19 +40,19 @@ def sublayer_sizes(model):
 
 def test_square_connected_footprint():
     model = square_connected(100)
-    assert estimate_layer_footprint(model, 0) == 4 * (100 + 100 + 100 * 100 + 100) == 41200
+    assert partition_footprint(model, 0, model.units(0)) == 4 * (100 + 100 + 100 * 100 + 100) == 41200
 
 
 def test_maxpool_footprint():
     model = ModelSpec([LayerSpec.maxpool(2, 2)], (1, 4, 4))
-    assert estimate_layer_footprint(model, 0) == 4 * (16 + 4) == 80
+    assert partition_footprint(model, 0, model.units(0)) == 4 * (16 + 4) == 80
 
 
 def test_footprint_monotone_in_outputs():
     values = []
     for n_out in range(1, 60, 3):
         model = ModelSpec([LayerSpec.connected(n_out, "linear")], (32, 1, 1))
-        values.append(estimate_layer_footprint(model, 0))
+        values.append(partition_footprint(model, 0, model.units(0)))
     assert values == sorted(values)
     assert len(set(values)) == len(values)
 
@@ -121,6 +121,15 @@ def test_fitting_layers_stay_whole():
 def test_explicit_subset_size_out_of_range():
     with pytest.raises(PlanError):
         plan_sublayer(square_connected(8), CAP, subset_size=9)
+
+
+@pytest.mark.parametrize(
+    "sizes, layer",
+    [({99: 3, 1: 2}, 99), ({-1: 3}, -1), ({0: 2, 1: 2}, 1)],  # layer 1 is a maxpool
+)
+def test_subset_size_for_a_layer_without_weight_rows_is_rejected(sizes, layer):
+    with pytest.raises(PlanError, match=f"for layer {layer},"):
+        plan_sublayer(load_canonical_model(), CAP, sizes)
 
 
 def test_explicit_subset_size_over_budget_is_infeasible():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cdlp import tee
 from cdlp.container import encrypt_partition
-from cdlp.errors import SecureMemoryError, SessionStateError
+from cdlp.errors import SecureMemoryError
 from cdlp.tee import (
     CostConstants,
     CostLedger,
@@ -16,7 +16,6 @@ from cdlp.tee import (
     Session,
     SharedBuffer,
     TaintTag,
-    TrustedApp,
     estimate_overhead,
     find_plaintext_leak,
     ledger_decrypt,
@@ -105,95 +104,78 @@ def test_reset_peak_restarts_from_current_usage():
 
 # --- sessions ---
 
-def _app(capacity=1 << 20) -> TrustedApp:
-    return TrustedApp(SecureArena(capacity))
-
-
 def test_invoke_counts_two_switches():
-    app = _app()
-    session = Session(app)
-    session.invoke(lambda: None)
-    assert app.ledger.context_switches == 2
+    ledger = CostLedger()
+    Session(ledger).invoke(lambda: None)
+    assert ledger.context_switches == 2
 
 
 def test_eleven_invokes_give_twenty_two_switches():
-    app = _app()
-    session = Session(app)
+    ledger = CostLedger()
+    session = Session(ledger)
     for i in range(11):
         session.invoke(lambda: None)
-    assert app.ledger.context_switches == 22
-
-
-def test_invoke_after_close():
-    session = Session(_app())
-    session.close()
-    assert session.state == "closed"
-    with pytest.raises(SessionStateError):
-        session.invoke(lambda: None)
+    assert ledger.context_switches == 22
 
 
 def test_switches_charged_when_trusted_fn_raises():
-    app = _app()
-    session = Session(app)
+    ledger = CostLedger()
     with pytest.raises(RuntimeError):
-        session.invoke(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
-    assert app.ledger.context_switches == 2
+        Session(ledger).invoke(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
+    assert ledger.context_switches == 2
 
 
 def test_invoke_returns_the_functions_result():
-    app = _app()
     buf = SharedBuffer()
     buf.append(b"hello", TaintTag.PUBLIC)
-    session = Session(app)
-    result = session.invoke(lambda: buf.read(0, 5))
-    assert result == b"hello"
+    assert Session(CostLedger()).invoke(lambda: buf.read(0, 5)) == b"hello"
 
 
 # --- ledger decrypt ---
 
 def test_decrypted_bytes_accumulate():
-    app = _app()
+    arena, ledger = SecureArena(1 << 20), CostLedger()
     for size in (10, 20):
-        blob = ledger_decrypt(app.arena, app.ledger, encrypt_partition(os.urandom(size), KEY, 0), KEY)
-        blob.release(app.arena)
-    assert app.ledger.decrypted_bytes == 30
+        blob = ledger_decrypt(arena, ledger, encrypt_partition(os.urandom(size), KEY, 0), KEY)
+        blob.release(arena)
+    assert ledger.decrypted_bytes == 30
 
 
 def test_paper_total_of_191790_bytes():
-    app = _app()
+    arena, ledger = SecureArena(1 << 20), CostLedger()
     sizes = [17435] * 10 + [17440]
     assert sum(sizes) == 191790
     for i, size in enumerate(sizes):
-        blob = ledger_decrypt(app.arena, app.ledger, encrypt_partition(os.urandom(size), KEY, i), KEY)
-        blob.release(app.arena)
-    assert app.ledger.decrypted_bytes == 191790
+        blob = ledger_decrypt(arena, ledger, encrypt_partition(os.urandom(size), KEY, i), KEY)
+        blob.release(arena)
+    assert ledger.decrypted_bytes == 191790
 
 
 def test_decrypt_failure_leaves_counter_and_arena_untouched():
-    app = TrustedApp(SecureArena(1000))
+    arena, ledger = SecureArena(1000), CostLedger()
     data = bytearray(encrypt_partition(os.urandom(100), KEY, 0))
     data[40] ^= 1
     with pytest.raises(Exception):
-        ledger_decrypt(app.arena, app.ledger, bytes(data), KEY)
-    assert app.ledger.decrypted_bytes == 0
-    assert app.arena.current_usage == 0
+        ledger_decrypt(arena, ledger, bytes(data), KEY)
+    assert ledger.decrypted_bytes == 0
+    assert arena.current_usage == 0
 
 
 def test_decrypt_without_arena_room():
-    app = TrustedApp(SecureArena(50))
+    arena, ledger = SecureArena(50), CostLedger()
     data = encrypt_partition(os.urandom(100), KEY, 0)
     with pytest.raises(SecureMemoryError):
-        ledger_decrypt(app.arena, app.ledger, data, KEY)
-    assert app.ledger.decrypted_bytes == 0
-    assert app.arena.current_usage == 0
+        ledger_decrypt(arena, ledger, data, KEY)
+    assert ledger.decrypted_bytes == 0
+    assert arena.current_usage == 0
 
 
 def test_plaintext_lives_in_the_arena():
-    app = _app()
-    blob = ledger_decrypt(app.arena, app.ledger, encrypt_partition(b"x" * 64, KEY, 0), KEY)
-    assert app.arena.current_usage == 64
-    blob.release(app.arena)
-    assert app.arena.current_usage == 0
+    arena = SecureArena(1 << 20)
+    blob = ledger_decrypt(arena, CostLedger(), encrypt_partition(b"x" * 64, KEY, 0), KEY)
+    assert arena.current_usage == 64
+    blob.release(arena)
+    assert arena.current_usage == 0
 
 
 # --- cost model ---

@@ -13,13 +13,12 @@ from cdlp.weights import (
     HEADER_BYTES,
     layer_blob,
     load_weights,
-    merge_blobs,
     partition_weights,
     serialize_weights,
     split_weights,
 )
 
-from support import random_case, random_weight_store
+from support import merge_blobs, random_case, random_weight_store
 
 CAP = 7 * 2**20
 
@@ -29,11 +28,6 @@ def test_empty_model_serializes_to_header_only():
     assert len(data) == HEADER_BYTES == 16
     model = ModelSpec([], (1, 1, 1))
     assert load_weights(data, model).layers == []
-
-
-def test_total_bytes_matches_serialized_length():
-    model, store, _ = random_case(0)
-    assert store.total_bytes == len(serialize_weights(store))
 
 
 @given(seed=st.integers(0, 10_000))
@@ -137,7 +131,7 @@ def test_split_is_an_exact_cover(seed, scheme):
         plan = plan_branched(model, CAP)
     blobs = split_weights(store, plan)
     total = sum(len(b) for b in blobs)
-    assert total == store.total_bytes - HEADER_BYTES
+    assert total == len(serialize_weights(store)) - HEADER_BYTES
     merged = merge_blobs(model, plan, dict(zip((p.id for p in plan.partitions), blobs)))
     for a, b in zip(store.layers, merged.layers):
         if a is None:
