@@ -20,7 +20,9 @@ plaintext is returned before the tag checks. Nonces are random per
 container, so re-encrypting the same blob yields different bytes; SP 800-38D
 allows 2^32 containers per key with random 96-bit nonces.
 
-The executor passes one of two contexts:
+Sealing and opening both take the partition id and the context, with no
+defaults: a container is always opened against the id and the context it
+is expected to carry. The executor passes one of two contexts:
 
 * weights: ``b"weights"``, the plan digest and the partition's layer;
 * spill: ``b"spill"``, the plan digest, a 16-byte nonce drawn once per run,
@@ -60,9 +62,7 @@ def _check_key(key: bytes) -> None:
         raise ValueError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
 
 
-def encrypt_partition(
-    blob: bytes, key: bytes, partition_id: int, context: bytes = b""
-) -> bytes:
+def encrypt_partition(blob: bytes, key: bytes, partition_id: int, context: bytes) -> bytes:
     """Seal ``blob`` under a fresh nonce, bound to the header and ``context``."""
     _check_key(key)
     if not 0 <= partition_id <= 0xFFFF:
@@ -93,16 +93,13 @@ def read_header(container: bytes) -> tuple[int, int]:
 
 
 def decrypt_partition(
-    container: bytes,
-    key: bytes,
-    expected_partition_id: int | None = None,
-    context: bytes = b"",
+    container: bytes, key: bytes, expected_partition_id: int, context: bytes
 ) -> bytes:
-    """Verify and decrypt; a tag or context mismatch raises IntegrityError,
-    framing FormatError."""
+    """Verify and decrypt; an id, tag or context mismatch raises
+    IntegrityError, framing FormatError."""
     _check_key(key)
     partition_id, _plaintext_len = read_header(container)
-    if expected_partition_id is not None and partition_id != expected_partition_id:
+    if partition_id != expected_partition_id:
         raise IntegrityError(
             f"container is for partition {partition_id}, expected {expected_partition_id}"
         )

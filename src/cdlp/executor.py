@@ -90,9 +90,9 @@ class SpilledActivations:
     """Encrypted activation chunks parked in a shared buffer."""
 
     buffer: SharedBuffer
+    context: bytes  # every chunk's associated data, before its index
     chunks: list[SpilledChunk] = field(default_factory=list)
     total_count: int = 0
-    context: bytes = b""  # every chunk's associated data, before its index
 
     def chunk_context(self, index: int) -> bytes:
         return self.context + _INDEX.pack(index)

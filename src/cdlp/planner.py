@@ -359,6 +359,7 @@ def render_manifest(plan: PartitionPlan) -> str:
 _PARTITION_RE = re.compile(
     r"^partition (\d+) layer (\d+) range (\d+)\.\.(\d+) world (secure|normal) bytes (\d+)$"
 )
+_SPILL_RE = re.compile(r"^spill (\d+)$")
 
 
 def parse_manifest(text: str) -> PartitionPlan:
@@ -372,8 +373,9 @@ def parse_manifest(text: str) -> PartitionPlan:
         if line.startswith("scheme "):
             scheme = line.split(" ", 1)[1]
             continue
-        if line.startswith("spill "):
-            spill.add(int(line.split(" ", 1)[1]))
+        m = _SPILL_RE.match(line)
+        if m:
+            spill.add(int(m.group(1)))
             continue
         m = _PARTITION_RE.match(line)
         if not m:

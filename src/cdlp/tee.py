@@ -5,19 +5,20 @@ the package needs to reason about confidentiality and cost:
 
 * SecureArena: a capped secure-world allocator with one peak, which a
   run restarts before each secure partition to measure that partition;
-* SharedBuffer: normal-world memory whose writes are taint-tagged, with
-  no way to write confidential plaintext through the interface;
+* SharedBuffer: append-only normal-world memory whose writes are
+  taint-tagged, with no way to write confidential plaintext through the
+  interface;
 * Session: the client's calls into the trusted application; its only
   state is the ledger it charges two one-way switches per invocation;
 * CostLedger / CostConstants: a run's two counters, context switches
   and decrypted bytes, and the overhead formula
   2 * invocations * t_switch + decrypted_bytes * t_byte;
-* find_plaintext_leak: the audit that no slice of a secret (plaintext
-  weights, spilled activations) appears in a shared buffer's write log.
-  It keys every slice on both sides by its first 8 bytes, joins the two
-  key sets with membership-table filters and one sort-merge, and confirms
-  longer slices byte for byte, so it is exact: no hash collision can hide
-  a leak or report one.
+* find_plaintext_leak: the audit that no 8-byte slice of a secret
+  (plaintext weights, spilled activations) appears in a shared buffer's
+  write log. It keys every slice on both sides by its 8 bytes and joins
+  the two key sets with membership-table filters and one sort-merge on
+  whole keys, so it is exact: no hash collision can hide a leak or report
+  one.
 
 What each partition cost is the executor's per-partition trace, not the
 ledger's.
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -158,7 +159,7 @@ class WriteRecord:
 
 
 class SharedBuffer:
-    """Normal-world memory registered with the trusted app.
+    """Append-only normal-world memory registered with the trusted app.
 
     Anyone can read it; every write is logged with its taint tag so tests
     can prove no confidential plaintext ever landed here.
@@ -172,9 +173,12 @@ class SharedBuffer:
         return len(self._data)
 
     def append(self, data: bytes, tag: TaintTag) -> int:
-        """Write ``data`` at the end of the buffer and return its offset."""
+        """Write ``data`` at the end of the buffer, log it and return its offset."""
+        if not isinstance(tag, TaintTag):
+            raise TypeError(f"tag must be a TaintTag, got {tag!r}")
+        data = bytes(data)
         offset = len(self._data)
-        data = self._log(offset, data, tag)
+        self.writes.append(WriteRecord(offset, len(data), tag, data))
         self._data += data
         return offset
 
@@ -190,46 +194,21 @@ class SharedBuffer:
         self.append(data[container.HEADER_BYTES :], TaintTag.CIPHERTEXT)
         return offset
 
-    def write(self, offset: int, data: bytes, tag: TaintTag) -> None:
-        if offset < 0:
-            raise ValueError("negative offset")
-        data = self._log(offset, data, tag)
-        if offset > len(self._data):
-            self._data.extend(bytes(offset - len(self._data)))
-        self._data[offset : offset + len(data)] = data  # a slice past the end grows the buffer
-
-    def _log(self, offset: int, data: bytes, tag: TaintTag) -> bytes:
-        """Check the tag, log the write and return its data as bytes."""
-        if not isinstance(tag, TaintTag):
-            raise TypeError(f"tag must be a TaintTag, got {tag!r}")
-        data = bytes(data)
-        self.writes.append(WriteRecord(offset, len(data), tag, data))
-        return data
-
     def read(self, offset: int, length: int) -> bytes:
         if offset < 0 or length < 0 or offset + length > len(self._data):
             raise ValueError(f"read [{offset}, {offset + length}) outside buffer")
         return bytes(memoryview(self._data)[offset : offset + length])  # one copy
 
 
-_KEY = np.dtype("<u8")  # a window's first (up to) 8 bytes, packed little-endian
+_KEY = np.dtype("<u8")  # an 8-byte slice, packed little-endian
 
 
-def _window_keys(data: bytes, window: int) -> np.ndarray:
-    """One key per ``window``-byte slice of ``data``, in slice order, packing
-    the slice's first ``min(window, 8)`` bytes."""
-    count = len(data) - window + 1
+def _window_keys(data: bytes) -> np.ndarray:
+    """One key per 8-byte slice of ``data``, in slice order: a strided view."""
+    count = len(data) - _KEY.itemsize + 1
     if count <= 0:
         return np.empty(0, _KEY)
-    width = min(window, _KEY.itemsize)
-    raw = np.frombuffer(data, np.uint8)
-    if width < _KEY.itemsize:
-        # pad so the last slice's 8-byte load stays inside the buffer
-        raw = np.concatenate((raw, np.zeros(_KEY.itemsize - width, np.uint8)))
-    keys = np.ndarray((count,), _KEY, raw, strides=(1,))
-    if width < _KEY.itemsize:
-        keys = keys & _KEY.type((1 << 8 * width) - 1)
-    return keys
+    return np.ndarray((count,), _KEY, data, strides=(1,))
 
 
 _SLOT_BITS = 20  # a table of 2**20 one-byte flags, 1 MiB, stays in one core's L2
@@ -298,54 +277,34 @@ def _in_sorted(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return table[at] == queries
 
 
-def find_plaintext_leak(
-    buffers: Sequence[SharedBuffer] | SharedBuffer,
-    secrets: Iterable[bytes],
-    window: int = 8,
-) -> bytes | None:
-    """Return the first ``window``-byte slice of any secret found in any
-    buffer's write log, or None if nothing leaked.
+def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes | None:
+    """Return the first 8-byte slice of any secret found in ``buffer``'s
+    write log, or None if nothing leaked.
 
     Secrets are searched in order, each from its start; a logged slice lies
-    within one write record. Secrets shorter than the window cannot be
+    within one write record. Secrets shorter than 8 bytes cannot be
     detected and are skipped.
 
-    Every slice is keyed by its first ``min(window, 8)`` bytes, and the
-    keys that the log and the secrets share are found once, by a join in
-    two steps (``_shared_keys``). Filter passes through a 1 MiB membership
-    table drop most keys of each side: a table marks the hashed slots of
-    one side's keys, and only the other side's keys whose slot is marked
-    go on. A shared key marks its own slot, so no pass drops it. The sorted,
-    deduplicated survivors of both sides are then merged, and the merge
-    keeps only the keys present in both. Only if that set is not empty are
-    the secrets scanned in order for their first shared key, and a window
-    over 8 bytes is confirmed on the whole slice. Every step that decides a
-    match compares whole keys or slices, so the result is exact, and no
-    state is kept between calls.
+    Every slice is its own 8-byte key, and the keys that the log and the
+    secrets share are found once, by a join in two steps (``_shared_keys``).
+    Filter passes through a 1 MiB membership table drop most keys of each
+    side: a table marks the hashed slots of one side's keys, and only the
+    other side's keys whose slot is marked go on. A shared key marks its own
+    slot, so no pass drops it. The sorted, deduplicated survivors of both
+    sides are then merged, and the merge keeps only the keys present in
+    both. Only if that set is not empty are the secrets scanned in order for
+    their first shared key. Every step that decides a match compares whole
+    keys, so the result is exact, and no state is kept between calls.
     """
-    if window < 1:
-        raise ValueError(f"window must be at least 1 byte, got {window}")
-    if isinstance(buffers, SharedBuffer):
-        buffers = [buffers]
     secrets = list(secrets)
-    records = [record.data for buf in buffers for record in buf.writes]
-    record_keys = [_window_keys(data, window) for data in records]
-    secret_keys = [_window_keys(secret, window) for secret in secrets]
-    shared = _shared_keys(record_keys, secret_keys)
+    secret_keys = [_window_keys(secret) for secret in secrets]
+    shared = _shared_keys([_window_keys(record.data) for record in buffer.writes], secret_keys)
     if not shared.size:
         return None
-    if window > _KEY.itemsize:
-        # a key holds only the first 8 bytes: confirm the whole slice
-        full = set()
-        for data, logged_keys in zip(records, record_keys):
-            matched = np.flatnonzero(_in_sorted(shared, logged_keys))
-            full.update(data[i : i + window] for i in matched)
     for secret, keys in zip(secrets, secret_keys):
         hits = np.flatnonzero(_in_sorted(shared, keys))  # in secret order
-        if window > _KEY.itemsize:
-            hits = [i for i in hits if secret[i : i + window] in full]
-        if len(hits):
-            return secret[hits[0] : hits[0] + window]
+        if hits.size:
+            return secret[hits[0] : hits[0] + _KEY.itemsize]
     return None
 
 
@@ -386,8 +345,8 @@ def ledger_decrypt(
     ledger: CostLedger,
     container_bytes: bytes,
     key: bytes,
-    expected_partition_id: int | None = None,
-    context: bytes = b"",
+    expected_partition_id: int,
+    context: bytes,
 ) -> SecureBlob:
     """Decrypt a container into the arena, counting the plaintext bytes.
 

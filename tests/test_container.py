@@ -14,97 +14,106 @@ from cdlp.container import (
 from cdlp.errors import FormatError, IntegrityError
 
 KEY = bytes(range(16))
+CONTEXT = b"weights" + bytes(40)  # a weights context: tag, plan digest, layer
 
 
 def test_empty_blob_container_is_44_bytes():
-    data = encrypt_partition(b"", KEY, 0)
+    data = encrypt_partition(b"", KEY, 0, CONTEXT)
     assert len(data) == 4 + 2 + 2 + 12 + 8 + 0 + 16 == 44
-    assert decrypt_partition(data, KEY) == b""
+    assert decrypt_partition(data, KEY, 0, CONTEXT) == b""
 
 
 @given(seed=st.integers(0, 10_000), size=st.integers(0, 2048))
 @settings(max_examples=40, deadline=None)
 def test_round_trip_random_blob(seed, size):
     blob = os.urandom(size) if size else b""
-    data = encrypt_partition(blob, KEY, seed % 65536)
-    assert decrypt_partition(data, KEY) == blob
+    data = encrypt_partition(blob, KEY, seed % 65536, CONTEXT)
+    assert decrypt_partition(data, KEY, seed % 65536, CONTEXT) == blob
 
 
 def test_one_kib_round_trip_bitwise():
     blob = os.urandom(1024)
-    assert decrypt_partition(encrypt_partition(blob, KEY, 3), KEY) == blob
+    assert decrypt_partition(encrypt_partition(blob, KEY, 3, CONTEXT), KEY, 3, CONTEXT) == blob
 
 
 def test_ciphertext_bit_flips_raise_integrity_error():
     blob = os.urandom(256)
-    data = bytearray(encrypt_partition(blob, KEY, 1))
+    data = bytearray(encrypt_partition(blob, KEY, 1, CONTEXT))
     for byte_index in range(HEADER_BYTES, len(data) - MAC_BYTES, 13):
         tampered = bytearray(data)
         tampered[byte_index] ^= 1 << (byte_index % 8)
         with pytest.raises(IntegrityError):
-            decrypt_partition(bytes(tampered), KEY)
+            decrypt_partition(bytes(tampered), KEY, 1, CONTEXT)
 
 
 def test_mac_tamper_raises_integrity_error():
-    data = bytearray(encrypt_partition(b"abc", KEY, 1))
+    data = bytearray(encrypt_partition(b"abc", KEY, 1, CONTEXT))
     data[-1] ^= 0x80
     with pytest.raises(IntegrityError):
-        decrypt_partition(bytes(data), KEY)
+        decrypt_partition(bytes(data), KEY, 1, CONTEXT)
 
 
 def test_bad_magic_is_a_format_error():
-    data = bytearray(encrypt_partition(b"abc", KEY, 1))
+    data = bytearray(encrypt_partition(b"abc", KEY, 1, CONTEXT))
     data[0] ^= 0xFF
     with pytest.raises(FormatError):
-        decrypt_partition(bytes(data), KEY)
+        decrypt_partition(bytes(data), KEY, 1, CONTEXT)
 
 
 def test_bad_version_is_a_format_error():
-    data = bytearray(encrypt_partition(b"abc", KEY, 1))
+    data = bytearray(encrypt_partition(b"abc", KEY, 1, CONTEXT))
     data[4] = 7
     with pytest.raises(FormatError):
-        decrypt_partition(bytes(data), KEY)
+        decrypt_partition(bytes(data), KEY, 1, CONTEXT)
 
 
 def test_truncated_container_is_a_format_error():
-    data = encrypt_partition(b"abcdef", KEY, 1)
+    data = encrypt_partition(b"abcdef", KEY, 1, CONTEXT)
     with pytest.raises(FormatError):
-        decrypt_partition(data[:-1], KEY)
+        decrypt_partition(data[:-1], KEY, 1, CONTEXT)
     with pytest.raises(FormatError):
-        decrypt_partition(data + b"\x00", KEY)
+        decrypt_partition(data + b"\x00", KEY, 1, CONTEXT)
     with pytest.raises(FormatError):
         read_header(data[:10])
 
 
 def test_wrong_key_is_an_integrity_error():
-    data = encrypt_partition(b"payload", KEY, 1)
+    data = encrypt_partition(b"payload", KEY, 1, CONTEXT)
     with pytest.raises(IntegrityError):
-        decrypt_partition(data, bytes(16))
+        decrypt_partition(data, bytes(16), 1, CONTEXT)
 
 
 def test_short_key_rejected():
     with pytest.raises(ValueError):
-        encrypt_partition(b"", b"short", 0)
+        encrypt_partition(b"", b"short", 0, CONTEXT)
 
 
 def test_partition_id_check():
-    data = encrypt_partition(b"abc", KEY, 5)
-    assert decrypt_partition(data, KEY, expected_partition_id=5) == b"abc"
+    data = encrypt_partition(b"abc", KEY, 5, CONTEXT)
+    assert decrypt_partition(data, KEY, 5, CONTEXT) == b"abc"
     with pytest.raises(IntegrityError, match="partition 5"):
-        decrypt_partition(data, KEY, expected_partition_id=6)
+        decrypt_partition(data, KEY, 6, CONTEXT)
+
+
+def test_context_mismatch_is_an_integrity_error():
+    data = encrypt_partition(b"abc", KEY, 1, CONTEXT)
+    assert decrypt_partition(data, KEY, 1, CONTEXT) == b"abc"
+    for other in (b"", CONTEXT + b"\x00", CONTEXT[:-1]):
+        with pytest.raises(IntegrityError, match="tag mismatch"):
+            decrypt_partition(data, KEY, 1, other)
 
 
 def test_fresh_nonces_change_ciphertext():
     blob = os.urandom(64)
-    a = encrypt_partition(blob, KEY, 2)
-    b = encrypt_partition(blob, KEY, 2)
+    a = encrypt_partition(blob, KEY, 2, CONTEXT)
+    b = encrypt_partition(blob, KEY, 2, CONTEXT)
     assert a != b
-    assert decrypt_partition(a, KEY) == decrypt_partition(b, KEY) == blob
+    assert decrypt_partition(a, KEY, 2, CONTEXT) == decrypt_partition(b, KEY, 2, CONTEXT) == blob
 
 
 def test_ciphertext_shares_no_8_byte_window_with_plaintext():
     blob = os.urandom(4096)
-    data = encrypt_partition(blob, KEY, 0)
+    data = encrypt_partition(blob, KEY, 0, CONTEXT)
     ciphertext = data[HEADER_BYTES:-MAC_BYTES]
     windows = {ciphertext[i : i + 8] for i in range(len(ciphertext) - 7)}
     assert all(blob[i : i + 8] not in windows for i in range(len(blob) - 7))

@@ -34,6 +34,7 @@ from cdlp.weights import split_weights
 from support import random_case, random_tensor, random_weight_store, spilled_secrets
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+SPILL_CONTEXT = b"spill" + bytes(64)  # a spill context: tag, plan digest, run nonce, layer
 CAP = 7 * 2**20
 
 
@@ -469,7 +470,7 @@ def test_spill_stream_round_trip():
     rng = np.random.default_rng(12)
     values = rng.standard_normal(2500).astype(np.float32)
     arena = SecureArena(CAP)
-    spilled = SpilledActivations(SharedBuffer())
+    spilled = SpilledActivations(SharedBuffer(), SPILL_CONTEXT)
     spill_activations(values, KEY, arena, spilled)
     assert spilled.total_count == 2500
     chunks = (2500 * FLOAT_BYTES + SPILL_CHUNK_BYTES - 1) // SPILL_CHUNK_BYTES
@@ -491,7 +492,7 @@ def test_streaming_twice_doubles_the_cost():
     rng = np.random.default_rng(13)
     values = rng.standard_normal(128).astype(np.float32)
     arena = SecureArena(CAP)
-    spilled = SpilledActivations(SharedBuffer())
+    spilled = SpilledActivations(SharedBuffer(), SPILL_CONTEXT)
     spill_activations(values, KEY, arena, spilled)
     ledger = CostLedger()
     for _ in range(2):
@@ -504,13 +505,13 @@ def test_tampered_spill_chunk_aborts_before_consumption():
     values = rng.standard_normal(3000).astype(np.float32)
     arena = SecureArena(CAP)
     buffer = SharedBuffer()
-    spilled = SpilledActivations(buffer)
+    spilled = SpilledActivations(buffer, SPILL_CONTEXT)
     spill_activations(values, KEY, arena, spilled)
     assert len(spilled.chunks) == 3
     victim = spilled.chunks[1]
     tampered = bytearray(buffer.read(victim.offset, victim.length))
     tampered[40] ^= 1
-    buffer.write(victim.offset, bytes(tampered), TaintTag.CIPHERTEXT)
+    victim.offset = buffer.append(tampered, TaintTag.CIPHERTEXT)  # chunk 1 now reads the copy
 
     seen = []
     with pytest.raises(IntegrityError):
@@ -554,7 +555,7 @@ def test_container_headers_are_logged_apart_from_their_ciphertext():
         assert header.length == HEADER_BYTES and header.offset + HEADER_BYTES == writes[i].offset
 
     buffer = SharedBuffer()
-    spilled = SpilledActivations(buffer)
+    spilled = SpilledActivations(buffer, SPILL_CONTEXT)
     spill_activations(np.zeros(1000, np.float32), KEY, SecureArena(CAP), spilled)
     chunk = spilled.chunks[0]
     data = buffer.read(chunk.offset, chunk.length)
@@ -564,6 +565,33 @@ def test_container_headers_are_logged_apart_from_their_ciphertext():
     assert find_plaintext_leak(buffer, [straddle]) is None
     inside = data[HEADER_BYTES + 8 : HEADER_BYTES + 16]
     assert find_plaintext_leak(buffer, [inside]) == inside
+
+
+@pytest.mark.parametrize("scheme", ["layered", "spilled-sublayer", "branched"])
+def test_the_audit_finds_a_slice_of_each_secret_planted_in_a_run_log(scheme):
+    """A run's log is clean, and the same log with an 8-byte slice of any one
+    secret appended is not: a key builder that returned no keys would pass
+    every clean audit."""
+    if scheme == "layered":
+        model, store, x = canonical_case(23)
+        plan = plan_layered(model, CAP)
+    elif scheme == "spilled-sublayer":
+        model, store, x = spill_model()
+        plan = plan_sublayer(model, CAP, subset_size={0: 1000, 1: 50}).with_spill(1)
+    else:
+        model, store, x = random_case(101)
+        plan = plan_branched(model, CAP)
+    result = run_plan(model, store, plan, x)
+    blobs = [b for p, b in zip(plan.partitions, split_weights(store, plan)) if p.encrypted]
+    secrets = [s for s in blobs + spilled_secrets(model, store, plan, x) if len(s) >= 8]
+    assert find_plaintext_leak(result.shared, secrets) is None
+    for secret in secrets:
+        planted = SharedBuffer()
+        for w in result.shared.writes:
+            planted.append(w.data, w.tag)
+        at = len(secret) // 2 - 4
+        planted.append(secret[at : at + 8], TaintTag.CIPHERTEXT)
+        assert find_plaintext_leak(planted, secrets) == secret[at : at + 8]
 
 
 # --- a hostile shared buffer ---

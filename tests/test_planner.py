@@ -412,6 +412,13 @@ def test_manifest_rejects_a_sublayer_line():
         parse_manifest(text)
 
 
+@pytest.mark.parametrize("line", ["spill x", "spill 1 2", "spill -1"])
+def test_manifest_rejects_a_malformed_spill_line(line):
+    text = f"scheme layered\n{line}\n"
+    with pytest.raises(PlanError, match=f"line 2: unrecognized entry '{line}'"):
+        parse_manifest(text)
+
+
 def test_manifest_rejects_garbage():
     with pytest.raises(PlanError):
         parse_manifest("scheme layered\npartition zero\n")

@@ -23,6 +23,7 @@ from cdlp.tee import (
 )
 
 KEY = bytes(range(16))
+CONTEXT = b"weights" + bytes(40)  # a weights context: tag, plan digest, layer
 
 
 # --- arena ---
@@ -136,7 +137,9 @@ def test_invoke_returns_the_functions_result():
 def test_decrypted_bytes_accumulate():
     arena, ledger = SecureArena(1 << 20), CostLedger()
     for size in (10, 20):
-        blob = ledger_decrypt(arena, ledger, encrypt_partition(os.urandom(size), KEY, 0), KEY)
+        blob = ledger_decrypt(
+            arena, ledger, encrypt_partition(os.urandom(size), KEY, 0, CONTEXT), KEY, 0, CONTEXT
+        )
         blob.release(arena)
     assert ledger.decrypted_bytes == 30
 
@@ -146,33 +149,37 @@ def test_paper_total_of_191790_bytes():
     sizes = [17435] * 10 + [17440]
     assert sum(sizes) == 191790
     for i, size in enumerate(sizes):
-        blob = ledger_decrypt(arena, ledger, encrypt_partition(os.urandom(size), KEY, i), KEY)
+        blob = ledger_decrypt(
+            arena, ledger, encrypt_partition(os.urandom(size), KEY, i, CONTEXT), KEY, i, CONTEXT
+        )
         blob.release(arena)
     assert ledger.decrypted_bytes == 191790
 
 
 def test_decrypt_failure_leaves_counter_and_arena_untouched():
     arena, ledger = SecureArena(1000), CostLedger()
-    data = bytearray(encrypt_partition(os.urandom(100), KEY, 0))
+    data = bytearray(encrypt_partition(os.urandom(100), KEY, 0, CONTEXT))
     data[40] ^= 1
     with pytest.raises(Exception):
-        ledger_decrypt(arena, ledger, bytes(data), KEY)
+        ledger_decrypt(arena, ledger, bytes(data), KEY, 0, CONTEXT)
     assert ledger.decrypted_bytes == 0
     assert arena.current_usage == 0
 
 
 def test_decrypt_without_arena_room():
     arena, ledger = SecureArena(50), CostLedger()
-    data = encrypt_partition(os.urandom(100), KEY, 0)
+    data = encrypt_partition(os.urandom(100), KEY, 0, CONTEXT)
     with pytest.raises(SecureMemoryError):
-        ledger_decrypt(arena, ledger, data, KEY)
+        ledger_decrypt(arena, ledger, data, KEY, 0, CONTEXT)
     assert ledger.decrypted_bytes == 0
     assert arena.current_usage == 0
 
 
 def test_plaintext_lives_in_the_arena():
     arena = SecureArena(1 << 20)
-    blob = ledger_decrypt(arena, CostLedger(), encrypt_partition(b"x" * 64, KEY, 0), KEY)
+    blob = ledger_decrypt(
+        arena, CostLedger(), encrypt_partition(b"x" * 64, KEY, 0, CONTEXT), KEY, 0, CONTEXT
+    )
     assert arena.current_usage == 64
     blob.release(arena)
     assert arena.current_usage == 0
@@ -227,27 +234,28 @@ def test_overhead_monotone_in_counters():
 def test_writes_require_a_tag():
     buf = SharedBuffer()
     with pytest.raises(TypeError):
-        buf.write(0, b"x", "plaintext")
+        buf.append(b"x", "plaintext")
 
 
 def test_write_log_records_every_byte():
     buf = SharedBuffer()
-    buf.append(b"ab", TaintTag.PUBLIC)
-    buf.write(1, b"cd", TaintTag.CIPHERTEXT)
-    assert buf.read(0, 3) == b"acd"
-    buf.write(5, b"e", TaintTag.PUBLIC)  # past the end: the gap reads as zeros
-    assert buf.read(0, len(buf)) == b"acd\x00\x00e"
-    assert [(r.offset, r.length, r.tag) for r in buf.writes] == [
-        (0, 2, TaintTag.PUBLIC),
-        (1, 2, TaintTag.CIPHERTEXT),
-        (5, 1, TaintTag.PUBLIC),
+    assert buf.append(b"ab", TaintTag.PUBLIC) == 0
+    assert buf.append(bytearray(b"cd"), TaintTag.CIPHERTEXT) == 2
+    assert buf.append(b"", TaintTag.PUBLIC) == 4
+    assert buf.append(b"e", TaintTag.PUBLIC) == 4
+    assert buf.read(0, len(buf)) == b"abcde"
+    assert [(r.offset, r.length, r.tag, r.data) for r in buf.writes] == [
+        (0, 2, TaintTag.PUBLIC, b"ab"),
+        (2, 2, TaintTag.CIPHERTEXT, b"cd"),
+        (4, 0, TaintTag.PUBLIC, b""),
+        (4, 1, TaintTag.PUBLIC, b"e"),
     ]
 
 
 def test_find_plaintext_leak_detects_and_clears():
     secret = os.urandom(32)
     clean = SharedBuffer()
-    clean.append(encrypt_partition(secret, KEY, 0), TaintTag.CIPHERTEXT)
+    clean.append(encrypt_partition(secret, KEY, 0, CONTEXT), TaintTag.CIPHERTEXT)
     assert find_plaintext_leak(clean, [secret]) is None
 
     leaky = SharedBuffer()
@@ -263,49 +271,33 @@ def test_find_plaintext_leak_skips_short_secrets():
     assert find_plaintext_leak(buf, [b"abc"]) is None
 
 
-def leak_oracle(buffers, secrets, window):
-    """The plain set-of-slices scan: first matching slice in secret order."""
-    logged = set()
-    for buf in buffers:
-        for record in buf.writes:
-            for i in range(len(record.data) - window + 1):
-                logged.add(record.data[i : i + window])
+def leak_oracle(buf, secrets):
+    """The plain set-of-slices scan: first matching 8-byte slice in secret order."""
+    logged = {r.data[i : i + 8] for r in buf.writes for i in range(len(r.data) - 7)}
     for secret in secrets:
-        for i in range(len(secret) - window + 1):
-            if secret[i : i + window] in logged:
-                return secret[i : i + window]
+        for i in range(len(secret) - 7):
+            if secret[i : i + 8] in logged:
+                return secret[i : i + 8]
     return None
 
 
-_few_bytes = st.binary(max_size=30).map(lambda b: bytes(v % 3 for v in b))
+def _buffer(writes):
+    """A buffer holding the (data, tag) writes, in order."""
+    buf = SharedBuffer()
+    for data, tag in writes:
+        buf.append(data, tag)
+    return buf
 
 
-@given(
-    records=st.lists(st.lists(_few_bytes, max_size=4), max_size=3),
-    secrets=st.lists(_few_bytes, max_size=4),
-    window=st.integers(1, 20),
-)
+_two_symbols = st.binary(max_size=30).map(lambda b: bytes(v % 2 for v in b))
+
+
+@given(records=st.lists(_two_symbols, max_size=8), secrets=st.lists(_two_symbols, max_size=4))
 @settings(max_examples=300, deadline=None)
-def test_find_plaintext_leak_matches_oracle(records, secrets, window):
+def test_find_plaintext_leak_matches_oracle(records, secrets):
     """Same first slice as the plain scan; slices never span two records."""
-    buffers = []
-    for writes in records:
-        buf = SharedBuffer()
-        for data in writes:
-            buf.append(data, TaintTag.PUBLIC)
-        buffers.append(buf)
-    assert find_plaintext_leak(buffers, secrets, window) == leak_oracle(buffers, secrets, window)
-
-
-def _buffers(records):
-    """One buffer per list of (data, tag) writes."""
-    buffers = []
-    for writes in records:
-        buf = SharedBuffer()
-        for data, tag in writes:
-            buf.append(data, tag)
-        buffers.append(buf)
-    return buffers
+    buf = _buffer((data, TaintTag.PUBLIC) for data in records)
+    assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
 
 
 @pytest.mark.parametrize(
@@ -324,14 +316,14 @@ def test_find_plaintext_leak_at_scale(log_sizes, secret_sizes):
     secrets = [rng.bytes(size) for size in secret_sizes]
     tags = [TaintTag.CIPHERTEXT, TaintTag.PUBLIC, TaintTag.CIPHERTEXT, TaintTag.PUBLIC]
     writes = list(zip(records, tags))
-    assert find_plaintext_leak(_buffers([writes[:2], writes[2:]]), secrets) is None
+    assert find_plaintext_leak(_buffer(writes), secrets) is None
 
     piece = secrets[2][5000:5008]
     at = len(records[0]) // 2 + 13
     planted = records[0][:at] + piece + records[0][at + 8 :]
     writes[0] = (planted, TaintTag.CIPHERTEXT)
-    buffers = _buffers([writes[:2], writes[2:]])
-    assert find_plaintext_leak(buffers, secrets) == piece == leak_oracle(buffers, secrets, 8)
+    buf = _buffer(writes)
+    assert find_plaintext_leak(buf, secrets) == piece == leak_oracle(buf, secrets)
 
 
 def test_keys_sharing_every_filter_slot_are_not_a_leak():
@@ -353,22 +345,20 @@ def test_keys_sharing_every_filter_slot_are_not_a_leak():
     assert find_plaintext_leak(buf, [secret]) == secret
 
 
-@pytest.mark.parametrize("window", [8, 12])
-def test_find_plaintext_leak_keeps_keys_exact_above_2_63(window):
+def test_find_plaintext_leak_keeps_keys_exact_above_2_63():
     """Keys of 2**63 and more that differ only in their lowest bit stay
     apart: a key promoted to float64 would merge them."""
     rng = random.Random(11)
     high = [(1 << 63) | rng.getrandbits(63) | 1 for _ in range(200)]
-    tail = bytes(window - 8)
-    logged = b"".join(key.to_bytes(8, "little") + tail for key in high)
-    secret = b"".join((key ^ 1).to_bytes(8, "little") + tail for key in high)
+    logged = b"".join(key.to_bytes(8, "little") for key in high)
+    secret = b"".join((key ^ 1).to_bytes(8, "little") for key in high)
     buf = SharedBuffer()
     buf.append(logged, TaintTag.PUBLIC)
-    assert find_plaintext_leak(buf, [secret], window) is None
+    assert find_plaintext_leak(buf, [secret]) is None
 
-    shared = high[150].to_bytes(8, "little") + tail
+    shared = high[150].to_bytes(8, "little")
     leaky = shared + secret
-    assert find_plaintext_leak(buf, [leaky], window) == shared == leak_oracle([buf], [leaky], window)
+    assert find_plaintext_leak(buf, [leaky]) == shared == leak_oracle(buf, [leaky])
 
 
 _binary_records = st.tuples(st.integers(0, 4096), st.integers(0, 2**32)).map(
@@ -377,18 +367,11 @@ _binary_records = st.tuples(st.integers(0, 4096), st.integers(0, 2**32)).map(
 
 
 @given(
-    records=st.lists(st.lists(_binary_records, max_size=4), max_size=3),
-    secrets=st.lists(_binary_records, max_size=4),
-    window=st.integers(1, 20),
+    records=st.lists(_binary_records, max_size=12), secrets=st.lists(_binary_records, max_size=4)
 )
 @settings(max_examples=100, deadline=None)
-def test_find_plaintext_leak_matches_oracle_on_long_records(records, secrets, window):
-    """Records of up to 4 KiB over two symbols: every window size sees many
-    shared keys, and long windows must be confirmed on the whole slice."""
-    buffers = _buffers([[(data, TaintTag.CIPHERTEXT) for data in writes] for writes in records])
-    assert find_plaintext_leak(buffers, secrets, window) == leak_oracle(buffers, secrets, window)
-
-
-def test_find_plaintext_leak_rejects_empty_window():
-    with pytest.raises(ValueError):
-        find_plaintext_leak(SharedBuffer(), [b"secret"], 0)
+def test_find_plaintext_leak_matches_oracle_on_long_records(records, secrets):
+    """Records of up to 4 KiB over two symbols: the log and the secrets share
+    many keys, so the merge and the in-order scan decide the result."""
+    buf = _buffer((data, TaintTag.CIPHERTEXT) for data in records)
+    assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
