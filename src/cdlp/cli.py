@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import re
 import struct
 import sys
 from pathlib import Path
@@ -76,10 +77,9 @@ def read_tensor_file(path) -> Tensor:
 def _parse_key(text: str) -> bytes:
     if len(text) != 32:
         raise UsageError(f"key must be 32 hex characters, got {len(text)}")
-    try:
-        return bytes.fromhex(text)
-    except ValueError:
-        raise UsageError("key is not valid hex") from None
+    if not re.fullmatch(r"[0-9a-fA-F]{32}", text):  # fromhex would skip whitespace
+        raise UsageError("key is not valid hex")
+    return bytes.fromhex(text)
 
 
 def _existing(path) -> Path:

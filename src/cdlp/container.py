@@ -16,9 +16,11 @@ weights (see ``weights``); version 2 held row-major ones and is refused.
 The associated data is the header followed by a caller-supplied context,
 so one tag covers the framing, the ciphertext and the place the container
 was made for. A container read anywhere else fails to verify, and no
-plaintext is returned before the tag checks. Nonces are random per
-container, so re-encrypting the same blob yields different bytes; SP 800-38D
-allows 2^32 containers per key with random 96-bit nonces.
+plaintext is returned before the tag checks. Opening reads the ciphertext
+from a view of the container, so the container is not copied on its way
+into AES-GCM. Nonces are random per container, so re-encrypting the same
+blob yields different bytes; SP 800-38D allows 2^32 containers per key with
+random 96-bit nonces.
 
 Sealing and opening both take the partition id and the context, with no
 defaults: a container is always opened against the id and the context it
@@ -95,8 +97,8 @@ def read_header(container: bytes) -> tuple[int, int]:
 def decrypt_partition(
     container: bytes, key: bytes, expected_partition_id: int, context: bytes
 ) -> bytes:
-    """Verify and decrypt; an id, tag or context mismatch raises
-    IntegrityError, framing FormatError."""
+    """Verify and decrypt a bytes-like ``container``; an id, tag or context
+    mismatch raises IntegrityError, framing FormatError."""
     _check_key(key)
     partition_id, _plaintext_len = read_header(container)
     if partition_id != expected_partition_id:
@@ -104,8 +106,8 @@ def decrypt_partition(
             f"container is for partition {partition_id}, expected {expected_partition_id}"
         )
     nonce = _HEADER.unpack_from(container)[3]
-    aad = container[:HEADER_BYTES] + context
-    try:
-        return AESGCM(bytes(key)).decrypt(nonce, container[HEADER_BYTES:], aad)
+    aad = bytes(container[:HEADER_BYTES]) + context
+    try:  # the ciphertext is read from a view, not copied
+        return AESGCM(bytes(key)).decrypt(nonce, memoryview(container)[HEADER_BYTES:], aad)
     except InvalidTag:
         raise IntegrityError("container tag mismatch") from None

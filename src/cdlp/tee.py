@@ -7,7 +7,8 @@ the package needs to reason about confidentiality and cost:
   run restarts before each secure partition to measure that partition;
 * SharedBuffer: append-only normal-world memory whose writes are
   taint-tagged, with no way to write confidential plaintext through the
-  interface;
+  interface; its memory is the appends, kept as written, so reading a
+  whole append copies nothing;
 * Session: the client's calls into the trusted application; its only
   state is the ledger it charges two one-way switches per invocation;
 * CostLedger / CostConstants: a run's two counters, context switches
@@ -29,6 +30,7 @@ sleeps, so runs are deterministic.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -161,43 +163,69 @@ class WriteRecord:
 class SharedBuffer:
     """Append-only normal-world memory registered with the trusted app.
 
-    Anyone can read it; every write is logged with its taint tag so tests
-    can prove no confidential plaintext ever landed here.
+    The memory is the appends themselves, each kept as the immutable bytes
+    it was written as, so the trusted app reads a whole append in place, as
+    from registered shared memory, with no copy. Anyone can read it; every
+    write is logged with its taint tag so tests can prove no confidential
+    plaintext ever landed here.
     """
 
     def __init__(self):
-        self._data = bytearray()
+        self._pieces: list[bytes] = []  # the appends, in order
+        self._starts: list[int] = []  # each append's offset
+        self._size = 0
         self.writes: list[WriteRecord] = []
 
     def __len__(self) -> int:
-        return len(self._data)
+        return self._size
+
+    def _store(self, data: bytes) -> int:
+        offset = self._size
+        self._pieces.append(data)
+        self._starts.append(offset)
+        self._size += len(data)
+        return offset
 
     def append(self, data: bytes, tag: TaintTag) -> int:
         """Write ``data`` at the end of the buffer, log it and return its offset."""
         if not isinstance(tag, TaintTag):
             raise TypeError(f"tag must be a TaintTag, got {tag!r}")
-        data = bytes(data)
-        offset = len(self._data)
+        data = bytes(data)  # a snapshot of a caller's bytearray; bytes stay as they are
+        offset = self._store(data)
         self.writes.append(WriteRecord(offset, len(data), tag, data))
-        self._data += data
         return offset
 
     def append_container(self, data: bytes) -> int:
-        """Append an encrypted container and return its offset.
+        """Append an encrypted container as one piece of memory and return its offset.
 
         The header is public metadata and is logged as its own PUBLIC
         write, the ciphertext and tag as one CIPHERTEXT write, so no logged
         slice spans both: a header's length field next to ciphertext bytes
         can otherwise match a run of zero activations by chance.
         """
-        offset = self.append(data[: container.HEADER_BYTES], TaintTag.PUBLIC)
-        self.append(data[container.HEADER_BYTES :], TaintTag.CIPHERTEXT)
+        data = bytes(data)
+        offset = self._store(data)
+        header, body = data[: container.HEADER_BYTES], data[container.HEADER_BYTES :]
+        self.writes.append(WriteRecord(offset, len(header), TaintTag.PUBLIC, header))
+        self.writes.append(
+            WriteRecord(offset + len(header), len(body), TaintTag.CIPHERTEXT, body)
+        )
         return offset
 
     def read(self, offset: int, length: int) -> bytes:
-        if offset < 0 or length < 0 or offset + length > len(self._data):
+        """The ``length`` bytes at ``offset``: a whole append is returned as
+        the object appended, a read within one append is one slice, and only
+        a read across appends joins them."""
+        if offset < 0 or length < 0 or offset + length > self._size:
             raise ValueError(f"read [{offset}, {offset + length}) outside buffer")
-        return bytes(memoryview(self._data)[offset : offset + length])  # one copy
+        if not length:
+            return b""
+        i = bisect.bisect_right(self._starts, offset) - 1  # a non-empty append
+        start = offset - self._starts[i]
+        piece = self._pieces[i]
+        if start + length > len(piece):
+            piece = b"".join(self._pieces[i : bisect.bisect_left(self._starts, offset + length)])
+        return piece[start : start + length]  # slicing all of a bytes object returns it
 
 
 _KEY = np.dtype("<u8")  # an 8-byte slice, packed little-endian

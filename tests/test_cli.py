@@ -114,6 +114,24 @@ def test_encrypt_bad_key_length_exits_2_without_files(workspace, tmp_path):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key", ["00112233445566778899aabbccdd  ee", "00112233445566778899aabbccdd\t ee"],
+    ids=["two-spaces", "tab"],
+)
+def test_key_with_whitespace_is_not_valid_hex(workspace, tmp_path, capsys, key):
+    tmp, cfg, weights, _ = workspace
+    manifest = tmp / "plan.manifest"
+    run_cli("plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP, "--out", manifest)
+    out = tmp_path / "nothing"
+    assert len(key) == 32
+    assert run_cli(
+        "encrypt", "--cfg", cfg, "--weights", weights, "--plan", manifest,
+        "--key", key, "--out", out,
+    ) == 2
+    assert "key is not valid hex" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encrypt_missing_weights_exits_2(workspace):
     tmp, cfg, _, _ = workspace
     manifest = tmp / "plan.manifest"

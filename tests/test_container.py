@@ -46,6 +46,17 @@ def test_ciphertext_bit_flips_raise_integrity_error():
             decrypt_partition(bytes(tampered), KEY, 1, CONTEXT)
 
 
+@pytest.mark.parametrize("form", [bytes, bytearray, memoryview])
+def test_every_bytes_like_container_opens_alike(form):
+    blob = os.urandom(300)
+    data = encrypt_partition(blob, KEY, 2, CONTEXT)
+    assert decrypt_partition(form(data), KEY, 2, CONTEXT) == blob
+    tampered = bytearray(data)
+    tampered[HEADER_BYTES + 7] ^= 0x10
+    with pytest.raises(IntegrityError):
+        decrypt_partition(form(bytes(tampered)), KEY, 2, CONTEXT)
+
+
 def test_mac_tamper_raises_integrity_error():
     data = bytearray(encrypt_partition(b"abc", KEY, 1, CONTEXT))
     data[-1] ^= 0x80

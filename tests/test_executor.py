@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlp import executor
+from cdlp import container, executor
 from cdlp.config import load_canonical_model
 from cdlp.container import HEADER_BYTES, MAGIC
 from cdlp.errors import FormatError, IntegrityError, PlanError, SecureMemoryError
@@ -724,6 +724,30 @@ def test_weight_container_in_a_spill_slot_raises(monkeypatch):
     hostile_buffer(monkeypatch, weights_for_chunk)
     with pytest.raises(IntegrityError):
         run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+
+
+def test_containers_are_opened_as_the_objects_staged(monkeypatch):
+    """Staging copies nothing: each weights container reaches decryption as
+    the object in the partition data, and each spill chunk as the object its
+    encryption returned."""
+    model, store, plan, (x, _) = wide_spill_case()
+    data = prepare_partition_data(store, plan, KEY)
+    sealed, opened = list(data.values()), []
+    encrypt, decrypt = container.encrypt_partition, container.decrypt_partition
+
+    def seal(*args):
+        sealed.append(encrypt(*args))
+        return sealed[-1]
+
+    def open_(data, *args):
+        opened.append(data)
+        return decrypt(data, *args)
+
+    monkeypatch.setattr(executor, "encrypt_partition", seal)
+    monkeypatch.setattr("cdlp.container.decrypt_partition", open_)
+    run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+    assert len(opened) == len(plan.secure_partitions()) + 2 * 4  # two chunks, four subsets
+    assert all(any(c is s for s in sealed) for c in opened)
 
 
 def test_container_sealed_for_another_plan_raises():

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlp import tee
-from cdlp.container import encrypt_partition
+from cdlp.container import HEADER_BYTES, encrypt_partition
 from cdlp.errors import SecureMemoryError
 from cdlp.tee import (
     CostConstants,
@@ -250,6 +250,84 @@ def test_write_log_records_every_byte():
         (4, 0, TaintTag.PUBLIC, b""),
         (4, 1, TaintTag.PUBLIC, b"e"),
     ]
+
+
+def test_a_whole_append_is_read_as_the_object_appended():
+    buf = SharedBuffer()
+    public = os.urandom(100)
+    sealed = encrypt_partition(os.urandom(300), KEY, 5, CONTEXT)
+    at_public = buf.append(public, TaintTag.PUBLIC)
+    at_sealed = buf.append_container(sealed)
+    assert buf.read(at_public, len(public)) is public
+    assert buf.read(at_sealed, len(sealed)) is sealed
+
+
+@pytest.mark.parametrize("as_container", [False, True])
+def test_mutating_an_appended_bytearray_changes_nothing(as_container):
+    data = bytearray(encrypt_partition(os.urandom(64), KEY, 1, CONTEXT))
+    original = bytes(data)
+    buf = SharedBuffer()
+    buf.append(b"lead", TaintTag.PUBLIC)
+    if as_container:
+        buf.append_container(data)
+    else:
+        buf.append(data, TaintTag.CIPHERTEXT)
+    log = [(r.offset, r.length, r.tag, r.data) for r in buf.writes]
+    data[:] = bytes(len(data))
+    data += b"more"
+    assert buf.read(4, len(original)) == original
+    assert buf.read(0, len(buf)) == b"lead" + original
+    assert [(r.offset, r.length, r.tag, r.data) for r in buf.writes] == log
+    assert all(type(r.data) is bytes for r in buf.writes)
+
+
+_appends = st.lists(
+    st.tuples(
+        st.sampled_from(["public", "ciphertext", "container"]),
+        st.binary(max_size=80),  # a container shorter than its header too
+        st.booleans(),  # passed as a bytearray
+    ),
+    max_size=12,
+)
+
+
+@given(appends=_appends, data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_shared_buffer_matches_a_flat_model(appends, data):
+    """Reads equal slices of one bytearray of the appends, and the log is one
+    record per append, or a PUBLIC header and a CIPHERTEXT body per container."""
+    buf, flat, log, spans = SharedBuffer(), bytearray(), [], []
+    for kind, payload, mutable in appends:
+        given_data = bytearray(payload) if mutable else payload
+        if kind == "container":
+            offset = buf.append_container(given_data)
+            header, body = payload[:HEADER_BYTES], payload[HEADER_BYTES:]
+            log += [(len(flat), len(header), TaintTag.PUBLIC, header),
+                    (len(flat) + len(header), len(body), TaintTag.CIPHERTEXT, body)]
+        else:
+            tag = TaintTag(kind)
+            offset = buf.append(given_data, tag)
+            log.append((len(flat), len(payload), tag, payload))
+        assert offset == len(flat)
+        spans.append((offset, len(payload)))
+        flat += payload
+    assert len(buf) == len(flat)
+    assert [(r.offset, r.length, r.tag, r.data) for r in buf.writes] == log
+
+    size = len(flat)
+    reads = [*spans, (size, 0)]  # each append exactly, and the end
+    for _ in range(8):  # anywhere: within one append, or across several
+        offset = data.draw(st.integers(0, size))
+        reads.append((offset, data.draw(st.integers(0, size - offset))))
+    if len(spans) > 1:
+        (first, _), (last, last_length) = spans[0], spans[-1]
+        reads.append((first, last + last_length - first))
+    for offset, length in reads:
+        got = buf.read(offset, length)
+        assert type(got) is bytes and got == flat[offset : offset + length]
+    for offset, length in [(-1, 1), (0, -1), (size, 1), (0, size + 1)]:
+        with pytest.raises(ValueError):
+            buf.read(offset, length)
 
 
 def test_find_plaintext_leak_detects_and_clears():
