@@ -315,13 +315,11 @@ def test_shared_buffer_matches_a_flat_model(appends, data):
     assert [(r.offset, r.length, r.tag, r.data) for r in buf.writes] == log
 
     size = len(flat)
-    reads = [*spans, (size, 0)]  # each append exactly, and the end
-    for _ in range(8):  # anywhere: within one append, or across several
+    # each append exactly, inside each append, all of them, and the end
+    reads = [*spans, *((at + 1, n - 2) for at, n in spans if n > 2), (0, size), (size, 0)]
+    for _ in range(8):  # anywhere
         offset = data.draw(st.integers(0, size))
         reads.append((offset, data.draw(st.integers(0, size - offset))))
-    if len(spans) > 1:
-        (first, _), (last, last_length) = spans[0], spans[-1]
-        reads.append((first, last + last_length - first))
     for offset, length in reads:
         got = buf.read(offset, length)
         assert type(got) is bytes and got == flat[offset : offset + length]
