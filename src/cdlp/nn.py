@@ -28,15 +28,19 @@ instead, so that case runs ``np.add.accumulate``, which is always sequential.
 No kernel uses ``matmul``, ``dot`` or ``einsum``: BLAS reorders the sums.
 
 A term block is the weight block transposed, times the inputs. Weights are
-stored column-major (see ``LayerWeights``), so that block is one contiguous
-array and one broadcast multiply fills the terms. Stored row-major, a long
-connected row would put every row of a weight column into one cache set.
+stored column-major (see ``LayerWeights``), so the transposed weight block is
+contiguous; stored row-major, a long connected row would put every row of a
+weight column into one cache set. A block is filled by a broadcast copy of
+one operand and one multiply in place by the other, never by a multiply with
+a stride-0 inner axis, which numpy runs 2-3 times slower.
 
 Kernel scratch is not charged to the secure arena. It is the convolution's
-zero-padded input and im2col patch matrix (channels * kernel_size**2 *
-out_h * out_w values), which grow with the layer's input, and one block of
-product terms, which holds at most ``_BLOCK_FLOATS`` values, or two output
-rows when a layer subset's output alone is larger than that.
+zero-padded input, made only when the padding is above 0 (unpadded, the
+im2col windows view the input, which no kernel writes), its im2col patch
+matrix (channels * kernel_size**2 * out_h * out_w values), which grow with
+the layer's input, and one block of product terms, which holds at most
+``_BLOCK_FLOATS`` values, or two output rows when a layer subset's output
+alone is larger than that.
 """
 
 from __future__ import annotations
@@ -64,6 +68,12 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
     i is a scalar for connected layers and an im2col patch row for
     convolutions. ``acc`` is (rows, *rest), ``weights`` (rows, n) and
     ``inputs`` (n, *rest).
+
+    A block of terms is a broadcast copy of one operand times the other, whose
+    inner axis is contiguous: the weights times the patch rows when a row has
+    more than one value (a convolution's pixels), else the inputs times the
+    weight block. ``np.add.reduce`` sums from +0.0, so it returns a -0.0 in
+    ``acc`` as +0.0; every kernel starts ``acc`` at +0.0.
     """
     m = acc.size
     if m == 0:
@@ -78,11 +88,12 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
         hi = min(lo + block, n)
         part = terms[: hi - lo + 1]
         part[0] = total  # row 0 carries the running sums into the block
-        np.multiply(
-            weights[:, lo:hi].T.reshape(hi - lo, rows, *unit),
-            inputs[lo:hi].reshape(hi - lo, 1, *rest),
-            out=part[1:].reshape(hi - lo, rows, *rest),
-        )
+        w = weights[:, lo:hi].T.reshape(hi - lo, rows, *unit)
+        x = inputs[lo:hi].reshape(hi - lo, 1, *rest)
+        spread, factor = (w, x) if m > rows else (x, w)
+        fill = part[1:].reshape(hi - lo, rows, *rest)
+        np.copyto(fill, spread)
+        np.multiply(fill, factor, out=fill)  # one product per term: IEEE multiply commutes
         total = np.add.accumulate(part[:, 0])[-1:] if m == 1 else np.add.reduce(part, axis=0)
     return total.reshape(acc.shape)
 
@@ -190,13 +201,16 @@ def conv_forward_subset(x: Tensor, rows: LayerWeights, spec: LayerSpec) -> Tenso
     if rows.cols != c * k * k:
         raise DimensionError(f"weight rows of {rows.cols} values, expected {c}*{k}*{k}")
 
-    padded = np.zeros((c, h + 2 * p, wd + 2 * p), dtype=FLOAT)
-    padded[:, p : p + h, p : p + wd] = x.as_map()
+    padded = x.as_map()  # a view of the input, never written
+    if p:
+        padded = np.zeros((c, h + 2 * p, wd + 2 * p), dtype=FLOAT)
+        padded[:, p : p + h, p : p + wd] = x.as_map()
 
-    # im2col: row (ci, ky, kx) holds that tap's input for every output pixel,
-    # in the flat weight-row order the accumulation must follow
-    windows = np.lib.stride_tricks.sliding_window_view(padded, (k, k), axis=(1, 2))[:, ::s, ::s]
-    patches = windows.transpose(0, 3, 4, 1, 2).reshape(c * k * k, oh * ow)
+    # im2col: row (ci, ky, kx) holds that tap's input for every output pixel, in the flat
+    # weight-row order the accumulation must follow; numpy checks the view's extent
+    cs, rs, es = padded.strides
+    windows = np.ndarray((c, k, k, oh, ow), FLOAT, padded, strides=(cs, rs, es, rs * s, es * s))
+    patches = windows.reshape(c * k * k, oh * ow)
     acc = np.zeros((rows.rows, oh * ow), dtype=FLOAT)
     acc = _accumulate(acc, rows.weights, patches)
     out = _activate(acc + rows.biases[:, None], spec.activation)

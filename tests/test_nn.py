@@ -4,7 +4,7 @@ import functools
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdlp import nn
@@ -401,6 +401,72 @@ def test_accumulate_gives_the_same_bits_for_c_and_f_ordered_weights(shape, rows,
     assert got_c.tobytes() == got_f.tobytes()
 
 
+def accumulate_oracle(acc, w, x):
+    """Scalar loop: each element of ``acc`` adds w[r, i] * x[i, q] for i ascending."""
+    rows, n = w.shape
+    xs = x.reshape(n, -1)
+    out = acc.reshape(rows, -1).copy()
+    with np.errstate(over="ignore", invalid="ignore"):
+        for r in range(rows):
+            for q in range(out.shape[1]):
+                v = out[r, q]
+                for i in range(n):
+                    v = f32(v + f32(w[r, i] * xs[i, q]))
+                out[r, q] = v
+    return out.reshape(acc.shape)
+
+
+def special_terms(kind, rows, n, rest):
+    """``acc``, ``w`` and ``x`` whose terms hold signed zeros, inf * 0 or
+    overflowing products in some rows, with finite terms in the others."""
+    rng = np.random.default_rng(rows * n)
+    w = rng.standard_normal((rows, n)).astype(f32)
+    x = rng.standard_normal((n, *rest)).astype(f32)
+    acc = rng.standard_normal((rows, *rest)).astype(f32)
+    flat = x.reshape(n, -1)
+    if kind == "signed-zero":  # even rows: +0.0, where every kernel starts, plus -0.0 products
+        acc[0::2] = 0.0
+        w[0::2] = -0.0
+        np.abs(x, out=x)
+        flat[::3] = 0.0
+    elif kind == "inf-times-zero":  # even rows turn NaN at the zero inputs
+        flat[0, 0::2] = 0.0
+        flat[0, 1::2] = -0.0
+        w[0::2, 0] = np.inf
+        w[0::4, -1] = -np.inf
+        flat[-1] = -0.0
+    else:  # products past float32's range: +inf, -inf, and inf - inf in later rows
+        flat[n // 2] = 1e3
+        w[0::3, n // 2] = 3e38
+        w[1::3, n // 2] = -3e38
+        w[0::3, -1] = -3e38
+    return acc, w, x
+
+
+_EDGE = nn._BLOCK_FLOATS // 2
+
+
+@pytest.mark.parametrize("kind", ["signed-zero", "inf-times-zero", "overflow"])
+@pytest.mark.parametrize(
+    "rows, n, rest",
+    [
+        (4, 12, (6,)),  # a conv's filters over its output pixels: m > rows
+        (6, 20, ()),  # a connected layer's rows
+        (1, 30, ()),  # one sum: m == 1
+        (1, 9, (1,)),  # one filter, one output pixel: m == 1
+        (2, 5, (_EDGE // 4,)),  # blocks of 3 terms
+        (2, _EDGE + 2, ()),  # blocks of _EDGE - 1 terms
+        (1, nn._BLOCK_FLOATS + 1, ()),  # blocks of _BLOCK_FLOATS - 1 terms
+    ],
+    ids=["conv", "connected", "one-sum", "one-pixel", "conv-edge", "connected-edge", "one-sum-edge"],
+)
+def test_accumulate_matches_scalar_loop_on_special_values(kind, rows, n, rest):
+    acc, w, x = special_terms(kind, rows, n, rest)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got = nn._accumulate(acc, np.asfortranarray(w), x)
+    assert got.tobytes() == accumulate_oracle(acc, w, x).tobytes()
+
+
 # --- convolutional ---
 
 def test_conv_identity_1x1_kernel():
@@ -468,6 +534,42 @@ def test_conv_filter_subsets_concatenate_to_whole():
     whole = conv_forward_subset(x, w, spec)
     parts = [conv_forward_subset(x, rows_of(w, lo, n), spec) for lo, n in ((0, 2), (2, 3))]
     assert np.concatenate([p.data for p in parts]).tobytes() == whole.data.tobytes()
+
+
+@given(
+    c=st.integers(1, 4),
+    h=st.integers(1, 9),
+    wd=st.integers(1, 9),
+    k=st.integers(1, 5),
+    s=st.integers(1, 3),
+    p=st.integers(0, 2),
+    data=st.data(),
+)
+@settings(max_examples=80, deadline=None)
+def test_conv_geometry_matches_oracle_and_leaves_the_input(c, h, wd, k, s, p, data):
+    """Any valid geometry and filter subset, on inputs with signed zeros;
+    with no padding the kernel's window view aliases the input."""
+    assume(h + 2 * p >= k and wd + 2 * p >= k)
+    filters = data.draw(st.integers(1, 5))
+    start = data.draw(st.integers(0, filters - 1))
+    count = data.draw(st.integers(0, filters - start))
+    activation = data.draw(st.sampled_from(["linear", "relu"]))
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000)))
+    x3 = rng.standard_normal((c, h, wd)).astype(f32)
+    x3[rng.random(x3.shape) < 0.2] = 0.0
+    x3[rng.random(x3.shape) < 0.2] = -0.0
+    w = rng.standard_normal((filters, c * k * k)).astype(f32)
+    w[rng.random(w.shape) < 0.1] = -0.0
+    b = rng.standard_normal(filters).astype(f32)
+    b[rng.random(filters) < 0.3] = -0.0
+    x = Tensor((c, h, wd), x3.reshape(-1))
+    before = x.data.tobytes()
+    spec = LayerSpec.convolutional(filters, k, s, p, activation)
+    got = conv_forward_subset(x, rows_of(LayerWeights(w, b), start, count), spec)
+    expect = conv_oracle(x3, w, b, k, s, p, activation)[start : start + count]
+    assert got.dims == expect.shape
+    assert got.data.tobytes() == expect.tobytes()
+    assert x.data.tobytes() == before
 
 
 def test_conv_geometry_mismatch():

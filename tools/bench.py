@@ -1,6 +1,6 @@
 """Write a BENCH_*.json file: the benchmark's figures for the checked-out tree.
 
-    python3 tools/bench.py --seconds 8 --out BENCH_14.json
+    python3 tools/bench.py --seconds 8 --out BENCH_15.json --against BENCH_14.json
 
 For every workload in BENCHMARK.json it runs ``perfbench/run.py`` untraced
 once per seed of SEEDS, each run in its own process, and records each run's
@@ -12,6 +12,11 @@ working tree differed from it.
 The exit code is 0 when every run was correct, 1 when an inference in some
 run was not bitwise equal to the reference pass (the file is still written),
 and 2 when the benchmark could not run.
+
+With ``--against`` an earlier BENCH file, it then prints, per workload, each
+end-to-end median's relative change from that file, and the ratio of the two
+files' median ``cu_ms`` probe times: cu figures are times over the probe, so
+a probe that ran slower in one file moves them too.
 """
 
 from __future__ import annotations
@@ -103,14 +108,37 @@ def bench_workload(workload: str, seconds: float) -> dict:
     }
 
 
+def compare(report: dict, baseline: dict) -> list[str]:
+    """Lines comparing ``report``'s end-to-end medians with ``baseline``'s."""
+    lines = []
+    for name, workload in report["workloads"].items():
+        old = baseline["workloads"].get(name)
+        if old is None:
+            lines.append(f"{name}: not in the baseline")
+            continue
+        probe, old_probe = workload["median_context"]["cu_ms"], old["median_context"]["cu_ms"]
+        lines.append(f"{name}: cu_ms probe {old_probe:.4g} -> {probe:.4g} ms, "
+                     f"ratio {probe / old_probe:.3f}")
+        for metric, value in workload["median"].items():
+            before = old["median"].get(metric)
+            if before:
+                lines.append(f"  {metric:<20} {before:.6g} -> {value:.6g}  {value / before - 1:+.1%}")
+            else:
+                lines.append(f"  {metric:<20} {before} -> {value:.6g}")
+    return lines
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seconds", type=float, default=8.0,
                         help="run length of each perfbench/run.py call")
     parser.add_argument("--out", type=Path, required=True, help="the JSON file to write")
+    parser.add_argument("--against", type=Path,
+                        help="an earlier BENCH file to compare the medians with")
     args = parser.parse_args(argv)
     if args.seconds <= 0:
         parser.error("--seconds must be positive")
+    baseline = json.loads(args.against.read_text()) if args.against else None
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
     try:
         workloads = {w["name"]: bench_workload(w["name"], args.seconds)
@@ -134,6 +162,8 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
+    if baseline is not None:
+        print("\n".join(compare(report, baseline)))
     runs = [run for w in workloads.values() for run in [*w["runs"], w["per_layer"]]]
     correct = all(run["correct"] for run in runs)
     return 0 if correct else 1
