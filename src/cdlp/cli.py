@@ -228,6 +228,11 @@ def cmd_run(args) -> int:
                 **_partition_payload(t.partition),
                 "arena_peak_bytes": t.arena_peak,
                 "decrypted_bytes": t.decrypted_bytes,
+                "switches": t.switches,
+                "stage_seconds": t.stage_seconds,
+                "decrypt_seconds": t.decrypt_seconds,
+                "kernel_seconds": t.kernel_seconds,
+                "spill_seconds": t.spill_seconds,
             }
             for t in result.partitions
         ],

@@ -24,7 +24,10 @@ random 96-bit nonces.
 
 Sealing and opening both take the partition id and the context, with no
 defaults: a container is always opened against the id and the context it
-is expected to carry. The executor passes one of two contexts:
+is expected to carry. They take the 16-byte key, or the cipher ``aead``
+makes of it; a run makes that cipher once and seals and opens all its
+containers with it. The executor passes
+one of two contexts:
 
 * weights: ``b"weights"``, the plan digest and the partition's layer;
 * spill: ``b"spill"``, the plan digest, a 16-byte nonce drawn once per run,
@@ -55,23 +58,30 @@ NONCE_BYTES = 12
 MAC_BYTES = 16  # the GCM tag
 
 _HEADER = struct.Struct("<4sHH12sQ")
+_NONCE = slice(8, 8 + NONCE_BYTES)  # the nonce's place in the header
 HEADER_BYTES = _HEADER.size
 MIN_CONTAINER_BYTES = HEADER_BYTES + MAC_BYTES
 
 
-def _check_key(key: bytes) -> None:
+def aead(key: bytes) -> AESGCM:
+    """The AES-128-GCM cipher of a 16-byte ``key``. A run makes it once and
+    seals and opens every container of the run with it."""
     if not isinstance(key, (bytes, bytearray)) or len(key) != KEY_BYTES:
         raise ValueError(f"key must be {KEY_BYTES} bytes, got {len(key)}")
+    return AESGCM(bytes(key))
 
 
-def encrypt_partition(blob: bytes, key: bytes, partition_id: int, context: bytes) -> bytes:
-    """Seal ``blob`` under a fresh nonce, bound to the header and ``context``."""
-    _check_key(key)
+def encrypt_partition(
+    blob: bytes, key: bytes | AESGCM, partition_id: int, context: bytes
+) -> bytes:
+    """Seal ``blob`` under a fresh nonce, bound to the header and ``context``.
+    ``key`` is the 16-byte key or the cipher ``aead`` made of it."""
+    cipher = key if isinstance(key, AESGCM) else aead(key)
     if not 0 <= partition_id <= 0xFFFF:
         raise ValueError(f"partition id {partition_id} outside u16 range")
     nonce = os.urandom(NONCE_BYTES)
     header = _HEADER.pack(MAGIC, VERSION, partition_id, nonce, len(blob))
-    return header + AESGCM(bytes(key)).encrypt(nonce, bytes(blob), header + context)
+    return header + cipher.encrypt(nonce, bytes(blob), header + context)
 
 
 def read_header(container: bytes) -> tuple[int, int]:
@@ -79,35 +89,36 @@ def read_header(container: bytes) -> tuple[int, int]:
 
     Framing problems raise FormatError; nothing here checks the tag.
     """
-    if len(container) < MIN_CONTAINER_BYTES:
-        raise FormatError(f"container of {len(container)} bytes is too short")
+    size = len(container)
+    if size < MIN_CONTAINER_BYTES:
+        raise FormatError(f"container of {size} bytes is too short")
     magic, version, partition_id, _nonce, plaintext_len = _HEADER.unpack_from(container)
     if magic != MAGIC:
         raise FormatError(f"bad magic {magic!r}")
     if version != VERSION:
         raise FormatError(f"unsupported container version {version}")
     expected = HEADER_BYTES + plaintext_len + MAC_BYTES
-    if len(container) != expected:
-        raise FormatError(
-            f"container of {len(container)} bytes, header promises {expected}"
-        )
+    if size != expected:
+        raise FormatError(f"container of {size} bytes, header promises {expected}")
     return partition_id, plaintext_len
 
 
 def decrypt_partition(
-    container: bytes, key: bytes, expected_partition_id: int, context: bytes
+    container: bytes, key: bytes | AESGCM, expected_partition_id: int, context: bytes
 ) -> bytes:
-    """Verify and decrypt a bytes-like ``container``; an id, tag or context
-    mismatch raises IntegrityError, framing FormatError."""
-    _check_key(key)
+    """Verify and decrypt a bytes-like ``container`` with the 16-byte key or
+    its ``aead`` cipher; an id, tag or context mismatch raises IntegrityError,
+    framing FormatError."""
+    cipher = key if isinstance(key, AESGCM) else aead(key)
     partition_id, _plaintext_len = read_header(container)
     if partition_id != expected_partition_id:
         raise IntegrityError(
             f"container is for partition {partition_id}, expected {expected_partition_id}"
         )
-    nonce = _HEADER.unpack_from(container)[3]
-    aad = bytes(container[:HEADER_BYTES]) + context
+    header = bytes(container[:HEADER_BYTES])
     try:  # the ciphertext is read from a view, not copied
-        return AESGCM(bytes(key)).decrypt(nonce, memoryview(container)[HEADER_BYTES:], aad)
+        return cipher.decrypt(
+            header[_NONCE], memoryview(container)[HEADER_BYTES:], header + context
+        )
     except InvalidTag:
         raise IntegrityError("container tag mismatch") from None

@@ -9,7 +9,14 @@ activations. A secure one runs inside a session invocation: its
 container is staged in shared memory, decrypted into the arena, and
 freed before the next partition loads. The run returns one
 ``PartitionTrace`` per partition, in plan order: the bytes it decrypted
-and the arena peak it reached, next to the footprint the plan recorded.
+and the arena peak it reached, next to the footprint the plan recorded,
+its world switches, and the wall time of its phases.
+
+What a run does once, it does once per run and keeps nothing across
+runs: it validates the plan, digests the manifest and makes the AES-GCM
+cipher that opens and seals every container of the run. A layer run as
+one partition hands its kernel's output tensor to the next layer as it
+is; the partitions of a split layer are joined once, in plan order.
 
 Between layers the activations live in one of three places. Public ones
 (the input, or a normal-world layer's outputs) cross to the secure world
@@ -37,11 +44,13 @@ import struct
 import time
 from dataclasses import dataclass, field
 from hashlib import sha256
+from operator import attrgetter
 from typing import Callable, Mapping
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
-from .container import encrypt_partition
+from .container import aead, encrypt_partition
 from .errors import DimensionError, PlanError
 from .model import FLOAT, FLOAT_BYTES, ModelSpec, Tensor, WeightStore
 from .nn import DenseAccumulator, layer_forward, reference_forward
@@ -99,7 +108,7 @@ class SpilledActivations:
 
 
 def spill_activations(
-    values: np.ndarray, key: bytes, arena: SecureArena, into: SpilledActivations
+    values: np.ndarray, key: bytes | AESGCM, arena: SecureArena, into: SpilledActivations
 ) -> None:
     """Encrypt float32 ``values`` into ``into``'s shared buffer in
     SPILL_CHUNK_BYTES chunks, appending them to its chunk list; a layer split
@@ -127,12 +136,13 @@ def spill_activations(
 
 def stream_spilled(
     spilled: SpilledActivations,
-    key: bytes,
+    key: bytes | AESGCM,
     arena: SecureArena,
     consumer: Callable[[np.ndarray, int], None],
     ledger: CostLedger,
-) -> None:
-    """Decrypt spill chunks one at a time into the arena and feed ``consumer``.
+) -> float:
+    """Decrypt spill chunks one at a time into the arena and feed ``consumer``;
+    return the wall seconds spent verifying and decrypting them.
 
     Each chunk is verified, decrypted, consumed, and freed before the next
     loads, so one pass costs a single chunk of arena space and adds the
@@ -140,24 +150,43 @@ def stream_spilled(
     p passes is exactly the re-decryption penalty of spilling. A tampered
     chunk aborts before the consumer sees any of it.
     """
+    clock = time.perf_counter
+    seconds = 0.0
     for index, chunk in enumerate(spilled.chunks):
+        started = clock()
         raw = spilled.buffer.read(chunk.offset, chunk.length)
         blob = ledger_decrypt(
             arena, ledger, raw, key, chunk.chunk_id, spilled.chunk_context(index)
         )
+        seconds += clock() - started
         try:
             consumer(np.frombuffer(blob.data, FLOAT), chunk.start)
         finally:
             blob.release(arena)
+    return seconds
 
 
 @dataclass
 class PartitionTrace:
-    """What one partition of a run cost; a normal-world one costs nothing."""
+    """What one partition of a run cost, and where its wall time went.
+
+    The phases, in wall seconds: ``stage`` writes the partition's container
+    to shared memory, with the public activations that cross to the secure
+    world before it, if any; ``decrypt`` verifies and decrypts its weights
+    and every spill chunk it streams; ``kernel`` computes its rows of the
+    layer; ``spill`` encrypts those rows into shared memory when the next
+    layer streams them. A normal-world partition has kernel time only, and
+    decrypts nothing and switches no world.
+    """
 
     partition: Partition
     decrypted_bytes: int = 0
     arena_peak: int = 0  # measured, against the plan's partition.footprint_bytes
+    switches: int = 0
+    stage_seconds: float = 0.0
+    decrypt_seconds: float = 0.0
+    kernel_seconds: float = 0.0
+    spill_seconds: float = 0.0
 
 
 @dataclass
@@ -198,9 +227,10 @@ def run_partitioned(
     (secure world) or plaintext blob (normal world). Each secure partition
     costs one session invocation, and its weights are freed before the
     next partition loads. The result traces every partition: the bytes it
-    decrypted and its arena peak. The containers must have been sealed for this
-    plan by ``prepare_partition_data``. Whether the run returns or raises,
-    it frees all the arena memory it took.
+    decrypted, its arena peak, its switches and its phase times. The
+    containers must have been sealed for this plan by
+    ``prepare_partition_data``. Whether the run returns or raises, it frees
+    all the arena memory it took.
     """
     problems = validate_plan(plan, model, arena.capacity)
     if problems:
@@ -210,114 +240,129 @@ def run_partitioned(
             f"input dims {input_tensor.dims} do not match model {model.input_dims}"
         )
 
+    cipher = aead(key)  # one key schedule opens and seals every container of the run
     shared = SharedBuffer()
     ledger = CostLedger()
     session = Session(ledger)
     digest = plan_digest(plan)
     # binds this run's spill chunks to it: another run's do not verify
     run_nonce = os.urandom(RUN_NONCE_BYTES)
+    clock = time.perf_counter
 
     # The layer inputs are public ``values``, in shared memory at ``offset``
     # once the secure world is to read them; resident ``values``, charged to
-    # the arena as ``held``; or ``spilled`` chunks. A layer writes its
-    # outputs to ``out_values``, charged as ``out`` in the secure world, or,
-    # when the next layer streams its inputs, to ``out_spill``.
-    values = input_tensor.data
+    # the arena as ``held``; or ``spilled`` chunks. A layer's partitions
+    # leave their rows in ``outputs``, charged as ``out`` in the secure
+    # world, or, when the next layer streams its inputs, in ``out_spill``.
+    values = input_tensor
     # the client hands the inference input over through shared memory
     offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
-    held = spilled = out = out_values = out_spill = None
+    held = spilled = out = outputs = out_spill = None
     traces = []
 
-    def step(p, blob: bytes, secure: bool) -> None:
+    def step(p, blob: bytes, secure: bool, trace: PartitionTrace) -> None:
         """Run partition ``p`` on its plaintext weight blob and store its rows."""
         nonlocal out
         i = p.layer_index
-        if secure and out_values is not None and out is None:
-            out = arena.alloc(FLOAT_BYTES * out_values.size)  # by the layer's first subset
+        if secure and outputs is not None and out is None:
+            out = arena.alloc(FLOAT_BYTES * model.out_elems(i))  # by the layer's first subset
+        rows = None
+        if model.is_parameterized(i):
+            rows = partition_weights(model, i, p.start, p.end, blob)
         if spilled is not None:
             accumulator = DenseAccumulator(
-                partition_weights(model, i, p.start, p.end, blob), model.layers[i],
-                p.start, model.units(i), model.branch_groups(i),
+                rows, model.layers[i], p.start, model.units(i), model.branch_groups(i)
             )
-            stream_spilled(spilled, key, arena, accumulator.feed, ledger)
+            started = clock()
+            decrypting = stream_spilled(spilled, cipher, arena, accumulator.feed, ledger)
             result = accumulator.finish()
+            trace.decrypt_seconds += decrypting
+            started += decrypting
         else:
-            rows = None
-            if model.is_parameterized(i):
-                rows = partition_weights(model, i, p.start, p.end, blob)
             x = values
             if secure and held is None:
                 # the trusted app reads public inputs straight from shared memory
-                x = np.frombuffer(shared.read(offset, FLOAT_BYTES * values.size), FLOAT)
-            result = layer_forward(model, i, Tensor(model.in_dims(i), x), rows, p.start)
+                data = shared.read(offset, FLOAT_BYTES * values.size)
+                x = Tensor(values.dims, np.frombuffer(data, FLOAT))
+            started = clock()
+            result = layer_forward(model, i, x, rows, p.start)
+        computed = clock()
+        trace.kernel_seconds += computed - started
         if out_spill is not None:
-            spill_activations(result.data, key, arena, out_spill)
+            spill_activations(result.data, cipher, arena, out_spill)
+            trace.spill_seconds += clock() - computed
         else:
-            lo = p.start * model.output_units_per_row(i)
-            out_values[lo : lo + result.size] = result.data
+            outputs.append(result)
 
-    def trusted_step(p, staged: int, length: int) -> None:
+    def trusted_step(p, staged: int, length: int, trace: PartitionTrace) -> None:
         """The secure world's side of ``p``: decrypt its staged container and run it."""
-        container = shared.read(staged, length)
+        started = clock()
         weights = ledger_decrypt(
-            arena, ledger, container, key, p.id, weights_context(digest, p.layer_index)
+            arena, ledger, shared.read(staged, length), cipher, p.id,
+            weights_context(digest, p.layer_index),
         )
+        trace.decrypt_seconds += clock() - started
         try:
-            step(p, weights.data, True)
+            step(p, weights.data, True, trace)
         finally:
             weights.release(arena)
 
     try:
-        for i, group in itertools.groupby(plan.partitions, key=lambda p: p.layer_index):
+        for i, group in itertools.groupby(plan.partitions, key=attrgetter("layer_index")):
             parts = list(group)
             secure = parts[0].world == WORLD_SECURE
-            if secure and held is None and spilled is None and offset is None:
-                # normal-to-secure handoff: the extracted features cross through
-                # shared memory in the clear, a documented boundary of branched
-                # execution rather than a leak
-                offset = shared.append(values.tobytes(), TaintTag.PUBLIC)
-
-            out_values = out_spill = None
+            outputs = out_spill = None
             if secure and i + 1 in plan.spill:
                 context = b"spill" + digest + run_nonce + _INDEX.pack(i + 1)
                 out_spill = SpilledActivations(shared, context=context)
             else:
-                out_values = np.zeros(model.out_elems(i), FLOAT)
+                outputs = []
             for p in parts:
+                trace = PartitionTrace(p)
+                traces.append(trace)
                 blob = partition_data[p.id]
                 if not secure:
-                    step(p, blob, False)
-                    traces.append(PartitionTrace(p))
+                    step(p, blob, False, trace)
                     continue
+                started = clock()
+                if held is None and spilled is None and offset is None:
+                    # normal-to-secure handoff: the extracted features cross through
+                    # shared memory in the clear, a documented boundary of branched
+                    # execution rather than a leak
+                    offset = shared.append(values.tobytes(), TaintTag.PUBLIC)
                 staged = shared.append_container(blob)
+                trace.stage_seconds = clock() - started
                 arena.reset_peak()
-                decrypted_before = ledger.decrypted_bytes
-                session.invoke(lambda: trusted_step(p, staged, len(blob)))
-                traces.append(
-                    PartitionTrace(p, ledger.decrypted_bytes - decrypted_before, arena.peak_usage)
-                )
+                decrypted, switches = ledger.decrypted_bytes, ledger.context_switches
+                session.invoke(lambda: trusted_step(p, staged, len(blob), trace))
+                trace.decrypted_bytes = ledger.decrypted_bytes - decrypted
+                trace.switches = ledger.context_switches - switches
+                trace.arena_peak = arena.peak_usage
 
             if held is not None:
                 arena.free(held)
             held, out = out, None
-            values, offset, spilled = out_values, None, out_spill
+            if outputs is not None and len(outputs) > 1:  # the layer's rows, in plan order
+                outputs = [Tensor(model.out_dims(i), np.concatenate([r.data for r in outputs]))]
+            values = outputs[0] if outputs is not None else None
+            offset, spilled = None, out_spill
     finally:
         for allocation in (held, out):
             if allocation is not None:
                 arena.free(allocation)
 
-    out_dims = model.out_dims(len(model.layers) - 1) if model.layers else input_tensor.dims
-    return RunResult(Tensor(out_dims, values.copy()), ledger, traces, shared)
+    return RunResult(Tensor(values.dims, values.data.copy()), ledger, traces, shared)
 
 
 def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) -> dict[int, bytes]:
     """Split a weight store along the plan: encrypted containers for secure
     partitions, plaintext blobs for normal-world ones."""
+    cipher = aead(key)
     digest = plan_digest(plan)
     data = {}
     for p, blob in zip(plan.partitions, split_weights(store, plan)):
         if p.encrypted:
-            blob = encrypt_partition(blob, key, p.id, weights_context(digest, p.layer_index))
+            blob = encrypt_partition(blob, cipher, p.id, weights_context(digest, p.layer_index))
         data[p.id] = blob
     return data
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -14,6 +15,15 @@ ACTIVATIONS = ("linear", "relu")
 
 FLOAT = np.dtype("<f4")
 FLOAT_BYTES = 4
+
+
+def _flat_floats(values) -> np.ndarray:
+    """``values`` as a 1-D contiguous float32 array: the array itself if it
+    is one already, as every kernel's output is, else a converted copy or view."""
+    if (type(values) is np.ndarray and values.ndim == 1 and values.dtype == FLOAT
+            and values.flags.c_contiguous):
+        return values
+    return np.ascontiguousarray(values, dtype=FLOAT).reshape(-1)
 
 
 @dataclass
@@ -28,13 +38,13 @@ class Tensor:
     data: np.ndarray
 
     def __post_init__(self):
-        self.dims = tuple(int(d) for d in self.dims)
-        if any(d < 0 for d in self.dims) or not self.dims:
-            raise DimensionError(f"bad tensor dims {self.dims}")
-        arr = np.ascontiguousarray(self.data, dtype=FLOAT).reshape(-1)
-        if arr.size != math.prod(self.dims):
+        self.dims = dims = tuple(map(int, self.dims))
+        if not dims or min(dims) < 0:
+            raise DimensionError(f"bad tensor dims {dims}")
+        arr = _flat_floats(self.data)
+        if arr.size != math.prod(dims):
             raise DimensionError(
-                f"tensor dims {self.dims} need {math.prod(self.dims)} values, got {arr.size}"
+                f"tensor dims {dims} need {math.prod(dims)} values, got {arr.size}"
             )
         self.data = arr
 
@@ -141,7 +151,7 @@ class LayerWeights:
 
     def __post_init__(self):
         self.weights = np.asfortranarray(self.weights, dtype=FLOAT)
-        self.biases = np.ascontiguousarray(self.biases, dtype=FLOAT).reshape(-1)
+        self.biases = _flat_floats(self.biases)
         if self.weights.ndim != 2:
             raise DimensionError(f"weight matrix must be 2-D, got {self.weights.shape}")
         if self.biases.size != self.weights.shape[0]:
@@ -185,21 +195,34 @@ def output_dims(layer: LayerSpec, in_dims: tuple[int, ...]) -> tuple[int, ...]:
     return (math.prod(in_dims),)
 
 
+class LayerGeometry(NamedTuple):
+    """One layer's shapes within its model, worked out once per model."""
+
+    in_dims: tuple[int, ...]
+    out_dims: tuple[int, ...]
+    in_elems: int
+    out_elems: int
+    units: int  # partitionable output units: neurons, filters, or output elements
+    out_per_unit: int  # output elements per unit: 1, or a filter's map size
+    groups: int  # independent branch groups: the branch count at/after the split, else 1
+    param_shape: tuple[int, int] | None  # (rows, cols) of the weight matrix
+
+
 @dataclass
 class ModelSpec:
     """Parsed network: ordered layers, input dims, optional branch topology.
 
     ``config_bytes`` records the byte length of the source configuration
-    text (an input to the cost model); it does not affect equality.
+    text (an input to the cost model); it does not affect equality. Every
+    layer's geometry is worked out once, when the spec is made, so the
+    accessors below are lookups.
     """
 
     layers: list[LayerSpec]
     input_dims: tuple[int, int, int]
     branch: BranchTopology | None = None
     config_bytes: int = field(default=0, compare=False)
-    _shapes: list[tuple[tuple[int, ...], tuple[int, ...]]] = field(
-        init=False, compare=False, repr=False
-    )
+    _geometry: list[LayerGeometry] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.input_dims = tuple(int(d) for d in self.input_dims)
@@ -211,10 +234,10 @@ class ModelSpec:
             out = output_dims(layer, dims)
             shapes.append((dims, out))
             dims = out
-        self._shapes = shapes
-        self._validate_branch()
+        self._validate_branch(shapes)
+        self._geometry = [self._layer_geometry(i, *shape) for i, shape in enumerate(shapes)]
 
-    def _validate_branch(self):
+    def _validate_branch(self, shapes):
         b = self.branch
         if b is None:
             return
@@ -227,59 +250,59 @@ class ModelSpec:
                     f"layer {j} ({layer.kind}) after the branch point; "
                     "branched segments support connected layers only"
                 )
-            if self.in_elems(j) % b.branch_count or layer.outputs % b.branch_count:
+            in_elems = math.prod(shapes[j][0])
+            if in_elems % b.branch_count or layer.outputs % b.branch_count:
                 raise DimensionError(
-                    f"layer {j} sizes {self.in_elems(j)}->{layer.outputs} "
+                    f"layer {j} sizes {in_elems}->{layer.outputs} "
                     f"not divisible by {b.branch_count} branches"
                 )
 
+    def _layer_geometry(self, i: int, in_dims, out_dims) -> LayerGeometry:
+        layer = self.layers[i]
+        in_elems, out_elems = math.prod(in_dims), math.prod(out_dims)
+        groups = 1
+        if self.branch is not None and i >= self.branch.branch_layer_index:
+            groups = self.branch.branch_count
+        units, out_per_unit, param_shape = out_elems, 1, None
+        if layer.kind == "connected":
+            units, param_shape = layer.outputs, (layer.outputs, in_elems // groups)
+        elif layer.kind == "convolutional":
+            units, out_per_unit = layer.filters, out_dims[1] * out_dims[2]
+            param_shape = (layer.filters, in_dims[0] * layer.kernel_size * layer.kernel_size)
+        return LayerGeometry(
+            in_dims, out_dims, in_elems, out_elems, units, out_per_unit, groups, param_shape
+        )
+
     def in_dims(self, i: int) -> tuple[int, ...]:
-        return self._shapes[i][0]
+        return self._geometry[i].in_dims
 
     def out_dims(self, i: int) -> tuple[int, ...]:
-        return self._shapes[i][1]
+        return self._geometry[i].out_dims
 
     def in_elems(self, i: int) -> int:
-        return math.prod(self._shapes[i][0])
+        return self._geometry[i].in_elems
 
     def out_elems(self, i: int) -> int:
-        return math.prod(self._shapes[i][1])
+        return self._geometry[i].out_elems
 
     def branch_groups(self, i: int) -> int:
         """Independent groups in layer i: the branch count at/after the split, else 1."""
-        if self.branch is not None and i >= self.branch.branch_layer_index:
-            return self.branch.branch_count
-        return 1
+        return self._geometry[i].groups
 
     def is_parameterized(self, i: int) -> bool:
-        return self.layers[i].kind in ("convolutional", "connected")
+        return self._geometry[i].param_shape is not None
 
     def units(self, i: int) -> int:
         """Partitionable output units: neurons, filters, or output elements."""
-        layer = self.layers[i]
-        if layer.kind == "connected":
-            return layer.outputs
-        if layer.kind == "convolutional":
-            return layer.filters
-        return self.out_elems(i)
+        return self._geometry[i].units
 
     def param_shape(self, i: int) -> tuple[int, int] | None:
         """Weight matrix shape (rows, cols) for layer i, or None if weightless."""
-        layer = self.layers[i]
-        if layer.kind == "connected":
-            return (layer.outputs, self.in_elems(i) // self.branch_groups(i))
-        if layer.kind == "convolutional":
-            in_c = self.in_dims(i)[0]
-            return (layer.filters, in_c * layer.kernel_size * layer.kernel_size)
-        return None
+        return self._geometry[i].param_shape
 
     def output_units_per_row(self, i: int) -> int:
         """Output elements produced per unit: 1 for neurons, map size for filters."""
-        layer = self.layers[i]
-        if layer.kind == "convolutional":
-            _, oh, ow = self.out_dims(i)
-            return oh * ow
-        return 1
+        return self._geometry[i].out_per_unit
 
 
 @dataclass

@@ -52,6 +52,7 @@ from .model import FLOAT, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStor
 from .model import output_dims, validate_weights
 
 _ZERO = np.float32(0.0)
+_NEG_ZERO = np.float32(-0.0)
 _BLOCK_FLOATS = 1 << 16  # float32 values in one block of accumulation terms
 
 
@@ -72,8 +73,8 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
     A block of terms is a broadcast copy of one operand times the other, whose
     inner axis is contiguous: the weights times the patch rows when a row has
     more than one value (a convolution's pixels), else the inputs times the
-    weight block. ``np.add.reduce`` sums from +0.0, so it returns a -0.0 in
-    ``acc`` as +0.0; every kernel starts ``acc`` at +0.0.
+    weight block. The reduce starts from -0.0, the identity of IEEE addition
+    (``-0.0 + x == x`` bit for bit), so a -0.0 in ``acc`` stays -0.0.
     """
     m = acc.size
     if m == 0:
@@ -94,7 +95,10 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
         fill = part[1:].reshape(hi - lo, rows, *rest)
         np.copyto(fill, spread)
         np.multiply(fill, factor, out=fill)  # one product per term: IEEE multiply commutes
-        total = np.add.accumulate(part[:, 0])[-1:] if m == 1 else np.add.reduce(part, axis=0)
+        if m == 1:
+            total = np.add.accumulate(part[:, 0])[-1:]
+        else:
+            total = np.add.reduce(part, axis=0, initial=_NEG_ZERO)
     return total.reshape(acc.shape)
 
 

@@ -258,23 +258,32 @@ def _plan(
 
 
 def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> list[str]:
-    """All violations (not just the first); empty list means the plan is sound."""
+    """All violations (not just the first); empty list means the plan is sound.
+
+    One pass over the partitions checks each on its own and groups them by
+    layer; one pass over the layers then checks coverage and footprints,
+    carrying what a layer's footprint needs of its producer (whether it ran
+    in the secure world, and its widest partition) from the layer before.
+    """
     problems: list[str] = []
     if plan.scheme not in SCHEMES:
         problems.append(f"unknown scheme {plan.scheme!r}")
-    ids = [p.id for p in plan.partitions]
-    if len(set(ids)) != len(ids):
+    partitions = plan.partitions
+    if len({p.id for p in partitions}) != len(partitions):
         problems.append("duplicate partition ids")
 
-    by_layer: dict[int, list[Partition]] = {}
+    layers = len(model.layers)
+    by_layer: list[list[Partition]] = [[] for _ in range(layers)]
     previous_layer = 0
     seen_secure = False
-    for p in plan.partitions:
-        if p.layer_index < previous_layer:
+    for p in partitions:
+        i = p.layer_index
+        if i < previous_layer:
             problems.append(f"partition {p.id} breaks layer execution order")
-        previous_layer = max(previous_layer, p.layer_index)
-        if not 0 <= p.layer_index < len(model.layers):
-            problems.append(f"partition {p.id} names layer {p.layer_index} of {len(model.layers)}")
+        else:
+            previous_layer = i
+        if not 0 <= i < layers:
+            problems.append(f"partition {p.id} names layer {i} of {layers}")
             continue
         if p.world == WORLD_SECURE:
             seen_secure = True
@@ -289,56 +298,57 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
                 )
         else:
             problems.append(f"partition {p.id} has unknown world {p.world!r}")
-        by_layer.setdefault(p.layer_index, []).append(p)
+        by_layer[i].append(p)
 
     spill: set[int] = set()  # the sound flags, the only ones footprints are priced with
     for j in sorted(plan.spill):
-        if not 1 <= j < len(model.layers):
+        if not 1 <= j < layers:
             problems.append(f"spill flag on layer {j} is out of range")
             continue
         before = len(problems)
         if model.layers[j].kind != "connected":
             problems.append(f"spill flag on layer {j} ({model.layers[j].kind}); only connected layers stream")
-        producer = by_layer.get(j - 1)
-        if producer and any(p.world != WORLD_SECURE for p in producer):
+        if any(p.world != WORLD_SECURE for p in by_layer[j - 1]):
             problems.append(f"spill flag on layer {j} but layer {j - 1} runs in the normal world")
         if len(problems) == before:
             spill.add(j)
 
-    for i in range(len(model.layers)):
-        parts = by_layer.get(i)
+    public_input, producer_rows = True, None  # the model input is public
+    for i, parts in enumerate(by_layer):
         if not parts:
             problems.append(f"layer {i} is not covered by any partition")
+            public_input, producer_rows = False, None
             continue
         units = model.units(i)
-        producer = by_layer.get(i - 1, [])
-        public_input = i == 0 or any(q.world != WORLD_SECURE for q in producer)
-        producer_rows = max((q.end - q.start for q in producer), default=None)
-        cursor = 0
+        cursor, widest = 0, parts[0].end - parts[0].start
+        worlds = set()
         for p in parts:  # plan order within the layer
-            if p.start != cursor:
+            start, end = p.start, p.end
+            if start != cursor:
                 problems.append(
-                    f"layer {i} rows [{cursor}, {p.start}) "
-                    + ("overlap" if p.start < cursor else "are uncovered")
+                    f"layer {i} rows [{cursor}, {start}) "
+                    + ("overlap" if start < cursor else "are uncovered")
                 )
-            if not 0 <= p.start <= p.end <= units:
-                problems.append(f"partition {p.id} range [{p.start}, {p.end}) outside {units} units")
+            if not 0 <= start <= end <= units:
+                problems.append(f"partition {p.id} range [{start}, {end}) outside {units} units")
             elif p.world == WORLD_SECURE:
-                need = partition_footprint(
-                    model, i, p.end - p.start, spill, public_input, producer_rows
-                )
+                need = partition_footprint(model, i, end - start, spill, public_input, producer_rows)
                 if p.footprint_bytes < need:
                     problems.append(
                         f"partition {p.id} records {p.footprint_bytes} bytes but needs {need}"
                     )
-            cursor = max(cursor, p.end)
+            if end > cursor:
+                cursor = end
+            if end - start > widest:
+                widest = end - start
+            worlds.add(p.world)
         if cursor != units:
             problems.append(f"layer {i} covered up to row {cursor} of {units}")
-        worlds = {p.world for p in parts}
         if len(worlds) > 1:
             problems.append(f"layer {i} mixes worlds {sorted(worlds)}")
         if len(parts) > 1 and not model.is_parameterized(i):
             problems.append(f"{model.layers[i].kind} layer {i} cannot be split")
+        public_input, producer_rows = worlds != {WORLD_SECURE}, widest
 
     return problems
 

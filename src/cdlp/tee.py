@@ -8,7 +8,8 @@ the package needs to reason about confidentiality and cost:
 * SharedBuffer: append-only normal-world memory whose writes are
   taint-tagged, with no way to write confidential plaintext through the
   interface; its memory is the appends, kept as written, so reading a
-  whole append copies nothing;
+  whole append copies nothing, and its write log is built from them when
+  it is read, so staging a container copies nothing either;
 * Session: the client's calls into the trusted application; its only
   state is the ledger it charges two one-way switches per invocation;
 * CostLedger / CostConstants: a run's two counters, context switches
@@ -36,6 +37,7 @@ from enum import Enum
 from typing import Callable, Iterable, Iterator
 
 import numpy as np
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import container
 from .errors import SecureMemoryError
@@ -126,7 +128,8 @@ class SecureArena:
                 f"exceeds the {self.capacity}-byte secure arena"
             )
         self._current += size
-        self._peak = max(self._peak, self._current)
+        if self._current > self._peak:
+            self._peak = self._current
         return Allocation(size)
 
     def free(self, allocation: Allocation) -> None:
@@ -165,52 +168,59 @@ class SharedBuffer:
 
     The memory is the appends themselves, each kept as the immutable bytes
     it was written as, so the trusted app reads a whole append in place, as
-    from registered shared memory, with no copy. Anyone can read it; every
-    write is logged with its taint tag so tests can prove no confidential
-    plaintext ever landed here.
+    from registered shared memory, with no copy. Anyone can read it. Every
+    append keeps its taint tag, and ``writes`` is the log they make, so
+    tests can prove no confidential plaintext ever landed here; the log is
+    built when it is read, so an append copies nothing into it.
     """
 
     def __init__(self):
         self._pieces: list[bytes] = []  # the appends, in order
         self._starts: list[int] = []  # each append's offset
+        self._tags: list[TaintTag | None] = []  # each append's tag; None for a container
         self._size = 0
-        self.writes: list[WriteRecord] = []
 
     def __len__(self) -> int:
         return self._size
 
-    def _store(self, data: bytes) -> int:
+    def _store(self, data: bytes, tag: TaintTag | None) -> int:
         offset = self._size
         self._pieces.append(data)
         self._starts.append(offset)
-        self._size += len(data)
+        self._tags.append(tag)
+        self._size = offset + len(data)
         return offset
 
     def append(self, data: bytes, tag: TaintTag) -> int:
-        """Write ``data`` at the end of the buffer, log it and return its offset."""
+        """Write ``data`` at the end of the buffer and return its offset."""
         if not isinstance(tag, TaintTag):
             raise TypeError(f"tag must be a TaintTag, got {tag!r}")
-        data = bytes(data)  # a snapshot of a caller's bytearray; bytes stay as they are
-        offset = self._store(data)
-        self.writes.append(WriteRecord(offset, len(data), tag, data))
-        return offset
+        # a snapshot of a caller's bytearray; bytes stay as they are
+        return self._store(bytes(data), tag)
 
     def append_container(self, data: bytes) -> int:
-        """Append an encrypted container as one piece of memory and return its offset.
+        """Append an encrypted container as one piece of memory and return its offset."""
+        return self._store(bytes(data), None)
 
-        The header is public metadata and is logged as its own PUBLIC
-        write, the ciphertext and tag as one CIPHERTEXT write, so no logged
-        slice spans both: a header's length field next to ciphertext bytes
-        can otherwise match a run of zero activations by chance.
+    @property
+    def writes(self) -> list[WriteRecord]:
+        """The write log, in order: one record per append, whose data is the
+        append itself.
+
+        A container's header is public metadata and is logged as its own
+        PUBLIC write, the ciphertext and tag as one CIPHERTEXT write, so no
+        logged slice spans both: a header's length field next to ciphertext
+        bytes can otherwise match a run of zero activations by chance.
         """
-        data = bytes(data)
-        offset = self._store(data)
-        header, body = data[: container.HEADER_BYTES], data[container.HEADER_BYTES :]
-        self.writes.append(WriteRecord(offset, len(header), TaintTag.PUBLIC, header))
-        self.writes.append(
-            WriteRecord(offset + len(header), len(body), TaintTag.CIPHERTEXT, body)
-        )
-        return offset
+        log = []
+        for data, offset, tag in zip(self._pieces, self._starts, self._tags):
+            if tag is not None:
+                log.append(WriteRecord(offset, len(data), tag, data))
+                continue
+            header, body = data[: container.HEADER_BYTES], data[container.HEADER_BYTES :]
+            log.append(WriteRecord(offset, len(header), TaintTag.PUBLIC, header))
+            log.append(WriteRecord(offset + len(header), len(body), TaintTag.CIPHERTEXT, body))
+        return log
 
     def read(self, offset: int, length: int) -> bytes:
         """The ``length`` bytes at ``offset``: a whole append is returned as
@@ -372,16 +382,18 @@ def ledger_decrypt(
     arena: SecureArena,
     ledger: CostLedger,
     container_bytes: bytes,
-    key: bytes,
+    key: bytes | AESGCM,
     expected_partition_id: int,
     context: bytes,
 ) -> SecureBlob:
     """Decrypt a container into the arena, counting the plaintext bytes.
 
+    ``key`` is the 16-byte key or the cipher ``container.aead`` made of it.
     ``context`` is the associated data the container was sealed with, past
-    its header. The plaintext is charged to the arena before decryption; on
-    any failure (no room, bad framing, tag or context mismatch) the counter
-    stays untouched and the arena is left as it was.
+    its header. The framing is checked and the plaintext charged to the
+    arena before decryption; on any failure (bad framing, no room, tag or
+    context mismatch) the counter stays untouched and the arena is left as
+    it was.
     """
     _pid, plaintext_len = container.read_header(container_bytes)
     allocation = arena.alloc(plaintext_len) if plaintext_len else None

@@ -107,17 +107,13 @@ def partition_weights(
     shape = model.param_shape(layer_index)
     if shape is None:
         raise DimensionError(f"layer {layer_index} takes no weights")
-    rows = end - start
-    cols = shape[1]
+    rows, cols = end - start, shape[1]
     expect = FLOAT_BYTES * rows * (1 + cols)
     if len(blob) != expect:
         raise FormatError(
             f"partition blob of {len(blob)} bytes, expected {expect} "
             f"for {rows} rows of layer {layer_index}"
         )
-    biases = np.frombuffer(blob, FLOAT, count=rows)
-    weights = np.frombuffer(blob, FLOAT, count=rows * cols, offset=FLOAT_BYTES * rows)
-    biases.flags.writeable = False  # a bytearray blob would give writable views
-    weights.flags.writeable = False
-    return LayerWeights(weights.reshape(cols, rows).T, biases)
-
+    values = np.frombuffer(blob, FLOAT)
+    values.flags.writeable = False  # a bytearray blob would give writable views
+    return LayerWeights(values[rows:].reshape(cols, rows).T, values[:rows])

@@ -249,6 +249,21 @@ def test_run_traces_every_partition(workspace, capsys):
     assert lines[-1].endswith(f"decrypted {trace[-1]['decrypted_bytes']}")
 
 
+def test_run_json_traces_switches_and_phase_times(workspace, capsys):
+    tmp, cfg, _, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace, "layered", 7 * 2**20)
+    capsys.readouterr()
+    assert run_cli("run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+                   "--input", tensor, "--cap", 7 * 2**20, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    trace = payload["trace"]
+    assert [entry["switches"] for entry in trace] == [2] * 11
+    assert sum(entry["switches"] for entry in trace) == payload["context_switches"]
+    for entry in trace:
+        assert entry["kernel_seconds"] > 0 and entry["spill_seconds"] == 0
+        assert entry["stage_seconds"] > 0 and entry["decrypt_seconds"] > 0
+
+
 def test_run_rejects_a_manifest_that_understates_a_footprint(workspace, capsys):
     tmp, cfg, _, tensor = workspace
     manifest, parts = plan_and_encrypt(workspace, "sublayer", 24_000)

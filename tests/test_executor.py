@@ -793,6 +793,58 @@ def test_partition_records_cover_decrypted_total():
     assert max(peaks) == result.arena_peak
 
 
+def branched_spill_case():
+    """A normal-world prefix, a public handoff, and a secure layer that streams
+    its spilled input back in four branches."""
+    from cdlp.model import BranchTopology
+
+    model = ModelSpec(
+        [
+            LayerSpec.convolutional(4, 3, 1, 1, activation="relu"),
+            LayerSpec.maxpool(2, 2),
+            LayerSpec.connected(64, "relu"),
+            LayerSpec.connected(64, "relu"),
+            LayerSpec.connected(16, "linear"),
+        ],
+        (3, 8, 8),
+        BranchTopology(3, 4),
+    )
+    rng = np.random.default_rng(23)
+    store = random_weight_store(model, rng)
+    return model, store, plan_branched(model, CAP).with_spill(4), random_tensor(rng, (3, 8, 8))
+
+
+def trace_case(case):
+    if case == "layered":
+        model, store, x = canonical_case(5)
+        return model, store, plan_layered(model, CAP), x
+    if case == "spilled":
+        model, store, x = spill_model()
+        return model, store, plan_sublayer(model, CAP, subset_size={0: 500, 1: 50}).with_spill(1), x
+    return branched_spill_case()
+
+
+@pytest.mark.parametrize("case", ["layered", "spilled", "branched"])
+def test_the_trace_splits_switches_and_wall_time_by_partition(case):
+    model, store, plan, x = trace_case(case)
+    result = run_plan(model, store, plan, x)
+    traces = result.partitions
+    assert sum(t.switches for t in traces) == result.ledger.context_switches
+    phases = ("stage_seconds", "decrypt_seconds", "kernel_seconds", "spill_seconds")
+    assert all(getattr(t, phase) >= 0 for t in traces for phase in phases)
+    for t in traces:
+        p = t.partition
+        spills = p.layer_index + 1 in plan.spill
+        if p.world == "secure":
+            assert t.switches == 2
+            assert t.stage_seconds > 0 and t.decrypt_seconds > 0 and t.kernel_seconds > 0
+            assert (t.spill_seconds > 0) == spills
+        else:
+            assert t.switches == 0 and t.kernel_seconds > 0
+            assert t.stage_seconds == t.decrypt_seconds == t.spill_seconds == 0
+    assert any(t.spill_seconds for t in traces) == bool(plan.spill)
+
+
 def test_zero_layer_model_round_trips_input():
     from cdlp.model import WeightStore
 

@@ -1,0 +1,70 @@
+"""Tensor construction: the checks and conversions every tensor goes through."""
+
+import numpy as np
+import pytest
+
+from cdlp.errors import DimensionError
+from cdlp.model import FLOAT, Tensor
+
+
+@pytest.mark.parametrize("dims", [(), (2, -1), (-3,)], ids=["empty", "negative", "only-negative"])
+def test_empty_or_negative_dims_raise(dims):
+    with pytest.raises(DimensionError):
+        Tensor(dims, np.zeros(0, np.float32))
+
+
+@pytest.mark.parametrize("values", [5, 7, 0])
+def test_a_size_that_does_not_match_the_dims_raises(values):
+    with pytest.raises(DimensionError):
+        Tensor((2, 3), np.zeros(values, np.float32))
+
+
+def test_zero_sized_dims_hold_no_values():
+    t = Tensor((0, 4), np.zeros(0, np.float32))
+    assert t.dims == (0, 4) and t.size == 0
+
+
+def test_dims_become_a_tuple_of_ints():
+    t = Tensor([np.int64(2), 3], np.zeros(6, np.float32))
+    assert t.dims == (2, 3)
+    assert type(t.dims) is tuple and all(type(d) is int for d in t.dims)
+
+
+@pytest.mark.parametrize(
+    "values",
+    [
+        np.array([1.5, -2.0, 3.25]),  # float64
+        np.array([1, -2, 3]),  # int64
+        [1, -2, 3],  # a list of ints
+        np.array([1.5, -2.0, 3.25], dtype=">f4"),  # float32, big-endian
+    ],
+    ids=["float64", "int64", "list", "big-endian"],
+)
+def test_other_inputs_come_back_as_float32(values):
+    t = Tensor((3,), values)
+    assert t.data.dtype == FLOAT and t.data.dtype.byteorder in "=<"
+    assert t.data.tolist() == np.asarray(values, np.float32).tolist()
+
+
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_a_2d_input_is_flattened_row_major(order):
+    values = np.arange(6, dtype=np.float32).reshape(2, 3).copy(order=order)
+    t = Tensor((2, 3), values)
+    assert t.data.ndim == 1 and t.data.flags.c_contiguous
+    assert t.data.tolist() == [0, 1, 2, 3, 4, 5]
+
+
+def test_a_non_contiguous_input_is_copied():
+    base = np.arange(12, dtype=np.float32)
+    strided = base[::2]
+    t = Tensor((6,), strided)
+    assert t.data.flags.c_contiguous
+    assert t.data.tolist() == [0, 2, 4, 6, 8, 10]
+    assert not np.shares_memory(t.data, base)
+
+
+def test_a_1d_contiguous_float32_array_is_kept():
+    values = np.arange(6, dtype=np.float32)
+    t = Tensor((1, 2, 3), values)
+    assert np.shares_memory(t.data, values) and t.data.shape == (6,)
+    assert t.as_map().shape == (1, 2, 3)

@@ -429,6 +429,10 @@ def special_terms(kind, rows, n, rest):
         w[0::2] = -0.0
         np.abs(x, out=x)
         flat[::3] = 0.0
+    elif kind == "negative-zero":  # an acc of -0.0 and every term -0.0: each sum stays -0.0
+        acc[...] = -0.0
+        w[...] = -0.0
+        np.abs(x, out=x)
     elif kind == "inf-times-zero":  # even rows turn NaN at the zero inputs
         flat[0, 0::2] = 0.0
         flat[0, 1::2] = -0.0
@@ -446,7 +450,7 @@ def special_terms(kind, rows, n, rest):
 _EDGE = nn._BLOCK_FLOATS // 2
 
 
-@pytest.mark.parametrize("kind", ["signed-zero", "inf-times-zero", "overflow"])
+@pytest.mark.parametrize("kind", ["signed-zero", "negative-zero", "inf-times-zero", "overflow"])
 @pytest.mark.parametrize(
     "rows, n, rest",
     [

@@ -6,8 +6,14 @@ For every workload in BENCHMARK.json it runs ``perfbench/run.py`` untraced
 once per seed of SEEDS, each run in its own process, and records each run's
 end-to-end metrics with their raw-millisecond context, and the median of
 each over the seeds. One traced run per workload, at the first seed, gives
-the per-layer metrics. The file also names the commit and whether the
-working tree differed from it.
+the per-layer metrics. The phase totals come from the run's own trace: in
+this process, the workload is set up as ``perfbench/run.py`` sets up its
+first instance at the first seed, and each of PHASE_INFERENCES inferences
+sums its partitions' stage, verify+decrypt, kernel and spill wall times;
+the file records the median of each sum, of the time outside the phases,
+and of the whole inference, beside the modeled overhead of the run's
+ledger. The file also names the commit and whether the working tree
+differed from it.
 
 The exit code is 0 when every run was correct, 1 when an inference in some
 run was not bitwise equal to the reference pass (the file is still written),
@@ -16,7 +22,10 @@ and 2 when the benchmark could not run.
 With ``--against`` an earlier BENCH file, it then prints, per workload, each
 end-to-end median's relative change from that file, and the ratio of the two
 files' median ``cu_ms`` probe times: cu figures are times over the probe, so
-a probe that ran slower in one file moves them too.
+a probe that ran slower in one file moves them too. The raw-millisecond
+medians of the inference, the reference pass and the audit follow, since a
+cu figure and its raw time can move in opposite directions, and then the
+phase totals where both files have them.
 """
 
 from __future__ import annotations
@@ -28,15 +37,14 @@ import platform
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
-PHASES = (
-    "The per-partition phase breakdown (stage, verify+decrypt, kernel, spill) "
-    "is not reported: the run's per-partition trace carries no phase wall "
-    "times yet. per_layer holds the traced run's whole-run span figures."
-)
+PHASES = ("stage", "decrypt", "kernel", "spill")  # PartitionTrace's <phase>_seconds
+PHASE_INFERENCES = 200
+RAW_MS = ("infer_p50_ms", "reference_p50_ms", "audit_p50_ms")
 
 
 class BenchError(Exception):
@@ -71,6 +79,39 @@ def _values(result: dict) -> dict:
     return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
+def phase_totals(workload: str) -> dict:
+    """Median per-inference phase totals of the workload, in ms, from its trace."""
+    for path in (ROOT / "perfbench", ROOT / "src"):
+        if str(path) not in sys.path:
+            sys.path.insert(0, str(path))
+    import numpy as np
+    from cdlp import ledger_overhead
+    from workloads import POOL_SIZE, WORKLOADS, set_up
+
+    instance = set_up(WORKLOADS[workload], np.random.default_rng([SEEDS[0], 0]))
+    sums: dict[str, list[float]] = {key: [] for key in (*PHASES, "outside", "infer")}
+    for index in range(PHASE_INFERENCES):
+        started = time.perf_counter()
+        result = instance.infer(index % POOL_SIZE)
+        wall = time.perf_counter() - started
+        phased = 0.0
+        for phase in PHASES:
+            seconds = sum(getattr(t, f"{phase}_seconds") for t in result.partitions)
+            sums[phase].append(seconds)
+            phased += seconds
+        sums["outside"].append(wall - phased)
+        sums["infer"].append(wall)
+    ledger = result.ledger
+    return {
+        "seed": SEEDS[0],
+        "inferences": PHASE_INFERENCES,
+        **{f"{key}_ms": statistics.median(values) * 1e3 for key, values in sums.items()},
+        "switches": ledger.context_switches,
+        "decrypted_bytes": ledger.decrypted_bytes,
+        "modeled_overhead_ms": ledger_overhead(ledger) * 1e3,
+    }
+
+
 def bench_workload(workload: str, seconds: float) -> dict:
     runs = []
     for seed in SEEDS:
@@ -86,6 +127,10 @@ def bench_workload(workload: str, seconds: float) -> dict:
         print(f"{workload} seed {seed}: infer_p50_cu "
               f"{runs[-1]['metrics']['infer_p50_cu']:.4g}", file=sys.stderr)
     traced, _ = _run(workload, SEEDS[0], seconds, trace=True)
+    phases = phase_totals(workload)
+    print(f"{workload} phases, ms per inference: " + ", ".join(
+        f"{key[:-3]} {value:.3f}" for key, value in phases.items() if key.endswith("_ms")
+    ), file=sys.stderr)
     first = runs[0]
     return {
         "units": {name: metric["unit"]
@@ -105,6 +150,7 @@ def bench_workload(workload: str, seconds: float) -> dict:
             "correct": traced["correct"],
             "metrics": _values(traced),
         },
+        "phases": phases,
     }
 
 
@@ -125,6 +171,17 @@ def compare(report: dict, baseline: dict) -> list[str]:
                 lines.append(f"  {metric:<20} {before:.6g} -> {value:.6g}  {value / before - 1:+.1%}")
             else:
                 lines.append(f"  {metric:<20} {before} -> {value:.6g}")
+        context = workload["median_context"]
+        for name in RAW_MS:
+            before = old["median_context"].get(name)
+            if before:
+                lines.append(f"  {name:<20} {before:.4g} -> {context[name]:.4g} ms  "
+                             f"{context[name] / before - 1:+.1%}")
+        for name, value in workload["phases"].items():
+            before = old.get("phases", {}).get(name)
+            if name.endswith("_ms") and before:
+                lines.append(f"  phases.{name:<13} {before:.4g} -> {value:.4g} ms  "
+                             f"{value / before - 1:+.1%}")
     return lines
 
 
@@ -158,7 +215,6 @@ def main(argv=None) -> int:
             "python": platform.python_version(),
             "platform": platform.platform(),
         },
-        "phases": PHASES,
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(report, indent=2) + "\n")
