@@ -1,6 +1,6 @@
 """Write a BENCH_*.json file: the benchmark's figures for the checked-out tree.
 
-    python3 tools/bench.py --seconds 8 --out BENCH_15.json --against BENCH_14.json
+    python3 tools/bench.py --seconds 8 --out BENCH_16.json --against BENCH_15.json
 
 For every workload in BENCHMARK.json it runs ``perfbench/run.py`` untraced
 once per seed of SEEDS, each run in its own process, and records each run's
