@@ -213,6 +213,25 @@ def cmd_run(args) -> int:
     ratio = (baseline + overhead) / baseline if baseline else None
 
     ledger = result.ledger
+    trace = [
+        {
+            **_partition_payload(t.partition),
+            "arena_peak_bytes": t.arena_peak,
+            "decrypted_bytes": t.decrypted_bytes,
+            "switches": t.switches,
+            "spill_chunks_read": t.spill_chunks_read,
+            "spill_chunks_written": t.spill_chunks_written,
+            # what the cost model, at this run's --tcs and --td, charges it
+            "modeled_seconds": estimate_overhead(t.switches / 2, t.decrypted_bytes, constants),
+            "stage_seconds": t.stage_seconds,
+            "decrypt_seconds": t.decrypt_seconds,
+            "kernel_seconds": t.kernel_seconds,
+            "spill_seconds": t.spill_seconds,
+        }
+        for t in result.partitions
+    ]
+    if args.trace:
+        Path(args.trace).write_text("".join(json.dumps(entry) + "\n" for entry in trace))
     payload = {
         "scheme": plan.scheme,
         "partitions": len(plan.partitions),
@@ -223,19 +242,7 @@ def cmd_run(args) -> int:
         "baseline_seconds": baseline,
         "overhead_ratio": ratio,
         "equivalent": equivalent,
-        "trace": [
-            {
-                **_partition_payload(t.partition),
-                "arena_peak_bytes": t.arena_peak,
-                "decrypted_bytes": t.decrypted_bytes,
-                "switches": t.switches,
-                "stage_seconds": t.stage_seconds,
-                "decrypt_seconds": t.decrypt_seconds,
-                "kernel_seconds": t.kernel_seconds,
-                "spill_seconds": t.spill_seconds,
-            }
-            for t in result.partitions
-        ],
+        "trace": trace,
     }
     human = [
         f"scheme: {plan.scheme}",
@@ -322,6 +329,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="seconds per one-way context switch")
     p.add_argument("--td", type=float, default=CostConstants().decrypt_byte_seconds,
                    help="seconds per decrypted byte")
+    p.add_argument("--trace", metavar="FILE", default=None,
+                   help="write the per-partition trace here, one JSON object per line")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_run)
 

@@ -10,13 +10,18 @@ container is staged in shared memory, decrypted into the arena, and
 freed before the next partition loads. The run returns one
 ``PartitionTrace`` per partition, in plan order: the bytes it decrypted
 and the arena peak it reached, next to the footprint the plan recorded,
-its world switches, and the wall time of its phases.
+its world switches, the spill chunks it read and wrote, what the cost
+model charges for it, and the wall time of its phases.
 
 What a run does once, it does once per run and keeps nothing across
 runs: it validates the plan, digests the manifest and makes the AES-GCM
-cipher that opens and seals every container of the run. A layer run as
-one partition hands its kernel's output tensor to the next layer as it
-is; the partitions of a split layer are joined once, in plan order.
+cipher that opens and seals every container of the run. What a layer's
+partitions share is worked out once per layer: the layer's geometry, its
+weights context and, for a public input, the view of it in shared memory.
+A partition then costs its staging, its AES-GCM, its weight views and its
+kernel. A layer run as one partition hands its kernel's output tensor to
+the next layer as it is; the partitions of a split layer are joined once,
+in plan order.
 
 Between layers the activations live in one of three places. Public ones
 (the input, or a normal-world layer's outputs) cross to the secure world
@@ -68,6 +73,7 @@ from .tee import (
     Session,
     SharedBuffer,
     TaintTag,
+    estimate_overhead,
     ledger_decrypt,
 )
 from .weights import partition_weights, split_weights
@@ -183,10 +189,18 @@ class PartitionTrace:
     decrypted_bytes: int = 0
     arena_peak: int = 0  # measured, against the plan's partition.footprint_bytes
     switches: int = 0
+    spill_chunks_read: int = 0  # the spilled input's chunks it streamed back
+    spill_chunks_written: int = 0  # the chunks its rows were spilled into
     stage_seconds: float = 0.0
     decrypt_seconds: float = 0.0
     kernel_seconds: float = 0.0
     spill_seconds: float = 0.0
+
+    @property
+    def modeled_seconds(self) -> float:
+        """What the cost model charges for this partition: its switches and
+        its decrypted bytes, spill chunks included."""
+        return estimate_overhead(self.switches / 2, self.decrypted_bytes)
 
 
 @dataclass
@@ -249,92 +263,99 @@ def run_partitioned(
     run_nonce = os.urandom(RUN_NONCE_BYTES)
     clock = time.perf_counter
 
-    # The layer inputs are public ``values``, in shared memory at ``offset``
-    # once the secure world is to read them; resident ``values``, charged to
-    # the arena as ``held``; or ``spilled`` chunks. A layer's partitions
-    # leave their rows in ``outputs``, charged as ``out`` in the secure
-    # world, or, when the next layer streams its inputs, in ``out_spill``.
-    values = input_tensor
+    # A layer reads its input ``x`` as a public tensor (shared memory holds it
+    # at ``offset`` once the secure world is to read it), as the producer's
+    # resident output, charged to the arena as ``held``, or as ``spilled``
+    # chunks. Its partitions leave their rows in ``outputs``, charged as
+    # ``out`` in the secure world, or, when the next layer streams its
+    # inputs, in ``out_spill``. ``p`` and ``trace`` are the partition at hand.
+    x = input_tensor
     # the client hands the inference input over through shared memory
     offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
-    held = spilled = out = outputs = out_spill = None
+    held = spilled = out = None
     traces = []
 
-    def step(p, blob: bytes, secure: bool, trace: PartitionTrace) -> None:
-        """Run partition ``p`` on its plaintext weight blob and store its rows."""
-        nonlocal out
-        i = p.layer_index
-        if secure and outputs is not None and out is None:
-            out = arena.alloc(FLOAT_BYTES * model.out_elems(i))  # by the layer's first subset
-        rows = None
-        if model.is_parameterized(i):
-            rows = partition_weights(model, i, p.start, p.end, blob)
-        if spilled is not None:
-            accumulator = DenseAccumulator(
-                rows, model.layers[i], p.start, model.units(i), model.branch_groups(i)
-            )
-            started = clock()
+    def compute(blob: bytes) -> None:
+        """Run partition ``p``'s rows of layer ``i`` on its plaintext weight blob
+        and store them."""
+        rows = partition_weights(model, i, p.start, p.end, blob) if weighted else None
+        started = clock()
+        if spilled is None:
+            result = layer_forward(model, i, x, rows, p.start)
+        else:
+            accumulator = DenseAccumulator(rows, layer, p.start, geometry.units, geometry.groups)
             decrypting = stream_spilled(spilled, cipher, arena, accumulator.feed, ledger)
             result = accumulator.finish()
             trace.decrypt_seconds += decrypting
+            trace.spill_chunks_read = len(spilled.chunks)
             started += decrypting
-        else:
-            x = values
-            if secure and held is None:
-                # the trusted app reads public inputs straight from shared memory
-                data = shared.read(offset, FLOAT_BYTES * values.size)
-                x = Tensor(values.dims, np.frombuffer(data, FLOAT))
-            started = clock()
-            result = layer_forward(model, i, x, rows, p.start)
         computed = clock()
-        trace.kernel_seconds += computed - started
-        if out_spill is not None:
-            spill_activations(result.data, cipher, arena, out_spill)
-            trace.spill_seconds += clock() - computed
-        else:
+        trace.kernel_seconds = computed - started
+        if out_spill is None:
             outputs.append(result)
+        else:
+            written = len(out_spill.chunks)
+            spill_activations(result.data, cipher, arena, out_spill)
+            trace.spill_chunks_written = len(out_spill.chunks) - written
+            trace.spill_seconds = clock() - computed
 
-    def trusted_step(p, staged: int, length: int, trace: PartitionTrace) -> None:
-        """The secure world's side of ``p``: decrypt its staged container and run it."""
+    def open_and_compute() -> None:
+        """The secure world's side of partition ``p``: open its staged
+        container into the arena and compute its rows."""
+        nonlocal out
         started = clock()
         weights = ledger_decrypt(
-            arena, ledger, shared.read(staged, length), cipher, p.id,
-            weights_context(digest, p.layer_index),
+            arena, ledger, shared.read(staged, len(blob)), cipher, p.id, context
         )
-        trace.decrypt_seconds += clock() - started
+        trace.decrypt_seconds = clock() - started
         try:
-            step(p, weights.data, True, trace)
+            if out is None and outputs is not None:  # the layer's first subset
+                out = arena.alloc(FLOAT_BYTES * geometry.out_elems)
+            compute(weights.data)
         finally:
             weights.release(arena)
 
     try:
         for i, group in itertools.groupby(plan.partitions, key=attrgetter("layer_index")):
             parts = list(group)
-            secure = parts[0].world == WORLD_SECURE
+            layer, geometry = model.layers[i], model.geometry[i]
+            weighted = geometry.param_shape is not None
             outputs = out_spill = None
+            secure = parts[0].world == WORLD_SECURE
             if secure and i + 1 in plan.spill:
-                context = b"spill" + digest + run_nonce + _INDEX.pack(i + 1)
-                out_spill = SpilledActivations(shared, context=context)
+                out_spill = SpilledActivations(
+                    shared, b"spill" + digest + run_nonce + _INDEX.pack(i + 1)
+                )
             else:
                 outputs = []
+            if secure:
+                context = weights_context(digest, i)
+                handoff = 0.0  # staging time of the public input, charged to the first partition
+                if held is None and spilled is None:
+                    if offset is None:
+                        # normal-to-secure handoff: the extracted features cross
+                        # through shared memory in the clear, a documented
+                        # boundary of branched execution rather than a leak
+                        started = clock()
+                        offset = shared.append(x.tobytes(), TaintTag.PUBLIC)
+                        handoff = clock() - started
+                    # the trusted app reads public inputs straight from shared memory
+                    data = shared.read(offset, FLOAT_BYTES * x.size)
+                    x = Tensor._wrap(x.dims, np.frombuffer(data, FLOAT))
             for p in parts:
                 trace = PartitionTrace(p)
                 traces.append(trace)
                 blob = partition_data[p.id]
                 if not secure:
-                    step(p, blob, False, trace)
+                    compute(blob)
                     continue
                 started = clock()
-                if held is None and spilled is None and offset is None:
-                    # normal-to-secure handoff: the extracted features cross through
-                    # shared memory in the clear, a documented boundary of branched
-                    # execution rather than a leak
-                    offset = shared.append(values.tobytes(), TaintTag.PUBLIC)
                 staged = shared.append_container(blob)
-                trace.stage_seconds = clock() - started
+                trace.stage_seconds = clock() - started + handoff
+                handoff = 0.0
                 arena.reset_peak()
                 decrypted, switches = ledger.decrypted_bytes, ledger.context_switches
-                session.invoke(lambda: trusted_step(p, staged, len(blob), trace))
+                session.invoke(open_and_compute)
                 trace.decrypted_bytes = ledger.decrypted_bytes - decrypted
                 trace.switches = ledger.context_switches - switches
                 trace.arena_peak = arena.peak_usage
@@ -342,16 +363,17 @@ def run_partitioned(
             if held is not None:
                 arena.free(held)
             held, out = out, None
-            if outputs is not None and len(outputs) > 1:  # the layer's rows, in plan order
-                outputs = [Tensor(model.out_dims(i), np.concatenate([r.data for r in outputs]))]
-            values = outputs[0] if outputs is not None else None
+            if outputs is not None:  # the layer's rows, in plan order
+                x = outputs[0] if len(outputs) == 1 else Tensor._wrap(
+                    geometry.out_dims, np.concatenate([r.data for r in outputs])
+                )
             offset, spilled = None, out_spill
     finally:
         for allocation in (held, out):
             if allocation is not None:
                 arena.free(allocation)
 
-    return RunResult(Tensor(values.dims, values.data.copy()), ledger, traces, shared)
+    return RunResult(Tensor._wrap(x.dims, x.data.copy()), ledger, traces, shared)
 
 
 def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) -> dict[int, bytes]:

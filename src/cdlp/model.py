@@ -1,4 +1,10 @@
-"""Domain types: tensors, layer descriptors, network specs, weight stores."""
+"""Domain types: tensors, layer descriptors, network specs, weight stores.
+
+``Tensor`` and ``LayerWeights`` check and normalize what a caller hands
+them. Arrays the library lays out itself, a kernel's output or the weight
+views of a partition blob, already have the form the checks ensure, and
+``_wrap`` holds them as they are without checking them again.
+"""
 
 from __future__ import annotations
 
@@ -47,6 +53,16 @@ class Tensor:
                 f"tensor dims {dims} need {math.prod(dims)} values, got {arr.size}"
             )
         self.data = arr
+
+    @classmethod
+    def _wrap(cls, dims: tuple[int, ...], data: np.ndarray) -> "Tensor":
+        """A tensor over an array the library has just made: ``data`` is 1-D
+        contiguous float32 and holds ``math.prod(dims)`` values, and ``dims``
+        is a tuple of ints, so ``__post_init__`` would keep both as they are
+        and is not run."""
+        tensor = object.__new__(cls)
+        tensor.dims, tensor.data = dims, data
+        return tensor
 
     @property
     def size(self) -> int:
@@ -159,6 +175,16 @@ class LayerWeights:
                 f"{self.biases.size} biases for {self.weights.shape[0]} weight rows"
             )
 
+    @classmethod
+    def _wrap(cls, weights: np.ndarray, biases: np.ndarray) -> "LayerWeights":
+        """Weights over arrays the library has just laid out: ``weights`` is a
+        2-D column-major float32 array and ``biases`` a 1-D contiguous float32
+        array of one value per row, so ``__post_init__`` would keep both as
+        they are and is not run."""
+        layer = object.__new__(cls)
+        layer.weights, layer.biases = weights, biases
+        return layer
+
     @property
     def rows(self) -> int:
         return self.weights.shape[0]
@@ -214,15 +240,15 @@ class ModelSpec:
 
     ``config_bytes`` records the byte length of the source configuration
     text (an input to the cost model); it does not affect equality. Every
-    layer's geometry is worked out once, when the spec is made, so the
-    accessors below are lookups.
+    layer's geometry is worked out once, when the spec is made: ``geometry[i]``
+    holds layer i's shapes, and the accessors below read it.
     """
 
     layers: list[LayerSpec]
     input_dims: tuple[int, int, int]
     branch: BranchTopology | None = None
     config_bytes: int = field(default=0, compare=False)
-    _geometry: list[LayerGeometry] = field(init=False, compare=False, repr=False)
+    geometry: list[LayerGeometry] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         self.input_dims = tuple(int(d) for d in self.input_dims)
@@ -235,7 +261,7 @@ class ModelSpec:
             shapes.append((dims, out))
             dims = out
         self._validate_branch(shapes)
-        self._geometry = [self._layer_geometry(i, *shape) for i, shape in enumerate(shapes)]
+        self.geometry = [self._layer_geometry(i, *shape) for i, shape in enumerate(shapes)]
 
     def _validate_branch(self, shapes):
         b = self.branch
@@ -274,35 +300,35 @@ class ModelSpec:
         )
 
     def in_dims(self, i: int) -> tuple[int, ...]:
-        return self._geometry[i].in_dims
+        return self.geometry[i].in_dims
 
     def out_dims(self, i: int) -> tuple[int, ...]:
-        return self._geometry[i].out_dims
+        return self.geometry[i].out_dims
 
     def in_elems(self, i: int) -> int:
-        return self._geometry[i].in_elems
+        return self.geometry[i].in_elems
 
     def out_elems(self, i: int) -> int:
-        return self._geometry[i].out_elems
+        return self.geometry[i].out_elems
 
     def branch_groups(self, i: int) -> int:
         """Independent groups in layer i: the branch count at/after the split, else 1."""
-        return self._geometry[i].groups
+        return self.geometry[i].groups
 
     def is_parameterized(self, i: int) -> bool:
-        return self._geometry[i].param_shape is not None
+        return self.geometry[i].param_shape is not None
 
     def units(self, i: int) -> int:
         """Partitionable output units: neurons, filters, or output elements."""
-        return self._geometry[i].units
+        return self.geometry[i].units
 
     def param_shape(self, i: int) -> tuple[int, int] | None:
         """Weight matrix shape (rows, cols) for layer i, or None if weightless."""
-        return self._geometry[i].param_shape
+        return self.geometry[i].param_shape
 
     def output_units_per_row(self, i: int) -> int:
         """Output elements produced per unit: 1 for neurons, map size for filters."""
-        return self._geometry[i].out_per_unit
+        return self.geometry[i].out_per_unit
 
 
 @dataclass

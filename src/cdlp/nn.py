@@ -7,7 +7,11 @@ weights of rows (neurons or filters) [start, start+len), while the weightless
 is the one dispatch for the partitioned executor and for ``reference_forward``,
 which is its whole-row case. A resident connected layer is a single
 ``DenseAccumulator.feed`` of its whole input; a spilled one feeds the same
-accumulator chunk by chunk.
+accumulator chunk by chunk. A kernel's fixed cost is kept to its arithmetic:
+the accumulator works out the branch groups its rows reach once, a term
+block of a one-block sum is the whole operand, not a slice of it, and each
+kernel wraps the output array it made as a ``Tensor`` without checking it
+again.
 
 Every kernel fixes its accumulation order so that computing a layer in
 pieces (neuron subsets, filter subsets, branch groups, streamed input
@@ -27,9 +31,10 @@ element. A reduce whose rows hold a single value would be summed pairwise
 instead, so that case runs ``np.add.accumulate``, which is always sequential.
 No kernel uses ``matmul``, ``dot`` or ``einsum``: BLAS reorders the sums.
 
-A term block is the weight block transposed, times the inputs. Weights are
-stored column-major (see ``LayerWeights``), so the transposed weight block is
-contiguous; stored row-major, a long connected row would put every row of a
+A term block is the weight block transposed, times the inputs, laid out as
+(terms, rows, *pixels) so that it stacks under the running sums as they
+are. Weights are stored column-major (see ``LayerWeights``), so the
+transposed weight block is contiguous; stored row-major, a long connected row would put every row of a
 weight column into one cache set. A block is filled by a broadcast copy of
 one operand and one multiply in place by the other, never by a multiply with
 a stride-0 inner axis, which numpy runs 2-3 times slower.
@@ -57,8 +62,9 @@ _BLOCK_FLOATS = 1 << 16  # float32 values in one block of accumulation terms
 
 
 def _activate(values: np.ndarray, activation: str | None) -> np.ndarray:
+    """Apply ``activation`` in place to a kernel's own output array."""
     if activation == "relu":
-        return np.maximum(values, _ZERO)
+        np.maximum(values, _ZERO, out=values)
     return values
 
 
@@ -79,34 +85,32 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
     m = acc.size
     if m == 0:
         return acc
-    rows, n = weights.shape
-    rest = inputs.shape[1:]
-    unit = (1,) * len(rest)
+    shape = acc.shape
+    n, rows = len(inputs), shape[0]
+    # the terms' operands as (n, rows, *rest) arrays; weights are column-major,
+    # so the transposed weights are contiguous
+    w = weights.T
+    if len(shape) > 1:
+        w = w.reshape(n, rows, *(1,) * (len(shape) - 1))
+    x = inputs.reshape(n, 1, *shape[1:])
+    spread, factor = (w, x) if m > rows else (x, w)
     block = max(1, min(n, _BLOCK_FLOATS // m - 1))
-    terms = np.empty((block + 1, m), dtype=FLOAT)
-    total = acc.reshape(m)
+    terms = np.empty((block + 1, *shape), dtype=FLOAT)  # row 0, then a block of terms
+    total = acc
     for lo in range(0, n, block):
-        hi = min(lo + block, n)
-        part = terms[: hi - lo + 1]
+        hi = lo + block
+        part, copied, multiplier = terms, spread, factor
+        if lo or hi < n:  # one of several blocks
+            part, copied, multiplier = terms[: min(hi, n) - lo + 1], spread[lo:hi], factor[lo:hi]
         part[0] = total  # row 0 carries the running sums into the block
-        w = weights[:, lo:hi].T.reshape(hi - lo, rows, *unit)
-        x = inputs[lo:hi].reshape(hi - lo, 1, *rest)
-        spread, factor = (w, x) if m > rows else (x, w)
-        fill = part[1:].reshape(hi - lo, rows, *rest)
-        np.copyto(fill, spread)
-        np.multiply(fill, factor, out=fill)  # one product per term: IEEE multiply commutes
+        fill = part[1:]
+        fill[...] = copied
+        np.multiply(fill, multiplier, out=fill)  # one product per term: IEEE multiply commutes
         if m == 1:
             total = np.add.accumulate(part[:, 0])[-1:]
         else:
             total = np.add.reduce(part, axis=0, initial=_NEG_ZERO)
-    return total.reshape(acc.shape)
-
-
-def _group_rows(g: int, abs_start: int, count: int, per_group: int) -> slice | None:
-    """The local rows of neurons [abs_start, abs_start+count) in branch group g."""
-    lo = max(abs_start, g * per_group)
-    hi = min(abs_start + count, (g + 1) * per_group)
-    return slice(lo - abs_start, hi - abs_start) if lo < hi else None
+    return total
 
 
 class DenseAccumulator:
@@ -116,9 +120,11 @@ class DenseAccumulator:
     ``rows`` holds the weights of neurons [abs_start, abs_start+len) of a
     layer with ``total_rows`` neurons in all (default: the rows are the
     whole layer). The absolute position only matters for branched layers,
-    where it decides which input slice each neuron reads. Any chunking of
-    the input gives, bit for bit, the same result: every neuron sees the
-    same products in the same order.
+    where it decides which input slice each neuron reads: the branch groups
+    the rows reach are worked out once, when the accumulator is made, and
+    each chunk feeds only those. Any chunking of the input gives, bit for
+    bit, the same result: every neuron sees the same products in the same
+    order.
     """
 
     def __init__(
@@ -131,53 +137,62 @@ class DenseAccumulator:
     ):
         if spec.kind != "connected":
             raise DimensionError(f"connected kernel got a {spec.kind} layer")
-        total_rows = rows.rows if total_rows is None else total_rows
-        if abs_start < 0 or abs_start + rows.rows > total_rows:
+        count, cols = rows.weights.shape
+        if total_rows is None:
+            total_rows = count
+        if abs_start < 0 or abs_start + count > total_rows:
             raise RangeError(
-                f"subset [{abs_start}, {abs_start + rows.rows}) outside {total_rows} neurons"
+                f"subset [{abs_start}, {abs_start + count}) outside {total_rows} neurons"
             )
         if total_rows % groups:
             raise DimensionError(f"{total_rows} neurons not divisible into {groups} groups")
-        self._rows = rows
-        self._spec = spec
-        self._abs_start = abs_start
-        self._groups = groups
-        self._per_group = total_rows // groups
-        self._acc = np.zeros(rows.rows, dtype=FLOAT)
+        self._biases = rows.biases
+        self._activation = spec.activation
         self._next = 0
-        self._total = rows.cols * groups
+        self._cols = cols
+        self._total = cols * groups
+        # each branch group the rows reach, in group order: its first input,
+        # its rows' weights and their running sums
+        self._groups = []
+        if count:
+            per_group = total_rows // groups
+            end = abs_start + count
+            for g in range(abs_start // per_group, -(-end // per_group)):
+                lo = max(abs_start, g * per_group) - abs_start
+                hi = min(end, (g + 1) * per_group) - abs_start
+                weights = rows.weights if hi - lo == count else rows.weights[lo:hi]
+                self._groups.append([g * cols, weights, np.zeros(hi - lo, FLOAT)])
 
     def feed(self, values: np.ndarray, base: int) -> None:
+        end = base + values.size
         if base != self._next:
             raise DimensionError(f"chunk starts at {base}, expected {self._next}")
-        if base + values.size > self._total:
+        if end > self._total:
             raise DimensionError(
-                f"connected input runs to {base + values.size} values, expected {self._total}"
+                f"connected input runs to {end} values, expected {self._total}"
             )
-        w = self._rows.weights
-        cols = self._rows.cols
-        end = base + values.size
-        if self._groups == 1:
-            self._acc = _accumulate(self._acc, w[:, base:end], values)
-        else:
-            # split the chunk at group boundaries; each piece feeds one group's rows
-            i = base
-            while i < end:
-                g, col = divmod(i, cols)
-                stop = min(end, (g + 1) * cols)
-                seg = _group_rows(g, self._abs_start, self._rows.rows, self._per_group)
-                if seg is not None:
-                    self._acc[seg] = _accumulate(
-                        self._acc[seg], w[seg, col : col + stop - i], values[i - base : stop - base]
-                    )
-                i = stop
+        cols = self._cols
+        for group in self._groups:  # each group reads its own inputs only
+            first, weights, sums = group
+            lo, hi = max(base, first), min(end, first + cols)
+            if hi - lo < cols:  # a chunk that does not cover the group's inputs
+                if lo >= hi:
+                    continue
+                weights = weights[:, lo - first : hi - first]
+            chunk = values if hi - lo == values.size else values[lo - base : hi - base]
+            group[2] = _accumulate(sums, weights, chunk)
         self._next = end
 
     def finish(self) -> Tensor:
         if self._next != self._total:
             raise DimensionError(f"connected input has {self._next} values, expected {self._total}")
-        out = _activate(self._acc + self._rows.biases, self._spec.activation)
-        return Tensor((self._rows.rows,), out)
+        groups = self._groups
+        if len(groups) == 1:
+            sums = groups[0][2]
+        else:  # each group's rows in order; an empty row slice reaches no group
+            sums = np.concatenate([np.empty(0, FLOAT), *(group[2] for group in groups)])
+        out = _activate(np.add(sums, self._biases), self._activation)
+        return Tensor._wrap((out.size,), out)
 
 
 def connected_forward_rows(
@@ -202,8 +217,9 @@ def conv_forward_subset(x: Tensor, rows: LayerWeights, spec: LayerSpec) -> Tenso
     _, oh, ow = output_dims(spec, x.dims)
     c, h, wd = x.dims
     k, s, p = spec.kernel_size, spec.stride, spec.padding
-    if rows.cols != c * k * k:
-        raise DimensionError(f"weight rows of {rows.cols} values, expected {c}*{k}*{k}")
+    count, cols = rows.weights.shape
+    if cols != c * k * k:
+        raise DimensionError(f"weight rows of {cols} values, expected {c}*{k}*{k}")
 
     padded = x.as_map()  # a view of the input, never written
     if p:
@@ -215,10 +231,9 @@ def conv_forward_subset(x: Tensor, rows: LayerWeights, spec: LayerSpec) -> Tenso
     cs, rs, es = padded.strides
     windows = np.ndarray((c, k, k, oh, ow), FLOAT, padded, strides=(cs, rs, es, rs * s, es * s))
     patches = windows.reshape(c * k * k, oh * ow)
-    acc = np.zeros((rows.rows, oh * ow), dtype=FLOAT)
-    acc = _accumulate(acc, rows.weights, patches)
+    acc = _accumulate(np.zeros((count, oh * ow), dtype=FLOAT), rows.weights, patches)
     out = _activate(acc + rows.biases[:, None], spec.activation)
-    return Tensor((rows.rows, oh, ow), out.reshape(-1))
+    return Tensor._wrap((count, oh, ow), out.reshape(-1))
 
 
 def maxpool_forward(x: Tensor, spec: LayerSpec) -> Tensor:
@@ -232,7 +247,7 @@ def maxpool_forward(x: Tensor, spec: LayerSpec) -> Tensor:
     for ky in range(k):
         for kx in range(k):
             np.maximum(out, m[:, ky : ky + oh * s : s, kx : kx + ow * s : s], out=out)
-    return Tensor((c, oh, ow), out.reshape(-1))
+    return Tensor._wrap((c, oh, ow), out.reshape(-1))
 
 
 def softmax_forward(x: Tensor) -> Tensor:
@@ -241,7 +256,7 @@ def softmax_forward(x: Tensor) -> Tensor:
         raise DimensionError("softmax on an empty input")
     shifted = x.data - np.max(x.data)
     e = np.exp(shifted)
-    return Tensor((x.size,), e / np.sum(e))
+    return Tensor._wrap((x.size,), e / np.sum(e))
 
 
 def layer_forward(
@@ -252,9 +267,8 @@ def layer_forward(
     runs whole."""
     layer = model.layers[layer_index]
     if layer.kind == "connected":
-        return connected_forward_rows(
-            x, rows, layer, start, model.units(layer_index), model.branch_groups(layer_index)
-        )
+        geometry = model.geometry[layer_index]
+        return connected_forward_rows(x, rows, layer, start, geometry.units, geometry.groups)
     if layer.kind == "convolutional":
         return conv_forward_subset(x, rows, layer)
     if layer.kind == "maxpool":

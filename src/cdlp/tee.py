@@ -17,10 +17,10 @@ the package needs to reason about confidentiality and cost:
   2 * invocations * t_switch + decrypted_bytes * t_byte;
 * find_plaintext_leak: the audit that no 8-byte slice of a secret
   (plaintext weights, spilled activations) appears in a shared buffer's
-  write log. It keys every slice on both sides by its 8 bytes and joins
-  the two key sets with membership-table filters and one sort-merge on
-  whole keys, so it is exact: no hash collision can hide a leak or report
-  one.
+  write log, read in place from the appends. It keys every slice on both
+  sides by its 8 bytes and joins the two key sets with membership-table
+  filters and one sort-merge on whole keys, so it is exact: no hash
+  collision can hide a leak or report one.
 
 What each partition cost is the executor's per-partition trace, not the
 ledger's.
@@ -171,7 +171,9 @@ class SharedBuffer:
     from registered shared memory, with no copy. Anyone can read it. Every
     append keeps its taint tag, and ``writes`` is the log they make, so
     tests can prove no confidential plaintext ever landed here; the log is
-    built when it is read, so an append copies nothing into it.
+    built when it is read, so an append copies nothing into it, and
+    ``find_plaintext_leak`` reads the same records as views of the appends,
+    so an audit copies nothing either.
     """
 
     def __init__(self):
@@ -202,25 +204,34 @@ class SharedBuffer:
         """Append an encrypted container as one piece of memory and return its offset."""
         return self._store(bytes(data), None)
 
-    @property
-    def writes(self) -> list[WriteRecord]:
-        """The write log, in order: one record per append, whose data is the
-        append itself.
+    def _records(self) -> Iterator[tuple[int, TaintTag, memoryview]]:
+        """The write log's records, in order, as (offset, tag, data), each
+        ``data`` a read-only view of its append: one record per append, or
+        two for a container.
 
         A container's header is public metadata and is logged as its own
         PUBLIC write, the ciphertext and tag as one CIPHERTEXT write, so no
         logged slice spans both: a header's length field next to ciphertext
-        bytes can otherwise match a run of zero activations by chance.
+        bytes can otherwise match a run of zero activations by chance. This
+        is the one place a container is split.
         """
-        log = []
         for data, offset, tag in zip(self._pieces, self._starts, self._tags):
+            view = memoryview(data)
             if tag is not None:
-                log.append(WriteRecord(offset, len(data), tag, data))
+                yield offset, tag, view
                 continue
-            header, body = data[: container.HEADER_BYTES], data[container.HEADER_BYTES :]
-            log.append(WriteRecord(offset, len(header), TaintTag.PUBLIC, header))
-            log.append(WriteRecord(offset + len(header), len(body), TaintTag.CIPHERTEXT, body))
-        return log
+            header = view[: container.HEADER_BYTES]
+            yield offset, TaintTag.PUBLIC, header
+            yield offset + len(header), TaintTag.CIPHERTEXT, view[container.HEADER_BYTES :]
+
+    @property
+    def writes(self) -> list[WriteRecord]:
+        """The write log, in order: one record per append, or a PUBLIC header
+        and a CIPHERTEXT body per container, each holding a copy of its bytes."""
+        return [
+            WriteRecord(offset, len(view), tag, view.tobytes())
+            for offset, tag, view in self._records()
+        ]
 
     def read(self, offset: int, length: int) -> bytes:
         """The ``length`` bytes at ``offset``: a whole append is returned as
@@ -320,8 +331,8 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     write log, or None if nothing leaked.
 
     Secrets are searched in order, each from its start; a logged slice lies
-    within one write record. Secrets shorter than 8 bytes cannot be
-    detected and are skipped.
+    within one write record, which is read in place, so no append is
+    copied. Secrets shorter than 8 bytes cannot be detected and are skipped.
 
     Every slice is its own 8-byte key, and the keys that the log and the
     secrets share are found once, by a join in two steps (``_shared_keys``).
@@ -336,7 +347,8 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     """
     secrets = list(secrets)
     secret_keys = [_window_keys(secret) for secret in secrets]
-    shared = _shared_keys([_window_keys(record.data) for record in buffer.writes], secret_keys)
+    logged = [_window_keys(view) for _offset, _tag, view in buffer._records()]
+    shared = _shared_keys(logged, secret_keys)
     if not shared.size:
         return None
     for secret, keys in zip(secrets, secret_keys):

@@ -103,8 +103,11 @@ def partition_weights(
     one), not copies, so they take no memory beyond the blob: a decrypted
     blob is charged to the arena and released only after the kernel that
     reads the views has returned, and a normal-world blob is immutable ``bytes``.
+    Each view is laid over the blob as one array, and once the blob's length
+    is checked both have the form ``LayerWeights`` ensures, so they are
+    wrapped as they are.
     """
-    shape = model.param_shape(layer_index)
+    shape = model.geometry[layer_index].param_shape
     if shape is None:
         raise DimensionError(f"layer {layer_index} takes no weights")
     rows, cols = end - start, shape[1]
@@ -114,6 +117,9 @@ def partition_weights(
             f"partition blob of {len(blob)} bytes, expected {expect} "
             f"for {rows} rows of layer {layer_index}"
         )
-    values = np.frombuffer(blob, FLOAT)
-    values.flags.writeable = False  # a bytearray blob would give writable views
-    return LayerWeights(values[rows:].reshape(cols, rows).T, values[:rows])
+    if type(blob) is not bytes:  # a bytearray blob would give writable views
+        blob = memoryview(blob).toreadonly()
+    return LayerWeights._wrap(
+        np.ndarray((rows, cols), FLOAT, blob, FLOAT_BYTES * rows, order="F"),
+        np.ndarray(rows, FLOAT, blob),
+    )

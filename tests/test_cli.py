@@ -264,6 +264,33 @@ def test_run_json_traces_switches_and_phase_times(workspace, capsys):
         assert entry["stage_seconds"] > 0 and entry["decrypt_seconds"] > 0
 
 
+def test_run_trace_file_holds_the_json_trace_as_lines(workspace, capsys):
+    tmp, cfg, weights, tensor = workspace
+    manifest, parts, trace_file = tmp / "plan.manifest", tmp / "parts", tmp / "run.trace"
+    assert run_cli("plan", "--cfg", cfg, "--scheme", "sublayer", "--cap", 24_000,
+                   "--out", manifest) == 0
+    # layer 4's subsets spill their rows, which every subset of layer 5 streams back
+    manifest.write_text(render_manifest(parse_manifest(manifest.read_text()).with_spill(5)))
+    assert run_cli("encrypt", "--cfg", cfg, "--weights", weights, "--plan", manifest,
+                   "--key", KEY_HEX, "--out", parts) == 0
+    capsys.readouterr()
+    assert run_cli("run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+                   "--input", tensor, "--cap", 24_000, "--json", "--trace", trace_file) == 0
+    payload = json.loads(capsys.readouterr().out)
+    lines = trace_file.read_text().splitlines()
+    assert [json.loads(line) for line in lines] == payload["trace"]
+    assert len(lines) == payload["partitions"]
+    entries = payload["trace"]
+    assert sum(e["modeled_seconds"] for e in entries) == pytest.approx(
+        payload["overhead_seconds"], rel=1e-12
+    )
+    written = [e["spill_chunks_written"] for e in entries if e["layer"] == 4]
+    assert len(written) > 1 and min(written) > 0
+    assert all(e["spill_chunks_written"] == 0 for e in entries if e["layer"] != 4)
+    assert all(e["spill_chunks_read"] == (sum(written) if e["layer"] == 5 else 0)
+               for e in entries)
+
+
 def test_run_rejects_a_manifest_that_understates_a_footprint(workspace, capsys):
     tmp, cfg, _, tensor = workspace
     manifest, parts = plan_and_encrypt(workspace, "sublayer", 24_000)

@@ -845,6 +845,80 @@ def test_the_trace_splits_switches_and_wall_time_by_partition(case):
     assert any(t.spill_seconds for t in traces) == bool(plan.spill)
 
 
+@pytest.mark.parametrize("case", ["layered", "spilled", "branched"])
+def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
+    from cdlp.tee import estimate_overhead, ledger_overhead
+
+    model, store, plan, x = trace_case(case)
+    result = run_plan(model, store, plan, x)
+    traces = result.partitions
+    for t in traces:
+        i = t.partition.layer_index
+        assert (t.spill_chunks_read > 0) == (i in plan.spill)
+        assert (t.spill_chunks_written > 0) == (i + 1 in plan.spill)
+        assert t.modeled_seconds == estimate_overhead(t.switches / 2, t.decrypted_bytes)
+    for j in plan.spill:
+        producers = [t for t in traces if t.partition.layer_index == j - 1]
+        # each producer partition cuts its own rows into SPILL_CHUNK_BYTES chunks
+        for t in producers:
+            rows = t.partition.end - t.partition.start
+            produced = FLOAT_BYTES * rows * model.output_units_per_row(j - 1)
+            assert t.spill_chunks_written == -(-produced // SPILL_CHUNK_BYTES)
+        written = sum(t.spill_chunks_written for t in producers)
+        consumers = [t for t in traces if t.partition.layer_index == j]
+        assert consumers and all(t.spill_chunks_read == written for t in consumers)
+    assert sum(t.modeled_seconds for t in traces) == pytest.approx(
+        ledger_overhead(result.ledger), rel=1e-12
+    )
+
+
+def expected_write_log(model, plan):
+    """The shared-memory records (offset, length, tag) a run of ``plan`` makes,
+    worked out from the plan and the model alone: the input; for a branched
+    plan, the features handed to the secure world; each secure partition's
+    container as a header and a body, in plan order; and after a partition
+    whose layer's successor is spilled, its rows' chunk containers."""
+    records = []
+
+    def write(length, tag):
+        offset = records[-1][0] + records[-1][1] if records else 0
+        records.append((offset, length, tag))
+
+    def sealed(plaintext_bytes):
+        write(HEADER_BYTES, TaintTag.PUBLIC)
+        write(plaintext_bytes + container.MAC_BYTES, TaintTag.CIPHERTEXT)
+
+    write(FLOAT_BYTES * model.in_elems(0), TaintTag.PUBLIC)
+    public_input = True
+    for p in plan.partitions:
+        i, rows = p.layer_index, p.end - p.start
+        if p.world != "secure":
+            public_input = False
+            continue
+        if not public_input:
+            write(FLOAT_BYTES * model.in_elems(i), TaintTag.PUBLIC)
+            public_input = True
+        shape = model.param_shape(i)
+        sealed(FLOAT_BYTES * rows * (shape[1] + 1) if shape else 0)
+        if i + 1 in plan.spill:
+            produced = FLOAT_BYTES * rows * model.output_units_per_row(i)
+            for lo in range(0, produced, SPILL_CHUNK_BYTES):
+                sealed(min(SPILL_CHUNK_BYTES, produced - lo))
+    return records
+
+
+@pytest.mark.parametrize("case", ["layered", "spilled", "branched"])
+def test_the_write_log_matches_the_plan(case):
+    """The offsets, lengths and tags of every shared-memory record follow
+    from the plan alone, for every scheme."""
+    model, store, plan, x = trace_case(case)
+    assert bool(plan.spill) == (case != "layered")
+    assert any(p.world == "normal" for p in plan.partitions) == (case == "branched")
+    result = run_plan(model, store, plan, x)
+    log = [(w.offset, w.length, w.tag) for w in result.shared.writes]
+    assert log == expected_write_log(model, plan)
+
+
 def test_zero_layer_model_round_trips_input():
     from cdlp.model import WeightStore
 

@@ -376,6 +376,40 @@ def test_find_plaintext_leak_matches_oracle(records, secrets):
     assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
 
 
+# 0 to 64 bytes, so containers shorter than a header, or than a header and
+# one slice, come too; over all byte values, or over two
+_payloads = st.tuples(st.integers(0, 64), st.booleans()).flatmap(
+    lambda draw: st.binary(min_size=draw[0], max_size=draw[0]).map(
+        lambda b: bytes(v % 2 for v in b) if draw[1] else b
+    )
+)
+_mixed_appends = st.lists(
+    st.tuples(st.sampled_from(["public", "ciphertext", "container"]), _payloads), max_size=8
+)
+
+
+@given(appends=_mixed_appends, data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_find_plaintext_leak_splits_containers_as_the_log_does(appends, data):
+    """Plain appends and containers mixed, with secrets cut anywhere from the
+    buffer's bytes, across appends and across a container's header and body
+    too: the audit, which reads the appends in place, finds the same first
+    slice as the plain scan of ``writes``."""
+    buf, flat = SharedBuffer(), b""
+    for kind, payload in appends:
+        if kind == "container":
+            buf.append_container(payload)
+        else:
+            buf.append(payload, TaintTag(kind))
+        flat += payload
+    # 8 to 16 bytes from up to 8 before a record's start: across the boundary
+    starts = [r.offset for r in buf.writes]
+    near = st.sampled_from(starts or [0]).flatmap(lambda b: st.integers(max(0, b - 8), b))
+    cut = near.flatmap(lambda at: st.integers(8, 16).map(lambda n: flat[at : at + n]))
+    secrets = data.draw(st.lists(st.one_of(cut, _two_symbols), max_size=4))
+    assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
+
+
 @pytest.mark.parametrize(
     "log_sizes, secret_sizes",
     [

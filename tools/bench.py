@@ -1,6 +1,6 @@
 """Write a BENCH_*.json file: the benchmark's figures for the checked-out tree.
 
-    python3 tools/bench.py --seconds 8 --out BENCH_16.json --against BENCH_15.json
+    python3 tools/bench.py --seconds 8 --out BENCH_17.json --against BENCH_16.json
 
 For every workload in BENCHMARK.json it runs ``perfbench/run.py`` untraced
 once per seed of SEEDS, each run in its own process, and records each run's
@@ -11,7 +11,9 @@ this process, the workload is set up as ``perfbench/run.py`` sets up its
 first instance at the first seed, and each of PHASE_INFERENCES inferences
 sums its partitions' stage, verify+decrypt, kernel and spill wall times;
 the file records the median of each sum, of the time outside the phases,
-and of the whole inference, beside the modeled overhead of the run's
+and of the whole inference, then the same split by world: the normal-world
+partitions' kernel time, and the secure partitions' stage, verify+decrypt
+and kernel times with their count, beside the modeled overhead of the run's
 ledger. The file also names the commit and whether the working tree
 differed from it.
 
@@ -43,6 +45,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SEEDS = (1, 2, 3)
 PHASES = ("stage", "decrypt", "kernel", "spill")  # PartitionTrace's <phase>_seconds
+SECURE_PHASES = ("stage", "decrypt", "kernel")
 PHASE_INFERENCES = 200
 RAW_MS = ("infer_p50_ms", "reference_p50_ms", "audit_p50_ms")
 
@@ -80,7 +83,10 @@ def _values(result: dict) -> dict:
 
 
 def phase_totals(workload: str) -> dict:
-    """Median per-inference phase totals of the workload, in ms, from its trace."""
+    """Median per-inference phase totals of the workload, in ms, from its trace:
+    over all partitions, then split by world, the normal world's kernel time
+    and the secure partitions' stage, verify+decrypt and kernel times, with
+    the secure partition count."""
     for path in (ROOT / "perfbench", ROOT / "src"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))
@@ -89,7 +95,8 @@ def phase_totals(workload: str) -> dict:
     from workloads import POOL_SIZE, WORKLOADS, set_up
 
     instance = set_up(WORKLOADS[workload], np.random.default_rng([SEEDS[0], 0]))
-    sums: dict[str, list[float]] = {key: [] for key in (*PHASES, "outside", "infer")}
+    keys = (*PHASES, "outside", "infer", "normal_kernel", *(f"secure_{p}" for p in SECURE_PHASES))
+    sums: dict[str, list[float]] = {key: [] for key in keys}
     for index in range(PHASE_INFERENCES):
         started = time.perf_counter()
         result = instance.infer(index % POOL_SIZE)
@@ -101,10 +108,17 @@ def phase_totals(workload: str) -> dict:
             phased += seconds
         sums["outside"].append(wall - phased)
         sums["infer"].append(wall)
+        secure = [t for t in result.partitions if t.partition.world == "secure"]
+        sums["normal_kernel"].append(
+            sum(t.kernel_seconds for t in result.partitions if t.partition.world != "secure")
+        )
+        for phase in SECURE_PHASES:
+            sums[f"secure_{phase}"].append(sum(getattr(t, f"{phase}_seconds") for t in secure))
     ledger = result.ledger
     return {
         "seed": SEEDS[0],
         "inferences": PHASE_INFERENCES,
+        "secure_partitions": len(secure),
         **{f"{key}_ms": statistics.median(values) * 1e3 for key, values in sums.items()},
         "switches": ledger.context_switches,
         "decrypted_bytes": ledger.decrypted_bytes,
@@ -180,7 +194,7 @@ def compare(report: dict, baseline: dict) -> list[str]:
         for name, value in workload["phases"].items():
             before = old.get("phases", {}).get(name)
             if name.endswith("_ms") and before:
-                lines.append(f"  phases.{name:<13} {before:.4g} -> {value:.4g} ms  "
+                lines.append(f"  phases.{name:<20} {before:.4g} -> {value:.4g} ms  "
                              f"{value / before - 1:+.1%}")
     return lines
 
