@@ -241,7 +241,8 @@ def run_partitioned(
     (secure world) or plaintext blob (normal world). Each secure partition
     costs one session invocation, and its weights are freed before the
     next partition loads. The result traces every partition: the bytes it
-    decrypted, its arena peak, its switches and its phase times. The
+    decrypted, its arena peak, its switches, its spill chunks, its modeled
+    cost and its phase times. The
     containers must have been sealed for this plan by
     ``prepare_partition_data``. Whether the run returns or raises, it frees
     all the arena memory it took.
@@ -268,7 +269,9 @@ def run_partitioned(
     # resident output, charged to the arena as ``held``, or as ``spilled``
     # chunks. Its partitions leave their rows in ``outputs``, charged as
     # ``out`` in the secure world, or, when the next layer streams its
-    # inputs, in ``out_spill``. ``p`` and ``trace`` are the partition at hand.
+    # inputs, in ``out_spill``. The two closures below read the loop's
+    # current layer (``i``, ``layer``, ``geometry``, ``weighted``,
+    # ``context``) and partition (``p``, ``trace``, ``blob``, ``staged``).
     x = input_tensor
     # the client hands the inference input over through shared memory
     offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
