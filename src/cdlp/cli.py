@@ -222,7 +222,7 @@ def cmd_run(args) -> int:
             "spill_chunks_read": t.spill_chunks_read,
             "spill_chunks_written": t.spill_chunks_written,
             # what the cost model, at this run's --tcs and --td, charges it
-            "modeled_seconds": estimate_overhead(t.switches / 2, t.decrypted_bytes, constants),
+            "modeled_seconds": t.modeled_seconds(constants),
             "stage_seconds": t.stage_seconds,
             "decrypt_seconds": t.decrypt_seconds,
             "kernel_seconds": t.kernel_seconds,

@@ -16,12 +16,11 @@ model charges for it, and the wall time of its phases.
 What a run does once, it does once per run and keeps nothing across
 runs: it validates the plan, digests the manifest and makes the AES-GCM
 cipher that opens and seals every container of the run. What a layer's
-partitions share is worked out once per layer: the layer's geometry, its
-weights context and, for a public input, the view of it in shared memory.
-A partition then costs its staging, its AES-GCM, its weight views and its
-kernel. A layer run as one partition hands its kernel's output tensor to
-the next layer as it is; the partitions of a split layer are joined once,
-in plan order.
+partitions share is worked out once per layer: the layer's geometry and
+its weights context. A partition then costs its staging, its AES-GCM, its
+weight views and its kernel. A layer run as one partition hands its
+kernel's output tensor to the next layer as it is; the partitions of a
+split layer are joined once, in plan order.
 
 Between layers the activations live in one of three places. Public ones
 (the input, or a normal-world layer's outputs) cross to the secure world
@@ -68,6 +67,7 @@ from .planner import (
     validate_plan,
 )
 from .tee import (
+    CostConstants,
     CostLedger,
     SecureArena,
     Session,
@@ -196,11 +196,10 @@ class PartitionTrace:
     kernel_seconds: float = 0.0
     spill_seconds: float = 0.0
 
-    @property
-    def modeled_seconds(self) -> float:
-        """What the cost model charges for this partition: its switches and
-        its decrypted bytes, spill chunks included."""
-        return estimate_overhead(self.switches / 2, self.decrypted_bytes)
+    def modeled_seconds(self, constants: CostConstants | None = None) -> float:
+        """What the cost model, at ``constants``, charges for this partition:
+        its switches and its decrypted bytes, spill chunks included."""
+        return estimate_overhead(self.switches / 2, self.decrypted_bytes, constants)
 
 
 @dataclass
@@ -271,20 +270,21 @@ def run_partitioned(
     # ``out`` in the secure world, or, when the next layer streams its
     # inputs, in ``out_spill``. The two closures below read the loop's
     # current layer (``i``, ``layer``, ``geometry``, ``weighted``,
-    # ``context``) and partition (``p``, ``trace``, ``blob``, ``staged``).
+    # ``context``, ``x``, ``offset``) and partition (``p``, ``trace``,
+    # ``blob``, ``staged``).
     x = input_tensor
     # the client hands the inference input over through shared memory
     offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
     held = spilled = out = None
     traces = []
 
-    def compute(blob: bytes) -> None:
+    def compute(blob: bytes, inputs: Tensor) -> None:
         """Run partition ``p``'s rows of layer ``i`` on its plaintext weight blob
-        and store them."""
+        and store them; ``inputs`` is the layer's input unless it is spilled."""
         rows = partition_weights(model, i, p.start, p.end, blob) if weighted else None
         started = clock()
         if spilled is None:
-            result = layer_forward(model, i, x, rows, p.start)
+            result = layer_forward(model, i, inputs, rows, p.start)
         else:
             accumulator = DenseAccumulator(rows, layer, p.start, geometry.units, geometry.groups)
             decrypting = stream_spilled(spilled, cipher, arena, accumulator.feed, ledger)
@@ -314,7 +314,12 @@ def run_partitioned(
         try:
             if out is None and outputs is not None:  # the layer's first subset
                 out = arena.alloc(FLOAT_BYTES * geometry.out_elems)
-            compute(weights.data)
+            inputs = x
+            if held is None and spilled is None:
+                # the trusted app reads public inputs straight from shared memory
+                data = shared.read(offset, FLOAT_BYTES * x.size)
+                inputs = Tensor(x.dims, np.frombuffer(data, FLOAT))
+            compute(weights.data, inputs)
         finally:
             weights.release(arena)
 
@@ -334,23 +339,19 @@ def run_partitioned(
             if secure:
                 context = weights_context(digest, i)
                 handoff = 0.0  # staging time of the public input, charged to the first partition
-                if held is None and spilled is None:
-                    if offset is None:
-                        # normal-to-secure handoff: the extracted features cross
-                        # through shared memory in the clear, a documented
-                        # boundary of branched execution rather than a leak
-                        started = clock()
-                        offset = shared.append(x.tobytes(), TaintTag.PUBLIC)
-                        handoff = clock() - started
-                    # the trusted app reads public inputs straight from shared memory
-                    data = shared.read(offset, FLOAT_BYTES * x.size)
-                    x = Tensor._wrap(x.dims, np.frombuffer(data, FLOAT))
+                if held is None and spilled is None and offset is None:
+                    # normal-to-secure handoff: the extracted features cross
+                    # through shared memory in the clear, a documented
+                    # boundary of branched execution rather than a leak
+                    started = clock()
+                    offset = shared.append(x.tobytes(), TaintTag.PUBLIC)
+                    handoff = clock() - started
             for p in parts:
                 trace = PartitionTrace(p)
                 traces.append(trace)
                 blob = partition_data[p.id]
                 if not secure:
-                    compute(blob)
+                    compute(blob, x)
                     continue
                 started = clock()
                 staged = shared.append_container(blob)
@@ -367,7 +368,7 @@ def run_partitioned(
                 arena.free(held)
             held, out = out, None
             if outputs is not None:  # the layer's rows, in plan order
-                x = outputs[0] if len(outputs) == 1 else Tensor._wrap(
+                x = outputs[0] if len(outputs) == 1 else Tensor(
                     geometry.out_dims, np.concatenate([r.data for r in outputs])
                 )
             offset, spilled = None, out_spill
@@ -376,7 +377,7 @@ def run_partitioned(
             if allocation is not None:
                 arena.free(allocation)
 
-    return RunResult(Tensor._wrap(x.dims, x.data.copy()), ledger, traces, shared)
+    return RunResult(Tensor(x.dims, x.data.copy()), ledger, traces, shared)
 
 
 def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) -> dict[int, bytes]:

@@ -1,10 +1,4 @@
-"""Domain types: tensors, layer descriptors, network specs, weight stores.
-
-``Tensor`` and ``LayerWeights`` check and normalize what a caller hands
-them. Arrays the library lays out itself, a kernel's output or the weight
-views of a partition blob, already have the form the checks ensure, and
-``_wrap`` holds them as they are without checking them again.
-"""
+"""Domain types: tensors, layer descriptors, network specs, weight stores."""
 
 from __future__ import annotations
 
@@ -53,16 +47,6 @@ class Tensor:
                 f"tensor dims {dims} need {math.prod(dims)} values, got {arr.size}"
             )
         self.data = arr
-
-    @classmethod
-    def _wrap(cls, dims: tuple[int, ...], data: np.ndarray) -> "Tensor":
-        """A tensor over an array the library has just made: ``data`` is 1-D
-        contiguous float32 and holds ``math.prod(dims)`` values, and ``dims``
-        is a tuple of ints, so ``__post_init__`` would keep both as they are
-        and is not run."""
-        tensor = object.__new__(cls)
-        tensor.dims, tensor.data = dims, data
-        return tensor
 
     @property
     def size(self) -> int:
@@ -174,16 +158,6 @@ class LayerWeights:
             raise DimensionError(
                 f"{self.biases.size} biases for {self.weights.shape[0]} weight rows"
             )
-
-    @classmethod
-    def _wrap(cls, weights: np.ndarray, biases: np.ndarray) -> "LayerWeights":
-        """Weights over arrays the library has just laid out: ``weights`` is a
-        2-D column-major float32 array and ``biases`` a 1-D contiguous float32
-        array of one value per row, so ``__post_init__`` would keep both as
-        they are and is not run."""
-        layer = object.__new__(cls)
-        layer.weights, layer.biases = weights, biases
-        return layer
 
     @property
     def rows(self) -> int:

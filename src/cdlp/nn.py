@@ -7,11 +7,8 @@ weights of rows (neurons or filters) [start, start+len), while the weightless
 is the one dispatch for the partitioned executor and for ``reference_forward``,
 which is its whole-row case. A resident connected layer is a single
 ``DenseAccumulator.feed`` of its whole input; a spilled one feeds the same
-accumulator chunk by chunk. A kernel's fixed cost is kept to its arithmetic:
-the accumulator works out the branch groups its rows reach once, a term
-block of a one-block sum is the whole operand, not a slice of it, and each
-kernel wraps the output array it made as a ``Tensor`` without checking it
-again.
+accumulator chunk by chunk; it works out the branch groups its rows reach
+once, when it is made.
 
 Every kernel fixes its accumulation order so that computing a layer in
 pieces (neuron subsets, filter subsets, branch groups, streamed input
@@ -98,14 +95,12 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
     terms = np.empty((block + 1, *shape), dtype=FLOAT)  # row 0, then a block of terms
     total = acc
     for lo in range(0, n, block):
-        hi = lo + block
-        part, copied, multiplier = terms, spread, factor
-        if lo or hi < n:  # one of several blocks
-            part, copied, multiplier = terms[: min(hi, n) - lo + 1], spread[lo:hi], factor[lo:hi]
+        hi = min(lo + block, n)
+        part = terms[: hi - lo + 1]
         part[0] = total  # row 0 carries the running sums into the block
         fill = part[1:]
-        fill[...] = copied
-        np.multiply(fill, multiplier, out=fill)  # one product per term: IEEE multiply commutes
+        fill[...] = spread[lo:hi]
+        np.multiply(fill, factor[lo:hi], out=fill)  # one product per term: IEEE multiply commutes
         if m == 1:
             total = np.add.accumulate(part[:, 0])[-1:]
         else:
@@ -160,8 +155,7 @@ class DenseAccumulator:
             for g in range(abs_start // per_group, -(-end // per_group)):
                 lo = max(abs_start, g * per_group) - abs_start
                 hi = min(end, (g + 1) * per_group) - abs_start
-                weights = rows.weights if hi - lo == count else rows.weights[lo:hi]
-                self._groups.append([g * cols, weights, np.zeros(hi - lo, FLOAT)])
+                self._groups.append([g * cols, rows.weights[lo:hi], np.zeros(hi - lo, FLOAT)])
 
     def feed(self, values: np.ndarray, base: int) -> None:
         end = base + values.size
@@ -175,12 +169,10 @@ class DenseAccumulator:
         for group in self._groups:  # each group reads its own inputs only
             first, weights, sums = group
             lo, hi = max(base, first), min(end, first + cols)
-            if hi - lo < cols:  # a chunk that does not cover the group's inputs
-                if lo >= hi:
-                    continue
-                weights = weights[:, lo - first : hi - first]
-            chunk = values if hi - lo == values.size else values[lo - base : hi - base]
-            group[2] = _accumulate(sums, weights, chunk)
+            if lo < hi:
+                group[2] = _accumulate(
+                    sums, weights[:, lo - first : hi - first], values[lo - base : hi - base]
+                )
         self._next = end
 
     def finish(self) -> Tensor:
@@ -192,7 +184,7 @@ class DenseAccumulator:
         else:  # each group's rows in order; an empty row slice reaches no group
             sums = np.concatenate([np.empty(0, FLOAT), *(group[2] for group in groups)])
         out = _activate(np.add(sums, self._biases), self._activation)
-        return Tensor._wrap((out.size,), out)
+        return Tensor((out.size,), out)
 
 
 def connected_forward_rows(
@@ -233,7 +225,7 @@ def conv_forward_subset(x: Tensor, rows: LayerWeights, spec: LayerSpec) -> Tenso
     patches = windows.reshape(c * k * k, oh * ow)
     acc = _accumulate(np.zeros((count, oh * ow), dtype=FLOAT), rows.weights, patches)
     out = _activate(acc + rows.biases[:, None], spec.activation)
-    return Tensor._wrap((count, oh, ow), out.reshape(-1))
+    return Tensor((count, oh, ow), out.reshape(-1))
 
 
 def maxpool_forward(x: Tensor, spec: LayerSpec) -> Tensor:
@@ -247,7 +239,7 @@ def maxpool_forward(x: Tensor, spec: LayerSpec) -> Tensor:
     for ky in range(k):
         for kx in range(k):
             np.maximum(out, m[:, ky : ky + oh * s : s, kx : kx + ow * s : s], out=out)
-    return Tensor._wrap((c, oh, ow), out.reshape(-1))
+    return Tensor((c, oh, ow), out.reshape(-1))
 
 
 def softmax_forward(x: Tensor) -> Tensor:
@@ -256,7 +248,7 @@ def softmax_forward(x: Tensor) -> Tensor:
         raise DimensionError("softmax on an empty input")
     shifted = x.data - np.max(x.data)
     e = np.exp(shifted)
-    return Tensor._wrap((x.size,), e / np.sum(e))
+    return Tensor((x.size,), e / np.sum(e))
 
 
 def layer_forward(

@@ -41,7 +41,6 @@ from __future__ import annotations
 import bisect
 import re
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
 from typing import AbstractSet, Callable, Mapping
 
 from .errors import LayerTooLargeError, PlanError, PlanInfeasibleError
@@ -127,22 +126,21 @@ def partition_footprint(
     the module docstring lists them. ``producer_rows`` is the row count of
     the previous layer's largest partition, which sizes a streamed chunk;
     None means the whole previous layer."""
-    geometry = model.geometry[layer_index]
-    shape = geometry.param_shape
+    shape = model.param_shape(layer_index)
     floats = rows * (shape[1] + 1) if shape else 0
     chunk = 0
     if layer_index in spill:
-        streamed = geometry.in_elems
+        streamed = model.in_elems(layer_index)
         if producer_rows is not None:
-            streamed = producer_rows * model.geometry[layer_index - 1].out_per_unit
+            streamed = producer_rows * model.output_units_per_row(layer_index - 1)
         chunk = min(SPILL_CHUNK_BYTES, FLOAT_BYTES * streamed)
     elif not public_input:
-        floats += geometry.in_elems
+        floats += model.in_elems(layer_index)
     if layer_index + 1 in spill:
-        produced = FLOAT_BYTES * rows * geometry.out_per_unit
+        produced = FLOAT_BYTES * rows * model.output_units_per_row(layer_index)
         chunk = max(chunk, min(SPILL_CHUNK_BYTES, produced))
     else:
-        floats += geometry.out_elems
+        floats += model.out_elems(layer_index)
     return FLOAT_BYTES * floats + chunk
 
 
@@ -271,7 +269,7 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
     if plan.scheme not in SCHEMES:
         problems.append(f"unknown scheme {plan.scheme!r}")
     partitions = plan.partitions
-    if len(set(map(attrgetter("id"), partitions))) != len(partitions):
+    if len({p.id for p in partitions}) != len(partitions):
         problems.append("duplicate partition ids")
 
     layers = len(model.layers)
@@ -321,10 +319,9 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
             problems.append(f"layer {i} is not covered by any partition")
             public_input, producer_rows = False, None
             continue
-        units = model.geometry[i].units
+        units = model.units(i)
         cursor, widest = 0, parts[0].end - parts[0].start
-        world, mixed = parts[0].world, False
-        priced = None  # (rows, footprint) last priced: a layer's subsets share a size
+        worlds = set()
         for p in parts:  # plan order within the layer
             start, end = p.start, p.end
             if start != cursor:
@@ -335,12 +332,7 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
             if not 0 <= start <= end <= units:
                 problems.append(f"partition {p.id} range [{start}, {end}) outside {units} units")
             elif p.world == WORLD_SECURE:
-                if priced is None or priced[0] != end - start:
-                    rows = end - start
-                    priced = rows, partition_footprint(
-                        model, i, rows, spill, public_input, producer_rows
-                    )
-                need = priced[1]
+                need = partition_footprint(model, i, end - start, spill, public_input, producer_rows)
                 if p.footprint_bytes < need:
                     problems.append(
                         f"partition {p.id} records {p.footprint_bytes} bytes but needs {need}"
@@ -349,15 +341,14 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
                 cursor = end
             if end - start > widest:
                 widest = end - start
-            if p.world != world:
-                mixed = True
+            worlds.add(p.world)
         if cursor != units:
             problems.append(f"layer {i} covered up to row {cursor} of {units}")
-        if mixed:
-            problems.append(f"layer {i} mixes worlds {sorted({p.world for p in parts})}")
+        if len(worlds) > 1:
+            problems.append(f"layer {i} mixes worlds {sorted(worlds)}")
         if len(parts) > 1 and not model.is_parameterized(i):
             problems.append(f"{model.layers[i].kind} layer {i} cannot be split")
-        public_input, producer_rows = mixed or world != WORLD_SECURE, widest
+        public_input, producer_rows = worlds != {WORLD_SECURE}, widest
 
     return problems
 

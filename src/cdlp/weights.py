@@ -103,11 +103,10 @@ def partition_weights(
     one), not copies, so they take no memory beyond the blob: a decrypted
     blob is charged to the arena and released only after the kernel that
     reads the views has returned, and a normal-world blob is immutable ``bytes``.
-    Each view is laid over the blob as one array, and once the blob's length
-    is checked both have the form ``LayerWeights`` ensures, so they are
-    wrapped as they are.
+    Each view is laid over the blob as one array in the layout
+    ``LayerWeights`` keeps, so it keeps both as they are.
     """
-    shape = model.geometry[layer_index].param_shape
+    shape = model.param_shape(layer_index)
     if shape is None:
         raise DimensionError(f"layer {layer_index} takes no weights")
     rows, cols = end - start, shape[1]
@@ -119,7 +118,7 @@ def partition_weights(
         )
     if type(blob) is not bytes:  # a bytearray blob would give writable views
         blob = memoryview(blob).toreadonly()
-    return LayerWeights._wrap(
+    return LayerWeights(
         np.ndarray((rows, cols), FLOAT, blob, FLOAT_BYTES * rows, order="F"),
         np.ndarray(rows, FLOAT, blob),
     )

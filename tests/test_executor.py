@@ -847,7 +847,7 @@ def test_the_trace_splits_switches_and_wall_time_by_partition(case):
 
 @pytest.mark.parametrize("case", ["layered", "spilled", "branched"])
 def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
-    from cdlp.tee import estimate_overhead, ledger_overhead
+    from cdlp.tee import CostConstants, estimate_overhead, ledger_overhead
 
     model, store, plan, x = trace_case(case)
     result = run_plan(model, store, plan, x)
@@ -856,7 +856,11 @@ def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
         i = t.partition.layer_index
         assert (t.spill_chunks_read > 0) == (i in plan.spill)
         assert (t.spill_chunks_written > 0) == (i + 1 in plan.spill)
-        assert t.modeled_seconds == estimate_overhead(t.switches / 2, t.decrypted_bytes)
+        assert t.modeled_seconds() == estimate_overhead(t.switches / 2, t.decrypted_bytes)
+        constants = CostConstants(2e-6, 3e-9)
+        assert t.modeled_seconds(constants) == estimate_overhead(
+            t.switches / 2, t.decrypted_bytes, constants
+        )
     for j in plan.spill:
         producers = [t for t in traces if t.partition.layer_index == j - 1]
         # each producer partition cuts its own rows into SPILL_CHUNK_BYTES chunks
@@ -867,7 +871,7 @@ def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
         written = sum(t.spill_chunks_written for t in producers)
         consumers = [t for t in traces if t.partition.layer_index == j]
         assert consumers and all(t.spill_chunks_read == written for t in consumers)
-    assert sum(t.modeled_seconds for t in traces) == pytest.approx(
+    assert sum(t.modeled_seconds() for t in traces) == pytest.approx(
         ledger_overhead(result.ledger), rel=1e-12
     )
 
