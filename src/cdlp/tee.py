@@ -17,10 +17,14 @@ the package needs to reason about confidentiality and cost:
   2 * invocations * t_switch + decrypted_bytes * t_byte;
 * find_plaintext_leak: the audit that no 8-byte slice of a secret
   (plaintext weights, spilled activations) appears in a shared buffer's
-  write log, read in place from the appends. It keys every slice on both
-  sides by its 8 bytes and joins the two key sets with membership-table
-  filters and one sort-merge on whole keys, so it is exact: no hash
-  collision can hide a leak or report one.
+  write log, read in place from the appends. It joins the two sides on
+  5-byte probes, the side with more bytes probed only at every 4th slice
+  and the other at every position, with membership-table filters and one
+  sort-merge; a shared slice always holds a grid probe, 0 to 3 bytes in,
+  that the other side's copy holds at the same place, so none is missed.
+  The slices around the shared probes are then joined on their whole 8
+  bytes, so it is exact: no hash collision or shared probe can hide a leak
+  or report one.
 
 What each partition cost is the executor's per-partition trace, not the
 ledger's.
@@ -252,21 +256,33 @@ class SharedBuffer:
 _KEY = np.dtype("<u8")  # an 8-byte slice, packed little-endian
 
 
-def _window_keys(data: bytes) -> np.ndarray:
-    """One key per 8-byte slice of ``data``, in slice order: a strided view."""
-    count = len(data) - _KEY.itemsize + 1
+def _window_keys(data: bytes, stride: int = 1) -> np.ndarray:
+    """One key per 8-byte slice of ``data`` that starts at a multiple of
+    ``stride``, in slice order: a strided view."""
+    count = (len(data) - _KEY.itemsize) // stride + 1
     if count <= 0:
         return np.empty(0, _KEY)
-    return np.ndarray((count,), _KEY, data, strides=(1,))
+    return np.ndarray((count,), _KEY, data, strides=(stride,))
 
+
+# A probe is 5 bytes, the last 5 of a window: its key >> 24, so the probe of
+# the window at q starts at q + 3. The larger side is probed only at its
+# windows q = 0, 4, 8, ...: a stride of 4 is the widest at which every
+# 8-byte window holds a whole 5-byte grid probe (4 + 5 - 1 = 8), and a
+# 4-byte probe would pair every repeated float32 value.
+_STRIDE = 4
+_PROBE_SHIFT = np.uint64(24)
+_HEAD_SHIFTS = np.array([0, 8, 16], np.uint64)  # the probes at 0, 1 and 2, in window 0
+_PROBE_MASK = np.uint64((1 << 40) - 1)
+_BACK = np.arange(_STRIDE)  # a probe at p lies in the windows p - 3 .. p
 
 _SLOT_BITS = 20  # a table of 2**20 one-byte flags, 1 MiB, stays in one core's L2
 _SLOT_MASK = np.uint64((1 << _SLOT_BITS) - 1)
 _FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # odd, about 2**64 over the golden ratio
 # the slot field of the hash each filter pass reads: a pass that read the
-# same field as the pass before it would keep almost every key that one kept
+# same field as the pass before it would keep almost every probe that one kept
 _PASS_SHIFTS = tuple(np.uint64(shift) for shift in (44, 24, 44))
-_CHUNK = 1 << 16  # keys hashed per step, so the temporaries stay in cache
+_CHUNK = 1 << 16  # probes hashed per step, so the temporaries stay in cache
 
 
 def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
@@ -279,23 +295,64 @@ def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
     return slots.view(np.intp)  # below 2**_SLOT_BITS, so the view is exact
 
 
-def _chunks(pieces: list[np.ndarray]) -> Iterator[np.ndarray]:
-    for keys in pieces:
-        for start in range(0, keys.size, _CHUNK):
-            yield keys[start : start + _CHUNK]
+def _stepped(first: int, step: int) -> Callable[[np.ndarray], np.ndarray]:
+    """The positions of the probes at indices ``i`` of a chunk that starts at
+    ``first`` and advances by ``step``."""
+    return lambda i: i * step + first
+
+
+# A side's probes come in chunks (data, probes, at): ``probes`` are taken
+# from ``data``, one of the side's pieces, and ``at`` maps indices into
+# ``probes`` to the probes' positions in ``data``.
+_Chunk = tuple[bytes, np.ndarray, Callable[[np.ndarray], np.ndarray]]
+
+
+@dataclass(frozen=True)
+class _Probes:
+    """The probes of one side's pieces: at every 4th window of each piece
+    if ``grid``, else at every position. Pieces under 8 bytes hold no
+    window and give none."""
+
+    pieces: list[bytes]
+    grid: bool
+
+    def __len__(self) -> int:
+        if self.grid:
+            return sum(_window_keys(data, _STRIDE).size for data in self.pieces)
+        # one probe at each position 0 .. n - 5 of a piece that holds a window
+        return sum(len(data) - 4 for data in self.pieces if len(data) >= _KEY.itemsize)
+
+    def __iter__(self) -> Iterator[_Chunk]:
+        step = _STRIDE if self.grid else 1
+        for data in self.pieces:
+            windows = _window_keys(data, step)  # the grid windows each lie inside the data
+            if not windows.size:
+                continue
+            if not self.grid:
+                # the windows give the probes at 3 .. n - 5, and the first
+                # window's low bytes hold those at 0, 1 and 2
+                yield data, (windows[:1] >> _HEAD_SHIFTS) & _PROBE_MASK, _stepped(0, 1)
+            for start in range(0, windows.size, _CHUNK):
+                probes = windows[start : start + _CHUNK] >> _PROBE_SHIFT
+                yield data, probes, _stepped(3 + step * start, step)
 
 
 def _survivors(
-    pieces: list[np.ndarray], members: list[np.ndarray], shift: np.uint64
-) -> list[np.ndarray]:
-    """The keys of ``pieces`` whose slot some key of ``members`` fills."""
+    side: Iterable[_Chunk], members: Iterable[_Chunk], shift: np.uint64
+) -> list[_Chunk]:
+    """The probes of ``side`` whose slot some probe of ``members`` fills."""
     table = np.zeros(1 << _SLOT_BITS, np.bool_)
-    for chunk in _chunks(members):
-        table[_slots(chunk, shift)] = True
-    return [np.compress(table.take(_slots(chunk, shift)), chunk) for chunk in _chunks(pieces)]
+    for _data, probes, _at in members:
+        table[_slots(probes, shift)] = True
+    kept = []
+    for data, probes, at in side:
+        hit = np.flatnonzero(table.take(_slots(probes, shift)))
+        if hit.size:
+            kept.append((data, probes[hit], at(hit).take))
+    return kept
 
 
-def _distinct(pieces: list[np.ndarray]) -> np.ndarray:
+def _distinct(pieces: Iterable[np.ndarray]) -> np.ndarray:
     """The keys of ``pieces``, sorted, each once."""
     # not np.unique: numpy 2 hashes before it sorts, some 30 times slower
     keys = np.sort(np.concatenate([np.empty(0, _KEY), *pieces]))
@@ -304,17 +361,9 @@ def _distinct(pieces: list[np.ndarray]) -> np.ndarray:
     return keys[keep]
 
 
-def _shared_keys(a: list[np.ndarray], b: list[np.ndarray]) -> np.ndarray:
-    """The distinct keys found in both ``a`` and ``b``, sorted.
-
-    The filter passes alternate sides, the first building its table from
-    the smaller side; one merge of the sorted survivors then keeps the keys
-    present in both.
-    """
-    if sum(keys.size for keys in a) > sum(keys.size for keys in b):
-        a, b = b, a
-    for shift in _PASS_SHIFTS:
-        a, b = _survivors(b, a, shift), a
+def _in_both(a: Iterable[np.ndarray], b: Iterable[np.ndarray]) -> np.ndarray:
+    """The distinct keys found in both ``a`` and ``b``, sorted: one merge of
+    the two sorted, deduplicated sides."""
     merged = np.concatenate((_distinct(a), _distinct(b)))
     merged.sort(kind="stable")  # merges the two sorted runs
     return merged[1:][merged[1:] == merged[:-1]]
@@ -326,6 +375,42 @@ def _in_sorted(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return table[at] == queries
 
 
+def _windows_around(side: list[_Chunk], probes: np.ndarray) -> Iterator[np.ndarray]:
+    """The keys of the windows that hold a probe of ``side`` found in the
+    sorted, non-empty ``probes``: for a probe at p, the windows p - 3 .. p,
+    clipped to the data."""
+    for data, found, at in side:
+        positions = at(np.flatnonzero(_in_sorted(probes, found)))
+        if positions.size:
+            windows = (positions[:, None] - _BACK).ravel()
+            yield _window_keys(data)[np.clip(windows, 0, len(data) - _KEY.itemsize)]
+
+
+def _shared_keys(a: _Probes, b: _Probes) -> np.ndarray:
+    """The distinct 8-byte keys of windows found on both sides, sorted.
+
+    Why none is missed: let W = A[j : j + 8] = B[i : i + 8] with A probed on
+    the grid, and q = 4 * (j // 4). Then j - 3 <= q <= j <= len(A) - 8, so
+    the grid window at q lies in A and its probe A[q + 3 : q + 8] lies in W
+    at d = q + 3 - j, with 0 <= d <= 3; it equals B's probe at i + d, which
+    B, probed everywhere, has. Both probes are shared, so the windows around
+    them include W on each side: j in q .. q + 3 and i in (i + d) - 3 .. i + d.
+
+    The filter passes run on the probes and alternate sides, the first
+    building its table from the side with fewer probes; the shared probes
+    are then found by one merge, and the windows around them are joined the
+    same way on whole 8-byte keys, so no probe decides a match.
+    """
+    if len(a) > len(b):
+        a, b = b, a
+    for shift in _PASS_SHIFTS:
+        a, b = _survivors(b, a, shift), a
+    probes = _in_both((found for _data, found, _at in a), (found for _data, found, _at in b))
+    if not probes.size:
+        return probes
+    return _in_both(_windows_around(a, probes), _windows_around(b, probes))
+
+
 def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes | None:
     """Return the first 8-byte slice of any secret found in ``buffer``'s
     write log, or None if nothing leaked.
@@ -334,25 +419,32 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     within one write record, which is read in place, so no append is
     copied. Secrets shorter than 8 bytes cannot be detected and are skipped.
 
-    Every slice is its own 8-byte key, and the keys that the log and the
-    secrets share are found once, by a join in two steps (``_shared_keys``).
-    Filter passes through a 1 MiB membership table drop most keys of each
-    side: a table marks the hashed slots of one side's keys, and only the
-    other side's keys whose slot is marked go on. A shared key marks its own
-    slot, so no pass drops it. The sorted, deduplicated survivors of both
-    sides are then merged, and the merge keeps only the keys present in
-    both. Only if that set is not empty are the secrets scanned in order for
-    their first shared key. Every step that decides a match compares whole
-    keys, so the result is exact, and no state is kept between calls.
+    The slices that the log and the secrets share are found by a join on
+    5-byte probes (``_shared_keys``). The side with more bytes is probed
+    only at every 4th slice, by its last 5 bytes, and the other side at
+    every position. No shared slice is missed: the grid probe of the slice
+    at 4 * (j // 4) lies within the slice at j, 0 to 3 bytes in, so the
+    other side's copy of that slice holds the same probe.
+
+    Filter passes through a 1 MiB membership table drop most probes of each
+    side: a table marks the hashed slots of one side's probes, and only the
+    other side's probes whose slot is marked go on. A shared probe marks its
+    own slot, so no pass drops it. The sorted, deduplicated survivors of
+    both sides are then merged, and the merge keeps only the probes present
+    in both. The slices around each shared probe are joined the same way on
+    their whole 8 bytes, and only if that set is not empty are the secrets
+    scanned in order for their first shared slice. Every step that decides
+    a match compares whole 8-byte keys, so the result is exact, and no
+    state is kept between calls.
     """
     secrets = list(secrets)
-    secret_keys = [_window_keys(secret) for secret in secrets]
-    logged = [_window_keys(view) for _offset, _tag, view in buffer._records()]
-    shared = _shared_keys(logged, secret_keys)
+    logged = [view for _offset, _tag, view in buffer._records()]
+    log_larger = sum(map(len, logged)) > sum(map(len, secrets))
+    shared = _shared_keys(_Probes(logged, grid=log_larger), _Probes(secrets, grid=not log_larger))
     if not shared.size:
         return None
-    for secret, keys in zip(secrets, secret_keys):
-        hits = np.flatnonzero(_in_sorted(shared, keys))  # in secret order
+    for secret in secrets:
+        hits = np.flatnonzero(_in_sorted(shared, _window_keys(secret)))  # in secret order
         if hits.size:
             return secret[hits[0] : hits[0] + _KEY.itemsize]
     return None

@@ -410,17 +410,43 @@ def test_find_plaintext_leak_splits_containers_as_the_log_does(appends, data):
     assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
 
 
+_LOG_LARGER = ([1 << 20, 3000, 700, 40_000], [64 << 10, 32 << 10, 16 << 10, 16 << 10])
+_SECRETS_LARGER = ([64 << 10, 30 << 10, 2000], [512 << 10, 256 << 10, 160 << 10, 100 << 10])
+# Where the planted slice is cut from secrets[2] and where it goes in
+# records[0], each as (f, k): the offset f * (len - 8) + k, so f = 0 is the
+# first window, f = 1 the last, and f = 0.5 a multiple of 4 in the middle.
+# The larger side is probed at every 4th window, and the other side at
+# every position, the first window's three head probes included.
+_PLACEMENTS = {
+    "": ((0, 5000), (0.5, 17)),
+    "-mod4-0": ((0, 5000), (0.5, 0)),  # offsets 0, 1, 2 and 3 mod 4 on both sides
+    "-mod4-1": ((0, 5001), (0.5, 1)),
+    "-mod4-2": ((0, 5002), (0.5, 2)),
+    "-mod4-3": ((0, 5003), (0.5, 3)),
+    "-record-first": ((0, 5001), (0, 0)),  # the log's head probes, when the secrets are larger
+    "-record-last": ((0, 5003), (1, 0)),  # the log's last grid window, when the log is larger
+    "-secret-first": ((0, 0), (0.5, 1)),  # the secrets' head probes, when the log is larger
+    "-secret-last": ((1, 0), (0.5, 2)),  # the secrets' last grid window, when they are larger
+}
+
+
 @pytest.mark.parametrize(
-    "log_sizes, secret_sizes",
+    "log_sizes, secret_sizes, cut, plant",
     [
-        ([1 << 20, 3000, 700, 40_000], [64 << 10, 32 << 10, 16 << 10, 16 << 10]),
-        ([64 << 10, 30 << 10, 2000], [512 << 10, 256 << 10, 160 << 10, 100 << 10]),
+        (*sizes, *placement)
+        for sizes in (_LOG_LARGER, _SECRETS_LARGER)
+        for placement in _PLACEMENTS.values()
     ],
-    ids=["log-8x-secrets", "secrets-8x-log"],
+    ids=[
+        case + suffix
+        for case in ("log-8x-secrets", "secrets-8x-log")
+        for suffix in _PLACEMENTS
+    ],
 )
-def test_find_plaintext_leak_at_scale(log_sizes, secret_sizes):
+def test_find_plaintext_leak_at_scale(log_sizes, secret_sizes, cut, plant):
     """A planted 8-byte slice is found in a large ciphertext record, and
-    the same buffers without it are clean, whichever side is larger."""
+    the same buffers without it are clean, whichever side is larger and
+    wherever the slice is cut and planted."""
     rng = np.random.default_rng(7)
     records = [rng.bytes(size) for size in log_sizes]
     secrets = [rng.bytes(size) for size in secret_sizes]
@@ -428,28 +454,65 @@ def test_find_plaintext_leak_at_scale(log_sizes, secret_sizes):
     writes = list(zip(records, tags))
     assert find_plaintext_leak(_buffer(writes), secrets) is None
 
-    piece = secrets[2][5000:5008]
-    at = len(records[0]) // 2 + 13
+    def offset(data, f, k):
+        return int(f * (len(data) - 8)) + k
+
+    start = offset(secrets[2], *cut)
+    piece = secrets[2][start : start + 8]
+    at = offset(records[0], *plant)
     planted = records[0][:at] + piece + records[0][at + 8 :]
     writes[0] = (planted, TaintTag.CIPHERTEXT)
     buf = _buffer(writes)
     assert find_plaintext_leak(buf, secrets) == piece == leak_oracle(buf, secrets)
 
 
+# 724 275 069 079, below 2**40, times the hash multiplier is within 2**23 of
+# a multiple of 2**64 (a continued-fraction denominator of the multiplier
+# over 2**64), so adding it to a probe moves the probe's hash by less than
+# 2**23, and often leaves every bit a pass reads as it was
+_NEAR_PROBE_STEP = 724_275_069_079
+
+
 def test_keys_sharing_every_filter_slot_are_not_a_leak():
-    """Two distinct windows whose keys share each pass's table slot survive
-    every filter; only the merge on whole keys tells them apart."""
-    inverse = pow(int(tee._FIBONACCI), -1, 1 << 64)  # key + inverse adds 1 to the hash
+    """Two distinct probes whose hashes share each pass's table slot
+    survive every filter; only the merge on whole probes tells them apart."""
     rng = random.Random(3)
     while True:
-        first = rng.getrandbits(64)
-        second = (first + inverse) % (1 << 64)
-        keys = np.array([first, second], np.uint64)
-        if all(len(set(tee._slots(keys, shift).tolist())) == 1 for shift in tee._PASS_SHIFTS):
+        first = rng.getrandbits(40)
+        second = first + _NEAR_PROBE_STEP
+        probes = np.array([first, second], np.uint64)
+        if second < 1 << 40 and all(
+            len(set(tee._slots(probes, shift).tolist())) == 1 for shift in tee._PASS_SHIFTS
+        ):
             break
-    secret, logged = (key.to_bytes(8, "little") for key in (first, second))
+    # the secret's one window has the probe ``first``, and the logged
+    # window the probe ``second`` at the same place
+    secret, logged = (bytes(3) + probe.to_bytes(5, "little") for probe in (first, second))
     buf = SharedBuffer()
     buf.append(logged, TaintTag.CIPHERTEXT)
+    assert find_plaintext_leak(buf, [secret]) is None
+    buf.append(secret, TaintTag.PUBLIC)
+    assert find_plaintext_leak(buf, [secret]) == secret
+
+
+@pytest.mark.parametrize("alignment", range(4))
+def test_windows_sharing_a_probe_are_not_a_leak(alignment):
+    """A logged window with a secret window's 5-byte probe but none of its
+    other 3 bytes passes the join on probes; only the join of the whole
+    8-byte windows around the shared probe tells them apart. The log is
+    the larger side, so it is probed at every 4th window, and the logged
+    window starts ``alignment`` bytes past one."""
+    rng = random.Random(alignment)
+    secret = rng.randbytes(8)
+    at = 20 + alignment
+    inside = 3 - alignment  # where the grid window's probe lies in the logged one
+    lookalike = bytearray(byte ^ 0xFF for byte in secret)
+    lookalike[inside : inside + 5] = secret[inside : inside + 5]
+    record = bytearray(rng.randbytes(64))
+    record[at : at + 8] = lookalike
+    assert record[23:28] == secret[inside : inside + 5]  # the probe of the grid window at 20
+    buf = SharedBuffer()
+    buf.append(record, TaintTag.PUBLIC)
     assert find_plaintext_leak(buf, [secret]) is None
     buf.append(secret, TaintTag.PUBLIC)
     assert find_plaintext_leak(buf, [secret]) == secret
