@@ -7,7 +7,7 @@ confidentiality overhead.
 """
 
 from .config import load_canonical_model, parse_config
-from .container import decrypt_partition, encrypt_partition
+from .container import aead, decrypt_partition, encrypt_partition
 from .errors import (
     CdlpError,
     ConfigError,

@@ -98,10 +98,12 @@ def _emit(args, payload: dict, human: list[str]) -> None:
 
 
 def _plan_for(model: ModelSpec, scheme: str, cap: int, subset) -> PartitionPlan:
-    if scheme == SCHEME_LAYERED:
-        return plan_layered(model, cap)
     if scheme == SCHEME_SUBLAYER:
         return plan_sublayer(model, cap, subset_size=subset)
+    if subset is not None:
+        raise UsageError(f"--s applies to the sublayer scheme only, not {scheme}")
+    if scheme == SCHEME_LAYERED:
+        return plan_layered(model, cap)
     return plan_branched(model, cap)
 
 

@@ -15,9 +15,9 @@ model charges for it, and the wall time of its phases.
 
 What a run does once, it does once per run and keeps nothing across
 runs: it validates the plan, digests the manifest and makes the AES-GCM
-cipher that opens and seals every container of the run. What a layer's
-partitions share is worked out once per layer: the layer's geometry and
-its weights context. A partition then costs its staging, its AES-GCM, its
+cipher and the weights context that open and seal every container of the
+run. What a layer's partitions share is worked out once per layer: the
+layer's geometry. A partition then costs its staging, its AES-GCM, its
 weight views and its kernel. A layer run as one partition hands its
 kernel's output tensor to the next layer as it is; the partitions of a
 split layer are joined once, in plan order.
@@ -30,10 +30,12 @@ is flagged for spill, the outputs are encrypted into shared memory
 instead and streamed back chunk by chunk, paying the re-decryption cost
 the ledger records.
 
-Every container is bound to where it belongs (see ``container``): weights
-to the plan digest and their layer, spill chunks also to the run, the
-spilled layer and the chunk's index, so shared memory can swap, replay or
-reorder containers only to make the run fail.
+Every container is bound to its full index and to a context (see
+``container``): a weights container to its partition id and the plan
+digest, a spill chunk to its place in the spilled layer, the plan digest,
+the run and the layer. So shared memory can swap, replay or reorder
+containers only to make the run fail. Below the two entry points only the
+cipher travels, never the raw key.
 
 Every run is bitwise comparable to run_reference: the kernels fix their
 accumulation order, and activations only ever move through lossless
@@ -87,34 +89,23 @@ def plan_digest(plan: PartitionPlan) -> bytes:
     return sha256(render_manifest(plan).encode()).digest()
 
 
-def weights_context(digest: bytes, layer_index: int) -> bytes:
-    """Associated data of a weight container of the plan with ``digest``."""
-    return b"weights" + digest + _INDEX.pack(layer_index)
-
-
-@dataclass
-class SpilledChunk:
-    chunk_id: int
-    start: int  # first activation index held by this chunk
-    offset: int  # container position in the shared buffer
-    length: int  # container byte length
+def weights_context(digest: bytes) -> bytes:
+    """Associated data of every weight container of the plan with ``digest``."""
+    return b"weights" + digest
 
 
 @dataclass
 class SpilledActivations:
-    """Encrypted activation chunks parked in a shared buffer."""
+    """Encrypted activation chunks parked in a shared buffer: chunk k is
+    container k under ``context``."""
 
     buffer: SharedBuffer
-    context: bytes  # every chunk's associated data, before its index
-    chunks: list[SpilledChunk] = field(default_factory=list)
-    total_count: int = 0
-
-    def chunk_context(self, index: int) -> bytes:
-        return self.context + _INDEX.pack(index)
+    context: bytes
+    chunks: list[tuple[int, int]] = field(default_factory=list)  # (offset, length) each
 
 
 def spill_activations(
-    values: np.ndarray, key: bytes | AESGCM, arena: SecureArena, into: SpilledActivations
+    values: np.ndarray, cipher: AESGCM, arena: SecureArena, into: SpilledActivations
 ) -> None:
     """Encrypt float32 ``values`` into ``into``'s shared buffer in
     SPILL_CHUNK_BYTES chunks, appending them to its chunk list; a layer split
@@ -126,29 +117,25 @@ def spill_activations(
     """
     floats_per_chunk = SPILL_CHUNK_BYTES // FLOAT_BYTES
     for lo in range(0, values.size, floats_per_chunk):
-        hi = min(lo + floats_per_chunk, values.size)
-        plain = values[lo:hi].tobytes()
+        plain = values[lo : lo + floats_per_chunk].tobytes()
         staging = arena.alloc(len(plain))
         try:
-            index = len(into.chunks)
-            chunk_id = index % 0x10000
-            data = encrypt_partition(plain, key, chunk_id, into.chunk_context(index))
+            data = encrypt_partition(plain, cipher, len(into.chunks), into.context)
         finally:
             arena.free(staging)
-        offset = into.buffer.append_container(data)
-        into.chunks.append(SpilledChunk(chunk_id, into.total_count, offset, len(data)))
-        into.total_count += hi - lo
+        into.chunks.append((into.buffer.append_container(data), len(data)))
 
 
 def stream_spilled(
     spilled: SpilledActivations,
-    key: bytes | AESGCM,
+    cipher: AESGCM,
     arena: SecureArena,
     consumer: Callable[[np.ndarray, int], None],
     ledger: CostLedger,
 ) -> float:
-    """Decrypt spill chunks one at a time into the arena and feed ``consumer``;
-    return the wall seconds spent verifying and decrypting them.
+    """Decrypt spill chunks one at a time into the arena and feed each to
+    ``consumer`` with the count of values fed before it; return the wall
+    seconds spent verifying and decrypting them.
 
     Each chunk is verified, decrypted, consumed, and freed before the next
     loads, so one pass costs a single chunk of arena space and adds the
@@ -158,15 +145,16 @@ def stream_spilled(
     """
     clock = time.perf_counter
     seconds = 0.0
-    for index, chunk in enumerate(spilled.chunks):
+    fed = 0
+    for index, (offset, length) in enumerate(spilled.chunks):
         started = clock()
-        raw = spilled.buffer.read(chunk.offset, chunk.length)
-        blob = ledger_decrypt(
-            arena, ledger, raw, key, chunk.chunk_id, spilled.chunk_context(index)
-        )
+        raw = spilled.buffer.read(offset, length)
+        blob = ledger_decrypt(arena, ledger, raw, cipher, index, spilled.context)
         seconds += clock() - started
         try:
-            consumer(np.frombuffer(blob.data, FLOAT), chunk.start)
+            values = np.frombuffer(blob.data, FLOAT)
+            consumer(values, fed)
+            fed += values.size
         finally:
             blob.release(arena)
     return seconds
@@ -259,6 +247,7 @@ def run_partitioned(
     ledger = CostLedger()
     session = Session(ledger)
     digest = plan_digest(plan)
+    context = weights_context(digest)
     # binds this run's spill chunks to it: another run's do not verify
     run_nonce = os.urandom(RUN_NONCE_BYTES)
     clock = time.perf_counter
@@ -269,9 +258,8 @@ def run_partitioned(
     # chunks. Its partitions leave their rows in ``outputs``, charged as
     # ``out`` in the secure world, or, when the next layer streams its
     # inputs, in ``out_spill``. The two closures below read the loop's
-    # current layer (``i``, ``layer``, ``geometry``, ``weighted``,
-    # ``context``, ``x``, ``offset``) and partition (``p``, ``trace``,
-    # ``blob``, ``staged``).
+    # current layer (``i``, ``layer``, ``geometry``, ``weighted``, ``x``,
+    # ``offset``) and partition (``p``, ``trace``, ``blob``, ``staged``).
     x = input_tensor
     # the client hands the inference input over through shared memory
     offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
@@ -337,7 +325,6 @@ def run_partitioned(
             else:
                 outputs = []
             if secure:
-                context = weights_context(digest, i)
                 handoff = 0.0  # staging time of the public input, charged to the first partition
                 if held is None and spilled is None and offset is None:
                     # normal-to-secure handoff: the extracted features cross
@@ -384,11 +371,11 @@ def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) 
     """Split a weight store along the plan: encrypted containers for secure
     partitions, plaintext blobs for normal-world ones."""
     cipher = aead(key)
-    digest = plan_digest(plan)
+    context = weights_context(plan_digest(plan))
     data = {}
     for p, blob in zip(plan.partitions, split_weights(store, plan)):
         if p.encrypted:
-            blob = encrypt_partition(blob, cipher, p.id, weights_context(digest, p.layer_index))
+            blob = encrypt_partition(blob, cipher, p.id, context)
         data[p.id] = blob
     return data
 

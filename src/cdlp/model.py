@@ -273,12 +273,6 @@ class ModelSpec:
             in_dims, out_dims, in_elems, out_elems, units, out_per_unit, groups, param_shape
         )
 
-    def in_dims(self, i: int) -> tuple[int, ...]:
-        return self.geometry[i].in_dims
-
-    def out_dims(self, i: int) -> tuple[int, ...]:
-        return self.geometry[i].out_dims
-
     def in_elems(self, i: int) -> int:
         return self.geometry[i].in_elems
 

@@ -486,25 +486,23 @@ def ledger_decrypt(
     arena: SecureArena,
     ledger: CostLedger,
     container_bytes: bytes,
-    key: bytes | AESGCM,
-    expected_partition_id: int,
+    cipher: AESGCM,
+    index: int,
     context: bytes,
 ) -> SecureBlob:
-    """Decrypt a container into the arena, counting the plaintext bytes.
+    """Decrypt container ``index`` into the arena, counting the plaintext bytes.
 
-    ``key`` is the 16-byte key or the cipher ``container.aead`` made of it.
-    ``context`` is the associated data the container was sealed with, past
-    its header. The framing is checked and the plaintext charged to the
-    arena before decryption; on any failure (bad framing, no room, tag or
+    ``cipher`` is the one ``container.aead`` made of the key. ``context`` is
+    the associated data the container was sealed with, past its header and
+    index. The framing is checked and the plaintext charged to the arena
+    before decryption; on any failure (bad framing, no room, index, tag or
     context mismatch) the counter stays untouched and the arena is left as
     it was.
     """
     _pid, plaintext_len = container.read_header(container_bytes)
     allocation = arena.alloc(plaintext_len) if plaintext_len else None
     try:
-        blob = container.decrypt_partition(
-            container_bytes, key, expected_partition_id, context
-        )
+        blob = container.decrypt_partition(container_bytes, cipher, index, context)
     except Exception:
         if allocation is not None:
             arena.free(allocation)

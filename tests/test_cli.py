@@ -95,6 +95,16 @@ def test_plan_explicit_subset_size(workspace, capsys):
     assert run_cli("plan", "--cfg", cfg, "--scheme", "sublayer", "--cap", CAP, "--s", 500) == 3
 
 
+@pytest.mark.parametrize("scheme", ["layered", "branched"])
+def test_subset_size_outside_sublayer_is_a_usage_error(workspace, capsys, scheme):
+    tmp, cfg, _, _ = workspace
+    out = tmp / "plan.manifest"
+    assert run_cli("plan", "--cfg", cfg, "--scheme", scheme, "--cap", CAP,
+                   "--s", 3, "--out", out) == 2
+    assert "--s applies to the sublayer scheme only" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_encrypt_writes_eleven_containers(workspace):
     manifest, parts = plan_and_encrypt(workspace)
     files = sorted(p.name for p in parts.iterdir())
@@ -339,43 +349,28 @@ def test_run_corrupted_partition_exits_4(workspace, capsys):
     assert "IntegrityError" in capsys.readouterr().err
 
 
-def test_run_on_version_1_containers_exits_4_before_decrypting(workspace, capsys, monkeypatch):
+@pytest.mark.parametrize("version", [1, 2, 3])
+def test_run_on_old_container_versions_exits_4_before_decrypting(
+    workspace, capsys, monkeypatch, version
+):
+    """Version 2 held row-major weights, which must not be read as columns;
+    version 3 bound only the u16 partition id."""
     tmp, cfg, _, tensor = workspace
     manifest, parts = plan_and_encrypt(workspace)
     for victim in parts.glob("*.cdlp"):
         data = bytearray(victim.read_bytes())
-        data[4:6] = (1).to_bytes(2, "little")  # the header's version field
+        data[4:6] = version.to_bytes(2, "little")  # the header's version field
         victim.write_bytes(bytes(data))
 
     def refuse(*args, **kwargs):
-        pytest.fail("a version 1 container reached decryption")
+        pytest.fail(f"a version {version} container reached decryption")
 
     monkeypatch.setattr("cdlp.container.decrypt_partition", refuse)
     assert run_cli(
         "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
         "--input", tensor, "--cap", CAP,
     ) == 4
-    assert "FormatError: unsupported container version 1" in capsys.readouterr().err
-
-
-def test_run_on_version_2_containers_exits_4_before_decrypting(workspace, capsys, monkeypatch):
-    """Version 2 held row-major weights; such a blob must not be read as columns."""
-    tmp, cfg, _, tensor = workspace
-    manifest, parts = plan_and_encrypt(workspace)
-    for victim in parts.glob("*.cdlp"):
-        data = bytearray(victim.read_bytes())
-        data[4:6] = (2).to_bytes(2, "little")  # the header's version field
-        victim.write_bytes(bytes(data))
-
-    def refuse(*args, **kwargs):
-        pytest.fail("a version 2 container reached decryption")
-
-    monkeypatch.setattr("cdlp.container.decrypt_partition", refuse)
-    assert run_cli(
-        "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
-        "--input", tensor, "--cap", CAP,
-    ) == 4
-    assert "FormatError: unsupported container version 2" in capsys.readouterr().err
+    assert f"FormatError: unsupported container version {version}" in capsys.readouterr().err
 
 
 def test_run_branched_model(tmp_path, capsys):

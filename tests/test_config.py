@@ -21,7 +21,7 @@ def test_canonical_config_has_eleven_layers():
     model = load_canonical_model()
     assert len(model.layers) == 11
     assert canonical_config_text().count("[") == 12  # [net] plus 11 layer sections
-    assert model.out_dims(10) == (10,)
+    assert model.geometry[10].out_dims == (10,)
 
 
 def test_non_numeric_value_names_the_line():

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from cdlp import container, executor
 from cdlp.config import load_canonical_model
-from cdlp.container import HEADER_BYTES, MAGIC
+from cdlp.container import HEADER_BYTES, MAGIC, aead
 from cdlp.errors import FormatError, IntegrityError, PlanError, SecureMemoryError
 from cdlp.executor import (
     SpilledActivations,
@@ -23,17 +23,26 @@ from cdlp.model import FLOAT_BYTES, LayerSpec, ModelSpec, Tensor
 from cdlp.nn import layer_forward
 from cdlp.planner import (
     SPILL_CHUNK_BYTES,
+    partition_footprint,
     plan_branched,
     plan_layered,
     plan_sublayer,
     validate_plan,
 )
-from cdlp.tee import CostLedger, SecureArena, SharedBuffer, TaintTag, find_plaintext_leak
+from cdlp.tee import (
+    CostLedger,
+    SecureArena,
+    SharedBuffer,
+    TaintTag,
+    find_plaintext_leak,
+    ledger_decrypt,
+)
 from cdlp.weights import split_weights
 
 from support import random_case, random_tensor, random_weight_store, spilled_secrets
 
 KEY = bytes.fromhex("000102030405060708090a0b0c0d0e0f")
+CIPHER = aead(KEY)
 SPILL_CONTEXT = b"spill" + bytes(64)  # a spill context: tag, plan digest, run nonce, layer
 CAP = 7 * 2**20
 
@@ -471,8 +480,7 @@ def test_spill_stream_round_trip():
     values = rng.standard_normal(2500).astype(np.float32)
     arena = SecureArena(CAP)
     spilled = SpilledActivations(SharedBuffer(), SPILL_CONTEXT)
-    spill_activations(values, KEY, arena, spilled)
-    assert spilled.total_count == 2500
+    spill_activations(values, CIPHER, arena, spilled)
     chunks = (2500 * FLOAT_BYTES + SPILL_CHUNK_BYTES - 1) // SPILL_CHUNK_BYTES
     assert len(spilled.chunks) == chunks == 3  # two whole 4 KiB chunks and a partial one
 
@@ -482,7 +490,7 @@ def test_spill_stream_round_trip():
         collected[base : base + chunk.size] = chunk
 
     ledger = CostLedger()
-    stream_spilled(spilled, KEY, arena, consumer, ledger)
+    stream_spilled(spilled, CIPHER, arena, consumer, ledger)
     assert collected.tobytes() == values.tobytes()
     assert ledger.decrypted_bytes == 10000
     assert arena.current_usage == 0
@@ -493,10 +501,10 @@ def test_streaming_twice_doubles_the_cost():
     values = rng.standard_normal(128).astype(np.float32)
     arena = SecureArena(CAP)
     spilled = SpilledActivations(SharedBuffer(), SPILL_CONTEXT)
-    spill_activations(values, KEY, arena, spilled)
+    spill_activations(values, CIPHER, arena, spilled)
     ledger = CostLedger()
     for _ in range(2):
-        stream_spilled(spilled, KEY, arena, lambda c, b: None, ledger)
+        stream_spilled(spilled, CIPHER, arena, lambda c, b: None, ledger)
     assert ledger.decrypted_bytes == 2 * 128 * FLOAT_BYTES
 
 
@@ -506,16 +514,16 @@ def test_tampered_spill_chunk_aborts_before_consumption():
     arena = SecureArena(CAP)
     buffer = SharedBuffer()
     spilled = SpilledActivations(buffer, SPILL_CONTEXT)
-    spill_activations(values, KEY, arena, spilled)
+    spill_activations(values, CIPHER, arena, spilled)
     assert len(spilled.chunks) == 3
-    victim = spilled.chunks[1]
-    tampered = bytearray(buffer.read(victim.offset, victim.length))
+    offset, length = spilled.chunks[1]
+    tampered = bytearray(buffer.read(offset, length))
     tampered[40] ^= 1
-    victim.offset = buffer.append(tampered, TaintTag.CIPHERTEXT)  # chunk 1 now reads the copy
+    spilled.chunks[1] = buffer.append(tampered, TaintTag.CIPHERTEXT), length  # read the copy
 
     seen = []
     with pytest.raises(IntegrityError):
-        stream_spilled(spilled, KEY, arena, lambda c, b: seen.append(b), CostLedger())
+        stream_spilled(spilled, CIPHER, arena, lambda c, b: seen.append(b), CostLedger())
     assert seen == [0]  # only the intact chunk before the tampered one
     assert arena.current_usage == 0
 
@@ -556,9 +564,8 @@ def test_container_headers_are_logged_apart_from_their_ciphertext():
 
     buffer = SharedBuffer()
     spilled = SpilledActivations(buffer, SPILL_CONTEXT)
-    spill_activations(np.zeros(1000, np.float32), KEY, SecureArena(CAP), spilled)
-    chunk = spilled.chunks[0]
-    data = buffer.read(chunk.offset, chunk.length)
+    spill_activations(np.zeros(1000, np.float32), CIPHER, SecureArena(CAP), spilled)
+    data = buffer.read(*spilled.chunks[0])
     # the length field's zero bytes next to the first ciphertext bytes are no
     # logged slice, so a secret holding them by chance is not reported
     straddle = data[HEADER_BYTES - 6 : HEADER_BYTES + 2]
@@ -760,6 +767,27 @@ def test_container_sealed_for_another_plan_raises():
         data[pid] = theirs[pid]
         with pytest.raises(IntegrityError):
             run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+
+
+def test_partitions_0_and_65536_open_only_in_their_own_slots():
+    """A plan past 65 536 partitions seals, and its containers 0 and 65 536,
+    whose headers both hold 0 (the index mod 2^16), are told apart by the
+    full index under the tag."""
+    model = ModelSpec([LayerSpec.connected(65_540, "relu")], (1, 1, 1))
+    plan = plan_sublayer(model, partition_footprint(model, 0, 1))
+    assert len(plan.partitions) == 65_540
+    store = random_weight_store(model, np.random.default_rng(30))
+    data = prepare_partition_data(store, plan, KEY)
+    context = executor.weights_context(executor.plan_digest(plan))
+    arena, ledger = SecureArena(CAP), CostLedger()
+    blobs = split_weights(store, plan)
+    for own, other in ((0, 65_536), (65_536, 0)):
+        blob = ledger_decrypt(arena, ledger, data[own], CIPHER, own, context)
+        assert blob.data == blobs[own]
+        blob.release(arena)
+        with pytest.raises(IntegrityError, match="tag mismatch"):
+            ledger_decrypt(arena, ledger, data[own], CIPHER, other, context)
+    assert arena.current_usage == 0
 
 
 # --- comparisons and the baseline ---

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlp import tee
-from cdlp.container import HEADER_BYTES, encrypt_partition
+from cdlp.container import HEADER_BYTES, aead, encrypt_partition
 from cdlp.errors import SecureMemoryError
 from cdlp.tee import (
     CostConstants,
@@ -22,8 +22,8 @@ from cdlp.tee import (
     ledger_overhead,
 )
 
-KEY = bytes(range(16))
-CONTEXT = b"weights" + bytes(40)  # a weights context: tag, plan digest, layer
+CIPHER = aead(bytes(range(16)))
+CONTEXT = b"weights" + bytes(32)  # a weights context: tag, plan digest
 
 
 # --- arena ---
@@ -137,9 +137,8 @@ def test_invoke_returns_the_functions_result():
 def test_decrypted_bytes_accumulate():
     arena, ledger = SecureArena(1 << 20), CostLedger()
     for size in (10, 20):
-        blob = ledger_decrypt(
-            arena, ledger, encrypt_partition(os.urandom(size), KEY, 0, CONTEXT), KEY, 0, CONTEXT
-        )
+        data = encrypt_partition(os.urandom(size), CIPHER, 0, CONTEXT)
+        blob = ledger_decrypt(arena, ledger, data, CIPHER, 0, CONTEXT)
         blob.release(arena)
     assert ledger.decrypted_bytes == 30
 
@@ -149,28 +148,27 @@ def test_paper_total_of_191790_bytes():
     sizes = [17435] * 10 + [17440]
     assert sum(sizes) == 191790
     for i, size in enumerate(sizes):
-        blob = ledger_decrypt(
-            arena, ledger, encrypt_partition(os.urandom(size), KEY, i, CONTEXT), KEY, i, CONTEXT
-        )
+        data = encrypt_partition(os.urandom(size), CIPHER, i, CONTEXT)
+        blob = ledger_decrypt(arena, ledger, data, CIPHER, i, CONTEXT)
         blob.release(arena)
     assert ledger.decrypted_bytes == 191790
 
 
 def test_decrypt_failure_leaves_counter_and_arena_untouched():
     arena, ledger = SecureArena(1000), CostLedger()
-    data = bytearray(encrypt_partition(os.urandom(100), KEY, 0, CONTEXT))
+    data = bytearray(encrypt_partition(os.urandom(100), CIPHER, 0, CONTEXT))
     data[40] ^= 1
     with pytest.raises(Exception):
-        ledger_decrypt(arena, ledger, bytes(data), KEY, 0, CONTEXT)
+        ledger_decrypt(arena, ledger, bytes(data), CIPHER, 0, CONTEXT)
     assert ledger.decrypted_bytes == 0
     assert arena.current_usage == 0
 
 
 def test_decrypt_without_arena_room():
     arena, ledger = SecureArena(50), CostLedger()
-    data = encrypt_partition(os.urandom(100), KEY, 0, CONTEXT)
+    data = encrypt_partition(os.urandom(100), CIPHER, 0, CONTEXT)
     with pytest.raises(SecureMemoryError):
-        ledger_decrypt(arena, ledger, data, KEY, 0, CONTEXT)
+        ledger_decrypt(arena, ledger, data, CIPHER, 0, CONTEXT)
     assert ledger.decrypted_bytes == 0
     assert arena.current_usage == 0
 
@@ -178,7 +176,7 @@ def test_decrypt_without_arena_room():
 def test_plaintext_lives_in_the_arena():
     arena = SecureArena(1 << 20)
     blob = ledger_decrypt(
-        arena, CostLedger(), encrypt_partition(b"x" * 64, KEY, 0, CONTEXT), KEY, 0, CONTEXT
+        arena, CostLedger(), encrypt_partition(b"x" * 64, CIPHER, 0, CONTEXT), CIPHER, 0, CONTEXT
     )
     assert arena.current_usage == 64
     blob.release(arena)
@@ -255,7 +253,7 @@ def test_write_log_records_every_byte():
 def test_a_whole_append_is_read_as_the_object_appended():
     buf = SharedBuffer()
     public = os.urandom(100)
-    sealed = encrypt_partition(os.urandom(300), KEY, 5, CONTEXT)
+    sealed = encrypt_partition(os.urandom(300), CIPHER, 5, CONTEXT)
     at_public = buf.append(public, TaintTag.PUBLIC)
     at_sealed = buf.append_container(sealed)
     assert buf.read(at_public, len(public)) is public
@@ -264,7 +262,7 @@ def test_a_whole_append_is_read_as_the_object_appended():
 
 @pytest.mark.parametrize("as_container", [False, True])
 def test_mutating_an_appended_bytearray_changes_nothing(as_container):
-    data = bytearray(encrypt_partition(os.urandom(64), KEY, 1, CONTEXT))
+    data = bytearray(encrypt_partition(os.urandom(64), CIPHER, 1, CONTEXT))
     original = bytes(data)
     buf = SharedBuffer()
     buf.append(b"lead", TaintTag.PUBLIC)
@@ -331,7 +329,7 @@ def test_shared_buffer_matches_a_flat_model(appends, data):
 def test_find_plaintext_leak_detects_and_clears():
     secret = os.urandom(32)
     clean = SharedBuffer()
-    clean.append(encrypt_partition(secret, KEY, 0, CONTEXT), TaintTag.CIPHERTEXT)
+    clean.append(encrypt_partition(secret, CIPHER, 0, CONTEXT), TaintTag.CIPHERTEXT)
     assert find_plaintext_leak(clean, [secret]) is None
 
     leaky = SharedBuffer()
