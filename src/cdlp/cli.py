@@ -220,11 +220,11 @@ def cmd_run(args) -> int:
             **_partition_payload(t.partition),
             "arena_peak_bytes": t.arena_peak,
             "decrypted_bytes": t.decrypted_bytes,
-            "switches": t.switches,
+            "switches": t.context_switches,
             "spill_chunks_read": t.spill_chunks_read,
             "spill_chunks_written": t.spill_chunks_written,
             # what the cost model, at this run's --tcs and --td, charges it
-            "modeled_seconds": t.modeled_seconds(constants),
+            "modeled_seconds": ledger_overhead(t, constants),
             "stage_seconds": t.stage_seconds,
             "decrypt_seconds": t.decrypt_seconds,
             "kernel_seconds": t.kernel_seconds,

@@ -34,8 +34,8 @@ cipher once and seals and opens all its containers with it. The executor
 passes one of two contexts:
 
 * weights: ``b"weights"`` and the plan digest;
-* spill: ``b"spill"``, the plan digest, a 16-byte nonce drawn once per run
-  and the spilled layer as a u64.
+* spill: ``b"spill"``, the plan digest, a 16-byte nonce drawn for each
+  spilled layer of a run, and the spilled layer as a u64.
 
 The plan digest is the SHA-256 of the plan's manifest, which names every
 partition's layer, rows and world; so a weights container's index fixes

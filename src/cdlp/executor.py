@@ -8,10 +8,12 @@ partition runs on its plaintext blob, reading and writing public
 activations. A secure one runs inside a session invocation: its
 container is staged in shared memory, decrypted into the arena, and
 freed before the next partition loads. The run returns one
-``PartitionTrace`` per partition, in plan order: the bytes it decrypted
-and the arena peak it reached, next to the footprint the plan recorded,
-its world switches, the spill chunks it read and wrote, what the cost
-model charges for it, and the wall time of its phases.
+``PartitionTrace`` per partition, in plan order. A trace is the ledger
+its partition charges with its world switches and the bytes it
+decrypted. It also holds the arena peak the partition reached, next to
+the footprint the plan recorded, the spill chunks it read and wrote, and
+the wall time of its phases. The run's ledger is the sum of its traces;
+no other counter is kept.
 
 What a run does once, it does once per run and keeps nothing across
 runs: it validates the plan, digests the manifest and makes the AES-GCM
@@ -28,7 +30,7 @@ through shared memory in the clear. A secure layer's outputs stay
 resident in the arena until the next layer has run. If the next layer
 is flagged for spill, the outputs are encrypted into shared memory
 instead and streamed back chunk by chunk, paying the re-decryption cost
-the ledger records.
+that each consuming partition's trace records.
 
 Every container is bound to its full index and to a context (see
 ``container``): a weights container to its partition id and the plan
@@ -68,16 +70,7 @@ from .planner import (
     render_manifest,
     validate_plan,
 )
-from .tee import (
-    CostConstants,
-    CostLedger,
-    SecureArena,
-    Session,
-    SharedBuffer,
-    TaintTag,
-    estimate_overhead,
-    ledger_decrypt,
-)
+from .tee import CostLedger, SecureArena, Session, SharedBuffer, TaintTag, ledger_decrypt
 from .weights import partition_weights, split_weights
 
 RUN_NONCE_BYTES = 16
@@ -161,8 +154,14 @@ def stream_spilled(
 
 
 @dataclass
-class PartitionTrace:
+class PartitionTrace(CostLedger):
     """What one partition of a run cost, and where its wall time went.
+
+    A trace is the ledger its partition charges: the partition's session
+    charges it the two switches of its invocation, and each container the
+    partition opens, its weights and every spill chunk it streams, charges
+    it the plaintext bytes. So ``ledger_overhead`` prices a trace as it
+    prices a run.
 
     The phases, in wall seconds: ``stage`` writes the partition's container
     to shared memory, with the public activations that cross to the secure
@@ -173,10 +172,8 @@ class PartitionTrace:
     decrypts nothing and switches no world.
     """
 
-    partition: Partition
-    decrypted_bytes: int = 0
+    partition: Partition = field(kw_only=True)
     arena_peak: int = 0  # measured, against the plan's partition.footprint_bytes
-    switches: int = 0
     spill_chunks_read: int = 0  # the spilled input's chunks it streamed back
     spill_chunks_written: int = 0  # the chunks its rows were spilled into
     stage_seconds: float = 0.0
@@ -184,18 +181,20 @@ class PartitionTrace:
     kernel_seconds: float = 0.0
     spill_seconds: float = 0.0
 
-    def modeled_seconds(self, constants: CostConstants | None = None) -> float:
-        """What the cost model, at ``constants``, charges for this partition:
-        its switches and its decrypted bytes, spill chunks included."""
-        return estimate_overhead(self.switches / 2, self.decrypted_bytes, constants)
-
 
 @dataclass
 class RunResult:
     output: Tensor
-    ledger: CostLedger
     partitions: list[PartitionTrace]  # one per plan partition, in plan order
     shared: SharedBuffer
+
+    @property
+    def ledger(self) -> CostLedger:
+        """The run's counters: the sums of its partitions'."""
+        return CostLedger(
+            sum(t.context_switches for t in self.partitions),
+            sum(t.decrypted_bytes for t in self.partitions),
+        )
 
     @property
     def arena_peak(self) -> int:
@@ -227,10 +226,9 @@ def run_partitioned(
     ``partition_data`` maps partition id to its encrypted container
     (secure world) or plaintext blob (normal world). Each secure partition
     costs one session invocation, and its weights are freed before the
-    next partition loads. The result traces every partition: the bytes it
-    decrypted, its arena peak, its switches, its spill chunks, its modeled
-    cost and its phase times. The
-    containers must have been sealed for this plan by
+    next partition loads. The result traces every partition: the switches
+    and the bytes it was charged, its arena peak, its spill chunks and its
+    phase times. The containers must have been sealed for this plan by
     ``prepare_partition_data``. Whether the run returns or raises, it frees
     all the arena memory it took.
     """
@@ -244,12 +242,8 @@ def run_partitioned(
 
     cipher = aead(key)  # one key schedule opens and seals every container of the run
     shared = SharedBuffer()
-    ledger = CostLedger()
-    session = Session(ledger)
     digest = plan_digest(plan)
     context = weights_context(digest)
-    # binds this run's spill chunks to it: another run's do not verify
-    run_nonce = os.urandom(RUN_NONCE_BYTES)
     clock = time.perf_counter
 
     # A layer reads its input ``x`` as a public tensor (shared memory holds it
@@ -275,7 +269,7 @@ def run_partitioned(
             result = layer_forward(model, i, inputs, rows, p.start)
         else:
             accumulator = DenseAccumulator(rows, layer, p.start, geometry.units, geometry.groups)
-            decrypting = stream_spilled(spilled, cipher, arena, accumulator.feed, ledger)
+            decrypting = stream_spilled(spilled, cipher, arena, accumulator.feed, trace)
             result = accumulator.finish()
             trace.decrypt_seconds += decrypting
             trace.spill_chunks_read = len(spilled.chunks)
@@ -295,9 +289,7 @@ def run_partitioned(
         container into the arena and compute its rows."""
         nonlocal out
         started = clock()
-        weights = ledger_decrypt(
-            arena, ledger, shared.read(staged, len(blob)), cipher, p.id, context
-        )
+        weights = ledger_decrypt(arena, trace, shared.read(staged, len(blob)), cipher, p.id, context)
         trace.decrypt_seconds = clock() - started
         try:
             if out is None and outputs is not None:  # the layer's first subset
@@ -320,7 +312,7 @@ def run_partitioned(
             secure = parts[0].world == WORLD_SECURE
             if secure and i + 1 in plan.spill:
                 out_spill = SpilledActivations(
-                    shared, b"spill" + digest + run_nonce + _INDEX.pack(i + 1)
+                    shared, b"spill" + digest + os.urandom(RUN_NONCE_BYTES) + _INDEX.pack(i + 1)
                 )
             else:
                 outputs = []
@@ -334,7 +326,7 @@ def run_partitioned(
                     offset = shared.append(x.tobytes(), TaintTag.PUBLIC)
                     handoff = clock() - started
             for p in parts:
-                trace = PartitionTrace(p)
+                trace = PartitionTrace(partition=p)
                 traces.append(trace)
                 blob = partition_data[p.id]
                 if not secure:
@@ -345,10 +337,7 @@ def run_partitioned(
                 trace.stage_seconds = clock() - started + handoff
                 handoff = 0.0
                 arena.reset_peak()
-                decrypted, switches = ledger.decrypted_bytes, ledger.context_switches
-                session.invoke(open_and_compute)
-                trace.decrypted_bytes = ledger.decrypted_bytes - decrypted
-                trace.switches = ledger.context_switches - switches
+                Session(trace).invoke(open_and_compute)
                 trace.arena_peak = arena.peak_usage
 
             if held is not None:
@@ -364,7 +353,7 @@ def run_partitioned(
             if allocation is not None:
                 arena.free(allocation)
 
-    return RunResult(Tensor(x.dims, x.data.copy()), ledger, traces, shared)
+    return RunResult(Tensor(x.dims, x.data.copy()), traces, shared)
 
 
 def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) -> dict[int, bytes]:

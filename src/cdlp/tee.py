@@ -11,9 +11,10 @@ the package needs to reason about confidentiality and cost:
   whole append copies nothing, and its write log is built from them when
   it is read, so staging a container copies nothing either;
 * Session: the client's calls into the trusted application; its only
-  state is the ledger it charges two one-way switches per invocation;
-* CostLedger / CostConstants: a run's two counters, context switches
-  and decrypted bytes, and the overhead formula
+  state is the ledger it charges two one-way switches per invocation,
+  which in a run is the trace of the partition it invokes;
+* CostLedger / CostConstants: a partition's or a run's two counters,
+  context switches and decrypted bytes, and the overhead formula
   2 * invocations * t_switch + decrypted_bytes * t_byte;
 * find_plaintext_leak: the audit that no 8-byte slice of a secret
   (plaintext weights, spilled activations) appears in a shared buffer's
@@ -26,8 +27,8 @@ the package needs to reason about confidentiality and cost:
   bytes, so it is exact: no hash collision or shared probe can hide a leak
   or report one.
 
-What each partition cost is the executor's per-partition trace, not the
-ledger's.
+The executor's per-partition trace is a ledger: each secure partition
+is charged to its own, and a run's ledger is the sum of its traces.
 
 Execution is in-process and time is derived from counters, never from
 sleeps, so runs are deterministic.
@@ -66,7 +67,8 @@ class CostConstants:
 
 @dataclass
 class CostLedger:
-    """Monotone counters of confidentiality-relevant events."""
+    """Monotone counters of confidentiality-relevant events: a partition's
+    or a run's."""
 
     context_switches: int = 0
     decrypted_bytes: int = 0
@@ -452,7 +454,8 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
 
 class Session:
     """Connection from the client application to the trusted application;
-    it charges ``ledger`` for the world switches of each invocation."""
+    it charges ``ledger``, in a run the invoked partition's trace, for the
+    world switches of each invocation."""
 
     def __init__(self, ledger: CostLedger):
         self.ledger = ledger

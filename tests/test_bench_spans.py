@@ -62,3 +62,9 @@ def test_every_span_target_resolves_and_records():
         assert set(span.targets) - set(tracer.absent), f"{span.name}: every target absent"
         assert tracer.calls[span.name] > 0, span.name
     assert tracer.uncounted == set()
+    # one session per secure partition, and one container opened for each
+    # partition's weights and for each spill chunk it streams back
+    secure = len(plan.secure_partitions())
+    assert tracer.calls["tee.invoke"] == secure
+    spill_chunks = sum(t.spill_chunks_read for t in result.partitions)
+    assert tracer.calls["tee.ledger_decrypt"] == secure + spill_chunks

@@ -857,18 +857,18 @@ def test_the_trace_splits_switches_and_wall_time_by_partition(case):
     model, store, plan, x = trace_case(case)
     result = run_plan(model, store, plan, x)
     traces = result.partitions
-    assert sum(t.switches for t in traces) == result.ledger.context_switches
+    assert result.ledger.context_switches == 2 * len(plan.secure_partitions())
     phases = ("stage_seconds", "decrypt_seconds", "kernel_seconds", "spill_seconds")
     assert all(getattr(t, phase) >= 0 for t in traces for phase in phases)
     for t in traces:
         p = t.partition
         spills = p.layer_index + 1 in plan.spill
         if p.world == "secure":
-            assert t.switches == 2
+            assert t.context_switches == 2
             assert t.stage_seconds > 0 and t.decrypt_seconds > 0 and t.kernel_seconds > 0
             assert (t.spill_seconds > 0) == spills
         else:
-            assert t.switches == 0 and t.kernel_seconds > 0
+            assert t.context_switches == 0 and t.kernel_seconds > 0
             assert t.stage_seconds == t.decrypt_seconds == t.spill_seconds == 0
     assert any(t.spill_seconds for t in traces) == bool(plan.spill)
 
@@ -881,13 +881,24 @@ def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
     result = run_plan(model, store, plan, x)
     traces = result.partitions
     for t in traces:
-        i = t.partition.layer_index
+        p = t.partition
+        i = p.layer_index
         assert (t.spill_chunks_read > 0) == (i in plan.spill)
         assert (t.spill_chunks_written > 0) == (i + 1 in plan.spill)
-        assert t.modeled_seconds() == estimate_overhead(t.switches / 2, t.decrypted_bytes)
+        # the bytes each partition is charged, from the plan alone: its
+        # weight blob, and the whole spilled input it streams back
+        expected = 0
+        if p.world == "secure":
+            shape = model.param_shape(i)
+            if shape is not None:
+                expected += FLOAT_BYTES * (p.end - p.start) * (shape[1] + 1)
+            if i in plan.spill:
+                expected += FLOAT_BYTES * model.in_elems(i)
+        assert t.decrypted_bytes == expected
+        assert ledger_overhead(t) == estimate_overhead(t.context_switches / 2, t.decrypted_bytes)
         constants = CostConstants(2e-6, 3e-9)
-        assert t.modeled_seconds(constants) == estimate_overhead(
-            t.switches / 2, t.decrypted_bytes, constants
+        assert ledger_overhead(t, constants) == estimate_overhead(
+            t.context_switches / 2, t.decrypted_bytes, constants
         )
     for j in plan.spill:
         producers = [t for t in traces if t.partition.layer_index == j - 1]
@@ -899,7 +910,7 @@ def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
         written = sum(t.spill_chunks_written for t in producers)
         consumers = [t for t in traces if t.partition.layer_index == j]
         assert consumers and all(t.spill_chunks_read == written for t in consumers)
-    assert sum(t.modeled_seconds() for t in traces) == pytest.approx(
+    assert sum(ledger_overhead(t) for t in traces) == pytest.approx(
         ledger_overhead(result.ledger), rel=1e-12
     )
 

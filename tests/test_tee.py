@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from cdlp import tee
 from cdlp.container import HEADER_BYTES, aead, encrypt_partition
 from cdlp.errors import SecureMemoryError
+from cdlp.executor import PartitionTrace
+from cdlp.planner import WORLD_SECURE, Partition
 from cdlp.tee import (
     CostConstants,
     CostLedger,
@@ -119,8 +121,12 @@ def test_eleven_invokes_give_twenty_two_switches():
     assert ledger.context_switches == 22
 
 
-def test_switches_charged_when_trusted_fn_raises():
-    ledger = CostLedger()
+@pytest.mark.parametrize(
+    "ledger",
+    [CostLedger(), PartitionTrace(partition=Partition(0, 0, 0, 1, WORLD_SECURE, 0))],
+    ids=["ledger", "trace"],
+)
+def test_switches_charged_when_trusted_fn_raises(ledger):
     with pytest.raises(RuntimeError):
         Session(ledger).invoke(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
     assert ledger.context_switches == 2
