@@ -185,6 +185,8 @@ def cmd_encrypt(args) -> int:
 
 def cmd_run(args) -> int:
     key = _parse_key(args.key)
+    if args.baseline is not None and not 0 < args.baseline < math.inf:
+        raise UsageError(f"--baseline must be finite and positive, got {args.baseline!r}")
     model = parse_config(_existing(args.cfg).read_text())
     plan = parse_manifest(_existing(args.plan).read_text())
     parts_dir = Path(args.parts)

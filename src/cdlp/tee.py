@@ -19,10 +19,12 @@ the package needs to reason about confidentiality and cost:
 * find_plaintext_leak: the audit that no 8-byte slice of a secret
   (plaintext weights, spilled activations) appears in a shared buffer's
   write log, read in place from the appends. It joins the two sides on
-  5-byte probes, the side with more bytes probed only at every 4th slice
-  and the other at every position, with membership-table filters and one
-  sort-merge; a shared slice always holds a grid probe, 0 to 3 bytes in,
-  that the other side's copy holds at the same place, so none is missed.
+  5-byte probes, each the first 5 bytes of a slice, the side with more
+  bytes probed only at positions 0, 4, 8, ... and the other at every
+  position, with membership-table filters and one sort-merge; the grid
+  probe at 4 * ceil(j / 4) starts 0 to 3 bytes inside the slice at j and
+  ends within it, so the other side's copy of a shared slice holds it at
+  the same place, and none is missed.
   The slices around the shared probes are then joined on their whole 8
   bytes, so it is exact: no hash collision or shared probe can hide a leak
   or report one.
@@ -37,6 +39,7 @@ sleeps, so runs are deterministic.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -61,8 +64,9 @@ class CostConstants:
     decrypt_byte_seconds: float = DEFAULT_DECRYPT_BYTE_SECONDS
 
     def __post_init__(self):
-        if self.switch_seconds <= 0 or self.decrypt_byte_seconds <= 0:
-            raise ValueError("cost constants must be positive")
+        # a chained comparison is false for NaN too
+        if not (0 < self.switch_seconds < math.inf and 0 < self.decrypt_byte_seconds < math.inf):
+            raise ValueError("cost constants must be finite and positive")
 
 
 @dataclass
@@ -82,8 +86,8 @@ def estimate_overhead(
     Each invocation enters and leaves the secure world (two one-way
     switches); every decrypted byte pays the per-byte cost.
     """
-    if invocations < 0 or decrypted_bytes < 0:
-        raise ValueError("invocations and decrypted_bytes must be >= 0")
+    if not (0 <= invocations < math.inf and 0 <= decrypted_bytes < math.inf):
+        raise ValueError("invocations and decrypted_bytes must be finite and >= 0")
     c = constants or CostConstants()
     return 2.0 * invocations * c.switch_seconds + decrypted_bytes * c.decrypt_byte_seconds
 
@@ -267,33 +271,37 @@ def _window_keys(data: bytes, stride: int = 1) -> np.ndarray:
     return np.ndarray((count,), _KEY, data, strides=(stride,))
 
 
-# A probe is 5 bytes, the last 5 of a window: its key >> 24, so the probe of
-# the window at q starts at q + 3. The larger side is probed only at its
-# windows q = 0, 4, 8, ...: a stride of 4 is the widest at which every
-# 8-byte window holds a whole 5-byte grid probe (4 + 5 - 1 = 8), and a
-# 4-byte probe would pair every repeated float32 value.
+# A probe is 5 bytes, the first 5 of a window: the low 40 bits of its key, so
+# the probe of the window at q starts at q. The larger side is probed only at
+# q = 0, 4, 8, ...: a stride of 4 is the widest at which every 8-byte window
+# holds a whole 5-byte grid probe (4 + 5 - 1 = 8), and a 4-byte probe would
+# pair every repeated float32 value.
 _STRIDE = 4
-_PROBE_SHIFT = np.uint64(24)
-_HEAD_SHIFTS = np.array([0, 8, 16], np.uint64)  # the probes at 0, 1 and 2, in window 0
 _PROBE_MASK = np.uint64((1 << 40) - 1)
+# the probes at n - 7, n - 6 and n - 5, past the last window's start, are in
+# that window's key shifted right by 8, 16 and 24 bits
+_TAIL_SHIFTS = np.array([8, 16, 24], np.uint64)
 _BACK = np.arange(_STRIDE)  # a probe at p lies in the windows p - 3 .. p
 
 _SLOT_BITS = 20  # a table of 2**20 one-byte flags, 1 MiB, stays in one core's L2
-_SLOT_MASK = np.uint64((1 << _SLOT_BITS) - 1)
-_FIBONACCI = np.uint64(0x9E3779B97F4A7C15)  # odd, about 2**64 over the golden ratio
-# the slot field of the hash each filter pass reads: a pass that read the
-# same field as the pass before it would keep almost every probe that one kept
-_PASS_SHIFTS = tuple(np.uint64(shift) for shift in (44, 24, 44))
+_SLOT_SHIFT = np.uint64(64 - _SLOT_BITS)
+# Two odd 40-bit multipliers, each in the top 40 bits of a word. A key times
+# one wraps modulo 2**64, which drops the key's bytes past its probe, so the
+# product's top 20 bits are those of the 40-bit product of probe and
+# multiplier. The passes alternate them: a pass that used the same one as the
+# pass before it would keep almost every probe that one kept.
+_M1 = np.uint64(0x9E3779B97F << 24)  # about 2**40 over the golden ratio
+_M2 = np.uint64(0xC2B2AE3D27 << 24)  # the top 40 bits of xxHash's PRIME64_2
+_PASS_MULTIPLIERS = (_M1, _M2, _M1)
 _CHUNK = 1 << 16  # probes hashed per step, so the temporaries stay in cache
 
 
-def _slots(keys: np.ndarray, shift: np.uint64) -> np.ndarray:
-    """Each key's slot in a membership table: the 20 bits of its
-    multiplicative hash from bit ``shift`` up. Equal keys share a slot;
-    distinct keys may too."""
-    slots = keys * _FIBONACCI  # wraps modulo 2**64
-    slots >>= shift
-    slots &= _SLOT_MASK
+def _slots(keys: np.ndarray, multiplier: np.uint64) -> np.ndarray:
+    """Each key's slot in a membership table: the top 20 bits of its
+    multiplicative hash, which reads only the key's low 40 bits, its probe.
+    Equal probes share a slot; distinct probes may too."""
+    slots = keys * multiplier  # wraps modulo 2**64
+    slots >>= _SLOT_SHIFT
     return slots.view(np.intp)  # below 2**_SLOT_BITS, so the view is exact
 
 
@@ -303,54 +311,59 @@ def _stepped(first: int, step: int) -> Callable[[np.ndarray], np.ndarray]:
     return lambda i: i * step + first
 
 
-# A side's probes come in chunks (data, probes, at): ``probes`` are taken
-# from ``data``, one of the side's pieces, and ``at`` maps indices into
-# ``probes`` to the probes' positions in ``data``.
+# A side's probes come in chunks (data, keys, at): the low 40 bits of
+# ``keys``, read from ``data``, one of the side's pieces, are the probes, and
+# ``at`` maps indices into ``keys`` to the probes' positions in ``data``.
 _Chunk = tuple[bytes, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
 @dataclass(frozen=True)
 class _Probes:
-    """The probes of one side's pieces: at every 4th window of each piece
-    if ``grid``, else at every position. Pieces under 8 bytes hold no
-    window and give none."""
+    """The probes of one side's pieces: at positions 0, 4, 8, ... of each
+    piece if ``grid``, else at every position, up to n - 5. Pieces under 8
+    bytes hold no window and give none."""
 
     pieces: list[bytes]
     grid: bool
 
     def __len__(self) -> int:
-        if self.grid:
-            return sum(_window_keys(data, _STRIDE).size for data in self.pieces)
-        # one probe at each position 0 .. n - 5 of a piece that holds a window
-        return sum(len(data) - 4 for data in self.pieces if len(data) >= _KEY.itemsize)
+        step = _STRIDE if self.grid else 1
+        # a piece that holds a window has probes at 0 .. n - 5, every 4th on the grid
+        return sum(
+            (len(data) - 5) // step + 1 for data in self.pieces if len(data) >= _KEY.itemsize
+        )
 
     def __iter__(self) -> Iterator[_Chunk]:
         step = _STRIDE if self.grid else 1
         for data in self.pieces:
-            windows = _window_keys(data, step)  # the grid windows each lie inside the data
+            windows = _window_keys(data, step)  # the probes at the windows' starts
             if not windows.size:
                 continue
-            if not self.grid:
-                # the windows give the probes at 3 .. n - 5, and the first
-                # window's low bytes hold those at 0, 1 and 2
-                yield data, (windows[:1] >> _HEAD_SHIFTS) & _PROBE_MASK, _stepped(0, 1)
             for start in range(0, windows.size, _CHUNK):
-                probes = windows[start : start + _CHUNK] >> _PROBE_SHIFT
-                yield data, probes, _stepped(3 + step * start, step)
+                yield data, windows[start : start + _CHUNK], _stepped(step * start, step)
+            # the side's probes past the last window's start, n - 8: all three,
+            # or on the grid the one multiple of 4 among them, if there is one
+            last = len(data) - _KEY.itemsize
+            first = step * windows.size
+            shifts = _TAIL_SHIFTS[first - last - 1 :: step]
+            if shifts.size:
+                yield data, np.ndarray((1,), _KEY, data, last) >> shifts, _stepped(first, step)
 
 
 def _survivors(
-    side: Iterable[_Chunk], members: Iterable[_Chunk], shift: np.uint64
+    side: Iterable[_Chunk], members: Iterable[_Chunk], multiplier: np.uint64, table: np.ndarray
 ) -> list[_Chunk]:
-    """The probes of ``side`` whose slot some probe of ``members`` fills."""
-    table = np.zeros(1 << _SLOT_BITS, np.bool_)
-    for _data, probes, _at in members:
-        table[_slots(probes, shift)] = True
+    """The probes of ``side`` whose slot some probe of ``members`` fills,
+    marked in ``table``, which is cleared first."""
+    table.fill(False)
+    for _data, keys, _at in members:
+        table[_slots(keys, multiplier)] = True
     kept = []
-    for data, probes, at in side:
-        hit = np.flatnonzero(table.take(_slots(probes, shift)))
+    for data, keys, at in side:
+        # every slot is below the table's size, so wrapping skips the bounds check
+        hit = np.flatnonzero(table.take(_slots(keys, multiplier), mode="wrap"))
         if hit.size:
-            kept.append((data, probes[hit], at(hit).take))
+            kept.append((data, keys[hit], at(hit).take))
     return kept
 
 
@@ -392,11 +405,12 @@ def _shared_keys(a: _Probes, b: _Probes) -> np.ndarray:
     """The distinct 8-byte keys of windows found on both sides, sorted.
 
     Why none is missed: let W = A[j : j + 8] = B[i : i + 8] with A probed on
-    the grid, and q = 4 * (j // 4). Then j - 3 <= q <= j <= len(A) - 8, so
-    the grid window at q lies in A and its probe A[q + 3 : q + 8] lies in W
-    at d = q + 3 - j, with 0 <= d <= 3; it equals B's probe at i + d, which
-    B, probed everywhere, has. Both probes are shared, so the windows around
-    them include W on each side: j in q .. q + 3 and i in (i + d) - 3 .. i + d.
+    the grid, and q = 4 * ceil(j / 4). Then j <= q <= j + 3, so the grid
+    probe A[q : q + 5] starts d = q - j bytes inside W, with 0 <= d <= 3,
+    and ends within it, at q + 5 <= j + 8 <= len(A); it equals B's probe at
+    i + d, which B, probed at every position up to len(B) - 5, has. Both
+    probes are shared, so the windows around them include W on each side:
+    j in q - 3 .. q and i in (i + d) - 3 .. i + d.
 
     The filter passes run on the probes and alternate sides, the first
     building its table from the side with fewer probes; the shared probes
@@ -405,8 +419,11 @@ def _shared_keys(a: _Probes, b: _Probes) -> np.ndarray:
     """
     if len(a) > len(b):
         a, b = b, a
-    for shift in _PASS_SHIFTS:
-        a, b = _survivors(b, a, shift), a
+    table = np.empty(1 << _SLOT_BITS, np.bool_)  # one per call, cleared by each pass
+    for multiplier in _PASS_MULTIPLIERS:
+        a, b = _survivors(b, a, multiplier, table), a
+    # the survivors keep their keys; the merge joins their probes
+    a, b = ([(data, keys & _PROBE_MASK, at) for data, keys, at in side] for side in (a, b))
     probes = _in_both((found for _data, found, _at in a), (found for _data, found, _at in b))
     if not probes.size:
         return probes
@@ -422,11 +439,12 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     copied. Secrets shorter than 8 bytes cannot be detected and are skipped.
 
     The slices that the log and the secrets share are found by a join on
-    5-byte probes (``_shared_keys``). The side with more bytes is probed
-    only at every 4th slice, by its last 5 bytes, and the other side at
-    every position. No shared slice is missed: the grid probe of the slice
-    at 4 * (j // 4) lies within the slice at j, 0 to 3 bytes in, so the
-    other side's copy of that slice holds the same probe.
+    5-byte probes (``_shared_keys``), each the first 5 bytes of a slice.
+    The side with more bytes is probed only at positions 0, 4, 8, ..., and
+    the other side at every position. No shared slice is missed: the grid
+    probe at 4 * ceil(j / 4) starts 0 to 3 bytes inside the slice at j and
+    ends within it, so the other side's copy of that slice holds the same
+    probe.
 
     Filter passes through a 1 MiB membership table drop most probes of each
     side: a table marks the hashed slots of one side's probes, and only the

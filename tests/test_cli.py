@@ -335,6 +335,25 @@ def test_run_overhead_ratio_from_supplied_baseline(workspace, capsys):
     assert payload["overhead_ratio"] == pytest.approx(expected, rel=1e-12)
 
 
+@pytest.mark.parametrize(
+    "flags", [("--baseline", "nan"), ("--baseline", "inf"), ("--baseline", "-0.00823"),
+              ("--baseline", "0"), ("--tcs", "nan"), ("--td", "inf")],
+)
+def test_run_rejects_a_baseline_or_constant_that_is_not_finite_and_positive(
+    workspace, capsys, flags
+):
+    tmp, cfg, _, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace)
+    capsys.readouterr()
+    assert run_cli(
+        "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+        "--input", tensor, "--cap", CAP, "--json", *flags,
+    ) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "must be finite and positive" in err
+
+
 def test_run_corrupted_partition_exits_4(workspace, capsys):
     tmp, cfg, _, tensor = workspace
     manifest, parts = plan_and_encrypt(workspace)
@@ -426,6 +445,16 @@ def test_estimate_custom_constants_scale_linearly(capsys):
 
 def test_estimate_negative_layers_is_usage_error(capsys):
     assert run_cli("estimate", "--layers", -1, "--bytes", 0) == 2
+
+
+@pytest.mark.parametrize(
+    "flags", [("--tcs", "nan"), ("--tcs", "0"), ("--td", "inf", "--json"), ("--td=-1e-9",)]
+)
+def test_estimate_constants_must_be_finite_and_positive(capsys, flags):
+    assert run_cli("estimate", "--layers", 3, "--bytes", 5, *flags) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "cost constants must be finite and positive" in err
 
 
 def test_json_and_text_render_the_same_numbers(workspace, capsys):

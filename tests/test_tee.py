@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -212,6 +213,16 @@ def test_negative_inputs_rejected():
         CostConstants(switch_seconds=0)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_cost_inputs_must_be_finite(bad):
+    for invocations, decrypted_bytes in ((bad, 5), (5, bad)):
+        with pytest.raises(ValueError):
+            estimate_overhead(invocations, decrypted_bytes)
+    for constants in ({"switch_seconds": bad}, {"decrypt_byte_seconds": bad}):
+        with pytest.raises(ValueError):
+            CostConstants(**constants)
+
+
 def test_fresh_ledger_has_zero_overhead():
     assert ledger_overhead(CostLedger()) == 0.0
 
@@ -414,23 +425,35 @@ def test_find_plaintext_leak_splits_containers_as_the_log_does(appends, data):
     assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
 
 
-_LOG_LARGER = ([1 << 20, 3000, 700, 40_000], [64 << 10, 32 << 10, 16 << 10, 16 << 10])
-_SECRETS_LARGER = ([64 << 10, 30 << 10, 2000], [512 << 10, 256 << 10, 160 << 10, 100 << 10])
+# The larger side's piece is one byte past a multiple of 4 long, so its last
+# grid probe, at n - 5, lies past its last window's start, at n - 8.
+_LOG_LARGER = ([(1 << 20) + 1, 3000, 700, 40_000], [64 << 10, 32 << 10, 16 << 10, 16 << 10])
+_SECRETS_LARGER = ([64 << 10, 30 << 10, 2000], [512 << 10, 256 << 10, (160 << 10) + 1, 100 << 10])
 # Where the planted slice is cut from secrets[2] and where it goes in
 # records[0], each as (f, k): the offset f * (len - 8) + k, so f = 0 is the
 # first window, f = 1 the last, and f = 0.5 a multiple of 4 in the middle.
-# The larger side is probed at every 4th window, and the other side at
-# every position, the first window's three head probes included.
+# The larger side is probed at 0, 4, 8, ..., and the other side at every
+# position, the three past its last window's start (n - 7, n - 6 and n - 5)
+# included; a slice in the last window is found by one of those, or by the
+# larger side's grid probe at n - 5.
 _PLACEMENTS = {
     "": ((0, 5000), (0.5, 17)),
     "-mod4-0": ((0, 5000), (0.5, 0)),  # offsets 0, 1, 2 and 3 mod 4 on both sides
     "-mod4-1": ((0, 5001), (0.5, 1)),
     "-mod4-2": ((0, 5002), (0.5, 2)),
     "-mod4-3": ((0, 5003), (0.5, 3)),
-    "-record-first": ((0, 5001), (0, 0)),  # the log's head probes, when the secrets are larger
-    "-record-last": ((0, 5003), (1, 0)),  # the log's last grid window, when the log is larger
-    "-secret-first": ((0, 0), (0.5, 1)),  # the secrets' head probes, when the log is larger
-    "-secret-last": ((1, 0), (0.5, 2)),  # the secrets' last grid window, when they are larger
+    "-record-first": ((0, 5001), (0, 0)),  # the log's first window, when the secrets are larger
+    # the log's grid probe at n - 5, when the log is larger, and its probes
+    # at n - 7, n - 6 and n - 5, when the secrets are larger
+    "-record-last": ((0, 5003), (1, 0)),
+    "-record-tail-6": ((0, 5002), (1, 0)),
+    "-record-tail-5": ((0, 5001), (1, 0)),
+    "-secret-first": ((0, 0), (0.5, 1)),  # the secrets' first window, when the log is larger
+    # the secrets' grid probe at n - 5, when they are larger, and their probes
+    # at n - 7, n - 6 and n - 5, when the log is larger
+    "-secret-tail-7": ((1, 0), (0.5, 3)),
+    "-secret-last": ((1, 0), (0.5, 2)),
+    "-secret-tail-5": ((1, 0), (0.5, 1)),
 }
 
 
@@ -470,28 +493,35 @@ def test_find_plaintext_leak_at_scale(log_sizes, secret_sizes, cut, plant):
     assert find_plaintext_leak(buf, secrets) == piece == leak_oracle(buf, secrets)
 
 
-# 724 275 069 079, below 2**40, times the hash multiplier is within 2**23 of
-# a multiple of 2**64 (a continued-fraction denominator of the multiplier
-# over 2**64), so adding it to a probe moves the probe's hash by less than
-# 2**23, and often leaves every bit a pass reads as it was
-_NEAR_PROBE_STEP = 724_275_069_079
+def _probes_sharing_every_slot() -> tuple[int, int]:
+    """Two distinct 40-bit probes whose slots are equal under each filter
+    pass's multiplier: a seeded birthday search on the pair of slots, 40
+    bits, over 2**21 random probes, which holds about two such pairs."""
+    for seed in itertools.count():
+        probes = np.random.default_rng(seed).integers(0, 1 << 40, 1 << 21, np.uint64)
+        pair = sum(
+            tee._slots(probes, multiplier).astype(np.uint64) << np.uint64(20 * k)
+            for k, multiplier in enumerate(sorted(set(tee._PASS_MULTIPLIERS)))
+        )
+        order = np.argsort(pair, kind="stable")
+        pair, probes = pair[order], probes[order]
+        same = np.flatnonzero((pair[1:] == pair[:-1]) & (probes[1:] != probes[:-1]))
+        if same.size:
+            return int(probes[same[0]]), int(probes[same[0] + 1])
 
 
 def test_keys_sharing_every_filter_slot_are_not_a_leak():
     """Two distinct probes whose hashes share each pass's table slot
     survive every filter; only the merge on whole probes tells them apart."""
-    rng = random.Random(3)
-    while True:
-        first = rng.getrandbits(40)
-        second = first + _NEAR_PROBE_STEP
-        probes = np.array([first, second], np.uint64)
-        if second < 1 << 40 and all(
-            len(set(tee._slots(probes, shift).tolist())) == 1 for shift in tee._PASS_SHIFTS
-        ):
-            break
+    first, second = _probes_sharing_every_slot()
+    probes = np.array([first, second], np.uint64)
+    assert all(
+        len(set(tee._slots(probes, multiplier).tolist())) == 1
+        for multiplier in tee._PASS_MULTIPLIERS
+    )
     # the secret's one window has the probe ``first``, and the logged
     # window the probe ``second`` at the same place
-    secret, logged = (bytes(3) + probe.to_bytes(5, "little") for probe in (first, second))
+    secret, logged = (probe.to_bytes(5, "little") + bytes(3) for probe in (first, second))
     buf = SharedBuffer()
     buf.append(logged, TaintTag.CIPHERTEXT)
     assert find_plaintext_leak(buf, [secret]) is None
@@ -499,22 +529,56 @@ def test_keys_sharing_every_filter_slot_are_not_a_leak():
     assert find_plaintext_leak(buf, [secret]) == secret
 
 
+@given(
+    probe=st.binary(min_size=5, max_size=5),
+    rest=st.lists(st.binary(min_size=3, max_size=3), min_size=2, max_size=2),
+)
+@settings(deadline=None)
+def test_a_windows_slots_read_only_its_first_5_bytes(probe, rest):
+    """Two windows with the same first 5 bytes share their slot in every
+    filter pass, whatever their last 3 bytes are."""
+    keys = np.frombuffer(b"".join(probe + tail for tail in rest), tee._KEY)
+    for multiplier in tee._PASS_MULTIPLIERS:
+        slots = tee._slots(keys, multiplier)
+        assert slots[0] == slots[1] < 1 << tee._SLOT_BITS
+
+
+@given(data=st.binary(max_size=40), grid=st.booleans())
+@settings(deadline=None)
+def test_probes_are_each_positions_first_5_bytes(data, grid):
+    """A side's probes are the first 5 bytes at each of its positions, on the
+    grid or everywhere, up to n - 5: the last window's key shifted right
+    gives those past its start, n - 7, n - 6 and n - 5."""
+    positions, probes = [], []
+    for _data, keys, at in tee._Probes([data], grid):
+        positions += at(np.arange(keys.size)).tolist()
+        probes += (keys & tee._PROBE_MASK).tolist()
+    step = 4 if grid else 1
+    want = list(range(0, len(data) - 4, step)) if len(data) >= 8 else []
+    assert positions == want
+    assert probes == [int.from_bytes(data[p : p + 5], "little") for p in want]
+    assert len(tee._Probes([data], grid)) == len(want)
+
+
 @pytest.mark.parametrize("alignment", range(4))
 def test_windows_sharing_a_probe_are_not_a_leak(alignment):
     """A logged window with a secret window's 5-byte probe but none of its
     other 3 bytes passes the join on probes; only the join of the whole
     8-byte windows around the shared probe tells them apart. The log is
-    the larger side, so it is probed at every 4th window, and the logged
-    window starts ``alignment`` bytes past one."""
+    the larger side, so it is probed at 0, 4, 8, ..., and the logged window
+    starts ``alignment`` bytes past one; the grid probe inside it starts at
+    the next multiple of 4."""
     rng = random.Random(alignment)
     secret = rng.randbytes(8)
     at = 20 + alignment
-    inside = 3 - alignment  # where the grid window's probe lies in the logged one
+    inside = -alignment % 4  # where the grid probe lies in the logged window
     lookalike = bytearray(byte ^ 0xFF for byte in secret)
     lookalike[inside : inside + 5] = secret[inside : inside + 5]
+    assert [x == y for x, y in zip(lookalike, secret)] == [inside <= k < inside + 5 for k in range(8)]
     record = bytearray(rng.randbytes(64))
     record[at : at + 8] = lookalike
-    assert record[23:28] == secret[inside : inside + 5]  # the probe of the grid window at 20
+    grid = at + inside
+    assert grid % 4 == 0 and record[grid : grid + 5] == secret[inside : inside + 5]
     buf = SharedBuffer()
     buf.append(record, TaintTag.PUBLIC)
     assert find_plaintext_leak(buf, [secret]) is None
