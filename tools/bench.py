@@ -1,6 +1,6 @@
 """Write a BENCH_*.json file: the benchmark's figures for the checked-out tree.
 
-    python3 tools/bench.py --seconds 8 --out BENCH_19.json --against BENCH_17.json
+    python3 tools/bench.py --seconds 8 --out BENCH_22.json --against BENCH_19.json
 
 For every workload in BENCHMARK.json it runs ``perfbench/run.py`` untraced
 once per seed of SEEDS, each run in its own process, and records each run's
