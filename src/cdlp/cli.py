@@ -5,8 +5,9 @@ partition plan), run (execute a plan over the simulated TEE), estimate
 (cost-model arithmetic). Every subcommand takes --json for machine
 output; the human text prints the same numbers.
 
-Exit codes: 0 success, 2 usage or input problems, 3 planning failure,
-4 runtime or integrity failure.
+Exit codes: 0 success; 2 bad flags, a path that cannot be read or written,
+or a config or tensor that describes no valid model; 3 planning failure;
+4 runtime or integrity failure, a malformed file (FormatError) included.
 
 Input tensors are flat little-endian float32 files with a 12-byte header
 of three u32 dims (channels, height, width).
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .config import parse_config
-from .errors import CdlpError, ConfigError, FormatError, PlanError
+from .errors import CdlpError, ConfigError, DimensionError, FormatError, PlanError
 from .executor import compare_runs, prepare_partition_data, run_partitioned, run_reference
 from .model import FLOAT, ModelSpec, Tensor
 from .planner import (
@@ -51,10 +52,6 @@ EXIT_RUNTIME = 4
 _TENSOR_HEADER = struct.Struct("<3I")
 
 
-class UsageError(Exception):
-    pass
-
-
 def write_tensor_file(path, tensor: Tensor) -> None:
     dims = tensor.dims if len(tensor.dims) == 3 else (tensor.size, 1, 1)
     Path(path).write_bytes(_TENSOR_HEADER.pack(*dims) + tensor.tobytes())
@@ -76,17 +73,10 @@ def read_tensor_file(path) -> Tensor:
 
 def _parse_key(text: str) -> bytes:
     if len(text) != 32:
-        raise UsageError(f"key must be 32 hex characters, got {len(text)}")
+        raise ValueError(f"key must be 32 hex characters, got {len(text)}")
     if not re.fullmatch(r"[0-9a-fA-F]{32}", text):  # fromhex would skip whitespace
-        raise UsageError("key is not valid hex")
+        raise ValueError("key is not valid hex")
     return bytes.fromhex(text)
-
-
-def _existing(path) -> Path:
-    path = Path(path)
-    if not path.exists():
-        raise UsageError(f"no such file: {path}")
-    return path
 
 
 def _emit(args, payload: dict, human: list[str]) -> None:
@@ -101,7 +91,7 @@ def _plan_for(model: ModelSpec, scheme: str, cap: int, subset) -> PartitionPlan:
     if scheme == SCHEME_SUBLAYER:
         return plan_sublayer(model, cap, subset_size=subset)
     if subset is not None:
-        raise UsageError(f"--s applies to the sublayer scheme only, not {scheme}")
+        raise ValueError(f"--s applies to the sublayer scheme only, not {scheme}")
     if scheme == SCHEME_LAYERED:
         return plan_layered(model, cap)
     return plan_branched(model, cap)
@@ -131,7 +121,7 @@ def _plan_payload(plan: PartitionPlan) -> dict:
 
 
 def cmd_plan(args) -> int:
-    model = parse_config(_existing(args.cfg).read_text())
+    model = parse_config(Path(args.cfg).read_text())
     plan = _plan_for(model, args.scheme, args.cap, args.s)
     manifest = render_manifest(plan)
     if args.out:
@@ -159,9 +149,9 @@ def _part_file_name(p) -> str:
 
 def cmd_encrypt(args) -> int:
     key = _parse_key(args.key)
-    model = parse_config(_existing(args.cfg).read_text())
-    store = load_weights(_existing(args.weights).read_bytes(), model)
-    plan = parse_manifest(_existing(args.plan).read_text())
+    model = parse_config(Path(args.cfg).read_text())
+    store = load_weights(Path(args.weights).read_bytes(), model)
+    plan = parse_manifest(Path(args.plan).read_text())
     problems = validate_plan(plan, model, None)
     if problems:
         raise PlanError("plan does not fit the model: " + "; ".join(problems))
@@ -186,21 +176,14 @@ def cmd_encrypt(args) -> int:
 def cmd_run(args) -> int:
     key = _parse_key(args.key)
     if args.baseline is not None and not 0 < args.baseline < math.inf:
-        raise UsageError(f"--baseline must be finite and positive, got {args.baseline!r}")
-    model = parse_config(_existing(args.cfg).read_text())
-    plan = parse_manifest(_existing(args.plan).read_text())
+        raise ValueError(f"--baseline must be finite and positive, got {args.baseline!r}")
+    model = parse_config(Path(args.cfg).read_text())
+    plan = parse_manifest(Path(args.plan).read_text())
     parts_dir = Path(args.parts)
-    if not parts_dir.is_dir():
-        raise UsageError(f"no such directory: {parts_dir}")
-    data = {}
-    for p in plan.partitions:
-        path = parts_dir / _part_file_name(p)
-        if not path.exists():
-            raise UsageError(f"missing partition file: {path}")
-        data[p.id] = path.read_bytes()
+    data = {p.id: (parts_dir / _part_file_name(p)).read_bytes() for p in plan.partitions}
     x = read_tensor_file(args.input)
     # the plaintext weights file the containers were sealed from
-    oracle = load_weights(_existing(args.oracle).read_bytes(), model) if args.oracle else None
+    oracle = load_weights(Path(args.oracle).read_bytes(), model) if args.oracle else None
 
     constants = CostConstants(args.tcs, args.td)
     arena = SecureArena(args.cap)
@@ -352,7 +335,8 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (UsageError, ConfigError, FileNotFoundError, ValueError) as err:
+    # an input that cannot be read or written, or describes no valid model
+    except (ConfigError, DimensionError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except PlanError as err:

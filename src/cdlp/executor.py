@@ -149,7 +149,7 @@ def stream_spilled(
             consumer(values, fed)
             fed += values.size
         finally:
-            blob.release(arena)
+            arena.free(blob)
     return seconds
 
 
@@ -301,7 +301,7 @@ def run_partitioned(
                 inputs = Tensor(x.dims, np.frombuffer(data, FLOAT))
             compute(weights.data, inputs)
         finally:
-            weights.release(arena)
+            arena.free(weights)
 
     try:
         for i, group in itertools.groupby(plan.partitions, key=attrgetter("layer_index")):
@@ -310,7 +310,7 @@ def run_partitioned(
             weighted = geometry.param_shape is not None
             outputs = out_spill = None
             secure = parts[0].world == WORLD_SECURE
-            if secure and i + 1 in plan.spill:
+            if i + 1 in plan.spill:
                 out_spill = SpilledActivations(
                     shared, b"spill" + digest + os.urandom(RUN_NONCE_BYTES) + _INDEX.pack(i + 1)
                 )

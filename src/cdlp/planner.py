@@ -206,7 +206,7 @@ def _plan(
     is None. With ``spill``, layers whose inputs cannot stay resident
     stream them from encrypted spill."""
     if cap <= 0:
-        raise PlanError(f"memory budget must be positive, got {cap}")
+        raise ValueError(f"memory budget must be positive, got {cap}")
     flags = frozenset(_spill_layers(model, cap) if spill else ())
     partitions: list[Partition] = []
     producer_rows = None  # the previous secure layer's subset size

@@ -5,6 +5,8 @@ the package needs to reason about confidentiality and cost:
 
 * SecureArena: a capped secure-world allocator with one peak, which a
   run restarts before each secure partition to measure that partition;
+  its Allocation is the one handle for secure bytes: ledger_decrypt
+  returns the one it charged, holding a container's plaintext in ``data``;
 * SharedBuffer: append-only normal-world memory whose writes are
   taint-tagged, with no way to write confidential plaintext through the
   interface; its memory is the appends, kept as written, so reading a
@@ -98,13 +100,15 @@ def ledger_overhead(ledger: CostLedger, constants: CostConstants | None = None) 
 
 
 class Allocation:
-    """Handle for one live arena allocation."""
+    """Handle for one live arena allocation; ``data`` holds the bytes it was
+    charged for, such as a container's plaintext."""
 
-    __slots__ = ("size", "freed")
+    __slots__ = ("size", "freed", "data")
 
     def __init__(self, size: int):
         self.size = size
         self.freed = False
+        self.data = b""
 
     def __repr__(self):
         state = "freed" if self.freed else "live"
@@ -488,21 +492,6 @@ class Session:
         return trusted_fn()
 
 
-class SecureBlob:
-    """Decrypted bytes living in the arena; free via ``release``."""
-
-    __slots__ = ("data", "allocation")
-
-    def __init__(self, data: bytes, allocation: Allocation | None):
-        self.data = data
-        self.allocation = allocation
-
-    def release(self, arena: SecureArena) -> None:
-        if self.allocation is not None:
-            arena.free(self.allocation)
-            self.allocation = None
-
-
 def ledger_decrypt(
     arena: SecureArena,
     ledger: CostLedger,
@@ -510,23 +499,24 @@ def ledger_decrypt(
     cipher: AESGCM,
     index: int,
     context: bytes,
-) -> SecureBlob:
-    """Decrypt container ``index`` into the arena, counting the plaintext bytes.
+) -> Allocation:
+    """Decrypt container ``index`` into the arena, counting the plaintext
+    bytes; return the allocation charged for it, with the plaintext in ``data``.
 
     ``cipher`` is the one ``container.aead`` made of the key. ``context`` is
     the associated data the container was sealed with, past its header and
     index. The framing is checked and the plaintext charged to the arena
-    before decryption; on any failure (bad framing, no room, index, tag or
-    context mismatch) the counter stays untouched and the arena is left as
-    it was.
+    before decryption; an empty one, a weightless partition's, gets a
+    zero-byte allocation the arena never counted. On any failure (bad
+    framing, no room, index, tag or context mismatch) the counter stays
+    untouched and the arena is left as it was.
     """
     _pid, plaintext_len = container.read_header(container_bytes)
-    allocation = arena.alloc(plaintext_len) if plaintext_len else None
+    allocation = arena.alloc(plaintext_len) if plaintext_len else Allocation(0)
     try:
-        blob = container.decrypt_partition(container_bytes, cipher, index, context)
+        allocation.data = container.decrypt_partition(container_bytes, cipher, index, context)
     except Exception:
-        if allocation is not None:
-            arena.free(allocation)
+        arena.free(allocation)
         raise
     ledger.decrypted_bytes += plaintext_len
-    return SecureBlob(blob, allocation)
+    return allocation

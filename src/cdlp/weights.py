@@ -101,7 +101,7 @@ def partition_weights(
 
     Both arrays are read-only views of ``blob`` (the weights a column-major
     one), not copies, so they take no memory beyond the blob: a decrypted
-    blob is charged to the arena and released only after the kernel that
+    blob is its arena allocation's ``data``, freed only after the kernel that
     reads the views has returned, and a normal-world blob is immutable ``bytes``.
     Each view is laid over the blob as one array in the layout
     ``LayerWeights`` keeps, so it keeps both as they are.

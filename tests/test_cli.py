@@ -1,5 +1,6 @@
 import json
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -150,6 +151,83 @@ def test_encrypt_missing_weights_exits_2(workspace):
         "encrypt", "--cfg", cfg, "--weights", tmp / "missing.weights", "--plan", manifest,
         "--key", KEY_HEX, "--out", tmp / "parts",
     ) == 2
+
+
+def assert_usage_error(code, capsys):
+    """Exit 2 with one ``error:`` line and nothing on stdout; an exception
+    that escaped ``main`` would fail the calling test itself."""
+    out, err = capsys.readouterr()
+    assert code == 2, err
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+    assert "Traceback" not in err
+
+
+PLAN = ["plan", "--scheme", "layered", "--cfg"]
+
+
+def run_argv(w):
+    return ["run", "--cfg", w.cfg, "--parts", w.parts, "--plan", w.manifest, "--key", KEY_HEX,
+            "--cap", CAP]
+
+
+# Each a command whose input cannot be read or written, or describes no valid
+# run: a path that is a directory, or lies under a file, an existing file
+# where a directory is made, a tensor of the wrong dims, a budget below 1.
+INPUT_FAULTS = {
+    "plan-cfg-is-a-directory": lambda w: [*PLAN, w.tmp, "--cap", CAP],
+    "plan-out-under-a-file": lambda w: [*PLAN, w.cfg, "--cap", CAP, "--out", w.cfg / "x.manifest"],
+    "plan-cap-0": lambda w: [*PLAN, w.cfg, "--cap", 0],
+    "plan-cap-negative": lambda w: [*PLAN, w.cfg, "--cap", -5],
+    "encrypt-out-is-a-file": lambda w: ["encrypt", "--cfg", w.cfg, "--weights", w.weights,
+                                        "--plan", w.manifest, "--key", KEY_HEX, "--out", w.tensor],
+    "run-input-is-a-directory": lambda w: [*run_argv(w), "--input", w.parts],
+    "run-trace-under-a-file": lambda w: [*run_argv(w), "--input", w.tensor,
+                                         "--trace", w.tensor / "t.jsonl"],
+    "run-input-of-wrong-dims": lambda w: [*run_argv(w), "--input", w.wrong_dims],
+}
+
+
+@pytest.mark.parametrize("fault", sorted(INPUT_FAULTS))
+def test_bad_input_paths_and_values_exit_2_with_one_error_line(workspace, capsys, fault):
+    tmp, cfg, weights, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace)
+    wrong_dims = tmp / "wrong.tensor"
+    write_tensor_file(wrong_dims, Tensor((1, 4, 4), np.zeros(16)))
+    capsys.readouterr()
+    paths = SimpleNamespace(tmp=tmp, cfg=cfg, weights=weights, tensor=tensor, manifest=manifest,
+                            parts=parts, wrong_dims=wrong_dims)
+    assert_usage_error(run_cli(*INPUT_FAULTS[fault](paths)), capsys)
+
+
+NO_VALID_MODEL = {
+    "kernel-larger-than-input": "[convolutional]\nfilters=2\nkernel_size=5\nstride=1\n"
+                                "padding=0\nactivation=relu\n",
+    "no-filters": "[convolutional]\nfilters=0\nkernel_size=3\nstride=1\n"
+                  "padding=0\nactivation=relu\n",
+    "unknown-activation": "[connected]\noutputs=4\nactivation=tanh\n",
+    "branch-before-a-conv": "[branch]\nbranches=2\n[convolutional]\nfilters=2\n"
+                            "kernel_size=3\nstride=1\npadding=0\nactivation=relu\n",
+}
+
+
+@pytest.mark.parametrize("command", ["plan", "encrypt", "run"])
+@pytest.mark.parametrize("config", sorted(NO_VALID_MODEL))
+def test_a_config_that_describes_no_valid_model_exits_2(workspace, capsys, config, command):
+    tmp, _, weights, tensor = workspace
+    manifest, parts = plan_and_encrypt(workspace)
+    cfg = tmp / "bad.cfg"
+    cfg.write_text("[net]\nchannels=1\nheight=4\nwidth=4\n" + NO_VALID_MODEL[config])
+    capsys.readouterr()
+    argv = {
+        "plan": ["plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP],
+        "encrypt": ["encrypt", "--cfg", cfg, "--weights", weights, "--plan", manifest,
+                    "--key", KEY_HEX, "--out", tmp / "out"],
+        "run": ["run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+                "--input", tensor, "--cap", CAP],
+    }[command]
+    assert_usage_error(run_cli(*argv), capsys)
+    assert not (tmp / "out").exists()
 
 
 def test_encrypt_rejects_a_split_maxpool_layer(workspace):

@@ -784,7 +784,7 @@ def test_partitions_0_and_65536_open_only_in_their_own_slots():
     for own, other in ((0, 65_536), (65_536, 0)):
         blob = ledger_decrypt(arena, ledger, data[own], CIPHER, own, context)
         assert blob.data == blobs[own]
-        blob.release(arena)
+        arena.free(blob)
         with pytest.raises(IntegrityError, match="tag mismatch"):
             ledger_decrypt(arena, ledger, data[own], CIPHER, other, context)
     assert arena.current_usage == 0

@@ -146,7 +146,7 @@ def test_decrypted_bytes_accumulate():
     for size in (10, 20):
         data = encrypt_partition(os.urandom(size), CIPHER, 0, CONTEXT)
         blob = ledger_decrypt(arena, ledger, data, CIPHER, 0, CONTEXT)
-        blob.release(arena)
+        arena.free(blob)
     assert ledger.decrypted_bytes == 30
 
 
@@ -157,7 +157,7 @@ def test_paper_total_of_191790_bytes():
     for i, size in enumerate(sizes):
         data = encrypt_partition(os.urandom(size), CIPHER, i, CONTEXT)
         blob = ledger_decrypt(arena, ledger, data, CIPHER, i, CONTEXT)
-        blob.release(arena)
+        arena.free(blob)
     assert ledger.decrypted_bytes == 191790
 
 
@@ -186,7 +186,34 @@ def test_plaintext_lives_in_the_arena():
         arena, CostLedger(), encrypt_partition(b"x" * 64, CIPHER, 0, CONTEXT), CIPHER, 0, CONTEXT
     )
     assert arena.current_usage == 64
-    blob.release(arena)
+    arena.free(blob)
+    assert arena.current_usage == 0
+
+
+def test_the_charged_allocation_holds_the_plaintext_and_frees_once():
+    arena, ledger = SecureArena(1 << 20), CostLedger()
+    plain = os.urandom(64)
+    data = encrypt_partition(plain, CIPHER, 0, CONTEXT)
+    allocation = ledger_decrypt(arena, ledger, data, CIPHER, 0, CONTEXT)
+    assert allocation.data == plain
+    assert allocation.size == arena.current_usage == ledger.decrypted_bytes == 64
+    arena.free(allocation)
+    with pytest.raises(ValueError, match="allocation already freed"):
+        arena.free(allocation)
+    assert arena.current_usage == 0
+
+
+def test_an_empty_container_charges_nothing():
+    """A weightless partition's container opens into a zero-byte
+    allocation, which the arena frees once like any other."""
+    arena, ledger = SecureArena(1 << 20), CostLedger()
+    data = encrypt_partition(b"", CIPHER, 0, CONTEXT)
+    allocation = ledger_decrypt(arena, ledger, data, CIPHER, 0, CONTEXT)
+    assert allocation.data == b""
+    assert allocation.size == arena.peak_usage == ledger.decrypted_bytes == 0
+    arena.free(allocation)
+    with pytest.raises(ValueError, match="allocation already freed"):
+        arena.free(allocation)
     assert arena.current_usage == 0
 
 
