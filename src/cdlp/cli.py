@@ -121,22 +121,21 @@ def _plan_payload(plan: PartitionPlan) -> dict:
 
 
 def cmd_plan(args) -> int:
-    model = parse_config(Path(args.cfg).read_text())
+    text = Path(args.cfg).read_text()
+    model = parse_config(text)
     plan = _plan_for(model, args.scheme, args.cap, args.s)
     manifest = render_manifest(plan)
     if args.out:
         Path(args.out).write_text(manifest)
     payload = _plan_payload(plan)
-    payload["config_bytes"] = model.config_bytes
+    payload["config_bytes"] = len(text.encode())
     human = [
         f"scheme: {plan.scheme}",
         f"partitions: {len(plan.partitions)}",
-        f"config bytes: {model.config_bytes}",
+        f"config bytes: {payload['config_bytes']}",
     ]
     for i, params in sorted(plan.sublayer.items()):
         human.append(f"layer {i}: s={params.subset_size} p={params.subset_count}")
-    for i in sorted(plan.spill):
-        human.append(f"layer {i}: spill")
     human += manifest.splitlines()[1:]
     _emit(args, payload, human)
     return EXIT_OK

@@ -107,12 +107,7 @@ def parse_config(text: str) -> ModelSpec:
     if branch is not None and branch.branch_layer_index >= len(layers):
         raise ConfigError("[branch] must be followed by at least one layer", branch_line)
 
-    return ModelSpec(
-        layers,
-        (net["channels"], net["height"], net["width"]),
-        branch,
-        config_bytes=len(text.encode("ascii")),
-    )
+    return ModelSpec(layers, (net["channels"], net["height"], net["width"]), branch)
 
 
 def canonical_config_text() -> str:

@@ -26,9 +26,11 @@ split layer are joined once, in plan order.
 
 Between layers the activations live in one of three places. Public ones
 (the input, or a normal-world layer's outputs) cross to the secure world
-through shared memory in the clear. A secure layer's outputs stay
-resident in the arena until the next layer has run. If the next layer
-is flagged for spill, the outputs are encrypted into shared memory
+through shared memory in the clear: the first secure partition stages
+them, once per run, just before its container, so a plan that starts in
+the normal world never writes the model input. A secure layer's outputs
+stay resident in the arena until the next layer has run. If the next
+layer is flagged for spill, the outputs are encrypted into shared memory
 instead and streamed back chunk by chunk, paying the re-decryption cost
 that each consuming partition's trace records.
 
@@ -246,18 +248,17 @@ def run_partitioned(
     context = weights_context(digest)
     clock = time.perf_counter
 
-    # A layer reads its input ``x`` as a public tensor (shared memory holds it
-    # at ``offset`` once the secure world is to read it), as the producer's
+    # A layer reads its input ``x`` as a public tensor, as the producer's
     # resident output, charged to the arena as ``held``, or as ``spilled``
-    # chunks. Its partitions leave their rows in ``outputs``, charged as
-    # ``out`` in the secure world, or, when the next layer streams its
+    # chunks. Only the first secure layer reads a public input: the run's
+    # first secure partition stages it in shared memory at ``offset``, once
+    # per run. A layer's partitions leave their rows in ``outputs``, charged
+    # as ``out`` in the secure world, or, when the next layer streams its
     # inputs, in ``out_spill``. The two closures below read the loop's
-    # current layer (``i``, ``layer``, ``geometry``, ``weighted``, ``x``,
-    # ``offset``) and partition (``p``, ``trace``, ``blob``, ``staged``).
+    # current layer (``i``, ``layer``, ``geometry``, ``weighted``, ``x``)
+    # and partition (``p``, ``trace``, ``blob``, ``staged``), and ``offset``.
     x = input_tensor
-    # the client hands the inference input over through shared memory
-    offset = shared.append(input_tensor.tobytes(), TaintTag.PUBLIC)
-    held = spilled = out = None
+    held = spilled = out = offset = None
     traces = []
 
     def compute(blob: bytes, inputs: Tensor) -> None:
@@ -316,15 +317,6 @@ def run_partitioned(
                 )
             else:
                 outputs = []
-            if secure:
-                handoff = 0.0  # staging time of the public input, charged to the first partition
-                if held is None and spilled is None and offset is None:
-                    # normal-to-secure handoff: the extracted features cross
-                    # through shared memory in the clear, a documented
-                    # boundary of branched execution rather than a leak
-                    started = clock()
-                    offset = shared.append(x.tobytes(), TaintTag.PUBLIC)
-                    handoff = clock() - started
             for p in parts:
                 trace = PartitionTrace(partition=p)
                 traces.append(trace)
@@ -333,9 +325,10 @@ def run_partitioned(
                     compute(blob, x)
                     continue
                 started = clock()
+                if offset is None:  # the run's first secure partition stages its public input
+                    offset = shared.append(x.tobytes(), TaintTag.PUBLIC)
                 staged = shared.append_container(blob)
-                trace.stage_seconds = clock() - started + handoff
-                handoff = 0.0
+                trace.stage_seconds = clock() - started
                 arena.reset_peak()
                 Session(trace).invoke(open_and_compute)
                 trace.arena_peak = arena.peak_usage
@@ -347,7 +340,7 @@ def run_partitioned(
                 x = outputs[0] if len(outputs) == 1 else Tensor(
                     geometry.out_dims, np.concatenate([r.data for r in outputs])
                 )
-            offset, spilled = None, out_spill
+            spilled = out_spill
     finally:
         for allocation in (held, out):
             if allocation is not None:

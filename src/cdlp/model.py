@@ -212,16 +212,13 @@ class LayerGeometry(NamedTuple):
 class ModelSpec:
     """Parsed network: ordered layers, input dims, optional branch topology.
 
-    ``config_bytes`` records the byte length of the source configuration
-    text (an input to the cost model); it does not affect equality. Every
-    layer's geometry is worked out once, when the spec is made: ``geometry[i]``
-    holds layer i's shapes, and the accessors below read it.
+    Every layer's geometry is worked out once, when the spec is made:
+    ``geometry[i]`` holds layer i's shapes, and the accessors below read it.
     """
 
     layers: list[LayerSpec]
     input_dims: tuple[int, int, int]
     branch: BranchTopology | None = None
-    config_bytes: int = field(default=0, compare=False)
     geometry: list[LayerGeometry] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):

@@ -331,6 +331,8 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
                 )
             if not 0 <= start <= end <= units:
                 problems.append(f"partition {p.id} range [{start}, {end}) outside {units} units")
+            elif start == end:
+                problems.append(f"partition {p.id} covers no rows")
             elif p.world == WORLD_SECURE:
                 need = partition_footprint(model, i, end - start, spill, public_input, producer_rows)
                 if p.footprint_bytes < need:

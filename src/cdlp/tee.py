@@ -134,8 +134,8 @@ class SecureArena:
         return self._peak
 
     def alloc(self, size: int) -> Allocation:
-        if size <= 0:
-            raise ValueError(f"allocation size must be positive, got {size}")
+        if size < 0:
+            raise ValueError(f"allocation size must not be negative, got {size}")
         if self._current + size > self.capacity:
             raise SecureMemoryError(
                 f"allocating {size} bytes over {self._current} in use "
@@ -505,14 +505,13 @@ def ledger_decrypt(
 
     ``cipher`` is the one ``container.aead`` made of the key. ``context`` is
     the associated data the container was sealed with, past its header and
-    index. The framing is checked and the plaintext charged to the arena
-    before decryption; an empty one, a weightless partition's, gets a
-    zero-byte allocation the arena never counted. On any failure (bad
-    framing, no room, index, tag or context mismatch) the counter stays
-    untouched and the arena is left as it was.
+    index. The framing is checked and the plaintext, even a weightless
+    partition's empty one, charged to the arena before decryption. On any
+    failure (bad framing, no room, index, tag or context mismatch) the
+    counter stays untouched and the arena is left as it was.
     """
     _pid, plaintext_len = container.read_header(container_bytes)
-    allocation = arena.alloc(plaintext_len) if plaintext_len else Allocation(0)
+    allocation = arena.alloc(plaintext_len)
     try:
         allocation.data = container.decrypt_partition(container_bytes, cipher, index, context)
     except Exception:

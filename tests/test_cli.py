@@ -86,6 +86,27 @@ def test_plan_reports_spill_flags(tmp_path, capsys):
     assert all(p["footprint_bytes"] <= 100_000 for p in payload["partitions"])
 
 
+def test_plan_prints_each_spill_flag_once(tmp_path, capsys):
+    cfg = tmp_path / "wide.cfg"
+    cfg.write_text(
+        "[net]\nchannels=4\nheight=1\nwidth=1\n"
+        "[connected]\noutputs=20000\nactivation=relu\n"
+        "[connected]\noutputs=8\nactivation=linear\n"
+    )
+    assert run_cli("plan", "--cfg", cfg, "--scheme", "sublayer", "--cap", 100_000) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if "spill" in line] == ["spill 1"]
+
+
+def test_plan_reports_the_config_byte_length(workspace, capsys):
+    tmp, cfg, _, _ = workspace
+    size = len(canonical_config_text().encode())
+    assert run_cli("plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["config_bytes"] == size
+    assert run_cli("plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP) == 0
+    assert f"config bytes: {size}" in capsys.readouterr().out.splitlines()
+
+
 def test_plan_explicit_subset_size(workspace, capsys):
     tmp, cfg, _, _ = workspace
     assert run_cli("plan", "--cfg", cfg, "--scheme", "sublayer", "--cap", CAP,

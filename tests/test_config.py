@@ -14,7 +14,6 @@ def test_minimal_config():
     assert model.layers[0].kind == "connected"
     assert model.layers[0].outputs == 2
     assert model.input_dims == (1, 4, 4)
-    assert model.config_bytes == len(MINIMAL.encode())
 
 
 def test_canonical_config_has_eleven_layers():

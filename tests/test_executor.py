@@ -101,13 +101,16 @@ def test_branched_run_matches_reference():
     plan = plan_branched(model, CAP)
     result = run_plan(model, store, plan, x)
     assert compare_runs(result.output, run_reference(model, store, x).output).bitwise_equal
-    # the normal-to-secure handoff crosses shared memory tagged public:
-    # at least the model input and the extracted features
+    # the normal-to-secure handoff crosses shared memory tagged public, and
+    # only it: the extracted features, never the model input
     public_writes = [
         w for w in result.shared.writes
         if w.tag == TaintTag.PUBLIC and not w.data.startswith(MAGIC)  # not a container header
     ]
-    assert len(public_writes) >= 2
+    features = x
+    for i in range(plan.secure_partitions()[0].layer_index):
+        features = layer_forward(model, i, features, store.layers[i])
+    assert [w.data for w in public_writes] == [features.tobytes()]
 
 
 def test_fully_branched_model_reads_public_input_per_branch():
@@ -455,9 +458,9 @@ def test_branched_plan_with_a_spilled_secure_layer():
     planned = {p.id: p.footprint_bytes for p in plan.partitions}
     assert all(t.arena_peak <= planned[t.partition.id] for t in result.partitions)
 
-    # in the clear, shared memory holds only the input and the features the
-    # normal-world prefix hands over; the spilled activations share ReLU's
-    # zero runs with the features, so the audit covers the other writes
+    # in the clear, shared memory holds only the features the normal-world
+    # prefix hands over; the spilled activations share ReLU's zero runs
+    # with the features, so the audit covers the other writes
     features = x
     for i in range(3):
         features = layer_forward(model, i, features, store.layers[i])
@@ -465,7 +468,7 @@ def test_branched_plan_with_a_spilled_secure_layer():
         w for w in result.shared.writes
         if w.tag == TaintTag.PUBLIC and not w.data.startswith(MAGIC)  # not a container header
     ]
-    assert [w.data for w in public] == [x.tobytes(), features.tobytes()]
+    assert [w.data for w in public] == [features.tobytes()]
     sealed = SharedBuffer()
     for w in result.shared.writes:
         if w not in public:
@@ -917,10 +920,12 @@ def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
 
 def expected_write_log(model, plan):
     """The shared-memory records (offset, length, tag) a run of ``plan`` makes,
-    worked out from the plan and the model alone: the input; for a branched
-    plan, the features handed to the secure world; each secure partition's
-    container as a header and a body, in plan order; and after a partition
-    whose layer's successor is spilled, its rows' chunk containers."""
+    worked out from the plan and the model alone: the first secure layer's
+    public input (the model input, or for a branched plan the features the
+    normal world hands over), just before the first secure partition's
+    container; each secure partition's container as a header and a body, in
+    plan order; and after a partition whose layer's successor is spilled,
+    its rows' chunk containers."""
     records = []
 
     def write(length, tag):
@@ -931,16 +936,12 @@ def expected_write_log(model, plan):
         write(HEADER_BYTES, TaintTag.PUBLIC)
         write(plaintext_bytes + container.MAC_BYTES, TaintTag.CIPHERTEXT)
 
-    write(FLOAT_BYTES * model.in_elems(0), TaintTag.PUBLIC)
-    public_input = True
     for p in plan.partitions:
         i, rows = p.layer_index, p.end - p.start
         if p.world != "secure":
-            public_input = False
             continue
-        if not public_input:
+        if not records:  # the first secure partition stages its public input
             write(FLOAT_BYTES * model.in_elems(i), TaintTag.PUBLIC)
-            public_input = True
         shape = model.param_shape(i)
         sealed(FLOAT_BYTES * rows * (shape[1] + 1) if shape else 0)
         if i + 1 in plan.spill:
@@ -970,3 +971,12 @@ def test_zero_layer_model_round_trips_input():
     x = Tensor((1, 2, 2), [1, 2, 3, 4])
     result = run_plan(model, WeightStore([]), plan, x)
     assert result.output.data.tolist() == [1, 2, 3, 4]
+
+
+def test_a_zero_layer_run_writes_nothing_to_shared_memory():
+    """No secure partition reads the input, so it never crosses."""
+    from cdlp.model import WeightStore
+
+    model = ModelSpec([], (1, 2, 2))
+    result = run_plan(model, WeightStore([]), plan_layered(model, CAP), Tensor((1, 2, 2), [1, 2, 3, 4]))
+    assert len(result.shared) == 0 and result.shared.writes == []

@@ -344,6 +344,21 @@ def test_validation_catches_gaps():
     assert any("covered up to row 5" in p for p in problems)
 
 
+def test_validation_refuses_a_partition_that_covers_no_rows():
+    """An empty partition would cost a session, and re-decrypt a spilled
+    input, for no rows."""
+    model = square_connected(8, layers=2)
+    plan = plan_layered(model, CAP).with_spill(1)
+    last = plan.partitions[-1]
+    empty = dataclasses.replace(
+        plan, partitions=plan.partitions + [dataclasses.replace(last, id=2, start=8, end=8)]
+    )
+    assert validate_plan(empty, model, CAP) == ["partition 2 covers no rows"]
+    x = Tensor((8, 1, 1), np.zeros(8, np.float32))
+    with pytest.raises(PlanError, match="partition 2 covers no rows"):
+        run_partitioned(model, {}, empty, x, SecureArena(CAP), bytes(16))
+
+
 def test_validation_checks_spill_flags():
     model = square_connected(8, layers=2)
     plan = plan_layered(model, CAP)

@@ -66,7 +66,7 @@ def test_double_free_rejected():
 def test_nonpositive_sizes_rejected():
     arena = SecureArena(10)
     with pytest.raises(ValueError):
-        arena.alloc(0)
+        arena.alloc(-1)
     with pytest.raises(ValueError):
         SecureArena(0)
 
@@ -215,6 +215,34 @@ def test_an_empty_container_charges_nothing():
     with pytest.raises(ValueError, match="allocation already freed"):
         arena.free(allocation)
     assert arena.current_usage == 0
+
+
+def test_a_zero_byte_allocation_is_live_and_frees_once():
+    arena = SecureArena(10)
+    allocation = arena.alloc(0)
+    assert allocation.size == 0 and not allocation.freed
+    assert arena.current_usage == arena.peak_usage == 0
+    arena.free(allocation)
+    with pytest.raises(ValueError, match="allocation already freed"):
+        arena.free(allocation)
+
+
+def test_an_empty_container_is_charged_through_the_arena():
+    """Every container's plaintext, an empty one included, is an arena
+    allocation: ``ledger_decrypt`` returns the one ``alloc`` made."""
+
+    class RecordingArena(SecureArena):
+        def alloc(self, size):
+            allocation = super().alloc(size)
+            self.made.append(allocation)
+            return allocation
+
+    arena = RecordingArena(1 << 20)
+    arena.made = []
+    data = encrypt_partition(b"", CIPHER, 0, CONTEXT)
+    allocation = ledger_decrypt(arena, CostLedger(), data, CIPHER, 0, CONTEXT)
+    assert arena.made == [allocation] and allocation.size == 0
+    arena.free(allocation)
 
 
 # --- cost model ---
