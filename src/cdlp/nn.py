@@ -22,10 +22,10 @@ chunks) is bitwise identical to computing it whole:
 The per-element float32 operations never get reassociated, which makes the
 partitioned executor's outputs comparable to the reference with ==, not a
 tolerance. All three weighted kernels sum through ``_accumulate``: it stacks
-the running sums and a block of product terms as the rows of one array and
-reduces over that outer axis, which numpy does row after row, element by
-element. A reduce whose rows hold a single value would be summed pairwise
-instead, so that case runs ``np.add.accumulate``, which is always sequential.
+the running sums and a block of negated product terms as the rows of one
+array and reduces that outer axis with ``np.subtract.reduce``. Subtraction
+does not associate, so numpy never sums it pairwise: it runs row after row
+at every shape, and ``s - (-t)`` is ``s + t`` bit for bit under IEEE 754.
 No kernel uses ``matmul``, ``dot`` or ``einsum``: BLAS reorders the sums.
 
 A term block is the weight block transposed, times the inputs, laid out as
@@ -54,7 +54,6 @@ from .model import FLOAT, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStor
 from .model import output_dims, validate_weights
 
 _ZERO = np.float32(0.0)
-_NEG_ZERO = np.float32(-0.0)
 _BLOCK_FLOATS = 1 << 16  # float32 values in one block of accumulation terms
 
 
@@ -76,8 +75,8 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
     A block of terms is a broadcast copy of one operand times the other, whose
     inner axis is contiguous: the weights times the patch rows when a row has
     more than one value (a convolution's pixels), else the inputs times the
-    weight block. The reduce starts from -0.0, the identity of IEEE addition
-    (``-0.0 + x == x`` bit for bit), so a -0.0 in ``acc`` stays -0.0.
+    weight block. The copied operand is negated once, so each block holds
+    -t[i] (exact, as ``(-s) * f == -(s * f)``) and the reduce subtracts it.
     """
     m = acc.size
     if m == 0:
@@ -91,6 +90,7 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
         w = w.reshape(n, rows, *(1,) * (len(shape) - 1))
     x = inputs.reshape(n, 1, *shape[1:])
     spread, factor = (w, x) if m > rows else (x, w)
+    spread = np.negative(spread)
     block = max(1, min(n, _BLOCK_FLOATS // m - 1))
     terms = np.empty((block + 1, *shape), dtype=FLOAT)  # row 0, then a block of terms
     total = acc
@@ -101,10 +101,7 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
         fill = part[1:]
         fill[...] = spread[lo:hi]
         np.multiply(fill, factor[lo:hi], out=fill)  # one product per term: IEEE multiply commutes
-        if m == 1:
-            total = np.add.accumulate(part[:, 0])[-1:]
-        else:
-            total = np.add.reduce(part, axis=0, initial=_NEG_ZERO)
+        total = np.subtract.reduce(part, axis=0)
     return total
 
 

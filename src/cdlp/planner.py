@@ -383,6 +383,8 @@ def parse_manifest(text: str) -> PartitionPlan:
         if not line:
             continue
         if line.startswith("scheme "):
+            if scheme is not None:
+                raise PlanError(f"manifest line {number}: a second scheme line")
             scheme = line.split(" ", 1)[1]
             continue
         m = _SPILL_RE.match(line)

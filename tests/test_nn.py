@@ -461,14 +461,48 @@ _EDGE = nn._BLOCK_FLOATS // 2
         (2, 5, (_EDGE // 4,)),  # blocks of 3 terms
         (2, _EDGE + 2, ()),  # blocks of _EDGE - 1 terms
         (1, nn._BLOCK_FLOATS + 1, ()),  # blocks of _BLOCK_FLOATS - 1 terms
+        (16, 1024, ()),  # spill-stream's streamed block: 16 rows over a 1 024-value chunk
     ],
-    ids=["conv", "connected", "one-sum", "one-pixel", "conv-edge", "connected-edge", "one-sum-edge"],
+    ids=["conv", "connected", "one-sum", "one-pixel", "conv-edge", "connected-edge", "one-sum-edge",
+         "spill-block"],
 )
 def test_accumulate_matches_scalar_loop_on_special_values(kind, rows, n, rest):
     acc, w, x = special_terms(kind, rows, n, rest)
     with np.errstate(over="ignore", invalid="ignore"):
         got = nn._accumulate(acc, np.asfortranarray(w), x)
     assert got.tobytes() == accumulate_oracle(acc, w, x).tobytes()
+
+
+def test_nan_weight_and_input_give_the_whole_layer_bits_in_pieces():
+    """NaN bits are not fixed against the scalar oracle, but a layer split
+    into row subsets or fed in chunks runs the same kernel as the whole."""
+    rng = np.random.default_rng(26)
+    nan_weight = np.array([0xFFC01234], np.uint32).view(f32)[0]  # negative, with a payload
+    nan_input = np.array([0x7FC00042], np.uint32).view(f32)[0]
+    spec = LayerSpec.connected(6, "linear")
+    w = LayerWeights(rng.standard_normal((6, 40)).astype(f32), rng.standard_normal(6).astype(f32))
+    w.weights[1, 2] = nan_weight
+    x = random_tensor(rng, (40,))
+    x.data[29] = nan_input
+    whole = connected_forward_rows(x, w, spec).data
+    assert np.isnan(whole).all()
+    pieces = [connected_forward_rows(x, rows_of(w, lo, n), spec, lo, 6).data
+              for lo, n in ((0, 1), (1, 3), (4, 2))]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
+    acc = DenseAccumulator(w, spec)
+    for lo in range(0, 40, 10):
+        acc.feed(x.data[lo : lo + 10], lo)
+    assert acc.finish().data.tobytes() == whole.tobytes()
+
+    conv = LayerSpec.convolutional(4, 3, 1, 1, "linear")
+    cw = LayerWeights(rng.standard_normal((4, 18)).astype(f32), rng.standard_normal(4).astype(f32))
+    cw.weights[2, 7] = nan_weight
+    cx = random_tensor(rng, (2, 5, 5))
+    cx.data[31] = nan_input
+    whole = conv_forward_subset(cx, cw, conv).data
+    assert np.isnan(whole).any() and not np.isnan(whole).all()
+    pieces = [conv_forward_subset(cx, rows_of(cw, lo, n), conv).data for lo, n in ((0, 1), (1, 3))]
+    assert np.concatenate(pieces).tobytes() == whole.tobytes()
 
 
 # --- convolutional ---

@@ -434,6 +434,12 @@ def test_manifest_rejects_a_malformed_spill_line(line):
         parse_manifest(text)
 
 
+def test_manifest_rejects_a_second_scheme_line():
+    text = "scheme layered\nscheme sublayer\npartition 0 layer 0 range 0..8 world secure bytes 1\n"
+    with pytest.raises(PlanError, match="line 2: a second scheme line"):
+        parse_manifest(text)
+
+
 def test_manifest_rejects_garbage():
     with pytest.raises(PlanError):
         parse_manifest("scheme layered\npartition zero\n")

@@ -15,7 +15,7 @@ and of the whole inference, then the same split by world: the normal-world
 partitions' kernel time, and the secure partitions' stage, verify+decrypt
 and kernel times with their count, beside the modeled overhead of the run's
 ledger. The file also names the commit and whether the working tree
-differed from it.
+differed from it, both null in a tree that is not a git checkout.
 
 The exit code is 0 when every run was correct, 1 when an inference in some
 run was not bitwise equal to the reference pass (the file is still written),
@@ -54,10 +54,24 @@ class BenchError(Exception):
     """A benchmark run could not produce figures."""
 
 
-def _git(*args: str) -> str:
+def _git(root: Path, *args: str) -> str:
     return subprocess.run(
-        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+        ["git", *args], cwd=root, capture_output=True, text=True, check=True
     ).stdout.strip()
+
+
+def git_state(root: Path) -> tuple[str | None, bool | None]:
+    """The commit checked out at ``root``, and whether ``src`` or ``perfbench``
+    differ from it. Where git cannot describe ``root`` itself, as in an
+    exported copy without ``.git``, both are None and one line goes to stderr."""
+    try:
+        top, commit = _git(root, "rev-parse", "--show-toplevel", "HEAD").splitlines()
+        if Path(top).resolve() == root.resolve():
+            return commit, bool(_git(root, "status", "--porcelain", "--", "src", "perfbench"))
+    except (OSError, subprocess.CalledProcessError):
+        pass
+    print(f"{root} is not a git checkout: the BENCH file names no commit", file=sys.stderr)
+    return None, None
 
 
 def _run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict | None]:
@@ -211,6 +225,7 @@ def main(argv=None) -> int:
         parser.error("--seconds must be positive")
     baseline = json.loads(args.against.read_text()) if args.against else None
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())
+    commit, differs = git_state(ROOT)
     try:
         workloads = {w["name"]: bench_workload(w["name"], args.seconds)
                      for w in declared["workloads"]}
@@ -218,8 +233,8 @@ def main(argv=None) -> int:
         print(f"benchmark error: {exc}", file=sys.stderr)
         return 2
     report = {
-        "commit": _git("rev-parse", "HEAD"),
-        "tree_differs_from_commit": bool(_git("status", "--porcelain", "--", "src", "perfbench")),
+        "commit": commit,
+        "tree_differs_from_commit": differs,
         "command": "python3 perfbench/run.py --workload W --seed S "
                    f"--seconds {args.seconds:g} --trace 0|1",
         "seeds": list(SEEDS),
