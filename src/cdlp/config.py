@@ -3,7 +3,8 @@
 Sections: [net], [convolutional], [maxpool], [connected], [softmax],
 [branch]. Lines are key=value with optional whitespace around '='; '#'
 starts a comment; encoding is ASCII. [net] must come first and carries
-channels/height/width. [branch] takes branches=k and marks the layers
+channels/height/width. A layer section takes exactly its kind's fields
+in ``model.LAYER_FIELDS``. [branch] takes branches=k and marks the layers
 that follow it as k independent groups.
 """
 
@@ -12,16 +13,10 @@ from __future__ import annotations
 import importlib.resources
 
 from .errors import ConfigError
-from .model import BranchTopology, LayerSpec, ModelSpec
+from .model import LAYER_FIELDS, BranchTopology, LayerSpec, ModelSpec
 
 _NET_KEYS = ("channels", "height", "width")
-_LAYER_KEYS = {
-    "convolutional": ("filters", "kernel_size", "stride", "padding", "activation"),
-    "maxpool": ("size", "stride"),
-    "connected": ("outputs", "activation"),
-    "softmax": (),
-    "branch": ("branches",),
-}
+_LAYER_KEYS = {**LAYER_FIELDS, "branch": ("branches",)}
 _STRING_KEYS = ("activation",)
 
 CANONICAL_CONFIG_NAME = "lenet11.cfg"

@@ -10,7 +10,13 @@ import numpy as np
 
 from .errors import DimensionError
 
-LAYER_KINDS = ("convolutional", "maxpool", "connected", "softmax")
+# Each layer kind's fields, in config order; LayerSpec checks them in this order.
+LAYER_FIELDS = {
+    "convolutional": ("filters", "kernel_size", "stride", "padding", "activation"),
+    "maxpool": ("size", "stride"),
+    "connected": ("outputs", "activation"),
+    "softmax": (),
+}
 ACTIVATIONS = ("linear", "relu")
 
 FLOAT = np.dtype("<f4")
@@ -76,29 +82,20 @@ class LayerSpec:
     outputs: int | None = None
 
     def __post_init__(self):
-        if self.kind not in LAYER_KINDS:
+        if self.kind not in LAYER_FIELDS:
             raise DimensionError(f"unknown layer kind {self.kind!r}")
-        if self.kind == "convolutional":
-            self._require(filters=self.filters, kernel_size=self.kernel_size, stride=self.stride)
-            if self.padding is None or self.padding < 0:
-                raise DimensionError("convolutional padding must be >= 0")
-            self._check_activation()
-        elif self.kind == "maxpool":
-            self._require(size=self.size, stride=self.stride)
-        elif self.kind == "connected":
-            self._require(outputs=self.outputs)
-            self._check_activation()
-
-    def _require(self, **params):
-        for name, value in params.items():
-            if value is None or value < 1:
+        for name in LAYER_FIELDS[self.kind]:
+            value = getattr(self, name)
+            if name == "activation":
+                if value not in ACTIVATIONS:
+                    raise DimensionError(
+                        f"{self.kind} activation must be one of {ACTIVATIONS}, got {value!r}"
+                    )
+            elif name == "padding":
+                if value is None or value < 0:
+                    raise DimensionError("convolutional padding must be >= 0")
+            elif value is None or value < 1:
                 raise DimensionError(f"{self.kind} {name} must be >= 1, got {value}")
-
-    def _check_activation(self):
-        if self.activation not in ACTIVATIONS:
-            raise DimensionError(
-                f"{self.kind} activation must be one of {ACTIVATIONS}, got {self.activation!r}"
-            )
 
     @classmethod
     def convolutional(cls, filters, kernel_size, stride=1, padding=0, activation="linear"):
@@ -163,10 +160,6 @@ class LayerWeights:
     def rows(self) -> int:
         return self.weights.shape[0]
 
-    @property
-    def cols(self) -> int:
-        return self.weights.shape[1]
-
 
 def output_dims(layer: LayerSpec, in_dims: tuple[int, ...]) -> tuple[int, ...]:
     """Output dims of ``layer`` applied to ``in_dims``; raises on bad geometry."""
@@ -212,8 +205,9 @@ class LayerGeometry(NamedTuple):
 class ModelSpec:
     """Parsed network: ordered layers, input dims, optional branch topology.
 
-    Every layer's geometry is worked out once, when the spec is made:
-    ``geometry[i]`` holds layer i's shapes, and the accessors below read it.
+    Every layer's geometry is worked out once, in one pass, when the spec is
+    made: ``geometry[i]`` holds layer i's shapes, and the planner, the
+    executor and ``nn`` read it there.
     """
 
     layers: list[LayerSpec]
@@ -225,16 +219,15 @@ class ModelSpec:
         self.input_dims = tuple(int(d) for d in self.input_dims)
         if len(self.input_dims) != 3 or any(d < 1 for d in self.input_dims):
             raise DimensionError(f"input dims must be 3 positive values, got {self.input_dims}")
-        shapes = []
+        self.geometry = []
         dims: tuple[int, ...] = self.input_dims
-        for layer in self.layers:
+        for i, layer in enumerate(self.layers):
             out = output_dims(layer, dims)
-            shapes.append((dims, out))
+            self.geometry.append(self._layer_geometry(i, dims, out))
             dims = out
-        self._validate_branch(shapes)
-        self.geometry = [self._layer_geometry(i, *shape) for i, shape in enumerate(shapes)]
+        self._validate_branch()
 
-    def _validate_branch(self, shapes):
+    def _validate_branch(self):
         b = self.branch
         if b is None:
             return
@@ -247,7 +240,7 @@ class ModelSpec:
                     f"layer {j} ({layer.kind}) after the branch point; "
                     "branched segments support connected layers only"
                 )
-            in_elems = math.prod(shapes[j][0])
+            in_elems = self.geometry[j].in_elems
             if in_elems % b.branch_count or layer.outputs % b.branch_count:
                 raise DimensionError(
                     f"layer {j} sizes {in_elems}->{layer.outputs} "
@@ -270,16 +263,6 @@ class ModelSpec:
             in_dims, out_dims, in_elems, out_elems, units, out_per_unit, groups, param_shape
         )
 
-    def in_elems(self, i: int) -> int:
-        return self.geometry[i].in_elems
-
-    def out_elems(self, i: int) -> int:
-        return self.geometry[i].out_elems
-
-    def branch_groups(self, i: int) -> int:
-        """Independent groups in layer i: the branch count at/after the split, else 1."""
-        return self.geometry[i].groups
-
     def is_parameterized(self, i: int) -> bool:
         return self.geometry[i].param_shape is not None
 
@@ -290,10 +273,6 @@ class ModelSpec:
     def param_shape(self, i: int) -> tuple[int, int] | None:
         """Weight matrix shape (rows, cols) for layer i, or None if weightless."""
         return self.geometry[i].param_shape
-
-    def output_units_per_row(self, i: int) -> int:
-        """Output elements produced per unit: 1 for neurons, map size for filters."""
-        return self.geometry[i].out_per_unit
 
 
 @dataclass

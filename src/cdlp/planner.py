@@ -126,21 +126,21 @@ def partition_footprint(
     the module docstring lists them. ``producer_rows`` is the row count of
     the previous layer's largest partition, which sizes a streamed chunk;
     None means the whole previous layer."""
-    shape = model.param_shape(layer_index)
-    floats = rows * (shape[1] + 1) if shape else 0
+    g = model.geometry[layer_index]
+    floats = rows * (g.param_shape[1] + 1) if g.param_shape else 0
     chunk = 0
     if layer_index in spill:
-        streamed = model.in_elems(layer_index)
+        streamed = g.in_elems
         if producer_rows is not None:
-            streamed = producer_rows * model.output_units_per_row(layer_index - 1)
+            streamed = producer_rows * model.geometry[layer_index - 1].out_per_unit
         chunk = min(SPILL_CHUNK_BYTES, FLOAT_BYTES * streamed)
     elif not public_input:
-        floats += model.in_elems(layer_index)
+        floats += g.in_elems
     if layer_index + 1 in spill:
-        produced = FLOAT_BYTES * rows * model.output_units_per_row(layer_index)
+        produced = FLOAT_BYTES * rows * g.out_per_unit
         chunk = max(chunk, min(SPILL_CHUNK_BYTES, produced))
     else:
-        floats += model.out_elems(layer_index)
+        floats += g.out_elems
     return FLOAT_BYTES * floats + chunk
 
 
@@ -159,9 +159,13 @@ def plan_sublayer(
     context switches). An explicit size (one int, or a per-layer mapping)
     overrides the choice and must fit the budget; degenerate full-size
     subsets reproduce the layered plan exactly. Layers whose inputs cannot
-    stay resident stream them from encrypted spill. A mapping that names a
-    layer the model lacks, or a weightless layer, raises PlanError.
+    stay resident stream them from encrypted spill. A size below 1 raises
+    ValueError; a mapping that names a layer the model lacks, or a
+    weightless layer, raises PlanError.
     """
+    sizes = subset_size.values() if isinstance(subset_size, Mapping) else [subset_size]
+    if any(size is not None and size < 1 for size in sizes):
+        raise ValueError(f"subset size must be >= 1, got {subset_size}")
     if isinstance(subset_size, Mapping):
         for i in subset_size:
             if not (0 <= i < len(model.layers) and model.is_parameterized(i)):
@@ -187,7 +191,7 @@ def plan_branched(model: ModelSpec, cap: int) -> PartitionPlan:
     if model.branch is None:
         raise PlanError("model has no branch topology")
     return _plan(
-        model, cap, SCHEME_BRANCHED, lambda i: model.units(i) // model.branch_groups(i),
+        model, cap, SCHEME_BRANCHED, lambda i: model.units(i) // model.geometry[i].groups,
         secure_from=model.branch.branch_layer_index,
     )
 

@@ -9,9 +9,9 @@ from typing import Mapping
 
 import numpy as np
 
-from cdlp.config import _LAYER_KEYS
 from cdlp.model import (
     FLOAT,
+    LAYER_FIELDS,
     BranchTopology,
     LayerSpec,
     LayerWeights,
@@ -119,7 +119,7 @@ def render_config(model: ModelSpec) -> str:
         if model.branch is not None and model.branch.branch_layer_index == i:
             lines += ["", "[branch]", f"branches={model.branch.branch_count}"]
         lines += ["", f"[{layer.kind}]"]
-        for key in _LAYER_KEYS[layer.kind]:
+        for key in LAYER_FIELDS[layer.kind]:
             lines.append(f"{key}={getattr(layer, key)}")
     return "\n".join(lines) + "\n"
 

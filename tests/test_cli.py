@@ -200,6 +200,9 @@ INPUT_FAULTS = {
     "plan-out-under-a-file": lambda w: [*PLAN, w.cfg, "--cap", CAP, "--out", w.cfg / "x.manifest"],
     "plan-cap-0": lambda w: [*PLAN, w.cfg, "--cap", 0],
     "plan-cap-negative": lambda w: [*PLAN, w.cfg, "--cap", -5],
+    "plan-s-0": lambda w: ["plan", "--scheme", "sublayer", "--cfg", w.cfg, "--cap", CAP, "--s", 0],
+    "plan-s-negative": lambda w: ["plan", "--scheme", "sublayer", "--cfg", w.cfg, "--cap", CAP,
+                                  "--s", -3],
     "encrypt-out-is-a-file": lambda w: ["encrypt", "--cfg", w.cfg, "--weights", w.weights,
                                         "--plan", w.manifest, "--key", KEY_HEX, "--out", w.tensor],
     "run-input-is-a-directory": lambda w: [*run_argv(w), "--input", w.parts],

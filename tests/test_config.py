@@ -118,3 +118,26 @@ def test_render_round_trip_branched():
     again = parse_config(render_config(model))
     assert again == model
     assert parse_config(render_config(again)) == again
+
+
+NET = "[net]\nchannels=1\nheight=4\nwidth=4\n"
+
+
+@pytest.mark.parametrize(
+    "text, message, line",
+    [
+        (NET.replace("\n", "\u2028", 1), "non-ASCII line separator", None),
+        (NET + "[connected\noutputs=2", "malformed section header '[connected'", 5),
+        (NET + "[softmax]\nsoftmax", "expected key=value, got 'softmax'", 6),
+        ("channels=1\n" + NET, "key=value before any section", 1),
+        (NET + "[softmax]\n" + NET, "duplicate [net] section", 6),
+        (MINIMAL.replace("[connected]", "[branch]\nbranches=2\n[branch]\nbranches=2\n[connected]"),
+         "duplicate [branch] section", 8),
+    ],
+    ids=["line-separator", "header", "no-equals", "before-section", "second-net", "second-branch"],
+)
+def test_each_config_error_names_its_line(text, message, line):
+    with pytest.raises(ConfigError) as err:
+        parse_config(text)
+    assert err.value.line == line
+    assert str(err.value) == (message if line is None else f"line {line}: {message}")

@@ -896,7 +896,7 @@ def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
             if shape is not None:
                 expected += FLOAT_BYTES * (p.end - p.start) * (shape[1] + 1)
             if i in plan.spill:
-                expected += FLOAT_BYTES * model.in_elems(i)
+                expected += FLOAT_BYTES * model.geometry[i].in_elems
         assert t.decrypted_bytes == expected
         assert ledger_overhead(t) == estimate_overhead(t.context_switches / 2, t.decrypted_bytes)
         constants = CostConstants(2e-6, 3e-9)
@@ -908,7 +908,7 @@ def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
         # each producer partition cuts its own rows into SPILL_CHUNK_BYTES chunks
         for t in producers:
             rows = t.partition.end - t.partition.start
-            produced = FLOAT_BYTES * rows * model.output_units_per_row(j - 1)
+            produced = FLOAT_BYTES * rows * model.geometry[j - 1].out_per_unit
             assert t.spill_chunks_written == -(-produced // SPILL_CHUNK_BYTES)
         written = sum(t.spill_chunks_written for t in producers)
         consumers = [t for t in traces if t.partition.layer_index == j]
@@ -941,11 +941,11 @@ def expected_write_log(model, plan):
         if p.world != "secure":
             continue
         if not records:  # the first secure partition stages its public input
-            write(FLOAT_BYTES * model.in_elems(i), TaintTag.PUBLIC)
+            write(FLOAT_BYTES * model.geometry[i].in_elems, TaintTag.PUBLIC)
         shape = model.param_shape(i)
         sealed(FLOAT_BYTES * rows * (shape[1] + 1) if shape else 0)
         if i + 1 in plan.spill:
-            produced = FLOAT_BYTES * rows * model.output_units_per_row(i)
+            produced = FLOAT_BYTES * rows * model.geometry[i].out_per_unit
             for lo in range(0, produced, SPILL_CHUNK_BYTES):
                 sealed(min(SPILL_CHUNK_BYTES, produced - lo))
     return records

@@ -1,10 +1,11 @@
-"""Tensor construction: the checks and conversions every tensor goes through."""
+"""Tensor construction: the checks and conversions every tensor goes through;
+and every error a layer or model spec raises, with its message."""
 
 import numpy as np
 import pytest
 
 from cdlp.errors import DimensionError
-from cdlp.model import FLOAT, Tensor
+from cdlp.model import FLOAT, BranchTopology, LayerSpec, ModelSpec, Tensor
 
 
 @pytest.mark.parametrize("dims", [(), (2, -1), (-3,)], ids=["empty", "negative", "only-negative"])
@@ -68,3 +69,56 @@ def test_a_1d_contiguous_float32_array_is_kept():
     t = Tensor((1, 2, 3), values)
     assert np.shares_memory(t.data, values) and t.data.shape == (6,)
     assert t.as_map().shape == (1, 2, 3)
+
+
+# --- layer and model specs: every error, with its exact message ---
+
+CONV = dict(filters=2, kernel_size=3, stride=1, padding=0, activation="relu")
+POOL = dict(size=2, stride=2)
+FC = dict(outputs=4, activation="linear")
+
+
+def _at_least_one(kind, fields, name, value):
+    return (kind, {**fields, name: value}, f"{kind} {name} must be >= 1, got {value}")
+
+
+LAYER_SPEC_ERRORS = [
+    ("dense", FC, "unknown layer kind 'dense'"),
+    *(_at_least_one(kind, fields, name, value)
+      for kind, fields, names in [
+          ("convolutional", CONV, ("filters", "kernel_size", "stride")),
+          ("maxpool", POOL, ("size", "stride")),
+          ("connected", FC, ("outputs",)),
+      ]
+      for name in names
+      for value in (0, None)),
+    ("convolutional", {**CONV, "padding": -1}, "convolutional padding must be >= 0"),
+    ("convolutional", {**CONV, "activation": "tanh"},
+     "convolutional activation must be one of ('linear', 'relu'), got 'tanh'"),
+    ("connected", {**FC, "activation": "tanh"},
+     "connected activation must be one of ('linear', 'relu'), got 'tanh'"),
+]
+
+
+@pytest.mark.parametrize(
+    "kind, fields, message", LAYER_SPEC_ERRORS,
+    ids=[f"{kind}-{'-'.join(f'{k}={v}' for k, v in fields.items())}"
+         for kind, fields, _ in LAYER_SPEC_ERRORS],
+)
+def test_each_layer_spec_error_has_its_message(kind, fields, message):
+    with pytest.raises(DimensionError) as err:
+        LayerSpec(kind, **fields)
+    assert str(err.value) == message
+
+
+def test_a_branch_past_the_last_layer_raises():
+    with pytest.raises(DimensionError) as err:
+        ModelSpec([LayerSpec("connected", **FC)], (4, 1, 1), BranchTopology(1, 2))
+    assert str(err.value) == "branch point lies past the last layer"
+
+
+def test_branch_sizes_not_divisible_by_the_branch_count_raise():
+    layers = [LayerSpec("connected", **FC), LayerSpec.connected(6), LayerSpec.connected(3)]
+    with pytest.raises(DimensionError) as err:
+        ModelSpec(layers, (4, 1, 1), BranchTopology(1, 2))
+    assert str(err.value) == "layer 2 sizes 6->3 not divisible by 2 branches"

@@ -123,6 +123,14 @@ def test_explicit_subset_size_out_of_range():
         plan_sublayer(square_connected(8), CAP, subset_size=9)
 
 
+@pytest.mark.parametrize("sizes", [0, -3, {5: 0}], ids=["zero", "negative", "mapping"])
+def test_a_subset_size_below_one_is_a_bad_value(sizes):
+    """A size below 1 is wrong for every model, so it fails as a value
+    before any planning; a size above a layer's rows stays a PlanError."""
+    with pytest.raises(ValueError, match="subset size must be >= 1"):
+        plan_sublayer(load_canonical_model(), CAP, sizes)
+
+
 @pytest.mark.parametrize(
     "sizes, layer",
     [({99: 3, 1: 2}, 99), ({-1: 3}, -1), ({0: 2, 1: 2}, 1)],  # layer 1 is a maxpool
@@ -385,6 +393,74 @@ def test_validation_rejects_split_weightless_layers():
     x = Tensor((1, 4, 4), np.arange(16, dtype=np.float32))
     with pytest.raises(PlanError, match="invalid plan: maxpool layer 0 cannot be split"):
         run_partitioned(model, data, split, x, SecureArena(CAP), key)
+
+
+def _canonical_manifest(edit):
+    """The canonical layered manifest, edited as text, and its model."""
+    def build():
+        model = load_canonical_model()
+        lines = render_manifest(plan_layered(model, CAP)).splitlines()
+        return model, parse_manifest("\n".join(edit(lines)))
+    return build
+
+
+def _swapped(lines, a, b):
+    lines[a], lines[b] = lines[b], lines[a]
+    return lines
+
+
+def _branched_layer_1_in_two_worlds():
+    model = branched_model()
+    text = render_manifest(plan_branched(model, CAP)).replace(
+        "partition 1 layer 1 range 0..8 world normal bytes 1216",
+        "partition 1 layer 1 range 0..4 world normal bytes 1216\n"
+        "partition 6 layer 1 range 4..8 world secure bytes 1216",
+    )
+    return model, parse_manifest(text)
+
+
+def _diagonal_scheme():
+    model = load_canonical_model()
+    return model, dataclasses.replace(plan_layered(model, CAP), scheme="diagonal")
+
+
+PLAN_VIOLATIONS = {
+    "duplicate-id": (
+        _canonical_manifest(lambda ls: [*ls, ls[-1].replace("partition 10", "partition 9")]),
+        "duplicate partition ids",
+    ),
+    "swapped-lines": (
+        _canonical_manifest(lambda ls: _swapped(ls, 5, 6)),
+        "partition 4 breaks layer execution order",
+    ),
+    "layer-11": (
+        _canonical_manifest(lambda ls: [*ls[:-1], ls[-1].replace("layer 10", "layer 11")]),
+        "partition 10 names layer 11 of 11",
+    ),
+    "spill-on-a-maxpool": (
+        _canonical_manifest(lambda ls: [ls[0], "spill 1", *ls[1:]]),
+        "spill flag on layer 1 (maxpool); only connected layers stream",
+    ),
+    "layer-3-dropped": (
+        _canonical_manifest(lambda ls: [line for line in ls if " layer 3 " not in line]),
+        "layer 3 is not covered by any partition",
+    ),
+    "range-past-the-units": (
+        _canonical_manifest(lambda ls: [line.replace("range 0..10 world secure bytes 1136",
+                                                     "range 0..12 world secure bytes 1136")
+                                        for line in ls]),
+        "partition 9 range [0, 12) outside 10 units",
+    ),
+    "mixed-worlds": (_branched_layer_1_in_two_worlds, "layer 1 mixes worlds ['normal', 'secure']"),
+    "unknown-scheme": (_diagonal_scheme, "unknown scheme 'diagonal'"),
+}
+
+
+@pytest.mark.parametrize("violation", sorted(PLAN_VIOLATIONS))
+def test_validation_reports_each_violation(violation):
+    build, message = PLAN_VIOLATIONS[violation]
+    model, plan = build()
+    assert message in validate_plan(plan, model, CAP)
 
 
 # --- manifest ---
