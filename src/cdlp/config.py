@@ -11,6 +11,7 @@ that follow it as k independent groups.
 from __future__ import annotations
 
 import importlib.resources
+import re
 
 from .errors import ConfigError
 from .model import LAYER_FIELDS, BranchTopology, LayerSpec, ModelSpec
@@ -64,10 +65,9 @@ def _take(name, keys, allowed, header_line):
         if key in _STRING_KEYS:
             values[key] = raw
             continue
-        try:
-            values[key] = int(raw)
-        except ValueError:
-            raise ConfigError(f"non-numeric value {raw!r} for {key!r}", line) from None
+        if not re.fullmatch(r"[+-]?[0-9]+", raw):  # int() would also take '1_6'
+            raise ConfigError(f"non-numeric value {raw!r} for {key!r}", line)
+        values[key] = int(raw)
     if keys:
         stray, (_, line) = next(iter(keys.items()))
         raise ConfigError(f"unknown key {stray!r} in [{name}]", line)

@@ -22,27 +22,28 @@ chunks) is bitwise identical to computing it whole:
 The per-element float32 operations never get reassociated, which makes the
 partitioned executor's outputs comparable to the reference with ==, not a
 tolerance. All three weighted kernels sum through ``_accumulate``: it stacks
-the running sums and a block of negated product terms as the rows of one
-array and reduces that outer axis with ``np.subtract.reduce``. Subtraction
-does not associate, so numpy never sums it pairwise: it runs row after row
-at every shape, and ``s - (-t)`` is ``s + t`` bit for bit under IEEE 754.
+the running sums and a block of negated product terms as the rows of one array
+and reduces that outer axis into the sums with ``np.subtract.reduce``.
+Subtraction does not associate, so numpy never sums it pairwise: it runs row
+after row at every shape, and ``s - (-t)`` is ``s + t`` bit for bit (IEEE 754).
 No kernel uses ``matmul``, ``dot`` or ``einsum``: BLAS reorders the sums.
 
-A term block is the weight block transposed, times the inputs, laid out as
-(terms, rows, *pixels) so that it stacks under the running sums as they
-are. Weights are stored column-major (see ``LayerWeights``), so the
-transposed weight block is contiguous; stored row-major, a long connected row would put every row of a
-weight column into one cache set. A block is filled by a broadcast copy of
-one operand and one multiply in place by the other, never by a multiply with
-a stride-0 inner axis, which numpy runs 2-3 times slower.
+A term block is the transposed weight block times the inputs, laid out as
+(terms, rows, *pixels) to stack under the running sums. Weights are stored
+column-major (see ``LayerWeights``), so the transposed block is contiguous;
+row-major, a long connected row would put every row of a weight column into
+one cache set. A block is filled by a broadcast copy of one operand and one
+multiply in place by the other, never by a multiply with a stride-0 inner
+axis, which numpy runs 2-3 times slower.
 
 Kernel scratch is not charged to the secure arena. It is the convolution's
-zero-padded input, made only when the padding is above 0 (unpadded, the
-im2col windows view the input, which no kernel writes), its im2col patch
-matrix (channels * kernel_size**2 * out_h * out_w values), which grow with
-the layer's input, and one block of product terms, which holds at most
+zero-padded input, made only when the padding is above 0 (unpadded, the im2col
+windows view the input, which no kernel writes); its im2col patch matrix
+(channels * kernel_size**2 * out_h * out_w values); the negated copy of the
+operand a block spreads (n * rows values for a convolution with more than one
+output pixel, else n, for n terms); and one block of product terms: at most
 ``_BLOCK_FLOATS`` values, or two output rows when a layer subset's output
-alone is larger than that.
+alone is larger.
 """
 
 from __future__ import annotations
@@ -67,16 +68,16 @@ def _activate(values: np.ndarray, activation: str | None) -> np.ndarray:
 def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """``acc + t[0] + t[1] + ... + t[n-1]``, added strictly in ascending i.
 
-    ``t[i] = weights[:, i] * inputs[i]``, broadcast to ``acc``'s shape: input
-    i is a scalar for connected layers and an im2col patch row for
-    convolutions. ``acc`` is (rows, *rest), ``weights`` (rows, n) and
-    ``inputs`` (n, *rest).
+    ``t[i] = weights[:, i] * inputs[i]``, broadcast to ``acc``'s shape: input i is
+    a scalar for connected layers and an im2col patch row for convolutions.
+    ``acc`` is (rows, *rest), ``weights`` (rows, n) and ``inputs`` (n, *rest); the
+    sums are written into ``acc``, which the caller owns.
 
     A block of terms is a broadcast copy of one operand times the other, whose
     inner axis is contiguous: the weights times the patch rows when a row has
     more than one value (a convolution's pixels), else the inputs times the
-    weight block. The copied operand is negated once, so each block holds
-    -t[i] (exact, as ``(-s) * f == -(s * f)``) and the reduce subtracts it.
+    weight block. The copied operand is negated once, so each block holds -t[i]
+    (exact, as ``(-s) * f == -(s * f)``) and the reduce subtracts it.
     """
     m = acc.size
     if m == 0:
@@ -93,30 +94,29 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
     spread = np.negative(spread)
     block = max(1, min(n, _BLOCK_FLOATS // m - 1))
     terms = np.empty((block + 1, *shape), dtype=FLOAT)  # row 0, then a block of terms
-    total = acc
     for lo in range(0, n, block):
         hi = min(lo + block, n)
         part = terms[: hi - lo + 1]
-        part[0] = total  # row 0 carries the running sums into the block
+        part[0] = acc  # row 0 carries the running sums into the block
         fill = part[1:]
         fill[...] = spread[lo:hi]
         np.multiply(fill, factor[lo:hi], out=fill)  # one product per term: IEEE multiply commutes
-        total = np.subtract.reduce(part, axis=0)
-    return total
+        np.subtract.reduce(part, axis=0, out=acc)
+    return acc
 
 
 class DenseAccumulator:
     """Ascending-order partial sums of a connected layer's row slice, fed
     its input in consecutive chunks.
 
-    ``rows`` holds the weights of neurons [abs_start, abs_start+len) of a
-    layer with ``total_rows`` neurons in all (default: the rows are the
-    whole layer). The absolute position only matters for branched layers,
-    where it decides which input slice each neuron reads: the branch groups
-    the rows reach are worked out once, when the accumulator is made, and
-    each chunk feeds only those. Any chunking of the input gives, bit for
-    bit, the same result: every neuron sees the same products in the same
-    order.
+    ``rows`` holds the weights of neurons [abs_start, abs_start+len) of a layer
+    with ``total_rows`` neurons in all (default: the rows are the whole layer).
+    Their sums are one array, written in place. The absolute position only
+    matters for branched layers, where it decides which input slice each neuron
+    reads: the branch groups the rows reach are worked out once, when the
+    accumulator is made, each sums into its view of the one array, and each
+    chunk feeds only those. Any chunking of the input gives, bit for bit, the
+    same result: every neuron sees the same products in the same order.
     """
 
     def __init__(
@@ -143,8 +143,8 @@ class DenseAccumulator:
         self._next = 0
         self._cols = cols
         self._total = cols * groups
-        # each branch group the rows reach, in group order: its first input,
-        # its rows' weights and their running sums
+        self._sums = np.zeros(count, FLOAT)
+        # each branch group the rows reach, in order: (first input, weights, view of the sums)
         self._groups = []
         if count:
             per_group = total_rows // groups
@@ -152,7 +152,7 @@ class DenseAccumulator:
             for g in range(abs_start // per_group, -(-end // per_group)):
                 lo = max(abs_start, g * per_group) - abs_start
                 hi = min(end, (g + 1) * per_group) - abs_start
-                self._groups.append([g * cols, rows.weights[lo:hi], np.zeros(hi - lo, FLOAT)])
+                self._groups.append((g * cols, rows.weights[lo:hi], self._sums[lo:hi]))
 
     def feed(self, values: np.ndarray, base: int) -> None:
         end = base + values.size
@@ -163,24 +163,17 @@ class DenseAccumulator:
                 f"connected input runs to {end} values, expected {self._total}"
             )
         cols = self._cols
-        for group in self._groups:  # each group reads its own inputs only
-            first, weights, sums = group
+        for first, weights, sums in self._groups:  # each group reads its own inputs only
             lo, hi = max(base, first), min(end, first + cols)
             if lo < hi:
-                group[2] = _accumulate(
-                    sums, weights[:, lo - first : hi - first], values[lo - base : hi - base]
-                )
+                w = weights[:, lo - first : hi - first]
+                _accumulate(sums, w, values[lo - base : hi - base])
         self._next = end
 
     def finish(self) -> Tensor:
         if self._next != self._total:
             raise DimensionError(f"connected input has {self._next} values, expected {self._total}")
-        groups = self._groups
-        if len(groups) == 1:
-            sums = groups[0][2]
-        else:  # each group's rows in order; an empty row slice reaches no group
-            sums = np.concatenate([np.empty(0, FLOAT), *(group[2] for group in groups)])
-        out = _activate(np.add(sums, self._biases), self._activation)
+        out = _activate(np.add(self._sums, self._biases), self._activation)
         return Tensor((out.size,), out)
 
 
@@ -221,8 +214,8 @@ def conv_forward_subset(x: Tensor, rows: LayerWeights, spec: LayerSpec) -> Tenso
     windows = np.ndarray((c, k, k, oh, ow), FLOAT, padded, strides=(cs, rs, es, rs * s, es * s))
     patches = windows.reshape(c * k * k, oh * ow)
     acc = _accumulate(np.zeros((count, oh * ow), dtype=FLOAT), rows.weights, patches)
-    out = _activate(acc + rows.biases[:, None], spec.activation)
-    return Tensor((count, oh, ow), out.reshape(-1))
+    np.add(acc, rows.biases[:, None], out=acc)
+    return Tensor((count, oh, ow), _activate(acc, spec.activation).reshape(-1))
 
 
 def maxpool_forward(x: Tensor, spec: LayerSpec) -> Tensor:
@@ -243,9 +236,8 @@ def softmax_forward(x: Tensor) -> Tensor:
     """Max-subtracted softmax over the flattened input; output sums to ~1."""
     if x.size == 0:
         raise DimensionError("softmax on an empty input")
-    shifted = x.data - np.max(x.data)
-    e = np.exp(shifted)
-    return Tensor((x.size,), e / np.sum(e))
+    e = np.exp(x.data - np.max(x.data))  # a new array: x.data may be shared or the caller's
+    return Tensor((x.size,), np.divide(e, np.sum(e), out=e))
 
 
 def layer_forward(

@@ -232,6 +232,8 @@ NO_VALID_MODEL = {
     "unknown-activation": "[connected]\noutputs=4\nactivation=tanh\n",
     "branch-before-a-conv": "[branch]\nbranches=2\n[convolutional]\nfilters=2\n"
                             "kernel_size=3\nstride=1\npadding=0\nactivation=relu\n",
+    "conv-after-connected": "[connected]\noutputs=16\nactivation=relu\n[convolutional]\n"
+                            "filters=2\nkernel_size=1\nstride=1\npadding=0\nactivation=relu\n",
 }
 
 
@@ -597,6 +599,19 @@ def test_tensor_file_flat_vector(tmp_path):
     path = tmp_path / "t.bin"
     write_tensor_file(path, Tensor((5,), [1, 2, 3, 4, 5]))
     assert read_tensor_file(path).dims == (5, 1, 1)
+
+
+def test_a_tensor_file_without_a_dims_header_fails_the_run(tmp_path, workspace, capsys):
+    path = tmp_path / "t.bin"
+    path.write_bytes(bytes(11))
+    manifest, parts = plan_and_encrypt(workspace)
+    tmp, cfg, _, _ = workspace
+    capsys.readouterr()
+    assert run_cli(
+        "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+        "--input", path, "--cap", CAP,
+    ) == 4
+    assert capsys.readouterr().err.startswith("run failed: FormatError: ")
 
 
 def test_truncated_tensor_file(tmp_path, workspace):

@@ -133,8 +133,11 @@ NET = "[net]\nchannels=1\nheight=4\nwidth=4\n"
         (NET + "[softmax]\n" + NET, "duplicate [net] section", 6),
         (MINIMAL.replace("[connected]", "[branch]\nbranches=2\n[branch]\nbranches=2\n[connected]"),
          "duplicate [branch] section", 8),
+        (NET + "[connected]\noutputs=1_6\nactivation=relu",
+         "non-numeric value '1_6' for 'outputs'", 6),
     ],
-    ids=["line-separator", "header", "no-equals", "before-section", "second-net", "second-branch"],
+    ids=["line-separator", "header", "no-equals", "before-section", "second-net", "second-branch",
+         "digit-separator"],
 )
 def test_each_config_error_names_its_line(text, message, line):
     with pytest.raises(ConfigError) as err:

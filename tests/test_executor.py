@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from cdlp import container, executor
 from cdlp.config import load_canonical_model
 from cdlp.container import HEADER_BYTES, MAGIC, aead
-from cdlp.errors import FormatError, IntegrityError, PlanError, SecureMemoryError
+from cdlp.errors import DimensionError, FormatError, IntegrityError, PlanError, SecureMemoryError
 from cdlp.executor import (
     SpilledActivations,
     compare_runs,
@@ -84,6 +84,12 @@ def test_layered_run_matches_reference_bitwise():
     assert ledger_overhead(result.ledger) == estimate_overhead(
         len(plan.partitions), result.ledger.decrypted_bytes
     )
+
+
+def test_runs_of_different_dims_do_not_compare():
+    with pytest.raises(DimensionError) as err:
+        compare_runs(Tensor((2,), np.zeros(2)), Tensor((3,), np.zeros(3)))
+    assert str(err.value) == "cannot compare tensors of dims (2,) and (3,)"
 
 
 def test_sublayer_run_matches_reference_and_counts_plaintext():

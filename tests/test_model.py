@@ -1,11 +1,14 @@
 """Tensor construction: the checks and conversions every tensor goes through;
-and every error a layer or model spec raises, with its message."""
+and every error a tensor, layer, weights or model spec raises, with its message."""
 
 import numpy as np
 import pytest
 
 from cdlp.errors import DimensionError
-from cdlp.model import FLOAT, BranchTopology, LayerSpec, ModelSpec, Tensor
+from cdlp.model import (
+    FLOAT, BranchTopology, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore,
+)
+from cdlp.nn import reference_forward
 
 
 @pytest.mark.parametrize("dims", [(), (2, -1), (-3,)], ids=["empty", "negative", "only-negative"])
@@ -122,3 +125,72 @@ def test_branch_sizes_not_divisible_by_the_branch_count_raise():
     with pytest.raises(DimensionError) as err:
         ModelSpec(layers, (4, 1, 1), BranchTopology(1, 2))
     assert str(err.value) == "layer 2 sizes 6->3 not divisible by 2 branches"
+
+
+def test_a_flat_tensor_has_no_map_view():
+    with pytest.raises(DimensionError) as err:
+        Tensor((4,), np.zeros(4, np.float32)).as_map()
+    assert str(err.value) == "expected 3-D tensor, got dims (4,)"
+
+
+def test_a_negative_branch_index_raises():
+    with pytest.raises(DimensionError) as err:
+        BranchTopology(-1, 2)
+    assert str(err.value) == "branch layer index must be >= 0"
+
+
+@pytest.mark.parametrize(
+    "weights, biases, message",
+    [
+        (np.zeros(4), np.zeros(4), "weight matrix must be 2-D, got (4,)"),
+        (np.zeros((2, 3)), np.zeros(3), "3 biases for 2 weight rows"),
+    ],
+    ids=["1-d-weights", "bias-count"],
+)
+def test_each_layer_weights_error_has_its_message(weights, biases, message):
+    with pytest.raises(DimensionError) as err:
+        LayerWeights(weights, biases)
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize(
+    "layer, message",
+    [
+        (LayerSpec("convolutional", **CONV), "convolutional layer needs a 3-D input, got (4,)"),
+        (LayerSpec("maxpool", **POOL), "maxpool layer needs a 3-D input, got (4,)"),
+    ],
+    ids=["conv", "maxpool"],
+)
+def test_a_map_layer_after_a_connected_layer_raises(layer, message):
+    with pytest.raises(DimensionError) as err:
+        ModelSpec([LayerSpec("connected", **FC), layer], (1, 4, 4))
+    assert str(err.value) == message
+
+
+@pytest.mark.parametrize("dims", [(0, 4, 4), (1, 4)], ids=["zero", "two-dims"])
+def test_input_dims_must_be_three_positive_values(dims):
+    with pytest.raises(DimensionError) as err:
+        ModelSpec([LayerSpec("connected", **FC)], dims)
+    assert str(err.value) == f"input dims must be 3 positive values, got {dims}"
+
+
+def _weights(rows, cols):
+    return LayerWeights(np.zeros((rows, cols)), np.zeros(rows))
+
+
+FC_MODEL = ModelSpec([LayerSpec("connected", **FC)], (1, 4, 4))
+POOL_MODEL = ModelSpec([LayerSpec("maxpool", **POOL)], (1, 4, 4))
+WEIGHT_STORE_ERRORS = {
+    "store-length": (FC_MODEL, [], "weight store has 0 layers, model has 1"),
+    "weights-on-a-maxpool": (POOL_MODEL, [_weights(1, 1)], "layer 0 (maxpool) takes no weights"),
+    "missing-weights": (FC_MODEL, [None], "layer 0 is missing weights"),
+    "wrong-shape": (FC_MODEL, [_weights(2, 3)], "layer 0 weight shape (2, 3), expected (4, 16)"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHT_STORE_ERRORS))
+def test_each_weight_store_error_has_its_message(case):
+    model, layers, message = WEIGHT_STORE_ERRORS[case]
+    with pytest.raises(DimensionError) as err:
+        reference_forward(model, WeightStore(layers), Tensor((1, 4, 4), np.zeros(16)))
+    assert str(err.value) == message

@@ -396,8 +396,8 @@ def test_accumulate_gives_the_same_bits_for_c_and_f_ordered_weights(shape, rows,
     f_order = np.asfortranarray(w)[rows, cols]
     x = rng.standard_normal((c_order.shape[1], *rest)).astype(f32)
     acc = rng.standard_normal((c_order.shape[0], *rest)).astype(f32)
-    got_c = nn._accumulate(acc, c_order, x)
-    got_f = nn._accumulate(acc, f_order, x)
+    got_c = nn._accumulate(acc.copy(), c_order, x)
+    got_f = nn._accumulate(acc.copy(), f_order, x)
     assert got_c.tobytes() == got_f.tobytes()
 
 
@@ -469,7 +469,7 @@ _EDGE = nn._BLOCK_FLOATS // 2
 def test_accumulate_matches_scalar_loop_on_special_values(kind, rows, n, rest):
     acc, w, x = special_terms(kind, rows, n, rest)
     with np.errstate(over="ignore", invalid="ignore"):
-        got = nn._accumulate(acc, np.asfortranarray(w), x)
+        got = nn._accumulate(acc.copy(), np.asfortranarray(w), x)
     assert got.tobytes() == accumulate_oracle(acc, w, x).tobytes()
 
 
@@ -673,6 +673,13 @@ def test_softmax_empty_input():
         softmax_forward(Tensor((0,), np.zeros(0, f32)))
 
 
+def test_softmax_leaves_its_input():
+    values = np.array([3, -1, 0.5, 2], f32)
+    out = softmax_forward(Tensor((4,), values))
+    assert values.tolist() == [3, -1, 0.5, 2]
+    assert not np.shares_memory(out.data, values)
+
+
 # --- reference forward ---
 
 def test_zero_layer_model_is_identity():
@@ -742,3 +749,50 @@ def test_forward_outputs_stay_finite(seed):
 def test_branch_count_below_two_rejected():
     with pytest.raises(DimensionError):
         BranchTopology(0, 1)
+
+
+# --- every kernel error no other test reaches, with its message ---
+
+CONV_SPEC = LayerSpec.convolutional(1, 3, 1, 0, "linear")
+FC_SPEC = LayerSpec.connected(2, "linear")
+MAP = Tensor((1, 4, 4), np.zeros(16, f32))
+
+
+def _unfed_accumulator():
+    DenseAccumulator(LayerWeights(np.zeros((2, 8), f32), np.zeros(2, f32)), FC_SPEC).finish()
+
+
+KERNEL_ERRORS = {
+    "accumulator-on-a-conv": (
+        lambda: DenseAccumulator(LayerWeights(np.zeros((1, 9)), np.zeros(1)), CONV_SPEC),
+        "connected kernel got a convolutional layer",
+    ),
+    "finish-before-all-input": (_unfed_accumulator, "connected input has 0 values, expected 8"),
+    "conv-on-a-connected": (
+        lambda: conv_forward_subset(MAP, LayerWeights(np.zeros((2, 16)), np.zeros(2)), FC_SPEC),
+        "convolutional kernel got a connected layer",
+    ),
+    "conv-row-width": (
+        lambda: conv_forward_subset(MAP, LayerWeights(np.zeros((1, 5)), np.zeros(1)), CONV_SPEC),
+        "weight rows of 5 values, expected 1*3*3",
+    ),
+    "maxpool-on-a-conv": (
+        lambda: maxpool_forward(MAP, CONV_SPEC),
+        "maxpool kernel got a convolutional layer",
+    ),
+    "reference-input-dims": (
+        lambda: reference_forward(
+            ModelSpec([LayerSpec.maxpool(2, 2)], (1, 4, 4)), WeightStore([None]),
+            Tensor((1, 2, 2), np.zeros(4, f32)),
+        ),
+        "input dims (1, 2, 2) do not match model (1, 4, 4)",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(KERNEL_ERRORS))
+def test_each_kernel_error_has_its_message(case):
+    call, message = KERNEL_ERRORS[case]
+    with pytest.raises(DimensionError) as err:
+        call()
+    assert str(err.value) == message

@@ -490,6 +490,18 @@ def test_manifest_round_trip_with_spill():
     assert parse_manifest(render_manifest(plan)) == plan
 
 
+def test_manifest_blank_lines_are_skipped():
+    plan = plan_layered(square_connected(8), CAP)
+    text = render_manifest(plan).replace("\n", "\n\n  \n")
+    assert parse_manifest("\n" + text) == plan
+
+
+def test_manifest_rejects_an_unknown_scheme():
+    with pytest.raises(PlanError) as err:
+        parse_manifest("scheme diagonal\n")
+    assert str(err.value) == "manifest names unknown scheme 'diagonal'"
+
+
 def test_manifest_partition_line_format():
     plan = plan_layered(square_connected(8), CAP)
     line = render_manifest(plan).splitlines()[1]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlp.config import load_canonical_model
-from cdlp.errors import FormatError
+from cdlp.errors import DimensionError, FormatError
 from cdlp.model import LayerSpec, LayerWeights, ModelSpec, WeightStore
 from cdlp.planner import plan_branched, plan_layered, plan_sublayer
 from cdlp.weights import (
@@ -184,3 +184,27 @@ def test_partition_weights_are_read_only_views_of_the_blob():
         assert lw.weights.flags.writeable and lw.biases.flags.writeable
         assert lw.weights.tobytes() == original.weights.tobytes()
         assert lw.biases.tobytes() == original.biases.tobytes()
+
+
+# --- every weights-file and blob error no other test reaches, with its message ---
+
+FC_SOFTMAX = ModelSpec([LayerSpec.connected(2, "linear"), LayerSpec.softmax()], (3, 1, 1))
+FC_SOFTMAX_STORE = WeightStore([LayerWeights(np.zeros((2, 3)), np.zeros(2)), None])
+WEIGHTS_ERRORS = {
+    "short-file": (FormatError, lambda: load_weights(bytes(15), FC_SOFTMAX),
+                   "weights file of 15 bytes has no header"),
+    "blob-rows-outside": (DimensionError, lambda: layer_blob(FC_SOFTMAX_STORE, 0, 1, 3),
+                          "rows [1, 3) outside layer of 2 rows"),
+    "weightless-partition": (DimensionError, lambda: partition_weights(FC_SOFTMAX, 1, 0, 2, b""),
+                             "layer 1 takes no weights"),
+    "blob-length": (FormatError, lambda: partition_weights(FC_SOFTMAX, 0, 0, 2, bytes(31)),
+                    "partition blob of 31 bytes, expected 32 for 2 rows of layer 0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WEIGHTS_ERRORS))
+def test_each_weights_error_has_its_message(case):
+    error, call, message = WEIGHTS_ERRORS[case]
+    with pytest.raises(error) as err:
+        call()
+    assert str(err.value) == message
