@@ -33,6 +33,7 @@ from .planner import (
     SCHEME_BRANCHED,
     SCHEME_LAYERED,
     SCHEME_SUBLAYER,
+    WORLD_SECURE,
     PartitionPlan,
     parse_manifest,
     plan_branched,
@@ -121,14 +122,14 @@ def _plan_payload(plan: PartitionPlan) -> dict:
 
 
 def cmd_plan(args) -> int:
-    text = Path(args.cfg).read_text()
-    model = parse_config(text)
+    data = Path(args.cfg).read_bytes()
+    model = parse_config(data.decode())
     plan = _plan_for(model, args.scheme, args.cap, args.s)
     manifest = render_manifest(plan)
     if args.out:
         Path(args.out).write_text(manifest)
     payload = _plan_payload(plan)
-    payload["config_bytes"] = len(text.encode())
+    payload["config_bytes"] = len(data)
     human = [
         f"scheme: {plan.scheme}",
         f"partitions: {len(plan.partitions)}",
@@ -143,7 +144,7 @@ def cmd_plan(args) -> int:
 
 def _part_file_name(p) -> str:
     """The file a partition's container (``.cdlp``) or plaintext blob (``.blob``) lives in."""
-    return f"part_{p.id}.cdlp" if p.encrypted else f"part_{p.id}.blob"
+    return f"part_{p.id}.cdlp" if p.world == WORLD_SECURE else f"part_{p.id}.blob"
 
 
 def cmd_encrypt(args) -> int:

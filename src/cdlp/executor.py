@@ -5,15 +5,17 @@ order, and every partition takes the same step: parse its weight blob,
 run its rows of the layer, and store them. The world decides where the
 blob comes from and where inputs and outputs live. A normal-world
 partition runs on its plaintext blob, reading and writing public
-activations. A secure one runs inside a session invocation: its
-container is staged in shared memory, decrypted into the arena, and
-freed before the next partition loads. The run returns one
-``PartitionTrace`` per partition, in plan order. A trace is the ledger
-its partition charges with its world switches and the bytes it
-decrypted. It also holds the arena peak the partition reached, next to
-the footprint the plan recorded, the spill chunks it read and wrote, and
-the wall time of its phases. The run's ledger is the sum of its traces;
-no other counter is kept.
+activations. A secure one stages its container in shared memory, and
+the rest of its step is one ``with Session(trace).invoke():`` block, the
+secure world's side: the container is decrypted into the arena, the rows
+are computed and stored or spilled, and the weights are freed before the
+next partition loads. The run returns one ``PartitionTrace`` per
+partition, in plan order. A trace is the ledger its partition charges
+with its world switches and the bytes it decrypted. It also holds the
+arena peak the partition reached, next to the footprint the plan
+recorded, the spill chunks it read and wrote, and the wall time of its
+phases. The run's ledger is the sum of its traces; no other counter is
+kept.
 
 What a run does once, it does once per run and keeps nothing across
 runs: it validates the plan, digests the manifest and makes the AES-GCM
@@ -254,96 +256,82 @@ def run_partitioned(
     # first secure partition stages it in shared memory at ``offset``, once
     # per run. A layer's partitions leave their rows in ``outputs``, charged
     # as ``out`` in the secure world, or, when the next layer streams its
-    # inputs, in ``out_spill``. The two closures below read the loop's
-    # current layer (``i``, ``layer``, ``geometry``, ``weighted``, ``x``)
-    # and partition (``p``, ``trace``, ``blob``, ``staged``), and ``offset``.
+    # inputs, in ``out_spill``. A secure partition's opened container is
+    # ``weights`` until its block frees it.
     x = input_tensor
-    held = spilled = out = offset = None
+    held = spilled = out = weights = offset = None
     traces = []
-
-    def compute(blob: bytes, inputs: Tensor) -> None:
-        """Run partition ``p``'s rows of layer ``i`` on its plaintext weight blob
-        and store them; ``inputs`` is the layer's input unless it is spilled."""
-        rows = partition_weights(model, i, p.start, p.end, blob) if weighted else None
-        started = clock()
-        if spilled is None:
-            result = layer_forward(model, i, inputs, rows, p.start)
-        else:
-            accumulator = DenseAccumulator(rows, layer, p.start, geometry.units, geometry.groups)
-            decrypting = stream_spilled(spilled, cipher, arena, accumulator.feed, trace)
-            result = accumulator.finish()
-            trace.decrypt_seconds += decrypting
-            trace.spill_chunks_read = len(spilled.chunks)
-            started += decrypting
-        computed = clock()
-        trace.kernel_seconds = computed - started
-        if out_spill is None:
-            outputs.append(result)
-        else:
-            written = len(out_spill.chunks)
-            spill_activations(result.data, cipher, arena, out_spill)
-            trace.spill_chunks_written = len(out_spill.chunks) - written
-            trace.spill_seconds = clock() - computed
-
-    def open_and_compute() -> None:
-        """The secure world's side of partition ``p``: open its staged
-        container into the arena and compute its rows."""
-        nonlocal out
-        started = clock()
-        weights = ledger_decrypt(arena, trace, shared.read(staged, len(blob)), cipher, p.id, context)
-        trace.decrypt_seconds = clock() - started
-        try:
-            if out is None and outputs is not None:  # the layer's first subset
-                out = arena.alloc(FLOAT_BYTES * geometry.out_elems)
-            inputs = x
-            if held is None and spilled is None:
-                # the trusted app reads public inputs straight from shared memory
-                data = shared.read(offset, FLOAT_BYTES * x.size)
-                inputs = Tensor(x.dims, np.frombuffer(data, FLOAT))
-            compute(weights.data, inputs)
-        finally:
-            arena.free(weights)
-
     try:
         for i, group in itertools.groupby(plan.partitions, key=attrgetter("layer_index")):
-            parts = list(group)
             layer, geometry = model.layers[i], model.geometry[i]
             weighted = geometry.param_shape is not None
-            outputs = out_spill = None
-            secure = parts[0].world == WORLD_SECURE
+            outputs, out_spill = [], None
             if i + 1 in plan.spill:
                 out_spill = SpilledActivations(
                     shared, b"spill" + digest + os.urandom(RUN_NONCE_BYTES) + _INDEX.pack(i + 1)
                 )
-            else:
-                outputs = []
-            for p in parts:
+            for p in group:
                 trace = PartitionTrace(partition=p)
                 traces.append(trace)
                 blob = partition_data[p.id]
-                if not secure:
-                    compute(blob, x)
+                if p.world != WORLD_SECURE:
+                    rows = partition_weights(model, i, p.start, p.end, blob) if weighted else None
+                    started = clock()
+                    outputs.append(layer_forward(model, i, x, rows, p.start))
+                    trace.kernel_seconds = clock() - started
                     continue
                 started = clock()
                 if offset is None:  # the run's first secure partition stages its public input
                     offset = shared.append(x.tobytes(), TaintTag.PUBLIC)
                 staged = shared.append_container(blob)
                 trace.stage_seconds = clock() - started
-                arena.reset_peak()
-                Session(trace).invoke(open_and_compute)
-                trace.arena_peak = arena.peak_usage
+                with Session(trace).invoke():
+                    arena.reset_peak()
+                    started = clock()
+                    raw = shared.read(staged, len(blob))
+                    weights = ledger_decrypt(arena, trace, raw, cipher, p.id, context)
+                    trace.decrypt_seconds = clock() - started
+                    if out is None and out_spill is None:  # the layer's first subset
+                        out = arena.alloc(FLOAT_BYTES * geometry.out_elems)
+                    inputs = x
+                    if held is None and spilled is None:
+                        # the trusted app reads public inputs straight from shared memory
+                        data = shared.read(offset, FLOAT_BYTES * x.size)
+                        inputs = Tensor(x.dims, np.frombuffer(data, FLOAT))
+                    rows = partition_weights(model, i, p.start, p.end, weights.data) if weighted else None
+                    started = clock()
+                    if spilled is None:
+                        result = layer_forward(model, i, inputs, rows, p.start)
+                    else:
+                        accumulator = DenseAccumulator(rows, layer, p.start, geometry.units, geometry.groups)
+                        decrypting = stream_spilled(spilled, cipher, arena, accumulator.feed, trace)
+                        result = accumulator.finish()
+                        trace.decrypt_seconds += decrypting
+                        trace.spill_chunks_read = len(spilled.chunks)
+                        started += decrypting
+                    computed = clock()
+                    trace.kernel_seconds = computed - started
+                    if out_spill is None:
+                        outputs.append(result)
+                    else:
+                        written = len(out_spill.chunks)
+                        spill_activations(result.data, cipher, arena, out_spill)
+                        trace.spill_chunks_written = len(out_spill.chunks) - written
+                        trace.spill_seconds = clock() - computed
+                    arena.free(weights)
+                    trace.arena_peak = arena.peak_usage
 
             if held is not None:
                 arena.free(held)
             held, out = out, None
-            if outputs is not None:  # the layer's rows, in plan order
+            if out_spill is None:  # the layer's rows, in plan order
                 x = outputs[0] if len(outputs) == 1 else Tensor(
                     geometry.out_dims, np.concatenate([r.data for r in outputs])
                 )
             spilled = out_spill
     finally:
-        for allocation in (held, out):
-            if allocation is not None:
+        for allocation in (held, out, weights):
+            if allocation is not None and not allocation.freed:
                 arena.free(allocation)
 
     return RunResult(Tensor(x.dims, x.data.copy()), traces, shared)
@@ -356,7 +344,7 @@ def prepare_partition_data(store: WeightStore, plan: PartitionPlan, key: bytes) 
     context = weights_context(plan_digest(plan))
     data = {}
     for p, blob in zip(plan.partitions, split_weights(store, plan)):
-        if p.encrypted:
+        if p.world == WORLD_SECURE:
             blob = encrypt_partition(blob, cipher, p.id, context)
         data[p.id] = blob
     return data

@@ -68,11 +68,6 @@ class Partition:
     world: str
     footprint_bytes: int
 
-    @property
-    def encrypted(self) -> bool:
-        """Secure partitions ship as containers, normal-world ones as plaintext."""
-        return self.world == WORLD_SECURE
-
 
 @dataclass(frozen=True)
 class SubsetParams:

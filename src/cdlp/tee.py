@@ -12,9 +12,11 @@ the package needs to reason about confidentiality and cost:
   interface; its memory is the appends, kept as written, so reading a
   whole append copies nothing, and its write log is built from them when
   it is read, so staging a container copies nothing either;
-* Session: the client's calls into the trusted application; its only
+* Session: the client's calls into the trusted application, each a
+  ``with session.invoke():`` block that the secure world runs; its only
   state is the ledger it charges two one-way switches per invocation,
-  which in a run is the trace of the partition it invokes;
+  before the block runs, which in a run is the trace of the partition it
+  invokes;
 * CostLedger / CostConstants: a partition's or a run's two counters,
   context switches and decrypted bytes, and the overhead formula
   2 * invocations * t_switch + decrypted_bytes * t_byte;
@@ -482,14 +484,20 @@ class Session:
     def __init__(self, ledger: CostLedger):
         self.ledger = ledger
 
-    def invoke(self, trusted_fn: Callable[[], object]):
-        """Run ``trusted_fn`` inside the secure world and return its result.
+    def invoke(self) -> Session:
+        """Enter the secure world for the ``with`` block this opens.
 
         Costs exactly two one-way context switches (entry and exit),
-        charged even if the function raises.
+        charged before the block runs, so also when it raises.
         """
         self.ledger.context_switches += 2
-        return trusted_fn()
+        return self
+
+    def __enter__(self) -> Session:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        pass
 
 
 def ledger_decrypt(

@@ -105,6 +105,13 @@ def test_plan_reports_the_config_byte_length(workspace, capsys):
     assert json.loads(capsys.readouterr().out)["config_bytes"] == size
     assert run_cli("plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP) == 0
     assert f"config bytes: {size}" in capsys.readouterr().out.splitlines()
+    # the bytes on disk, not the text they decode to: a CRLF line end is two bytes
+    crlf = tmp / "crlf.cfg"
+    crlf.write_bytes(canonical_config_text().replace("\n", "\r\n").encode())
+    assert run_cli("plan", "--cfg", crlf, "--scheme", "layered", "--cap", CAP, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["config_bytes"] == crlf.stat().st_size > size
+    crlf.write_bytes(canonical_config_text().encode() + b"\xff")  # not UTF-8
+    assert run_cli("plan", "--cfg", crlf, "--scheme", "layered", "--cap", CAP) == 2
 
 
 def test_plan_explicit_subset_size(workspace, capsys):

@@ -1,4 +1,5 @@
 import bisect
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -144,7 +145,7 @@ def test_normal_partitions_cost_nothing():
     result = run_plan(model, store, plan, x)
     assert result.ledger.context_switches == 2 * len(secure)
     secure_blob_bytes = sum(
-        len(b) for p, b in zip(plan.partitions, split_weights(store, plan)) if p.encrypted
+        len(b) for p, b in zip(plan.partitions, split_weights(store, plan)) if p.world == "secure"
     )
     assert result.ledger.decrypted_bytes == secure_blob_bytes
     # one trace per plan partition, in plan order; the normal-world ones record 0 and 0
@@ -225,7 +226,9 @@ def tightest_cap(plan_fn, model) -> int:
 
 def assert_peaks_match_footprints(result, plan):
     planned = {p.id: p.footprint_bytes for p in plan.secure_partitions()}
-    measured = {t.partition.id: t.arena_peak for t in result.partitions if t.partition.encrypted}
+    measured = {
+        t.partition.id: t.arena_peak for t in result.partitions if t.partition.world == "secure"
+    }
     assert measured == planned
 
 
@@ -348,7 +351,7 @@ def test_an_unsound_plan_fails_validation_before_any_switch(case, monkeypatch):
     store, x = random_weight_store(model, rng), random_tensor(rng, model.input_dims)
     data = prepare_partition_data(store, plan, KEY)
     invoked = []
-    monkeypatch.setattr(executor.Session, "invoke", lambda self, fn: invoked.append(fn))
+    monkeypatch.setattr(executor.Session, "invoke", lambda self: invoked.append(self))
     with pytest.raises(PlanError) as err:
         run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
     assert problem in str(err.value).removeprefix("invalid plan: ").split("; ")
@@ -458,7 +461,9 @@ def test_branched_plan_with_a_spilled_secure_layer():
 
     result = run_plan(model, store, plan, x)
     assert compare_runs(result.output, run_reference(model, store, x).output).bitwise_equal
-    secure_blobs = [b for p, b in zip(plan.partitions, split_weights(store, plan)) if p.encrypted]
+    secure_blobs = [
+        b for p, b in zip(plan.partitions, split_weights(store, plan)) if p.world == "secure"
+    ]
     # each of layer 4's four branches streams layer 3's 256 outputs back
     assert result.ledger.decrypted_bytes == sum(map(len, secure_blobs)) + 4 * 256 * FLOAT_BYTES
     planned = {p.id: p.footprint_bytes for p in plan.partitions}
@@ -598,7 +603,7 @@ def test_the_audit_finds_a_slice_of_each_secret_planted_in_a_run_log(scheme):
         model, store, x = random_case(101)
         plan = plan_branched(model, CAP)
     result = run_plan(model, store, plan, x)
-    blobs = [b for p, b in zip(plan.partitions, split_weights(store, plan)) if p.encrypted]
+    blobs = [b for p, b in zip(plan.partitions, split_weights(store, plan)) if p.world == "secure"]
     secrets = [s for s in blobs + spilled_secrets(model, store, plan, x) if len(s) >= 8]
     assert find_plaintext_leak(result.shared, secrets) is None
     for secret in secrets:
@@ -740,6 +745,23 @@ def test_weight_container_in_a_spill_slot_raises(monkeypatch):
     hostile_buffer(monkeypatch, weights_for_chunk)
     with pytest.raises(IntegrityError):
         run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+
+
+def test_a_run_that_fails_with_weights_open_frees_them(monkeypatch):
+    """A spill chunk that fails its tag check while the streaming partition's
+    weights and its layer's output are held leaves the arena empty."""
+    model, store, plan, (x, _) = wide_spill_case()
+    data = prepare_partition_data(store, plan, KEY)
+
+    def flip_chunk_tag(buffer, genuine):
+        # the third container read is spill chunk 0, streamed with weights 1 open
+        return tamper_tag({0: genuine}, 0)[0] if len(buffer.reads) == 3 else genuine
+
+    hostile_buffer(monkeypatch, flip_chunk_tag)
+    arena = SecureArena(CAP)
+    with pytest.raises(IntegrityError):
+        run_partitioned(model, data, plan, x, arena, KEY)
+    assert arena.current_usage == 0
 
 
 def test_containers_are_opened_as_the_objects_staged(monkeypatch):
@@ -922,6 +944,52 @@ def test_the_trace_counts_spill_chunks_and_prices_each_partition(case):
     assert sum(ledger_overhead(t) for t in traces) == pytest.approx(
         ledger_overhead(result.ledger), rel=1e-12
     )
+
+
+@pytest.mark.parametrize("case", ["layered", "spilled", "branched"])
+def test_secure_work_runs_only_inside_an_invocation(case, monkeypatch):
+    """Every container opened, spill chunk streamed or written and arena
+    allocation made happens inside an open ``with Session(trace).invoke():``
+    block, and the only kernels run outside one are the normal world's."""
+    model, store, plan, x = trace_case(case)
+    data = prepare_partition_data(store, plan, KEY)
+    inside = False
+    calls = Counter()  # (name, inside an invocation) -> calls
+
+    class Boundary(executor.Session):
+        def __enter__(self):
+            nonlocal inside
+            inside = True
+            return self
+
+        def __exit__(self, *exc_info):
+            nonlocal inside
+            inside = False
+
+    def watch(owner, name):
+        original = getattr(owner, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name, inside] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapper)
+
+    monkeypatch.setattr(executor, "Session", Boundary)
+    for name in ("ledger_decrypt", "stream_spilled", "spill_activations", "layer_forward"):
+        watch(executor, name)
+    watch(SecureArena, "alloc")
+    run_partitioned(model, data, plan, x, SecureArena(CAP), KEY)
+
+    for name in ("ledger_decrypt", "stream_spilled", "spill_activations", "alloc"):
+        assert calls[name, False] == 0, name
+    assert calls["ledger_decrypt", True] >= len(plan.secure_partitions())
+    assert (calls["stream_spilled", True] > 0) == (calls["spill_activations", True] > 0) == (
+        bool(plan.spill)
+    )
+    normal = [p for p in plan.partitions if p.world != "secure"]
+    assert calls["layer_forward", False] == len(normal)
+    assert bool(normal) == (case == "branched")
 
 
 def expected_write_log(model, plan):

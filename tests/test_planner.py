@@ -62,7 +62,7 @@ def test_footprint_monotone_in_outputs():
 def test_canonical_model_layered_gives_eleven_partitions():
     plan = plan_layered(load_canonical_model(), CAP)
     assert len(plan.partitions) == 11
-    assert all(p.world == "secure" and p.encrypted for p in plan.partitions)
+    assert all(p.world == "secure" for p in plan.partitions)
     assert validate_plan(plan, load_canonical_model(), CAP) == []
 
 
@@ -258,8 +258,7 @@ def test_branched_partition_counts():
     secures = [p for p in plan.partitions if p.world == "secure"]
     assert len(normals) == 2
     assert len(secures) == 4
-    assert not any(p.encrypted for p in normals)
-    assert all(p.encrypted for p in secures)
+    assert secures == plan.secure_partitions()
     assert validate_plan(plan, branched_model(), CAP) == []
 
 

@@ -110,7 +110,8 @@ def test_reset_peak_restarts_from_current_usage():
 
 def test_invoke_counts_two_switches():
     ledger = CostLedger()
-    Session(ledger).invoke(lambda: None)
+    with Session(ledger).invoke():
+        pass
     assert ledger.context_switches == 2
 
 
@@ -118,7 +119,8 @@ def test_eleven_invokes_give_twenty_two_switches():
     ledger = CostLedger()
     session = Session(ledger)
     for i in range(11):
-        session.invoke(lambda: None)
+        with session.invoke():
+            pass
     assert ledger.context_switches == 22
 
 
@@ -129,14 +131,17 @@ def test_eleven_invokes_give_twenty_two_switches():
 )
 def test_switches_charged_when_trusted_fn_raises(ledger):
     with pytest.raises(RuntimeError):
-        Session(ledger).invoke(lambda: (_ for _ in ()).throw(RuntimeError("boom")))
+        with Session(ledger).invoke():
+            raise RuntimeError("boom")
     assert ledger.context_switches == 2
 
 
-def test_invoke_returns_the_functions_result():
-    buf = SharedBuffer()
-    buf.append(b"hello", TaintTag.PUBLIC)
-    assert Session(CostLedger()).invoke(lambda: buf.read(0, 5)) == b"hello"
+def test_the_blocks_exception_propagates():
+    error = RuntimeError("boom")
+    with pytest.raises(RuntimeError) as raised:
+        with Session(CostLedger()).invoke():
+            raise error
+    assert raised.value is error
 
 
 # --- ledger decrypt ---

@@ -106,6 +106,7 @@ def phase_totals(workload: str) -> dict:
             sys.path.insert(0, str(path))
     import numpy as np
     from cdlp import ledger_overhead
+    from cdlp.planner import WORLD_SECURE
     from workloads import POOL_SIZE, WORKLOADS, set_up
 
     instance = set_up(WORKLOADS[workload], np.random.default_rng([SEEDS[0], 0]))
@@ -122,9 +123,9 @@ def phase_totals(workload: str) -> dict:
             phased += seconds
         sums["outside"].append(wall - phased)
         sums["infer"].append(wall)
-        secure = [t for t in result.partitions if t.partition.world == "secure"]
+        secure = [t for t in result.partitions if t.partition.world == WORLD_SECURE]
         sums["normal_kernel"].append(
-            sum(t.kernel_seconds for t in result.partitions if t.partition.world != "secure")
+            sum(t.kernel_seconds for t in result.partitions if t.partition.world != WORLD_SECURE)
         )
         for phase in SECURE_PHASES:
             sums[f"secure_{phase}"].append(sum(getattr(t, f"{phase}_seconds") for t in secure))

@@ -12,7 +12,10 @@ instance of ``perfbench/run.py --seed 1`` is set up. For each of the
 the arena peak, every partition's counters (id, layer, rows, world, planned
 footprint, arena peak, switches, decrypted bytes, spill chunks read and
 written) and the shared buffer's write log as (offset, length, tag) records,
-and it records the plan's manifest once.
+and it records the plan's manifest once. It then runs the first input once per
+secure partition with the last byte of that partition's container flipped, and
+records the exception the run raised and the arena memory still in use after
+it, so a run that fails must fail and clean up alike.
 
 It prints ``same``, or the first difference (the commit's value first), per
 workload. The exit code is 0 when every workload is the same, 1 when some
@@ -41,9 +44,9 @@ def child_dump() -> dict:
     import hashlib
 
     import numpy as np
-    from workloads import POOL_SIZE, WORKLOADS, set_up
+    from workloads import CAP, KEY, POOL_SIZE, WORKLOADS, set_up
 
-    from cdlp import render_manifest
+    from cdlp import SecureArena, render_manifest, run_partitioned
 
     dump = {}
     for name, workload in WORKLOADS.items():
@@ -73,8 +76,21 @@ def child_dump() -> dict:
                 ],
                 "writes": [[w.offset, w.length, w.tag.name] for w in result.shared.writes],
             })
+        tampered = []
+        for p in instance.plan.secure_partitions():
+            data = dict(instance.partition_data)
+            data[p.id] = data[p.id][:-1] + bytes([data[p.id][-1] ^ 1])  # the GCM tag's last byte
+            arena = SecureArena(CAP)
+            try:
+                run_partitioned(instance.model, data, instance.plan, instance.inputs[0], arena, KEY)
+                raised = None
+            except Exception as err:
+                raised = type(err).__name__
+            tampered.append(
+                {"partition": p.id, "raised": raised, "arena_usage": arena.current_usage}
+            )
         dump[name] = {"manifest": render_manifest(instance.plan).splitlines(),
-                      "inferences": inferences}
+                      "inferences": inferences, "tampered": tampered}
     return dump
 
 
