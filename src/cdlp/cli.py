@@ -28,11 +28,11 @@ import numpy as np
 from .config import parse_config
 from .errors import CdlpError, ConfigError, DimensionError, FormatError, PlanError
 from .executor import compare_runs, prepare_partition_data, run_partitioned, run_reference
-from .model import FLOAT, ModelSpec, Tensor
+from .model import FLOAT, FLOAT_BYTES, ModelSpec, Tensor
 from .planner import (
-    SCHEME_BRANCHED,
     SCHEME_LAYERED,
     SCHEME_SUBLAYER,
+    SCHEMES,
     WORLD_SECURE,
     PartitionPlan,
     parse_manifest,
@@ -64,9 +64,9 @@ def read_tensor_file(path) -> Tensor:
         raise FormatError(f"tensor file {path} has no dims header")
     dims = _TENSOR_HEADER.unpack_from(data)
     payload = data[_TENSOR_HEADER.size :]
-    if len(payload) != 4 * math.prod(dims):
+    if len(payload) != FLOAT_BYTES * math.prod(dims):
         raise FormatError(
-            f"tensor file {path}: dims {dims} need {4 * math.prod(dims)} payload bytes, "
+            f"tensor file {path}: dims {dims} need {FLOAT_BYTES * math.prod(dims)} payload bytes, "
             f"got {len(payload)}"
         )
     return Tensor(dims, np.frombuffer(payload, FLOAT))
@@ -284,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("plan", help="produce a partition plan for a model")
     p.add_argument("--cfg", required=True, help="model configuration file")
-    p.add_argument("--scheme", required=True, choices=[SCHEME_LAYERED, SCHEME_SUBLAYER, SCHEME_BRANCHED])
+    p.add_argument("--scheme", required=True, choices=SCHEMES)
     p.add_argument("--cap", required=True, type=int, help="secure memory budget in bytes")
     p.add_argument("--s", type=int, default=None, help="explicit subset size (sublayer only)")
     p.add_argument("--out", default=None, help="write the plan manifest here")

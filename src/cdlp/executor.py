@@ -239,7 +239,7 @@ def run_partitioned(
     problems = validate_plan(plan, model, arena.capacity)
     if problems:
         raise PlanError("invalid plan: " + "; ".join(problems))
-    if model.layers and input_tensor.dims != model.input_dims:
+    if input_tensor.dims != model.input_dims:
         raise DimensionError(
             f"input dims {input_tensor.dims} do not match model {model.input_dims}"
         )

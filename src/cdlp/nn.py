@@ -265,7 +265,7 @@ def reference_forward(model: ModelSpec, weights: WeightStore, x: Tensor) -> Tens
     reproduce this output bitwise.
     """
     validate_weights(model, weights)
-    if model.layers and x.dims != model.input_dims:
+    if x.dims != model.input_dims:
         raise DimensionError(f"input dims {x.dims} do not match model {model.input_dims}")
     for i in range(len(model.layers)):
         x = layer_forward(model, i, x, weights.layers[i])

@@ -20,18 +20,10 @@ the package needs to reason about confidentiality and cost:
 * CostLedger / CostConstants: a partition's or a run's two counters,
   context switches and decrypted bytes, and the overhead formula
   2 * invocations * t_switch + decrypted_bytes * t_byte;
-* find_plaintext_leak: the audit that no 8-byte slice of a secret
+* find_plaintext_leak: the exact audit that no 8-byte slice of a secret
   (plaintext weights, spilled activations) appears in a shared buffer's
-  write log, read in place from the appends. It joins the two sides on
-  5-byte probes, each the first 5 bytes of a slice, the side with more
-  bytes probed only at positions 0, 4, 8, ... and the other at every
-  position, with membership-table filters and one sort-merge; the grid
-  probe at 4 * ceil(j / 4) starts 0 to 3 bytes inside the slice at j and
-  ends within it, so the other side's copy of a shared slice holds it at
-  the same place, and none is missed.
-  The slices around the shared probes are then joined on their whole 8
-  bytes, so it is exact: no hash collision or shared probe can hide a leak
-  or report one.
+  write log, read in place from the appends; ``_shared_keys`` has the join
+  and why it misses no shared slice.
 
 The executor's per-partition trace is a ledger: each secure partition
 is charged to its own, and a run's ledger is the sum of its traces.
@@ -53,8 +45,6 @@ from cryptography.hazmat.primitives.ciphers.aead import AESGCM
 
 from . import container
 from .errors import SecureMemoryError
-
-DEFAULT_SECURE_CAPACITY = 7 * 2**20  # secure-world budget for one trusted app
 
 DEFAULT_SWITCH_SECONDS = 75.1e-6
 DEFAULT_DECRYPT_BYTE_SECONDS = 163.7e-9
@@ -112,15 +102,11 @@ class Allocation:
         self.freed = False
         self.data = b""
 
-    def __repr__(self):
-        state = "freed" if self.freed else "live"
-        return f"Allocation({self.size} bytes, {state})"
-
 
 class SecureArena:
     """Capped secure-world memory; refuses any allocation past capacity."""
 
-    def __init__(self, capacity: int = DEFAULT_SECURE_CAPACITY):
+    def __init__(self, capacity: int):
         if capacity <= 0:
             raise ValueError(f"capacity must be positive, got {capacity}")
         self.capacity = capacity
@@ -323,41 +309,31 @@ def _stepped(first: int, step: int) -> Callable[[np.ndarray], np.ndarray]:
 _Chunk = tuple[bytes, np.ndarray, Callable[[np.ndarray], np.ndarray]]
 
 
-@dataclass(frozen=True)
-class _Probes:
-    """The probes of one side's pieces: at positions 0, 4, 8, ... of each
-    piece if ``grid``, else at every position, up to n - 5. Pieces under 8
-    bytes hold no window and give none."""
-
-    pieces: list[bytes]
-    grid: bool
-
-    def __len__(self) -> int:
-        step = _STRIDE if self.grid else 1
-        # a piece that holds a window has probes at 0 .. n - 5, every 4th on the grid
-        return sum(
-            (len(data) - 5) // step + 1 for data in self.pieces if len(data) >= _KEY.itemsize
-        )
-
-    def __iter__(self) -> Iterator[_Chunk]:
-        step = _STRIDE if self.grid else 1
-        for data in self.pieces:
-            windows = _window_keys(data, step)  # the probes at the windows' starts
-            if not windows.size:
-                continue
-            for start in range(0, windows.size, _CHUNK):
-                yield data, windows[start : start + _CHUNK], _stepped(step * start, step)
-            # the side's probes past the last window's start, n - 8: all three,
-            # or on the grid the one multiple of 4 among them, if there is one
-            last = len(data) - _KEY.itemsize
-            first = step * windows.size
-            shifts = _TAIL_SHIFTS[first - last - 1 :: step]
-            if shifts.size:
-                yield data, np.ndarray((1,), _KEY, data, last) >> shifts, _stepped(first, step)
+def _probes(pieces: list[bytes], grid: bool) -> list[_Chunk]:
+    """The probes of one side's pieces, in chunks: at positions 0, 4, 8, ...
+    of each piece if ``grid``, else at every position, up to n - 5. Pieces
+    under 8 bytes hold no window and give none."""
+    step = _STRIDE if grid else 1
+    chunks = []
+    for data in pieces:
+        windows = _window_keys(data, step)  # the probes at the windows' starts
+        if not windows.size:
+            continue
+        for start in range(0, windows.size, _CHUNK):
+            chunks.append((data, windows[start : start + _CHUNK], _stepped(step * start, step)))
+        # the side's probes past the last window's start, n - 8: all three,
+        # or on the grid the one multiple of 4 among them, if there is one
+        last = len(data) - _KEY.itemsize
+        first = step * windows.size
+        shifts = _TAIL_SHIFTS[first - last - 1 :: step]
+        if shifts.size:
+            tail = np.ndarray((1,), _KEY, data, last) >> shifts
+            chunks.append((data, tail, _stepped(first, step)))
+    return chunks
 
 
 def _survivors(
-    side: Iterable[_Chunk], members: Iterable[_Chunk], multiplier: np.uint64, table: np.ndarray
+    side: list[_Chunk], members: list[_Chunk], multiplier: np.uint64, table: np.ndarray
 ) -> list[_Chunk]:
     """The probes of ``side`` whose slot some probe of ``members`` fills,
     marked in ``table``, which is cleared first."""
@@ -407,7 +383,7 @@ def _windows_around(side: list[_Chunk], probes: np.ndarray) -> Iterator[np.ndarr
             yield _window_keys(data)[np.clip(windows, 0, len(data) - _KEY.itemsize)]
 
 
-def _shared_keys(a: _Probes, b: _Probes) -> np.ndarray:
+def _shared_keys(a: list[_Chunk], b: list[_Chunk]) -> np.ndarray:
     """The distinct 8-byte keys of windows found on both sides, sorted.
 
     Why none is missed: let W = A[j : j + 8] = B[i : i + 8] with A probed on
@@ -419,11 +395,14 @@ def _shared_keys(a: _Probes, b: _Probes) -> np.ndarray:
     j in q - 3 .. q and i in (i + d) - 3 .. i + d.
 
     The filter passes run on the probes and alternate sides, the first
-    building its table from the side with fewer probes; the shared probes
-    are then found by one merge, and the windows around them are joined the
-    same way on whole 8-byte keys, so no probe decides a match.
+    building its table from the side with fewer probes. A pass's 1 MiB
+    table marks the slots of one side's probes and keeps the other side's
+    probes whose slot is marked; a shared probe marks its own slot, so no
+    pass drops it. The shared probes are then found by one merge of the
+    sorted, deduplicated survivors, and the windows around them are joined
+    the same way on whole 8-byte keys, so no hash or probe decides a match.
     """
-    if len(a) > len(b):
+    if sum(keys.size for _data, keys, _at in a) > sum(keys.size for _data, keys, _at in b):
         a, b = b, a
     table = np.empty(1 << _SLOT_BITS, np.bool_)  # one per call, cleared by each pass
     for multiplier in _PASS_MULTIPLIERS:
@@ -443,30 +422,14 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     Secrets are searched in order, each from its start; a logged slice lies
     within one write record, which is read in place, so no append is
     copied. Secrets shorter than 8 bytes cannot be detected and are skipped.
-
-    The slices that the log and the secrets share are found by a join on
-    5-byte probes (``_shared_keys``), each the first 5 bytes of a slice.
-    The side with more bytes is probed only at positions 0, 4, 8, ..., and
-    the other side at every position. No shared slice is missed: the grid
-    probe at 4 * ceil(j / 4) starts 0 to 3 bytes inside the slice at j and
-    ends within it, so the other side's copy of that slice holds the same
-    probe.
-
-    Filter passes through a 1 MiB membership table drop most probes of each
-    side: a table marks the hashed slots of one side's probes, and only the
-    other side's probes whose slot is marked go on. A shared probe marks its
-    own slot, so no pass drops it. The sorted, deduplicated survivors of
-    both sides are then merged, and the merge keeps only the probes present
-    in both. The slices around each shared probe are joined the same way on
-    their whole 8 bytes, and only if that set is not empty are the secrets
-    scanned in order for their first shared slice. Every step that decides
-    a match compares whole 8-byte keys, so the result is exact, and no
-    state is kept between calls.
+    The result is exact: the shared slices come from ``_shared_keys``, which
+    compares whole 8-byte keys and misses none, and the secrets are scanned
+    for them only if there are any. No state is kept between calls.
     """
     secrets = list(secrets)
     logged = [view for _offset, _tag, view in buffer._records()]
     log_larger = sum(map(len, logged)) > sum(map(len, secrets))
-    shared = _shared_keys(_Probes(logged, grid=log_larger), _Probes(secrets, grid=not log_larger))
+    shared = _shared_keys(_probes(logged, log_larger), _probes(secrets, not log_larger))
     if not shared.size:
         return None
     for secret in secrets:

@@ -1054,3 +1054,17 @@ def test_a_zero_layer_run_writes_nothing_to_shared_memory():
     model = ModelSpec([], (1, 2, 2))
     result = run_plan(model, WeightStore([]), plan_layered(model, CAP), Tensor((1, 2, 2), [1, 2, 3, 4]))
     assert len(result.shared) == 0 and result.shared.writes == []
+
+
+def test_a_zero_layer_model_refuses_an_input_of_other_dims():
+    """With no layer to check the input, both entry points still compare
+    its dims with the model's."""
+    from cdlp.model import WeightStore
+    from cdlp.nn import reference_forward
+
+    model = ModelSpec([], (1, 2, 2))
+    x = Tensor((7,), np.arange(7))
+    with pytest.raises(DimensionError):
+        reference_forward(model, WeightStore([]), x)
+    with pytest.raises(DimensionError):
+        run_plan(model, WeightStore([]), plan_layered(model, CAP), x)

@@ -26,6 +26,7 @@ def test_the_working_tree_runs_every_workload_the_same_twice():
         assert dump["manifest"][0].startswith("scheme ")
         assert len(dump["inferences"]) == workloads.POOL_SIZE
         assert all(run["partitions"] and run["writes"] for run in dump["inferences"])
+        assert dump["planted"] and None not in dump["planted"]
     assert tool.first_difference(first, second) is None
     assert first == second
 

@@ -610,14 +610,15 @@ def test_probes_are_each_positions_first_5_bytes(data, grid):
     grid or everywhere, up to n - 5: the last window's key shifted right
     gives those past its start, n - 7, n - 6 and n - 5."""
     positions, probes = [], []
-    for _data, keys, at in tee._Probes([data], grid):
+    chunks = tee._probes([data], grid)
+    for _data, keys, at in chunks:
         positions += at(np.arange(keys.size)).tolist()
         probes += (keys & tee._PROBE_MASK).tolist()
     step = 4 if grid else 1
     want = list(range(0, len(data) - 4, step)) if len(data) >= 8 else []
     assert positions == want
     assert probes == [int.from_bytes(data[p : p + 5], "little") for p in want]
-    assert len(tee._Probes([data], grid)) == len(want)
+    assert sum(keys.size for _data, keys, _at in chunks) == len(want)
 
 
 @pytest.mark.parametrize("alignment", range(4))

@@ -15,7 +15,11 @@ written) and the shared buffer's write log as (offset, length, tag) records,
 and it records the plan's manifest once. It then runs the first input once per
 secure partition with the last byte of that partition's container flipped, and
 records the exception the run raised and the arena memory still in use after
-it, so a run that fails must fail and clean up alike.
+it, so a run that fails must fail and clean up alike. The leak audit is
+compared too: each inference's ``find_plaintext_leak`` result on its shared
+buffer and secrets, and, for each secret of the first input, the audit of
+that secret alone once 16 bytes from its middle are appended to a fresh
+run's buffer, which must find a slice.
 
 It prints ``same``, or the first difference (the commit's value first), per
 workload. The exit code is 0 when every workload is the same, 1 when some
@@ -46,7 +50,11 @@ def child_dump() -> dict:
     import numpy as np
     from workloads import CAP, KEY, POOL_SIZE, WORKLOADS, set_up
 
-    from cdlp import SecureArena, render_manifest, run_partitioned
+    from cdlp import SecureArena, TaintTag, find_plaintext_leak, render_manifest, run_partitioned
+
+    def audit(shared, secrets) -> str | None:
+        leak = find_plaintext_leak(shared, secrets)
+        return None if leak is None else leak.hex()
 
     dump = {}
     for name, workload in WORKLOADS.items():
@@ -75,7 +83,14 @@ def child_dump() -> dict:
                     for t in result.partitions
                 ],
                 "writes": [[w.offset, w.length, w.tag.name] for w in result.shared.writes],
+                "audit": audit(result.shared, instance.secrets[index]),
             })
+        planted = []
+        for secret in instance.secrets[0]:
+            shared = instance.infer(0).shared
+            start = max(len(secret) // 2 - 8, 0)
+            shared.append(secret[start : start + 16], TaintTag.PUBLIC)
+            planted.append(audit(shared, [secret]))
         tampered = []
         for p in instance.plan.secure_partitions():
             data = dict(instance.partition_data)
@@ -90,7 +105,7 @@ def child_dump() -> dict:
                 {"partition": p.id, "raised": raised, "arena_usage": arena.current_usage}
             )
         dump[name] = {"manifest": render_manifest(instance.plan).splitlines(),
-                      "inferences": inferences, "tampered": tampered}
+                      "inferences": inferences, "tampered": tampered, "planted": planted}
     return dump
 
 
