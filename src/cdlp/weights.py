@@ -21,7 +21,7 @@ import struct
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .model import FLOAT, FLOAT_BYTES, LayerWeights, ModelSpec, WeightStore, validate_weights
+from .model import FLOAT, FLOAT_BYTES, LayerWeights, ModelSpec, WeightStore
 
 _HEADER = struct.Struct("<4I")
 HEADER_BYTES = _HEADER.size
@@ -73,9 +73,7 @@ def load_weights(data: bytes, model: ModelSpec) -> WeightStore:
         layers.append(LayerWeights(weights, biases))
     if offset != len(data):
         raise FormatError(f"{len(data) - offset} trailing bytes after the last layer")
-    store = WeightStore(layers)
-    validate_weights(model, store)
-    return store
+    return WeightStore(layers)
 
 
 def layer_blob(store: WeightStore, layer_index: int, start: int, end: int) -> bytes:

@@ -1,10 +1,13 @@
-"""Shared helpers: seeded model/weight generators for the test suite, and
-the inverses of config parsing and weight splitting that the round-trip
-tests check against."""
+"""Shared helpers: seeded model/weight generators for the test suite, the
+inverses of config parsing and weight splitting that the round-trip tests
+check against, and a loader for the tool files the tests exercise."""
 
 from __future__ import annotations
 
+import importlib.util
 import math
+import sys
+from types import ModuleType
 from typing import Mapping
 
 import numpy as np
@@ -21,6 +24,17 @@ from cdlp.model import (
 )
 from cdlp.nn import layer_forward
 from cdlp.weights import partition_weights
+
+
+def load_module(path, name: str) -> ModuleType:
+    """Load a file outside the package, such as a tool, as module ``name``.
+    The module is registered in ``sys.modules``, where dataclasses look their
+    module up by name."""
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
 
 
 def random_tensor(rng: np.random.Generator, dims) -> Tensor:

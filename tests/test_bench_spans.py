@@ -5,8 +5,6 @@ refactor renamed or stopped calling silently reads zero there. This test
 loads the file as it is and checks that every span still records work.
 """
 
-import importlib.util
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -17,7 +15,7 @@ from cdlp.nn import reference_forward
 from cdlp.planner import plan_sublayer
 from cdlp.tee import SecureArena
 
-from support import random_tensor, random_weight_store
+from support import load_module, random_tensor, random_weight_store
 
 KEY = bytes.fromhex("0f0e0d0c0b0a09080706050403020100")
 CAP = 7 * 2**20
@@ -25,11 +23,7 @@ CAP = 7 * 2**20
 
 def load_spans():
     path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
-    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
+    return load_module(path, "perfbench_spans")
 
 
 def test_every_span_target_resolves_and_records():

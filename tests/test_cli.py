@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import cdlp
 from cdlp.cli import main, read_tensor_file, write_tensor_file
 from cdlp.config import canonical_config_text, load_canonical_model
 from cdlp.container import HEADER_BYTES
@@ -241,6 +246,7 @@ NO_VALID_MODEL = {
                             "kernel_size=3\nstride=1\npadding=0\nactivation=relu\n",
     "conv-after-connected": "[connected]\noutputs=16\nactivation=relu\n[convolutional]\n"
                             "filters=2\nkernel_size=1\nstride=1\npadding=0\nactivation=relu\n",
+    "digit-separator": "[connected]\noutputs=8_4\nactivation=relu\n",
 }
 
 
@@ -278,6 +284,41 @@ def test_encrypt_rejects_a_split_maxpool_layer(workspace):
         "--key", KEY_HEX, "--out", tmp / "parts",
     )
     assert code == 3
+    assert not (tmp / "parts").exists()
+
+
+# Each an edit that leaves a manifest describing no valid plan, with the
+# reason encrypt gives: a second scheme line, an added partition that covers
+# no rows, an id used twice.
+NO_VALID_PLAN = {
+    "second-scheme-line": (lambda text: "scheme layered\n" + text, "a second scheme line"),
+    "empty-partition": (
+        lambda text: text.replace("partition 10 ", "partition 11 layer 9 range 10..10 "
+                                  "world secure bytes 1136\npartition 10 "),
+        "partition 11 covers no rows",
+    ),
+    "duplicated-id": (lambda text: text.replace("partition 10 ", "partition 0 "),
+                      "duplicate partition ids"),
+}
+
+
+@pytest.mark.parametrize("edit", sorted(NO_VALID_PLAN))
+def test_encrypt_rejects_a_manifest_that_describes_no_valid_plan(workspace, capsys, edit):
+    tmp, cfg, weights, _ = workspace
+    manifest = tmp / "plan.manifest"
+    assert run_cli("plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP, "--out", manifest) == 0
+    change, reason = NO_VALID_PLAN[edit]
+    manifest.write_text(change(manifest.read_text()))
+    capsys.readouterr()
+    code = run_cli(
+        "encrypt", "--cfg", cfg, "--weights", weights, "--plan", manifest,
+        "--key", KEY_HEX, "--out", tmp / "parts",
+    )
+    out, err = capsys.readouterr()
+    assert code == 3, err
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("planning failed: "), err
+    assert err.rstrip().endswith(reason), err
     assert not (tmp / "parts").exists()
 
 
@@ -631,3 +672,29 @@ def test_truncated_tensor_file(tmp_path, workspace):
         "run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
         "--input", path, "--cap", CAP,
     ) == 4
+
+
+def test_the_program_runs_as_a_process(workspace):
+    """``python -m cdlp.cli`` through its ``__main__`` guard: the exit codes
+    and streams a shell sees."""
+    tmp, cfg, weights, tensor = workspace
+    env = {**os.environ, "PYTHONPATH": str(Path(cdlp.__file__).resolve().parents[1])}
+
+    def cdlp_process(*argv):
+        return subprocess.run([sys.executable, "-m", "cdlp.cli", *map(str, argv)],
+                              cwd=tmp, env=env, capture_output=True, text=True)
+
+    manifest, parts = tmp / "plan.manifest", tmp / "parts"
+    assert cdlp_process("plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP,
+                        "--out", manifest).returncode == 0
+    assert cdlp_process("encrypt", "--cfg", cfg, "--weights", weights, "--plan", manifest,
+                        "--key", KEY_HEX, "--out", parts).returncode == 0
+    run = cdlp_process("run", "--cfg", cfg, "--parts", parts, "--plan", manifest,
+                       "--key", KEY_HEX, "--input", tensor, "--cap", CAP, "--oracle", weights)
+    assert run.returncode == 0, run.stderr
+    assert "equivalent to reference: true" in run.stdout.splitlines()
+
+    refused = cdlp_process("plan", "--cfg", tmp, "--scheme", "layered", "--cap", CAP)
+    assert refused.returncode == 2
+    assert refused.stdout == ""
+    assert len(refused.stderr.splitlines()) == 1 and refused.stderr.startswith("error: ")

@@ -2,24 +2,16 @@
 workloads; the working tree, dumped twice in two processes, is the same."""
 
 import copy
-import importlib.util
-import sys
 from pathlib import Path
+
+from support import load_module
 
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def load(path, name):
-    spec = importlib.util.spec_from_file_location(name, path)
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module  # dataclasses look their module up by name
-    spec.loader.exec_module(module)
-    return module
-
-
 def test_the_working_tree_runs_every_workload_the_same_twice():
-    tool = load(ROOT / "tools" / "same_runs.py", "tools_same_runs")
-    workloads = load(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
+    tool = load_module(ROOT / "tools" / "same_runs.py", "tools_same_runs")
+    workloads = load_module(ROOT / "perfbench" / "workloads.py", "perfbench_workloads")
     first, second = (tool.dump_tree(ROOT / "src") for _ in range(2))
     assert sorted(first) == sorted(workloads.WORKLOADS)
     for dump in first.values():

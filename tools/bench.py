@@ -19,7 +19,9 @@ differed from it, both null in a tree that is not a git checkout.
 
 The exit code is 0 when every run was correct, 1 when an inference in some
 run was not bitwise equal to the reference pass (the file is still written),
-and 2 when the benchmark could not run.
+and 2 when the benchmark could not run. A run whose every inference failed
+is recorded as incorrect with no metrics, and the medians are taken over
+the runs that have them.
 
 With ``--against`` an earlier BENCH file, it then prints, per workload, each
 end-to-end median's relative change from that file, and the ratio of the two
@@ -75,12 +77,16 @@ def git_state(root: Path) -> tuple[str | None, bool | None]:
 
 
 def _run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, dict | None]:
-    """One run of perfbench/run.py: its result object and, untraced, its context."""
+    """One run of perfbench/run.py: its result object and, untraced, its context.
+    A run whose every inference failed prints neither, and gives a result with
+    no metrics."""
     command = [
         sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
         "--seed", str(seed), "--seconds", str(seconds), "--trace", str(int(trace)),
     ]
     proc = subprocess.run(command, cwd=ROOT, capture_output=True, text=True)
+    if proc.returncode == 1 and proc.stderr.splitlines()[-1:] == ["every inference failed"]:
+        return {"correct": False, "metrics": {}}, None
     lines = proc.stdout.splitlines()
     if proc.returncode not in (0, 1) or not lines:
         raise BenchError(f"{' '.join(command[1:])} exited {proc.returncode}:\n{proc.stderr}")
@@ -142,36 +148,39 @@ def phase_totals(workload: str) -> dict:
 
 
 def bench_workload(workload: str, seconds: float) -> dict:
-    runs = []
+    runs, results = [], []
     for seed in SEEDS:
         result, context = _run(workload, seed, seconds, trace=False)
+        results.append(result)
         runs.append({
             "seed": seed,
             "correct": result["correct"],
-            "attempted": result["attempted"],
-            "failed": result["failed"],
+            "attempted": result.get("attempted"),
+            "failed": result.get("failed"),
             "metrics": _values(result),
             "context": context,
         })
-        print(f"{workload} seed {seed}: infer_p50_cu "
-              f"{runs[-1]['metrics']['infer_p50_cu']:.4g}", file=sys.stderr)
+        p50 = runs[-1]["metrics"].get("infer_p50_cu")
+        print(f"{workload} seed {seed}: "
+              + ("every inference failed" if p50 is None else f"infer_p50_cu {p50:.4g}"),
+              file=sys.stderr)
     traced, _ = _run(workload, SEEDS[0], seconds, trace=True)
     phases = phase_totals(workload)
     print(f"{workload} phases, ms per inference: " + ", ".join(
         f"{key[:-3]} {value:.3f}" for key, value in phases.items() if key.endswith("_ms")
     ), file=sys.stderr)
-    first = runs[0]
+    measured = [run for run in runs if run["metrics"]]
     return {
         "units": {name: metric["unit"]
-                  for name, metric in (result["metrics"] | traced["metrics"]).items()},
+                  for result in (*results, traced) for name, metric in result["metrics"].items()},
         "runs": runs,
         "median": {
-            name: statistics.median(run["metrics"][name] for run in runs)
-            for name in first["metrics"]
+            name: statistics.median(run["metrics"][name] for run in measured)
+            for name in (measured[0]["metrics"] if measured else ())
         },
         "median_context": {
-            name: statistics.median(run["context"][name] for run in runs)
-            for name in first["context"]
+            name: statistics.median(run["context"][name] for run in measured)
+            for name in (measured[0]["context"] if measured else ())
             if name.endswith("_ms")
         },
         "per_layer": {
@@ -184,26 +193,30 @@ def bench_workload(workload: str, seconds: float) -> dict:
 
 
 def compare(report: dict, baseline: dict) -> list[str]:
-    """Lines comparing ``report``'s end-to-end medians with ``baseline``'s."""
+    """Lines comparing ``report``'s end-to-end medians with ``baseline``'s;
+    a figure that either file lacks is skipped."""
     lines = []
     for name, workload in report["workloads"].items():
         old = baseline["workloads"].get(name)
         if old is None:
             lines.append(f"{name}: not in the baseline")
             continue
-        probe, old_probe = workload["median_context"]["cu_ms"], old["median_context"]["cu_ms"]
-        lines.append(f"{name}: cu_ms probe {old_probe:.4g} -> {probe:.4g} ms, "
-                     f"ratio {probe / old_probe:.3f}")
+        context = workload["median_context"]
+        probe, old_probe = context.get("cu_ms"), old["median_context"].get("cu_ms")
+        if probe and old_probe:
+            lines.append(f"{name}: cu_ms probe {old_probe:.4g} -> {probe:.4g} ms, "
+                         f"ratio {probe / old_probe:.3f}")
+        else:
+            lines.append(f"{name}: no cu_ms probe to compare")
         for metric, value in workload["median"].items():
             before = old["median"].get(metric)
             if before:
                 lines.append(f"  {metric:<20} {before:.6g} -> {value:.6g}  {value / before - 1:+.1%}")
             else:
                 lines.append(f"  {metric:<20} {before} -> {value:.6g}")
-        context = workload["median_context"]
         for name in RAW_MS:
             before = old["median_context"].get(name)
-            if before:
+            if before and name in context:
                 lines.append(f"  {name:<20} {before:.4g} -> {context[name]:.4g} ms  "
                              f"{context[name] / before - 1:+.1%}")
         for name, value in workload["phases"].items():
