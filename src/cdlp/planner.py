@@ -4,7 +4,7 @@ The three planners are calls of one loop, ``_plan``. It gives each layer
 a world, normal before the branch point and secure after it, and a
 subset size: the whole layer, one branch, a requested size, or the
 largest size that fits the budget. It prices every secure partition with
-``partition_footprint`` and rejects a fixed size that does not fit.
+``partition_footprint``; one budget check refuses any size that does not fit.
 
 A secure partition's footprint is the executor's peak arena use while it
 runs, at 4 bytes per float. ``partition_footprint`` is the one formula;
@@ -31,9 +31,8 @@ single row of the spilled layer can stream back, so a cap that plans a
 model still plans it with more budget.
 
 A weightless (maxpool or softmax) layer always runs as one partition.
-Normal-world partitions never touch the arena; they record the footprint of
-the whole layer with its input resident and no spill. Kernel scratch lies
-outside the arena and outside every footprint (see ``nn``).
+Normal-world partitions never touch the arena and record 0 footprint
+bytes. Kernel scratch lies outside the arena and every footprint (``nn``).
 """
 
 from __future__ import annotations
@@ -200,10 +199,11 @@ def _plan(
     spill: bool = False,
 ) -> PartitionPlan:
     """The one planning loop. Layers before ``secure_from`` run whole in the
-    normal world; every later layer i runs in the secure world in subsets of
-    ``size_of(i)`` rows, or of the largest size that fits ``cap`` where that
-    is None. With ``spill``, layers whose inputs cannot stay resident
-    stream them from encrypted spill."""
+    normal world, at 0 arena bytes; every later layer i runs in the secure
+    world in subsets of ``size_of(i)`` rows, or of the largest size that
+    fits ``cap`` where that is None. One budget check refuses a size of
+    either kind that does not fit. With ``spill``, layers whose inputs
+    cannot stay resident stream them from encrypted spill."""
     if cap <= 0:
         raise ValueError(f"memory budget must be positive, got {cap}")
     flags = frozenset(_spill_layers(model, cap) if spill else ())
@@ -212,8 +212,7 @@ def _plan(
     for i in range(len(model.layers)):
         units, kind = model.units(i), model.layers[i].kind
         if i < secure_from:
-            footprint_bytes = partition_footprint(model, i, units)
-            partitions.append(Partition(len(partitions), i, 0, units, WORLD_NORMAL, footprint_bytes))
+            partitions.append(Partition(len(partitions), i, 0, units, WORLD_NORMAL, 0))
             continue
 
         def footprint(rows: int, i: int = i) -> int:
@@ -230,20 +229,18 @@ def _plan(
             return max(footprint(rows), streamed)
 
         size = size_of(i)
-        if size is None:
-            if footprint(1) > cap:
-                raise PlanInfeasibleError(
-                    f"layer {i} ({kind}) needs {footprint(1)} bytes "
-                    f"for a single row, budget is {cap}"
-                )
+        chosen = size is None
+        if chosen:
             # the largest subset that fits and whose output chunks the next
             # layer can stream; both footprints grow with the rows. If even
-            # one row's chunks are too large, layer i + 1 raises.
+            # one row does not fit, the check below raises; if only its
+            # chunks are too large, layer i + 1 raises.
             size = max(1, bisect.bisect_right(range(1, units + 1), cap, key=need))
         elif not 1 <= size <= units:
             raise PlanError(f"subset size {size} outside [1, {units}] for layer {i}")
-        elif footprint(size) > cap:
-            raise LayerTooLargeError(
+        if footprint(size) > cap:
+            refusal = PlanInfeasibleError if chosen else LayerTooLargeError
+            raise refusal(
                 f"layer {i} ({kind}) in partitions of {size} of its {units} rows "
                 f"needs {footprint(size)} bytes, budget is {cap}"
             )
@@ -414,14 +411,14 @@ def _spill_layers(model: ModelSpec, cap: int) -> set[int]:
     for i in reversed(range(1, len(model.layers))):
         if not model.is_parameterized(i):
             continue
-        if partition_footprint(model, i, 1, spill) > cap:
-            if model.layers[i].kind != "connected":
-                raise PlanInfeasibleError(
-                    f"layer {i} ({model.layers[i].kind}) cannot stream its inputs "
-                    f"and does not fit {cap} bytes"
-                )
-            spill.add(i)
-        elif model.layers[i].kind == "connected" and _least_footprint(model, i - 1, spill) > cap:
+        connected = model.layers[i].kind == "connected"
+        cramped = partition_footprint(model, i, 1, spill) > cap
+        if cramped and not connected:
+            raise PlanInfeasibleError(
+                f"layer {i} ({model.layers[i].kind}) cannot stream its inputs "
+                f"and does not fit {cap} bytes"
+            )
+        if cramped or connected and _least_footprint(model, i - 1, spill) > cap:
             spill.add(i)
     return spill
 

@@ -425,6 +425,11 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     The result is exact: the shared slices come from ``_shared_keys``, which
     compares whole 8-byte keys and misses none, and the secrets are scanned
     for them only if there are any. No state is kept between calls.
+
+    The match is on bytes, not on where they came from: a secret window made
+    of a float's top byte and zero bytes also occurs in public ReLU
+    activations with zero runs. So a branched plan that spills after its
+    public normal-world hand-off is flagged although nothing leaks.
     """
     secrets = list(secrets)
     logged = [view for _offset, _tag, view in buffer._records()]

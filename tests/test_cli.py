@@ -399,8 +399,7 @@ def test_run_traces_every_partition(workspace, capsys):
     trace = payload["trace"]
     assert len(trace) == payload["partitions"] == 22
     assert [entry["id"] for entry in trace] == list(range(22))
-    secure = [entry for entry in trace if entry["world"] == "secure"]
-    assert all(entry["arena_peak_bytes"] == entry["footprint_bytes"] for entry in secure)
+    assert all(entry["arena_peak_bytes"] == entry["footprint_bytes"] for entry in trace)
     assert payload["arena_peak_bytes"] == max(entry["arena_peak_bytes"] for entry in trace) == 23_792
     assert sum(entry["decrypted_bytes"] for entry in trace) == payload["decrypted_bytes"]
 
@@ -572,6 +571,8 @@ def test_run_branched_model(tmp_path, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["equivalent"] is True
     assert payload["context_switches"] == 4  # two branches of one branched layer
+    # the normal-world prefix plans and measures 0 arena bytes
+    assert all(entry["footprint_bytes"] == entry["arena_peak_bytes"] for entry in payload["trace"])
 
 
 def test_estimate_canonical_case(capsys):

@@ -225,10 +225,8 @@ def tightest_cap(plan_fn, model) -> int:
 
 
 def assert_peaks_match_footprints(result, plan):
-    planned = {p.id: p.footprint_bytes for p in plan.secure_partitions()}
-    measured = {
-        t.partition.id: t.arena_peak for t in result.partitions if t.partition.world == "secure"
-    }
+    planned = {p.id: p.footprint_bytes for p in plan.partitions}
+    measured = {t.partition.id: t.arena_peak for t in result.partitions}
     assert measured == planned
 
 

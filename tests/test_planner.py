@@ -174,6 +174,40 @@ def test_infeasible_when_one_row_exceeds_budget():
         plan_sublayer(model, 6000)
 
 
+WIDE = ModelSpec([LayerSpec.connected(2000)], (2000, 1, 1))
+
+PLAN_REFUSALS = {
+    # the planner's own size, a single row, does not fit
+    "chosen-size": (
+        (WIDE, 6000), PlanInfeasibleError,
+        "layer 0 (connected) in partitions of 1 of its 2000 rows needs 16004 bytes, "
+        "budget is 6000",
+    ),
+    "requested-size": (
+        (WIDE, 6000, 3), LayerTooLargeError,
+        "layer 0 (connected) in partitions of 3 of its 2000 rows needs 32012 bytes, "
+        "budget is 6000",
+    ),
+    "size-above-the-rows": (
+        (WIDE, 6000, 2001), PlanError, "subset size 2001 outside [1, 2000] for layer 0",
+    ),
+    "conv-cannot-stream": (
+        (ModelSpec([LayerSpec.convolutional(1, 1)] * 2, (1, 64, 64)), 20_000),
+        PlanInfeasibleError,
+        "layer 1 (convolutional) cannot stream its inputs and does not fit 20000 bytes",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(PLAN_REFUSALS))
+def test_each_planner_refusal_has_its_class_and_message(refusal):
+    args, error, message = PLAN_REFUSALS[refusal]
+    with pytest.raises(PlanError) as raised:
+        plan_sublayer(*args)
+    assert type(raised.value) is error
+    assert str(raised.value) == message
+
+
 @given(seed=st.integers(0, 10_000))
 @settings(max_examples=40, deadline=None)
 def test_every_scheme_covers_every_layer_exactly(seed):
@@ -411,8 +445,8 @@ def _swapped(lines, a, b):
 def _branched_layer_1_in_two_worlds():
     model = branched_model()
     text = render_manifest(plan_branched(model, CAP)).replace(
-        "partition 1 layer 1 range 0..8 world normal bytes 1216",
-        "partition 1 layer 1 range 0..4 world normal bytes 1216\n"
+        "partition 1 layer 1 range 0..8 world normal bytes 0",
+        "partition 1 layer 1 range 0..4 world normal bytes 0\n"
         "partition 6 layer 1 range 4..8 world secure bytes 1216",
     )
     return model, parse_manifest(text)

@@ -26,3 +26,12 @@ def test_the_working_tree_runs_every_workload_the_same_twice():
     changed["branched"]["inferences"][3]["writes"][1][1] += 4
     found = tool.first_difference(first, changed)
     assert found.startswith(".branched.inferences[3].writes[1][1]: ")
+
+    # the same output bytes under other dims are a difference
+    for dump in first.values():
+        (dims,) = {tuple(run["output_dims"]) for run in dump["inferences"]}
+        assert dims and min(dims) > 0
+    reshaped = copy.deepcopy(second)
+    reshaped["lenet-layered"]["inferences"][0]["output_dims"].insert(0, 1)
+    found = tool.first_difference(first, reshaped)
+    assert found.startswith(".lenet-layered.inferences[0].output_dims[0]: ")

@@ -8,11 +8,12 @@ directory. Each tree then runs in its own child process, which puts that
 tree's ``src`` first on ``sys.path``, imports this checkout's
 ``perfbench/workloads.py``, and sets every workload up at seed 1, as the first
 instance of ``perfbench/run.py --seed 1`` is set up. For each of the
-``POOL_SIZE`` inferences, the child records the output's SHA-256, the ledger,
-the arena peak, every partition's counters (id, layer, rows, world, planned
-footprint, arena peak, switches, decrypted bytes, spill chunks read and
-written) and the shared buffer's write log as (offset, length, tag) records,
-and it records the plan's manifest once. It then runs the first input once per
+``POOL_SIZE`` inferences, the child records the output's dims and SHA-256
+(so equal bytes under other dims differ), the ledger, the arena peak, every
+partition's counters (id, layer, rows, world, planned footprint, arena peak,
+switches, decrypted bytes, spill chunks read and written) and the shared
+buffer's write log as (offset, length, tag) records, and it records the
+plan's manifest once. It then runs the first input once per
 secure partition with the last byte of that partition's container flipped, and
 records the exception the run raised and the arena memory still in use after
 it, so a run that fails must fail and clean up alike. The leak audit is
@@ -64,6 +65,7 @@ def child_dump() -> dict:
             result = instance.infer(index)
             ledger = result.ledger
             inferences.append({
+                "output_dims": list(result.output.dims),
                 "output_sha256": hashlib.sha256(result.output.tobytes()).hexdigest(),
                 "ledger": [ledger.context_switches, ledger.decrypted_bytes],
                 "arena_peak": result.arena_peak,
