@@ -233,12 +233,16 @@ def run_partitioned(
     next partition loads. The result traces every partition: the switches
     and the bytes it was charged, its arena peak, its spill chunks and its
     phase times. The containers must have been sealed for this plan by
-    ``prepare_partition_data``. Whether the run returns or raises, it frees
+    ``prepare_partition_data``; a map that lacks a plan id raises PlanError
+    before any world switch. Whether the run returns or raises, it frees
     all the arena memory it took.
     """
     problems = validate_plan(plan, model, arena.capacity)
     if problems:
         raise PlanError("invalid plan: " + "; ".join(problems))
+    missing = [p.id for p in plan.partitions if p.id not in partition_data]
+    if missing:
+        raise PlanError(f"no container for partitions {missing}")
     if input_tensor.dims != model.input_dims:
         raise DimensionError(
             f"input dims {input_tensor.dims} do not match model {model.input_dims}"
@@ -303,7 +307,7 @@ def run_partitioned(
                     if spilled is None:
                         result = layer_forward(model, i, inputs, rows, p.start)
                     else:
-                        accumulator = DenseAccumulator(rows, layer, p.start, geometry.units, geometry.groups)
+                        accumulator = DenseAccumulator(rows, layer, p.start, groups=geometry.groups)
                         decrypting = stream_spilled(spilled, cipher, arena, accumulator.feed, trace)
                         result = accumulator.finish()
                         trace.decrypt_seconds += decrypting

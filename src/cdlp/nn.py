@@ -109,14 +109,15 @@ class DenseAccumulator:
     """Ascending-order partial sums of a connected layer's row slice, fed
     its input in consecutive chunks.
 
-    ``rows`` holds the weights of neurons [abs_start, abs_start+len) of a layer
-    with ``total_rows`` neurons in all (default: the rows are the whole layer).
-    Their sums are one array, written in place. The absolute position only
-    matters for branched layers, where it decides which input slice each neuron
-    reads: the branch groups the rows reach are worked out once, when the
-    accumulator is made, each sums into its view of the one array, and each
-    chunk feeds only those. Any chunking of the input gives, bit for bit, the
-    same result: every neuron sees the same products in the same order.
+    ``rows`` holds the weights of neurons [abs_start, abs_start+len), a slice
+    of the layer ``spec``, which has ``spec.outputs`` neurons in all; a slice
+    that reaches past them raises RangeError. Their sums are one array,
+    written in place. The absolute position only matters for branched
+    layers, where it decides which input slice each neuron reads: the branch
+    groups the rows reach are worked out once, when the accumulator is made,
+    each sums into its view of the one array, and each chunk feeds only
+    those. Any chunking of the input gives, bit for bit, the same result:
+    every neuron sees the same products in the same order.
     """
 
     def __init__(
@@ -124,20 +125,17 @@ class DenseAccumulator:
         rows: LayerWeights,
         spec: LayerSpec,
         abs_start: int = 0,
-        total_rows: int | None = None,
+        *,
         groups: int = 1,
     ):
         if spec.kind != "connected":
             raise DimensionError(f"connected kernel got a {spec.kind} layer")
         count, cols = rows.weights.shape
-        if total_rows is None:
-            total_rows = count
-        if abs_start < 0 or abs_start + count > total_rows:
-            raise RangeError(
-                f"subset [{abs_start}, {abs_start + count}) outside {total_rows} neurons"
-            )
-        if total_rows % groups:
-            raise DimensionError(f"{total_rows} neurons not divisible into {groups} groups")
+        neurons = spec.outputs
+        if abs_start < 0 or abs_start + count > neurons:
+            raise RangeError(f"subset [{abs_start}, {abs_start + count}) outside {neurons} neurons")
+        if neurons % groups:
+            raise DimensionError(f"{neurons} neurons not divisible into {groups} groups")
         self._biases = rows.biases
         self._activation = spec.activation
         self._next = 0
@@ -147,7 +145,7 @@ class DenseAccumulator:
         # each branch group the rows reach, in order: (first input, weights, view of the sums)
         self._groups = []
         if count:
-            per_group = total_rows // groups
+            per_group = neurons // groups
             end = abs_start + count
             for g in range(abs_start // per_group, -(-end // per_group)):
                 lo = max(abs_start, g * per_group) - abs_start
@@ -182,12 +180,12 @@ def connected_forward_rows(
     rows: LayerWeights,
     spec: LayerSpec,
     abs_start: int = 0,
-    total_rows: int | None = None,
+    *,
     groups: int = 1,
 ) -> Tensor:
     """Connected-layer outputs for an already-sliced row range: the whole
     input fed to one DenseAccumulator (same arguments) at once."""
-    accumulator = DenseAccumulator(rows, spec, abs_start, total_rows, groups)
+    accumulator = DenseAccumulator(rows, spec, abs_start, groups=groups)
     accumulator.feed(x.data, 0)
     return accumulator.finish()
 
@@ -248,8 +246,8 @@ def layer_forward(
     runs whole."""
     layer = model.layers[layer_index]
     if layer.kind == "connected":
-        geometry = model.geometry[layer_index]
-        return connected_forward_rows(x, rows, layer, start, geometry.units, geometry.groups)
+        groups = model.geometry[layer_index].groups
+        return connected_forward_rows(x, rows, layer, start, groups=groups)
     if layer.kind == "convolutional":
         return conv_forward_subset(x, rows, layer)
     if layer.kind == "maxpool":

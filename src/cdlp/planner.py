@@ -8,7 +8,10 @@ largest size that fits the budget. It prices every secure partition with
 
 A secure partition's footprint is the executor's peak arena use while it
 runs, at 4 bytes per float. ``partition_footprint`` is the one formula;
-the planning loop and ``validate_plan`` use it. The executor holds at once:
+the planning loop and ``validate_plan`` use it. It learns where the
+layer's input comes from through one argument, the ``producer``: None
+for a public input, else the row count of the secure producer's widest
+partition. The executor holds at once:
 
 * input: the layer's whole input, if it is resident in the arena. A
   public input costs nothing: the model input, or a normal-world layer's
@@ -108,27 +111,21 @@ class PartitionPlan:
 
 
 def partition_footprint(
-    model: ModelSpec,
-    layer_index: int,
-    rows: int,
-    spill: AbstractSet[int] = frozenset(),
-    public_input: bool = False,
-    producer_rows: int | None = None,
+    model: ModelSpec, layer_index: int, rows: int, spill: AbstractSet[int], producer: int | None
 ) -> int:
     """Peak arena bytes of a secure partition running ``rows`` rows of the
     layer under the ``spill`` flags: input, output, weights and chunk, as
-    the module docstring lists them. ``producer_rows`` is the row count of
-    the previous layer's largest partition, which sizes a streamed chunk;
-    None means the whole previous layer."""
+    the module docstring lists them. ``producer`` is where the layer's input
+    comes from: None for a public input, else the row count of the secure
+    producer's widest partition, which makes the input resident, or, if the
+    layer is spilled, sizes a streamed chunk."""
     g = model.geometry[layer_index]
     floats = rows * (g.param_shape[1] + 1) if g.param_shape else 0
     chunk = 0
     if layer_index in spill:
-        streamed = g.in_elems
-        if producer_rows is not None:
-            streamed = producer_rows * model.geometry[layer_index - 1].out_per_unit
+        streamed = producer * model.geometry[layer_index - 1].out_per_unit
         chunk = min(SPILL_CHUNK_BYTES, FLOAT_BYTES * streamed)
-    elif not public_input:
+    elif producer is not None:
         floats += g.in_elems
     if layer_index + 1 in spill:
         produced = FLOAT_BYTES * rows * g.out_per_unit
@@ -208,7 +205,7 @@ def _plan(
         raise ValueError(f"memory budget must be positive, got {cap}")
     flags = frozenset(_spill_layers(model, cap) if spill else ())
     partitions: list[Partition] = []
-    producer_rows = None  # the previous secure layer's subset size
+    producer = None  # the last secure layer's subset size, its widest; None before one ran
     for i in range(len(model.layers)):
         units, kind = model.units(i), model.layers[i].kind
         if i < secure_from:
@@ -216,16 +213,14 @@ def _plan(
             continue
 
         def footprint(rows: int, i: int = i) -> int:
-            return partition_footprint(
-                model, i, rows, flags, public_input=i == secure_from, producer_rows=producer_rows
-            )
+            return partition_footprint(model, i, rows, flags, producer)
 
         def need(rows: int, i: int = i) -> int:
             """The footprint of ``rows`` rows and, if layer i + 1 streams
             their output, that of its single-row partition, if larger."""
             if i + 1 not in flags:
                 return footprint(rows)
-            streamed = partition_footprint(model, i + 1, 1, flags, producer_rows=rows)
+            streamed = partition_footprint(model, i + 1, 1, flags, rows)
             return max(footprint(rows), streamed)
 
         size = size_of(i)
@@ -249,7 +244,7 @@ def _plan(
             partitions.append(
                 Partition(len(partitions), i, start, end, WORLD_SECURE, footprint(end - start))
             )
-        producer_rows = size
+        producer = size
     return PartitionPlan(scheme, partitions, flags)
 
 
@@ -258,8 +253,9 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
 
     One pass over the partitions checks each on its own and groups them by
     layer; one pass over the layers then checks coverage and footprints,
-    carrying what a layer's footprint needs of its producer (whether it ran
-    in the secure world, and its widest partition) from the layer before.
+    carrying the ``producer`` a layer's footprint is priced with from the
+    layer before: None after a public input, else the producer's widest
+    partition, or its whole output if no partition covers it.
     """
     problems: list[str] = []
     if plan.scheme not in SCHEMES:
@@ -309,15 +305,14 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
         if len(problems) == before:
             spill.add(j)
 
-    public_input, producer_rows = True, None  # the model input is public
+    producer = None  # the model input is public
     for i, parts in enumerate(by_layer):
+        units = model.units(i)
         if not parts:
             problems.append(f"layer {i} is not covered by any partition")
-            public_input, producer_rows = False, None
+            producer = units
             continue
-        units = model.units(i)
-        cursor, widest = 0, parts[0].end - parts[0].start
-        worlds = set()
+        cursor = 0
         for p in parts:  # plan order within the layer
             start, end = p.start, p.end
             if start != cursor:
@@ -330,23 +325,21 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
             elif start == end:
                 problems.append(f"partition {p.id} covers no rows")
             elif p.world == WORLD_SECURE:
-                need = partition_footprint(model, i, end - start, spill, public_input, producer_rows)
+                need = partition_footprint(model, i, end - start, spill, producer)
                 if p.footprint_bytes < need:
                     problems.append(
                         f"partition {p.id} records {p.footprint_bytes} bytes but needs {need}"
                     )
             if end > cursor:
                 cursor = end
-            if end - start > widest:
-                widest = end - start
-            worlds.add(p.world)
+        worlds = {p.world for p in parts}
         if cursor != units:
             problems.append(f"layer {i} covered up to row {cursor} of {units}")
         if len(worlds) > 1:
             problems.append(f"layer {i} mixes worlds {sorted(worlds)}")
         if len(parts) > 1 and not model.is_parameterized(i):
             problems.append(f"{model.layers[i].kind} layer {i} cannot be split")
-        public_input, producer_rows = worlds != {WORLD_SECURE}, widest
+        producer = max(p.end - p.start for p in parts) if worlds == {WORLD_SECURE} else None
 
     return problems
 
@@ -405,30 +398,30 @@ def _spill_layers(model: ModelSpec, cap: int) -> set[int]:
     """Layers whose inputs will stream from encrypted spill: those whose
     input cannot stay resident next to even a single-row subset, and those
     whose producer cannot hold them next to even its own smallest
-    partition. Decided from the last layer back, because spilling layer
+    partition. That partition is one row (a weightless layer runs whole),
+    its input streamed if it can be, in chunks of one row of its own
+    producer. Decided from the last layer back, because spilling layer
     i + 1 frees layer i's output."""
+
+    def least(j: int) -> int:  # the rows of layer j's smallest partition
+        return 1 if model.is_parameterized(j) else model.units(j)
+
     spill: set[int] = set()
     for i in reversed(range(1, len(model.layers))):
         if not model.is_parameterized(i):
             continue
         connected = model.layers[i].kind == "connected"
-        cramped = partition_footprint(model, i, 1, spill) > cap
+        cramped = partition_footprint(model, i, 1, spill, least(i - 1)) > cap
         if cramped and not connected:
             raise PlanInfeasibleError(
                 f"layer {i} ({model.layers[i].kind}) cannot stream its inputs "
                 f"and does not fit {cap} bytes"
             )
-        if cramped or connected and _least_footprint(model, i - 1, spill) > cap:
+        j = i - 1  # the producer
+        streams = {j} if j > 0 and model.layers[j].kind == "connected" else set()
+        producer = least(j - 1) if j > 0 else None
+        if cramped or connected and partition_footprint(
+            model, j, least(j), spill | streams, producer
+        ) > cap:
             spill.add(i)
     return spill
-
-
-def _least_footprint(model: ModelSpec, i: int, spill: AbstractSet[int]) -> int:
-    """Layer i's smallest footprint under the later layers' spill flags: one
-    row (a weightless layer runs whole), its input streamed if it can be,
-    in chunks of one row of its own producer."""
-    rows = model.units(i) if not model.is_parameterized(i) else 1
-    if i == 0 or model.layers[i].kind != "connected":
-        return partition_footprint(model, i, rows, spill, public_input=i == 0)
-    producer_rows = 1 if model.is_parameterized(i - 1) else None
-    return partition_footprint(model, i, rows, spill | {i}, producer_rows=producer_rows)

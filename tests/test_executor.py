@@ -356,6 +356,22 @@ def test_an_unsound_plan_fails_validation_before_any_switch(case, monkeypatch):
     assert invoked == []
 
 
+def test_a_missing_container_fails_before_any_switch(monkeypatch):
+    """A partition map that lacks plan ids is refused, naming them, before
+    the first secure partition runs."""
+    model, store, x = canonical_case()
+    plan = plan_layered(model, CAP)
+    data = prepare_partition_data(store, plan, KEY)
+    del data[5]
+    invoked, invoke = [], executor.Session.invoke
+    monkeypatch.setattr(executor.Session, "invoke", lambda self: invoked.append(self) or invoke(self))
+    arena = SecureArena(CAP)
+    with pytest.raises(PlanError, match=r"^no container for partitions \[5\]$"):
+        run_partitioned(model, data, plan, x, arena, KEY)
+    assert invoked == []
+    assert arena.current_usage == 0
+
+
 @pytest.mark.parametrize(
     "case",
     ["normal after secure", "spill into layer 0", "spill past the last layer", "public producer"],
@@ -803,7 +819,7 @@ def test_partitions_0_and_65536_open_only_in_their_own_slots():
     whose headers both hold 0 (the index mod 2^16), are told apart by the
     full index under the tag."""
     model = ModelSpec([LayerSpec.connected(65_540, "relu")], (1, 1, 1))
-    plan = plan_sublayer(model, partition_footprint(model, 0, 1))
+    plan = plan_sublayer(model, partition_footprint(model, 0, 1, frozenset(), None))
     assert len(plan.partitions) == 65_540
     store = random_weight_store(model, np.random.default_rng(30))
     data = prepare_partition_data(store, plan, KEY)

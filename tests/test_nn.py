@@ -143,7 +143,7 @@ def test_subset_full_range_equals_whole():
     w = LayerWeights(rng.standard_normal((5, 6)).astype(f32), rng.standard_normal(5).astype(f32))
     x = random_tensor(rng, (6,))
     assert bitwise_equal(
-        connected_forward_rows(x, rows_of(w, 0, 5), spec, 0, 5), connected_forward_rows(x, w, spec)
+        connected_forward_rows(x, rows_of(w, 0, 5), spec, 0), connected_forward_rows(x, w, spec)
     )
 
 
@@ -152,8 +152,8 @@ def test_subset_halves_concatenate_to_whole():
     spec = LayerSpec.connected(4, "linear")
     w = LayerWeights(rng.standard_normal((4, 5)).astype(f32), rng.standard_normal(4).astype(f32))
     x = random_tensor(rng, (5,))
-    lo = connected_forward_rows(x, rows_of(w, 0, 2), spec, 0, 4)
-    hi = connected_forward_rows(x, rows_of(w, 2, 2), spec, 2, 4)
+    lo = connected_forward_rows(x, rows_of(w, 0, 2), spec, 0)
+    hi = connected_forward_rows(x, rows_of(w, 2, 2), spec, 2)
     whole = connected_forward_rows(x, w, spec)
     assert np.concatenate([lo.data, hi.data]).tobytes() == whole.data.tobytes()
 
@@ -161,7 +161,7 @@ def test_subset_halves_concatenate_to_whole():
 def test_subset_empty_is_allowed():
     spec = LayerSpec.connected(3, "linear")
     w = LayerWeights(np.zeros((3, 2), f32), np.zeros(3, f32))
-    out = connected_forward_rows(Tensor((2,), [1, 2]), rows_of(w, 1, 0), spec, 1, 3)
+    out = connected_forward_rows(Tensor((2,), [1, 2]), rows_of(w, 1, 0), spec, 1)
     assert out.size == 0
 
 
@@ -169,7 +169,18 @@ def test_subset_out_of_range():
     spec = LayerSpec.connected(3, "linear")
     w = LayerWeights(np.zeros((3, 2), f32), np.zeros(3, f32))
     with pytest.raises(RangeError):
-        connected_forward_rows(Tensor((2,), [1, 2]), rows_of(w, 0, 2), spec, 2, 3)
+        connected_forward_rows(Tensor((2,), [1, 2]), rows_of(w, 0, 2), spec, 2)
+
+
+def test_weight_rows_past_the_layer_are_out_of_range():
+    """The kernel reads the layer's size from its spec: three weight rows
+    reach past a two-neuron layer."""
+    spec = LayerSpec.connected(2, "linear")
+    w = LayerWeights(np.zeros((3, 2), f32), np.zeros(3, f32))
+    with pytest.raises(RangeError, match=r"subset \[0, 3\) outside 2 neurons"):
+        connected_forward_rows(Tensor((2,), [1, 2]), w, spec)
+    with pytest.raises(RangeError, match=r"subset \[1, 3\) outside 2 neurons"):
+        DenseAccumulator(rows_of(w, 0, 2), spec, 1)
 
 
 @given(
@@ -189,7 +200,7 @@ def test_subset_decomposition_property(seed, n_in, n_out, data):
     w = LayerWeights(rng.standard_normal((n_out, n_in)).astype(f32), rng.standard_normal(n_out).astype(f32))
     x = random_tensor(rng, (n_in,))
     pieces = [
-        connected_forward_rows(x, rows_of(w, a, b - a), spec, a, n_out).data
+        connected_forward_rows(x, rows_of(w, a, b - a), spec, a).data
         for a, b in zip(bounds, bounds[1:])
     ]
     assert np.concatenate(pieces).tobytes() == connected_forward_rows(x, w, spec).data.tobytes()
@@ -200,11 +211,11 @@ def test_streaming_accumulator_matches_resident():
     spec = LayerSpec.connected(6, "relu")
     w = LayerWeights(rng.standard_normal((6, 11)).astype(f32), rng.standard_normal(6).astype(f32))
     x = random_tensor(rng, (11,))
-    acc = DenseAccumulator(rows_of(w, 1, 4), spec, 1, 6)
+    acc = DenseAccumulator(rows_of(w, 1, 4), spec, 1)
     acc.feed(x.data[0:5], 0)
     acc.feed(x.data[5:9], 5)
     acc.feed(x.data[9:11], 9)
-    assert bitwise_equal(acc.finish(), connected_forward_rows(x, rows_of(w, 1, 4), spec, 1, 6))
+    assert bitwise_equal(acc.finish(), connected_forward_rows(x, rows_of(w, 1, 4), spec, 1))
 
 
 def test_streaming_accumulator_rejects_gaps():
@@ -221,7 +232,7 @@ def test_branched_layer_streaming_matches_resident():
     w = LayerWeights(rng.standard_normal((8, 3)).astype(f32), rng.standard_normal(8).astype(f32))
     x = random_tensor(rng, (6,))  # 2 groups of 3 inputs
     whole = connected_forward_rows(x, w, spec, groups=2)
-    acc = DenseAccumulator(rows_of(w, 2, 5), spec, 2, 8, groups=2)  # subset spans both groups
+    acc = DenseAccumulator(rows_of(w, 2, 5), spec, 2, groups=2)  # subset spans both groups
     acc.feed(x.data[0:4], 0)
     acc.feed(x.data[4:6], 4)
     assert acc.finish().data.tobytes() == whole.data[2:7].tobytes()
@@ -235,9 +246,9 @@ def test_single_neuron_subset_matches_oracle():
     b = rng.standard_normal(3).astype(f32)
     x = rng.standard_normal(500).astype(f32)
     expect = dense_oracle(x, w, b, "linear")
-    got = connected_forward_rows(Tensor((500,), x), rows_of(LayerWeights(w, b), 1, 1), spec, 1, 3)
+    got = connected_forward_rows(Tensor((500,), x), rows_of(LayerWeights(w, b), 1, 1), spec, 1)
     assert got.data.tobytes() == expect[1:2].tobytes()
-    acc = DenseAccumulator(rows_of(LayerWeights(w, b), 2, 1), spec, 2, 3)
+    acc = DenseAccumulator(rows_of(LayerWeights(w, b), 2, 1), spec, 2)
     acc.feed(x[:333], 0)
     acc.feed(x[333:], 333)
     assert acc.finish().data.tobytes() == expect[2:3].tobytes()
@@ -246,7 +257,7 @@ def test_single_neuron_subset_matches_oracle():
 def test_empty_subsets_yield_empty_outputs():
     spec = LayerSpec.connected(3, "relu")
     w = LayerWeights(np.ones((3, 4), f32), np.ones(3, f32))
-    acc = DenseAccumulator(rows_of(w, 3, 0), spec, 3, 3)
+    acc = DenseAccumulator(rows_of(w, 3, 0), spec, 3)
     acc.feed(np.ones(4, f32), 0)
     assert acc.finish().size == 0
     conv = LayerSpec.convolutional(2, 3, 1, 1, "relu")
@@ -279,9 +290,9 @@ def test_group_count_must_divide_the_layer():
     spec = LayerSpec.connected(3, "linear")
     w = LayerWeights(np.ones((3, 2), f32), np.zeros(3, f32))
     with pytest.raises(DimensionError):
-        DenseAccumulator(w, spec, 0, 3, groups=2)
+        DenseAccumulator(w, spec, 0, groups=2)
     with pytest.raises(DimensionError):
-        connected_forward_rows(Tensor((4,), np.ones(4, f32)), w, spec, 0, 3, groups=2)
+        connected_forward_rows(Tensor((4,), np.ones(4, f32)), w, spec, 0, groups=2)
 
 
 @given(
@@ -302,7 +313,7 @@ def test_grouped_streaming_chunks_match_oracle(seed, groups, cols, data):
     w = rng.standard_normal((total, cols)).astype(f32)
     b = rng.standard_normal(total).astype(f32)
     x = rng.standard_normal(cols * groups).astype(f32)
-    acc = DenseAccumulator(rows_of(LayerWeights(w, b), start, count), spec, start, total, groups)
+    acc = DenseAccumulator(rows_of(LayerWeights(w, b), start, count), spec, start, groups=groups)
     base = 0
     while base < x.size:
         step = data.draw(st.integers(1, x.size - base))
@@ -344,7 +355,7 @@ def long_rows_case():
 def test_long_rows_match_oracle(start, count):
     w, x, expect = long_rows_case()
     spec = LayerSpec.connected(256, "relu")
-    got = connected_forward_rows(Tensor((2048,), x), rows_of(w, start, count), spec, start, 256)
+    got = connected_forward_rows(Tensor((2048,), x), rows_of(w, start, count), spec, start)
     assert got.data.tobytes() == expect[start : start + count].tobytes()
 
 
@@ -353,7 +364,7 @@ def test_long_rows_streamed_across_tile_and_block_edges():
     spec = LayerSpec.connected(256, "relu")
     start, count = 31, 130
     block = nn._BLOCK_FLOATS // count - 1
-    acc = DenseAccumulator(rows_of(w, start, count), spec, start, 256)
+    acc = DenseAccumulator(rows_of(w, start, count), spec, start)
     # chunks of 1 value, cut one before and one after block edges, and a tail
     cuts = [0, 1, block - 1, block + 1, 2 * block + 1, 1500, 2047, 2048]
     for lo, hi in zip(cuts, cuts[1:]):
@@ -374,7 +385,7 @@ def test_grouped_long_rows_match_oracle():
     whole = connected_forward_rows(Tensor((x.size,), x), rows, spec, groups=groups)
     assert whole.data.tobytes() == expect.tobytes()
     # rows 25..64 span both groups; chunks straddle the group edge at 1100
-    acc = DenseAccumulator(rows_of(rows, 25, 40), spec, 25, total, groups)
+    acc = DenseAccumulator(rows_of(rows, 25, 40), spec, 25, groups=groups)
     for lo, hi in zip([0, 700, 1101, 1600], [700, 1101, 1600, 2200]):
         acc.feed(x[lo:hi], lo)
     assert acc.finish().data.tobytes() == expect[25:65].tobytes()
@@ -486,7 +497,7 @@ def test_nan_weight_and_input_give_the_whole_layer_bits_in_pieces():
     x.data[29] = nan_input
     whole = connected_forward_rows(x, w, spec).data
     assert np.isnan(whole).all()
-    pieces = [connected_forward_rows(x, rows_of(w, lo, n), spec, lo, 6).data
+    pieces = [connected_forward_rows(x, rows_of(w, lo, n), spec, lo).data
               for lo, n in ((0, 1), (1, 3), (4, 2))]
     assert np.concatenate(pieces).tobytes() == whole.tobytes()
     acc = DenseAccumulator(w, spec)

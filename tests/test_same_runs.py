@@ -35,3 +35,14 @@ def test_the_working_tree_runs_every_workload_the_same_twice():
     reshaped["lenet-layered"]["inferences"][0]["output_dims"].insert(0, 1)
     found = tool.first_difference(first, reshaped)
     assert found.startswith(".lenet-layered.inferences[0].output_dims[0]: ")
+
+    # each workload's plans at every cap and scheme: a manifest or a planner refusal
+    refusals = ("PlanError: ", "PlanInfeasibleError: ", "LayerTooLargeError: ")
+    for dump in first.values():
+        assert len(dump["plans"]) == 3 * tool.PLAN_CAPS == 363
+        for entry in dump["plans"].values():
+            assert entry[0].startswith("scheme ") if isinstance(entry, list) else entry.startswith(refusals)
+    replanned = copy.deepcopy(second)
+    replanned["spill-stream"]["plans"]["plan_sublayer 65536"][-1] += "0"
+    found = tool.first_difference(first, replanned)
+    assert found.startswith(".spill-stream.plans.plan_sublayer 65536[")

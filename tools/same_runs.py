@@ -20,7 +20,11 @@ it, so a run that fails must fail and clean up alike. The leak audit is
 compared too: each inference's ``find_plaintext_leak`` result on its shared
 buffer and secrets, and, for each secret of the first input, the audit of
 that secret alone once 16 bytes from its middle are appended to a fresh
-run's buffer, which must find a slice.
+run's buffer, which must find a slice. Plans are compared beyond the workload's
+own: at each of ``PLAN_CAPS`` caps, eight steps per octave from 2^8 to 2^23
+bytes, the child records the manifest that ``plan_layered``,
+``plan_sublayer`` and ``plan_branched`` make of the workload's model, or the
+refusal each raises as ``ExceptionClass: message``.
 
 It prints ``same``, or the first difference (the commit's value first), per
 workload. The exit code is 0 when every workload is the same, 1 when some
@@ -37,6 +41,7 @@ import tempfile
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PLAN_CAPS = 121  # round(2 ** (8 + k / 8)) bytes for k below this
 
 
 class TreeError(Exception):
@@ -44,14 +49,15 @@ class TreeError(Exception):
 
 
 def child_dump() -> dict:
-    """Every workload's manifest and inference records, from the ``cdlp``
-    first on ``sys.path``; runs in the child process."""
+    """Every workload's manifest, inference records and plans over the caps,
+    from the ``cdlp`` first on ``sys.path``; runs in the child process."""
     import hashlib
 
     import numpy as np
     from workloads import CAP, KEY, POOL_SIZE, WORKLOADS, set_up
 
-    from cdlp import SecureArena, TaintTag, find_plaintext_leak, render_manifest, run_partitioned
+    from cdlp import (SecureArena, TaintTag, find_plaintext_leak, plan_branched, plan_layered,
+                      plan_sublayer, render_manifest, run_partitioned)
 
     def audit(shared, secrets) -> str | None:
         leak = find_plaintext_leak(shared, secrets)
@@ -106,8 +112,18 @@ def child_dump() -> dict:
             tampered.append(
                 {"partition": p.id, "raised": raised, "arena_usage": arena.current_usage}
             )
+        plans = {}
+        for step in range(PLAN_CAPS):
+            cap = round(2 ** (8 + step / 8))
+            for planner in (plan_layered, plan_sublayer, plan_branched):
+                try:
+                    entry = render_manifest(planner(instance.model, cap)).splitlines()
+                except Exception as err:
+                    entry = f"{type(err).__name__}: {err}"
+                plans[f"{planner.__name__} {cap}"] = entry
         dump[name] = {"manifest": render_manifest(instance.plan).splitlines(),
-                      "inferences": inferences, "tampered": tampered, "planted": planted}
+                      "inferences": inferences, "tampered": tampered, "planted": planted,
+                      "plans": plans}
     return dump
 
 
