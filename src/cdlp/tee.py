@@ -23,7 +23,10 @@ the package needs to reason about confidentiality and cost:
 * find_plaintext_leak: the exact audit that no 8-byte slice of a secret
   (plaintext weights, spilled activations) appears in a shared buffer's
   write log, read in place from the appends; ``_shared_keys`` has the join
-  and why it misses no shared slice.
+  and why it misses no shared slice. A bounded memo, keyed on an append's
+  bytes, whether it is a container and the secrets, keeps each append's
+  shared keys, so an append is joined once per secret set; it holds
+  references to the appends and secrets it keys on.
 
 The executor's per-partition trace is a ledger: each secure partition
 is charged to its own, and a run's ledger is the sum of its traces.
@@ -36,6 +39,7 @@ from __future__ import annotations
 
 import bisect
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Iterable, Iterator
@@ -206,10 +210,11 @@ class SharedBuffer:
         """Append an encrypted container as one piece of memory and return its offset."""
         return self._store(bytes(data), None)
 
-    def _records(self) -> Iterator[tuple[int, TaintTag, memoryview]]:
-        """The write log's records, in order, as (offset, tag, data), each
-        ``data`` a read-only view of its append: one record per append, or
-        two for a container.
+    def _appends(self) -> Iterator[tuple[bytes, bool, list[tuple[int, TaintTag, memoryview]]]]:
+        """Each append as (data, is_container, records): the bytes appended,
+        whether they are a container, and the write log's records of them,
+        in order, as (offset, tag, view), each view a read-only view of the
+        append: one record, or two for a container.
 
         A container's header is public metadata and is logged as its own
         PUBLIC write, the ciphertext and tag as one CIPHERTEXT write, so no
@@ -220,11 +225,12 @@ class SharedBuffer:
         for data, offset, tag in zip(self._pieces, self._starts, self._tags):
             view = memoryview(data)
             if tag is not None:
-                yield offset, tag, view
+                yield data, False, [(offset, tag, view)]
                 continue
             header = view[: container.HEADER_BYTES]
-            yield offset, TaintTag.PUBLIC, header
-            yield offset + len(header), TaintTag.CIPHERTEXT, view[container.HEADER_BYTES :]
+            body = view[container.HEADER_BYTES :]
+            yield data, True, [(offset, TaintTag.PUBLIC, header),
+                               (offset + len(header), TaintTag.CIPHERTEXT, body)]
 
     @property
     def writes(self) -> list[WriteRecord]:
@@ -232,7 +238,8 @@ class SharedBuffer:
         and a CIPHERTEXT body per container, each holding a copy of its bytes."""
         return [
             WriteRecord(offset, len(view), tag, view.tobytes())
-            for offset, tag, view in self._records()
+            for _data, _is_container, records in self._appends()
+            for offset, tag, view in records
         ]
 
     def read(self, offset: int, length: int) -> bytes:
@@ -415,6 +422,13 @@ def _shared_keys(a: list[_Chunk], b: list[_Chunk]) -> np.ndarray:
     return _in_both(_windows_around(a, probes), _windows_around(b, probes))
 
 
+# The audit's memo: (append, is_container, secrets) -> the sorted distinct
+# keys the append's records share with the secrets, least recently used first.
+# Keys compare by content, so a hit is what a fresh join would return.
+_AUDITED_ENTRIES = 256
+_audited: OrderedDict[tuple[bytes, bool, tuple[bytes, ...]], np.ndarray] = OrderedDict()
+
+
 def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes | None:
     """Return the first 8-byte slice of any secret found in ``buffer``'s
     write log, or None if nothing leaked.
@@ -424,17 +438,44 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     copied. Secrets shorter than 8 bytes cannot be detected and are skipped.
     The result is exact: the shared slices come from ``_shared_keys``, which
     compares whole 8-byte keys and misses none, and the secrets are scanned
-    for them only if there are any. No state is kept between calls.
+    for them only if there are any.
+
+    Each append's shared keys are memoized, keyed on the append's bytes,
+    whether it is a container (its records differ: a window across the
+    header's end is not a logged slice) and the secrets as a tuple of bytes,
+    so a later audit joins only the appends it has not seen with those
+    secrets, in one ``_shared_keys`` call. The memo keeps the
+    ``_AUDITED_ENTRIES`` most recently used entries, and with them references
+    to the appends and secrets they key on.
 
     The match is on bytes, not on where they came from: a secret window made
     of a float's top byte and zero bytes also occurs in public ReLU
     activations with zero runs. So a branched plan that spills after its
     public normal-world hand-off is flagged although nothing leaks.
     """
-    secrets = list(secrets)
-    logged = [view for _offset, _tag, view in buffer._records()]
-    log_larger = sum(map(len, logged)) > sum(map(len, secrets))
-    shared = _shared_keys(_probes(logged, log_larger), _probes(secrets, not log_larger))
+    secrets = tuple(map(bytes, secrets))  # a caller's bytearray, snapshotted
+    found, missed = [], []
+    for data, is_container, records in buffer._appends():
+        key = (data, is_container, secrets)
+        keys = _audited.get(key)
+        if keys is None:
+            missed.append((key, [view for _offset, _tag, view in records]))
+        else:
+            _audited.move_to_end(key)
+            found.append(keys)
+    if missed:
+        logged = [view for _key, views in missed for view in views]
+        log_larger = sum(map(len, logged)) > sum(map(len, secrets))
+        joined = _shared_keys(_probes(logged, log_larger), _probes(secrets, not log_larger))
+        for key, views in missed:
+            keys = joined  # no window of any append is shared: each shares none
+            if joined.size:
+                keys = _distinct(w[_in_sorted(joined, w)] for w in map(_window_keys, views))
+            _audited[key] = keys
+            if len(_audited) > _AUDITED_ENTRIES:
+                _audited.popitem(last=False)
+            found.append(keys)
+    shared = _distinct(found)
     if not shared.size:
         return None
     for secret in secrets:

@@ -485,6 +485,94 @@ def test_find_plaintext_leak_splits_containers_as_the_log_does(appends, data):
     assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
 
 
+# --- the audit's memo: each append joined once per secret set ---
+
+@pytest.mark.parametrize("container_first", [True, False])
+def test_a_memoized_container_does_not_answer_for_the_same_bytes_appended_plain(
+    container_first,
+):
+    """The same bytes, appended as a container and as a plain write, log
+    different records: a slice across the header's end is logged only by
+    the plain write. So each audit equals the plain scan, in either order."""
+    data = os.urandom(HEADER_BYTES + 24)
+    secret = data[HEADER_BYTES - 4 : HEADER_BYTES + 4]  # straddles the header's end
+    as_container, as_plain = SharedBuffer(), SharedBuffer()
+    as_container.append_container(data)
+    as_plain.append(data, TaintTag.PUBLIC)
+    order = [as_container, as_plain] if container_first else [as_plain, as_container]
+    for buf in order:
+        assert find_plaintext_leak(buf, [secret]) == leak_oracle(buf, [secret])
+    assert find_plaintext_leak(as_container, [secret]) is None
+    assert find_plaintext_leak(as_plain, [secret]) == secret
+
+
+@given(
+    pool=st.lists(st.tuples(st.sampled_from(["public", "container"]), _payloads), min_size=1,
+                  max_size=6),
+    data=st.data(),
+)
+@settings(max_examples=200, deadline=None)
+def test_audits_of_buffers_sharing_appends_match_the_oracle(pool, data):
+    """Buffers built from one pool of append objects, so later audits find
+    earlier ones' appends in the memo, with secrets passed as a list, a
+    tuple or with a bytearray that changes between calls: every audit
+    equals the plain scan of its buffer."""
+    flat = b"".join(payload for _kind, payload in pool)
+    cut = st.integers(0, len(flat)).flatmap(
+        lambda at: st.integers(8, 16).map(lambda n: flat[at : at + n]))
+    mutable = bytearray(data.draw(cut))
+    for _ in range(4):
+        buf = SharedBuffer()
+        for kind, payload in data.draw(st.lists(st.sampled_from(pool), max_size=6)):
+            if kind == "container":
+                buf.append_container(payload)
+            else:
+                buf.append(payload, TaintTag.PUBLIC)
+        secrets = data.draw(st.lists(st.one_of(cut, _two_symbols), max_size=3))
+        for given_secrets in (secrets, tuple(secrets), [*secrets, mutable]):
+            want = leak_oracle(buf, [bytes(s) for s in given_secrets])
+            assert find_plaintext_leak(buf, given_secrets) == want
+        mutable[:] = data.draw(cut)
+
+
+def test_an_unchanged_audit_joins_nothing_and_an_append_only_itself(monkeypatch):
+    """A second audit of the same buffer and secrets is answered from the
+    memo; after one more append, only that append's records are joined."""
+    joins = []
+
+    def counted(a, b):
+        joins.append([data for side in (a, b) for data, _keys, _at in side])
+        return shared_keys(a, b)
+
+    shared_keys = tee._shared_keys
+    monkeypatch.setattr(tee, "_shared_keys", counted)
+    secrets = [os.urandom(256), os.urandom(64)]
+    buf = SharedBuffer()
+    buf.append(os.urandom(500), TaintTag.PUBLIC)
+    buf.append_container(encrypt_partition(os.urandom(300), CIPHER, 0, CONTEXT))
+    assert find_plaintext_leak(buf, secrets) is None
+    assert len(joins) == 1
+    assert find_plaintext_leak(buf, list(secrets)) is None
+    assert len(joins) == 1
+
+    sealed = encrypt_partition(os.urandom(300), CIPHER, 1, CONTEXT)
+    buf.append_container(sealed)
+    assert find_plaintext_leak(buf, secrets) is None
+    assert len(joins) == 2
+    # a piece's probes may come in several chunks
+    assert {bytes(data) for data in joins[1]} == {
+        *secrets, sealed[:HEADER_BYTES], sealed[HEADER_BYTES:]}
+    assert all(data.obj is sealed for data in joins[1] if isinstance(data, memoryview))
+
+
+def test_the_memo_keeps_at_most_its_bound_of_entries():
+    buf = SharedBuffer()
+    for _ in range(tee._AUDITED_ENTRIES + 10):
+        buf.append(os.urandom(16), TaintTag.PUBLIC)
+    assert find_plaintext_leak(buf, [os.urandom(16)]) is None
+    assert len(tee._audited) == tee._AUDITED_ENTRIES
+
+
 # The larger side's piece is one byte past a multiple of 4 long, so its last
 # grid probe, at n - 5, lies past its last window's start, at n - 8.
 _LOG_LARGER = ([(1 << 20) + 1, 3000, 700, 40_000], [64 << 10, 32 << 10, 16 << 10, 16 << 10])

@@ -20,7 +20,11 @@ it, so a run that fails must fail and clean up alike. The leak audit is
 compared too: each inference's ``find_plaintext_leak`` result on its shared
 buffer and secrets, and, for each secret of the first input, the audit of
 that secret alone once 16 bytes from its middle are appended to a fresh
-run's buffer, which must find a slice. Plans are compared beyond the workload's
+run's buffer, which must find a slice. For each such secret it also records
+a warm planted audit: a fresh run's buffer is audited with the input's whole
+secret set, the same 16 bytes are appended, and the buffer is audited with
+that set again, so the run's appends are answered from the audit's memo and
+the slice must still be found. Plans are compared beyond the workload's
 own: at each of ``PLAN_CAPS`` caps, eight steps per octave from 2^8 to 2^23
 bytes, the child records the manifest that ``plan_layered``,
 ``plan_sublayer`` and ``plan_branched`` make of the workload's model, or the
@@ -93,12 +97,20 @@ def child_dump() -> dict:
                 "writes": [[w.offset, w.length, w.tag.name] for w in result.shared.writes],
                 "audit": audit(result.shared, instance.secrets[index]),
             })
-        planted = []
-        for secret in instance.secrets[0]:
-            shared = instance.infer(0).shared
+        planted, warm_planted = [], []
+        secrets = instance.secrets[0]
+        for secret in secrets:
             start = max(len(secret) // 2 - 8, 0)
-            shared.append(secret[start : start + 16], TaintTag.PUBLIC)
+            piece = secret[start : start + 16]
+            shared = instance.infer(0).shared
+            shared.append(piece, TaintTag.PUBLIC)
             planted.append(audit(shared, [secret]))
+            # the run's appends audited with every secret first, so the
+            # audit after the plant finds them in the memo
+            shared = instance.infer(0).shared
+            audit(shared, secrets)
+            shared.append(piece, TaintTag.PUBLIC)
+            warm_planted.append(audit(shared, secrets))
         tampered = []
         for p in instance.plan.secure_partitions():
             data = dict(instance.partition_data)
@@ -123,7 +135,7 @@ def child_dump() -> dict:
                 plans[f"{planner.__name__} {cap}"] = entry
         dump[name] = {"manifest": render_manifest(instance.plan).splitlines(),
                       "inferences": inferences, "tampered": tampered, "planted": planted,
-                      "plans": plans}
+                      "warm_planted": warm_planted, "plans": plans}
     return dump
 
 
