@@ -424,8 +424,11 @@ def _shared_keys(a: list[_Chunk], b: list[_Chunk]) -> np.ndarray:
 
 # The audit's memo: (append, is_container, secrets) -> the sorted distinct
 # keys the append's records share with the secrets, least recently used first.
-# Keys compare by content, so a hit is what a fresh join would return.
-_AUDITED_ENTRIES = 256
+# Keys compare by content, so a hit is what a fresh join would return. The
+# bound is twice the 64 entries that a pass over 8 inputs touches when each
+# input has its own secret set and 8 appends; a larger bound keeps more
+# appends and secrets of secret sets no longer audited alive.
+_AUDITED_ENTRIES = 128
 _audited: OrderedDict[tuple[bytes, bool, tuple[bytes, ...]], np.ndarray] = OrderedDict()
 
 
