@@ -532,7 +532,9 @@ def test_audits_of_buffers_sharing_appends_match_the_oracle(pool, data):
         for given_secrets in (secrets, tuple(secrets), [*secrets, mutable]):
             want = leak_oracle(buf, [bytes(s) for s in given_secrets])
             assert find_plaintext_leak(buf, given_secrets) == want
-        mutable[:] = data.draw(cut)
+        mutable[:] = data.draw(cut)  # the same buffer again, the bytearray changed
+        want = leak_oracle(buf, [*secrets, bytes(mutable)])
+        assert find_plaintext_leak(buf, [*secrets, mutable]) == want
 
 
 def test_an_unchanged_audit_joins_nothing_and_an_append_only_itself(monkeypatch):
