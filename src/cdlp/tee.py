@@ -271,89 +271,74 @@ def _window_keys(data: bytes, stride: int = 1) -> np.ndarray:
 
 
 # A probe is 5 bytes, the first 5 of a window: the low 40 bits of its key, so
-# the probe of the window at q starts at q. The larger side is probed only at
+# the probe of the window at q starts at q. The secrets are probed only at
 # q = 0, 4, 8, ...: a stride of 4 is the widest at which every 8-byte window
 # holds a whole 5-byte grid probe (4 + 5 - 1 = 8), and a 4-byte probe would
 # pair every repeated float32 value.
 _STRIDE = 4
-_PROBE_MASK = np.uint64((1 << 40) - 1)
 # the probes at n - 7, n - 6 and n - 5, past the last window's start, are in
 # that window's key shifted right by 8, 16 and 24 bits
 _TAIL_SHIFTS = np.array([8, 16, 24], np.uint64)
 _BACK = np.arange(_STRIDE)  # a probe at p lies in the windows p - 3 .. p
 
-_SLOT_BITS = 20  # a table of 2**20 one-byte flags, 1 MiB, stays in one core's L2
-_SLOT_SHIFT = np.uint64(64 - _SLOT_BITS)
+
+def _probes(pieces: Iterable[bytes], step: int) -> tuple[np.ndarray, np.ndarray]:
+    """Keys whose low 40 bits are the probes of ``pieces`` at positions 0,
+    step, 2 * step, ..., up to n - 5 of each, concatenated in order, and the
+    index where each piece's start; a piece under 8 bytes holds no window
+    and gives none."""
+    parts, firsts, size = [np.empty(0, _KEY)], [], 0
+    for data in pieces:
+        firsts.append(size)
+        windows = _window_keys(data, step)  # the probes at the windows' starts
+        if windows.size:
+            # the probes past the last window's start, n - 8: all three, or
+            # on the grid the one multiple of 4 among them, if there is one
+            last = len(data) - _KEY.itemsize
+            tail = np.ndarray((1,), _KEY, data, last) >> _TAIL_SHIFTS[step * windows.size - last - 1 :: step]
+            parts += (windows, tail)
+            size += windows.size + tail.size
+    return np.concatenate(parts), np.array(firsts, np.intp)
+
+
+def _windows_at(pieces: list[bytes], firsts: np.ndarray, step: int, at: np.ndarray
+                ) -> Iterator[np.ndarray]:
+    """The keys of the windows that hold the probes at the sorted, non-empty
+    indices ``at`` of the concatenated probes of ``pieces``, each probed every
+    ``step`` bytes from its first index in ``firsts``: for a probe at p, the
+    windows p - 3 .. p, clipped to its piece."""
+    piece = np.searchsorted(firsts, at, side="right") - 1  # past pieces without probes
+    for run in np.split(np.arange(at.size), np.flatnonzero(np.diff(piece)) + 1):
+        data = pieces[piece[run[0]]]
+        windows = (step * (at[run] - firsts[piece[run[0]]])[:, None] - _BACK).ravel()
+        yield _window_keys(data)[np.clip(windows, 0, len(data) - _KEY.itemsize)]
+
+
 # Two odd 40-bit multipliers, each in the top 40 bits of a word. A key times
 # one wraps modulo 2**64, which drops the key's bytes past its probe, so the
-# product's top 20 bits are those of the 40-bit product of probe and
-# multiplier. The passes alternate them: a pass that used the same one as the
-# pass before it would keep almost every probe that one kept.
+# product's top bits are those of the 40-bit product of probe and multiplier:
+# a hash of the probe. Each filter hashes with its own, so a probe that one
+# lets through by a collision the other most likely drops.
 _M1 = np.uint64(0x9E3779B97F << 24)  # about 2**40 over the golden ratio
 _M2 = np.uint64(0xC2B2AE3D27 << 24)  # the top 40 bits of xxHash's PRIME64_2
-_PASS_MULTIPLIERS = (_M1, _M2, _M1)
-_CHUNK = 1 << 16  # probes hashed per step, so the temporaries stay in cache
+_FILTER_MULTIPLIERS = (_M1, _M2)
+# Each filter is a table of at least this many bits per secret probe, so it
+# is at most 1/8 full and keeps at most about 12% of the probes it does not
+# hold, and the two together about 1.5%.
+_BITS_PER_PROBE = 8
+_CHUNK = 1 << 16  # probes filtered per step, so the temporaries stay in cache
+# an index entry is a probe's 32-bit hash over its 32-bit place
+_HALF = np.uint64(32)
+_LOW_HALF = np.uint64((1 << 32) - 1)
 
 
-def _slots(keys: np.ndarray, multiplier: np.uint64) -> np.ndarray:
-    """Each key's slot in a membership table: the top 20 bits of its
-    multiplicative hash, which reads only the key's low 40 bits, its probe.
-    Equal probes share a slot; distinct probes may too."""
-    slots = keys * multiplier  # wraps modulo 2**64
-    slots >>= _SLOT_SHIFT
-    return slots.view(np.intp)  # below 2**_SLOT_BITS, so the view is exact
-
-
-def _stepped(first: int, step: int) -> Callable[[np.ndarray], np.ndarray]:
-    """The positions of the probes at indices ``i`` of a chunk that starts at
-    ``first`` and advances by ``step``."""
-    return lambda i: i * step + first
-
-
-# A side's probes come in chunks (data, keys, at): the low 40 bits of
-# ``keys``, read from ``data``, one of the side's pieces, are the probes, and
-# ``at`` maps indices into ``keys`` to the probes' positions in ``data``.
-_Chunk = tuple[bytes, np.ndarray, Callable[[np.ndarray], np.ndarray]]
-
-
-def _probes(pieces: list[bytes], grid: bool) -> list[_Chunk]:
-    """The probes of one side's pieces, in chunks: at positions 0, 4, 8, ...
-    of each piece if ``grid``, else at every position, up to n - 5. Pieces
-    under 8 bytes hold no window and give none."""
-    step = _STRIDE if grid else 1
-    chunks = []
-    for data in pieces:
-        windows = _window_keys(data, step)  # the probes at the windows' starts
-        if not windows.size:
-            continue
-        for start in range(0, windows.size, _CHUNK):
-            chunks.append((data, windows[start : start + _CHUNK], _stepped(step * start, step)))
-        # the side's probes past the last window's start, n - 8: all three,
-        # or on the grid the one multiple of 4 among them, if there is one
-        last = len(data) - _KEY.itemsize
-        first = step * windows.size
-        shifts = _TAIL_SHIFTS[first - last - 1 :: step]
-        if shifts.size:
-            tail = np.ndarray((1,), _KEY, data, last) >> shifts
-            chunks.append((data, tail, _stepped(first, step)))
-    return chunks
-
-
-def _survivors(
-    side: list[_Chunk], members: list[_Chunk], multiplier: np.uint64, table: np.ndarray
-) -> list[_Chunk]:
-    """The probes of ``side`` whose slot some probe of ``members`` fills,
-    marked in ``table``, which is cleared first."""
-    table.fill(False)
-    for _data, keys, _at in members:
-        table[_slots(keys, multiplier)] = True
-    kept = []
-    for data, keys, at in side:
-        # every slot is below the table's size, so wrapping skips the bounds check
-        hit = np.flatnonzero(table.take(_slots(keys, multiplier), mode="wrap"))
-        if hit.size:
-            kept.append((data, keys[hit], at(hit).take))
-    return kept
+def _hashes(keys: np.ndarray, multiplier: np.uint64, bits: int) -> np.ndarray:
+    """The top ``bits`` bits of each key's multiplicative hash, which reads
+    only the key's low 40 bits, its probe. Equal probes share a hash;
+    distinct probes may too."""
+    hashes = keys * multiplier  # wraps modulo 2**64
+    hashes >>= np.uint64(64 - bits)
+    return hashes
 
 
 def _distinct(pieces: Iterable[np.ndarray]) -> np.ndarray:
@@ -379,57 +364,132 @@ def _in_sorted(table: np.ndarray, queries: np.ndarray) -> np.ndarray:
     return table[at] == queries
 
 
-def _windows_around(side: list[_Chunk], probes: np.ndarray) -> Iterator[np.ndarray]:
-    """The keys of the windows that hold a probe of ``side`` found in the
-    sorted, non-empty ``probes``: for a probe at p, the windows p - 3 .. p,
-    clipped to the data."""
-    for data, found, at in side:
-        positions = at(np.flatnonzero(_in_sorted(probes, found)))
-        if positions.size:
-            windows = (positions[:, None] - _BACK).ravel()
-            yield _window_keys(data)[np.clip(windows, 0, len(data) - _KEY.itemsize)]
+class _SecretIndex:
+    """One secret set's side of the join, built once: its secrets' grid
+    probes, sorted by hash, and two membership filters over them.
 
-
-def _shared_keys(a: list[_Chunk], b: list[_Chunk]) -> np.ndarray:
-    """The distinct 8-byte keys of windows found on both sides, sorted.
-
-    Why none is missed: let W = A[j : j + 8] = B[i : i + 8] with A probed on
-    the grid, and q = 4 * ceil(j / 4). Then j <= q <= j + 3, so the grid
-    probe A[q : q + 5] starts d = q - j bytes inside W, with 0 <= d <= 3,
-    and ends within it, at q + 5 <= j + 8 <= len(A); it equals B's probe at
-    i + d, which B, probed at every position up to len(B) - 5, has. Both
-    probes are shared, so the windows around them include W on each side:
-    j in q - 3 .. q and i in (i + d) - 3 .. i + d.
-
-    The filter passes run on the probes and alternate sides, the first
-    building its table from the side with fewer probes. A pass's 1 MiB
-    table marks the slots of one side's probes and keeps the other side's
-    probes whose slot is marked; a shared probe marks its own slot, so no
-    pass drops it. The shared probes are then found by one merge of the
-    sorted, deduplicated survivors, and the windows around them are joined
-    the same way on whole 8-byte keys, so no hash or probe decides a match.
+    Each of the sorted ``entries`` holds a grid probe's 32-bit hash in its
+    top half and the probe's index in the secrets' probes, concatenated in
+    order, in its low half; ``firsts`` holds where each secret's probes
+    start there, so the probe at index g of secret s lies at
+    4 * (g - firsts[s]). Each filter is a table of 2**``bits`` bits with the
+    bit of each probe's slot set.
     """
-    if sum(keys.size for _data, keys, _at in a) > sum(keys.size for _data, keys, _at in b):
-        a, b = b, a
-    table = np.empty(1 << _SLOT_BITS, np.bool_)  # one per call, cleared by each pass
-    for multiplier in _PASS_MULTIPLIERS:
-        a, b = _survivors(b, a, multiplier, table), a
-    # the survivors keep their keys; the merge joins their probes
-    a, b = ([(data, keys & _PROBE_MASK, at) for data, keys, at in side] for side in (a, b))
-    probes = _in_both((found for _data, found, _at in a), (found for _data, found, _at in b))
-    if not probes.size:
-        return probes
-    return _in_both(_windows_around(a, probes), _windows_around(b, probes))
+
+    __slots__ = ("secrets", "firsts", "entries", "bits", "filters")
+
+    def __init__(self, secrets: tuple[bytes, ...]):
+        self.secrets = secrets
+        probes, self.firsts = _probes(secrets, _STRIDE)
+        if probes.size > 1 << 32:
+            raise ValueError("a secret set of 16 GiB or more is too large to index")
+        self.entries = _hashes(probes, _M1, 32) << _HALF | np.arange(probes.size, dtype=_KEY)
+        self.entries.sort()
+        self.bits = max(6, (_BITS_PER_PROBE * probes.size - 1).bit_length())  # 8 bytes or more
+        self.filters = []
+        for multiplier in _FILTER_MULTIPLIERS:
+            marked = np.zeros(1 << self.bits, np.bool_)
+            marked[_hashes(probes, multiplier, self.bits).view(np.intp)] = True
+            self.filters.append(np.packbits(marked, bitorder="little"))
+
+    def _holds(self, probes: np.ndarray, k: int) -> np.ndarray:
+        """Mask of the ``probes`` whose slot's bit filter ``k`` has set."""
+        slots = _hashes(probes, _FILTER_MULTIPLIERS[k], self.bits).view(np.intp)
+        # every byte index is below the table's size, so wrapping skips the bounds check
+        held = self.filters[k].take(slots >> 3, mode="wrap")
+        held >>= slots.astype(np.uint8) & 7  # the slot's bit, into its byte's lowest
+        held &= 1
+        return held.view(np.bool_)
+
+    def passing(self, probes: np.ndarray) -> np.ndarray:
+        """The sorted indices of the ``probes`` that both filters hold: each
+        of the secrets' probes, and a few others."""
+        kept = [np.empty(0, np.intp)]
+        for start in range(0, probes.size, _CHUNK):
+            chunk = probes[start : start + _CHUNK]
+            at = np.flatnonzero(self._holds(chunk, 0))
+            kept.append(at[self._holds(chunk[at], 1)] + start)
+        return np.concatenate(kept)
+
+    def find(self, hashes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Which of the sorted ``hashes`` some grid probe has, as a mask, and
+        the indices of all such probes, sorted."""
+        first = np.searchsorted(self.entries, hashes << _HALF)
+        count = np.searchsorted(self.entries, hashes << _HALF | _LOW_HALF, side="right") - first
+        # the i-th entry of the run of equal hashes that starts at first[r]
+        runs = np.arange(count.sum()) + np.repeat(first - (np.cumsum(count) - count), count)
+        grid = self.entries[runs] & _LOW_HALF
+        grid.sort()
+        return count > 0, grid.view(np.intp)  # below 2**32, so the view is exact
 
 
-# The audit's memo: (append, is_container, secrets) -> the sorted distinct
-# keys the append's records share with the secrets, least recently used first.
-# Keys compare by content, so a hit is what a fresh join would return. The
-# bound is twice the 64 entries that a pass over 8 inputs touches when each
-# input has its own secret set and 8 appends; a larger bound keeps more
-# appends and secrets of secret sets no longer audited alive.
+def _shared_keys(logged: list[memoryview], index: _SecretIndex) -> np.ndarray:
+    """The distinct 8-byte keys of windows found both in ``logged`` and in
+    the secrets of ``index``, sorted.
+
+    Why none is missed: let W = S[j : j + 8] = L[i : i + 8] for a secret S,
+    probed on the grid, and a logged piece L. With q = 4 * ceil(j / 4),
+    j <= q <= j + 3, so S's grid probe S[q : q + 5] starts d = q - j bytes
+    inside W, with 0 <= d <= 3, and ends within it, at q + 5 <= j + 8 <=
+    len(S); it equals L's probe at i + d, which L, probed at every position
+    up to len(L) - 5, has. That probe passes both filters, since S's probe
+    set its slot's bit in each, and its hash is S's probe's, so the windows
+    around both probes, j in q - 3 .. q and i in (i + d) - 3 .. i + d,
+    include W on each side.
+
+    The filters drop most of the log's probes. The distinct hashes of the
+    rest are looked up in the index, and the windows around the probes of
+    the hashes found on both sides are joined on whole 8-byte keys, so a
+    hash that distinct probes share adds windows but never a match.
+    """
+    probes, firsts = _probes(logged, 1)
+    kept = index.passing(probes)
+    hashes = _hashes(probes[kept], _M1, 32)
+    distinct = _distinct([hashes])
+    found, grid = index.find(distinct)
+    if not grid.size:
+        return np.empty(0, _KEY)
+    at = kept[_in_sorted(distinct[found], hashes)]
+    return _in_both(
+        _windows_at(logged, firsts, 1, at),
+        _windows_at(index.secrets, index.firsts, _STRIDE, grid),
+    )
+
+
+# The audit's memos, least recently used first. Keys compare by content, so a
+# hit is what a fresh build or join would give.
+# (append, is_container, secrets) -> the sorted distinct keys the append's
+# records share with the secrets. The bound is twice the 64 entries that a
+# pass over 8 inputs touches when each input has its own secret set and 8
+# appends; a larger bound keeps more appends and secrets of secret sets no
+# longer audited alive.
 _AUDITED_ENTRIES = 128
 _audited: OrderedDict[tuple[bytes, bool, tuple[bytes, ...]], np.ndarray] = OrderedDict()
+# secrets -> their index. The bound is the 8 secret sets that a pass over 8
+# inputs touches when each input has its own, which a cyclic pass in least
+# recently used order keeps all of; an index holds about 4 bytes per secret
+# byte, so a larger bound keeps more memory of sets no longer audited alive.
+_INDEXED_SETS = 8
+_indexed: OrderedDict[tuple[bytes, ...], _SecretIndex] = OrderedDict()
+
+
+def _remember(memo: OrderedDict, key, value, bound: int) -> None:
+    """Store ``value`` as the most recently used entry, dropping the least
+    recently used past ``bound``."""
+    memo[key] = value
+    if len(memo) > bound:
+        memo.popitem(last=False)
+
+
+def _index_of(secrets: tuple[bytes, ...]) -> _SecretIndex:
+    """The index of ``secrets``, built on its first use."""
+    index = _indexed.get(secrets)
+    if index is None:
+        index = _SecretIndex(secrets)
+        _remember(_indexed, secrets, index, _INDEXED_SETS)
+    else:
+        _indexed.move_to_end(secrets)
+    return index
 
 
 def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes | None:
@@ -447,9 +507,11 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     whether it is a container (its records differ: a window across the
     header's end is not a logged slice) and the secrets as a tuple of bytes,
     so a later audit joins only the appends it has not seen with those
-    secrets, in one ``_shared_keys`` call. The memo keeps the
-    ``_AUDITED_ENTRIES`` most recently used entries, and with them references
-    to the appends and secrets they key on.
+    secrets, in one ``_shared_keys`` call, against the secrets' index, which
+    is built once per secret set and memoized too. The memos keep the
+    ``_AUDITED_ENTRIES`` appends and the ``_INDEXED_SETS`` indexes most
+    recently used, and with them references to the appends and secrets
+    they key on.
 
     The match is on bytes, not on where they came from: a secret window made
     of a float's top byte and zero bytes also occurs in public ReLU
@@ -468,24 +530,20 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
             found.append(keys)
     if missed:
         logged = [view for _key, views in missed for view in views]
-        log_larger = sum(map(len, logged)) > sum(map(len, secrets))
-        joined = _shared_keys(_probes(logged, log_larger), _probes(secrets, not log_larger))
+        joined = _shared_keys(logged, _index_of(secrets))
         for key, views in missed:
             keys = joined  # no window of any append is shared: each shares none
             if joined.size:
                 keys = _distinct(w[_in_sorted(joined, w)] for w in map(_window_keys, views))
-            _audited[key] = keys
-            if len(_audited) > _AUDITED_ENTRIES:
-                _audited.popitem(last=False)
+            _remember(_audited, key, keys, _AUDITED_ENTRIES)
             found.append(keys)
     shared = _distinct(found)
     if not shared.size:
         return None
-    for secret in secrets:
-        hits = np.flatnonzero(_in_sorted(shared, _window_keys(secret)))  # in secret order
-        if hits.size:
-            return secret[hits[0] : hits[0] + _KEY.itemsize]
-    return None
+    # each shared key is a secret window's, so some secret holds the first
+    hits = ((secret, np.flatnonzero(_in_sorted(shared, _window_keys(secret)))) for secret in secrets)
+    secret, at = next((secret, at[0]) for secret, at in hits if at.size)
+    return secret[at : at + _KEY.itemsize]
 
 
 class Session:

@@ -539,12 +539,13 @@ def test_audits_of_buffers_sharing_appends_match_the_oracle(pool, data):
 
 def test_an_unchanged_audit_joins_nothing_and_an_append_only_itself(monkeypatch):
     """A second audit of the same buffer and secrets is answered from the
-    memo; after one more append, only that append's records are joined."""
+    memo; after one more append, only that append's records are joined,
+    against the index the first audit built."""
     joins = []
 
-    def counted(a, b):
-        joins.append([data for side in (a, b) for data, _keys, _at in side])
-        return shared_keys(a, b)
+    def counted(logged, index):
+        joins.append((logged, index))
+        return shared_keys(logged, index)
 
     shared_keys = tee._shared_keys
     monkeypatch.setattr(tee, "_shared_keys", counted)
@@ -561,10 +562,85 @@ def test_an_unchanged_audit_joins_nothing_and_an_append_only_itself(monkeypatch)
     buf.append_container(sealed)
     assert find_plaintext_leak(buf, secrets) is None
     assert len(joins) == 2
-    # a piece's probes may come in several chunks
-    assert {bytes(data) for data in joins[1]} == {
-        *secrets, sealed[:HEADER_BYTES], sealed[HEADER_BYTES:]}
-    assert all(data.obj is sealed for data in joins[1] if isinstance(data, memoryview))
+    logged, index = joins[1]
+    assert [bytes(view) for view in logged] == [sealed[:HEADER_BYTES], sealed[HEADER_BYTES:]]
+    assert all(view.obj is sealed for view in logged)
+    assert index is joins[0][1] and index.secrets == tuple(secrets)
+
+
+@pytest.fixture
+def index_builds(monkeypatch):
+    """Each secret set indexed from here on, in order, with an empty index memo."""
+    built = []
+
+    class Counted(tee._SecretIndex):
+        __slots__ = ()
+
+        def __init__(self, secrets):
+            built.append(secrets)
+            super().__init__(secrets)
+
+    monkeypatch.setattr(tee, "_SecretIndex", Counted)
+    monkeypatch.setattr(tee, "_indexed", type(tee._indexed)())
+    return built
+
+
+def _audit_fresh_appends(secrets):
+    """Audit a buffer of appends no audit has seen against ``secrets``."""
+    buf = SharedBuffer()
+    buf.append(os.urandom(100), TaintTag.PUBLIC)
+    buf.append_container(encrypt_partition(os.urandom(200), CIPHER, 0, CONTEXT))
+    assert find_plaintext_leak(buf, secrets) is None
+
+
+def test_a_secret_set_is_indexed_once(index_builds):
+    """Audits of fresh appends against one secret set build its index once,
+    a second set builds its own, and auditing the first again builds none."""
+    first, second = [os.urandom(300), os.urandom(40)], [os.urandom(300)]
+    for _ in range(5):
+        _audit_fresh_appends(first)
+    assert index_builds == [tuple(first)]
+    _audit_fresh_appends(second)
+    _audit_fresh_appends(tuple(first))
+    _audit_fresh_appends([bytearray(s) for s in first])  # compared by content
+    assert index_builds == [tuple(first), tuple(second)]
+
+
+def test_the_index_memo_evicts_the_least_recently_used_set(index_builds):
+    """Passes over 8 secret sets, one per input of a pool of 8, build each
+    index once; one more set evicts the set audited longest ago, which is
+    then built again, and the memo never holds more than its bound."""
+    sets = [[os.urandom(64)] for _ in range(8)]
+    for _ in range(3):
+        for secrets in sets:
+            _audit_fresh_appends(secrets)
+    assert len(index_builds) == 8
+    extra = [[os.urandom(64)] for _ in range(tee._INDEXED_SETS - 7)]
+    for secrets in extra:
+        _audit_fresh_appends(secrets)
+    assert len(tee._indexed) == tee._INDEXED_SETS
+    _audit_fresh_appends(sets[-1])  # held
+    assert len(index_builds) == 8 + len(extra)
+    _audit_fresh_appends(sets[0])  # evicted
+    assert index_builds[-1] == tuple(sets[0]) and len(index_builds) == 9 + len(extra)
+
+
+def test_the_filters_drop_most_probes_of_a_large_secret_set(monkeypatch):
+    """Over 2**20 grid probes of random secrets: the filters keep under 10%
+    of a random log's probes, and a planted 8-byte slice is still found."""
+    monkeypatch.setattr(tee, "_indexed", type(tee._indexed)())  # freed after the test
+    rng = np.random.default_rng(15)
+    secrets = [rng.bytes(3 << 20), rng.bytes((1 << 20) + 4099)]
+    index = tee._SecretIndex(tuple(secrets))
+    assert index.entries.size > 1 << 20
+    log = rng.bytes(1 << 18)
+    probes, _firsts = tee._probes([log], 1)
+    assert index.passing(probes).size < 0.1 * probes.size
+    buf = _buffer([(log, TaintTag.CIPHERTEXT)])
+    assert find_plaintext_leak(buf, secrets) is None
+    piece = secrets[1][777_777 : 777_777 + 8]
+    buf.append(log[:5000] + piece + log[5000:10000], TaintTag.PUBLIC)
+    assert find_plaintext_leak(buf, secrets) == piece == leak_oracle(buf, secrets)
 
 
 def test_the_memo_keeps_at_most_its_bound_of_entries():
@@ -643,35 +719,18 @@ def test_find_plaintext_leak_at_scale(log_sizes, secret_sizes, cut, plant):
     assert find_plaintext_leak(buf, secrets) == piece == leak_oracle(buf, secrets)
 
 
-def _probes_sharing_every_slot() -> tuple[int, int]:
-    """Two distinct 40-bit probes whose slots are equal under each filter
-    pass's multiplier: a seeded birthday search on the pair of slots, 40
-    bits, over 2**21 random probes, which holds about two such pairs."""
-    for seed in itertools.count():
-        probes = np.random.default_rng(seed).integers(0, 1 << 40, 1 << 21, np.uint64)
-        pair = sum(
-            tee._slots(probes, multiplier).astype(np.uint64) << np.uint64(20 * k)
-            for k, multiplier in enumerate(sorted(set(tee._PASS_MULTIPLIERS)))
-        )
-        order = np.argsort(pair, kind="stable")
-        pair, probes = pair[order], probes[order]
-        same = np.flatnonzero((pair[1:] == pair[:-1]) & (probes[1:] != probes[:-1]))
-        if same.size:
-            return int(probes[same[0]]), int(probes[same[0] + 1])
-
-
 def test_keys_sharing_every_filter_slot_are_not_a_leak():
-    """Two distinct probes whose hashes share each pass's table slot
-    survive every filter; only the merge on whole probes tells them apart."""
-    first, second = _probes_sharing_every_slot()
-    probes = np.array([first, second], np.uint64)
-    assert all(
-        len(set(tee._slots(probes, multiplier).tolist())) == 1
-        for multiplier in tee._PASS_MULTIPLIERS
-    )
-    # the secret's one window has the probe ``first``, and the logged
-    # window the probe ``second`` at the same place
-    secret, logged = (probe.to_bytes(5, "little") + bytes(3) for probe in (first, second))
+    """A logged probe that is not the secret's but whose slot is set in each
+    of the secret set's filters passes them; only the check against the
+    index's whole probes tells it apart."""
+    secret = os.urandom(5) + bytes(3)  # one window, one grid probe
+    index = tee._SecretIndex((secret,))
+    own = int.from_bytes(secret[:5], "little")
+    candidates = np.random.default_rng(3).integers(0, 1 << 40, 1 << 16, np.uint64)
+    passing = [int(p) for p in candidates[index.passing(candidates)] if p != own]
+    assert passing  # each filter has 64 slots: about 16 of 2**16 pass both
+    # the logged window has a passing probe at the secret window's place
+    logged = passing[0].to_bytes(5, "little") + bytes(3)
     buf = SharedBuffer()
     buf.append(logged, TaintTag.CIPHERTEXT)
     assert find_plaintext_leak(buf, [secret]) is None
@@ -682,59 +741,64 @@ def test_keys_sharing_every_filter_slot_are_not_a_leak():
 @given(
     probe=st.binary(min_size=5, max_size=5),
     rest=st.lists(st.binary(min_size=3, max_size=3), min_size=2, max_size=2),
+    bits=st.integers(6, 40),
 )
 @settings(deadline=None)
-def test_a_windows_slots_read_only_its_first_5_bytes(probe, rest):
+def test_a_windows_slots_read_only_its_first_5_bytes(probe, rest, bits):
     """Two windows with the same first 5 bytes share their slot in every
-    filter pass, whatever their last 3 bytes are."""
+    filter, of any size, whatever their last 3 bytes are."""
     keys = np.frombuffer(b"".join(probe + tail for tail in rest), tee._KEY)
-    for multiplier in tee._PASS_MULTIPLIERS:
-        slots = tee._slots(keys, multiplier)
-        assert slots[0] == slots[1] < 1 << tee._SLOT_BITS
+    for multiplier in tee._FILTER_MULTIPLIERS:
+        slots = tee._hashes(keys, multiplier, bits)
+        assert slots[0] == slots[1] < 1 << bits
 
 
-@given(data=st.binary(max_size=40), grid=st.booleans())
+@given(pieces=st.lists(st.binary(max_size=40), max_size=3), grid=st.booleans())
 @settings(deadline=None)
-def test_probes_are_each_positions_first_5_bytes(data, grid):
-    """A side's probes are the first 5 bytes at each of its positions, on the
+def test_probes_are_each_positions_first_5_bytes(pieces, grid):
+    """A piece's probes are the first 5 bytes at each of its positions, on the
     grid or everywhere, up to n - 5: the last window's key shifted right
-    gives those past its start, n - 7, n - 6 and n - 5."""
-    positions, probes = [], []
-    chunks = tee._probes([data], grid)
-    for _data, keys, at in chunks:
-        positions += at(np.arange(keys.size)).tolist()
-        probes += (keys & tee._PROBE_MASK).tolist()
+    gives those past its start, n - 7, n - 6 and n - 5. The pieces' probes
+    come one piece after another, from where ``firsts`` says each starts."""
     step = 4 if grid else 1
-    want = list(range(0, len(data) - 4, step)) if len(data) >= 8 else []
-    assert positions == want
-    assert probes == [int.from_bytes(data[p : p + 5], "little") for p in want]
-    assert sum(keys.size for _data, keys, _at in chunks) == len(want)
+    want, firsts = [], []
+    for data in pieces:
+        firsts.append(len(want))
+        positions = range(0, len(data) - 4, step) if len(data) >= 8 else []
+        want += [int.from_bytes(data[p : p + 5], "little") for p in positions]
+    probes, got_firsts = tee._probes(pieces, step)
+    assert (probes & np.uint64((1 << 40) - 1)).tolist() == want
+    assert got_firsts.tolist() == firsts
 
 
 @pytest.mark.parametrize("alignment", range(4))
 def test_windows_sharing_a_probe_are_not_a_leak(alignment):
     """A logged window with a secret window's 5-byte probe but none of its
     other 3 bytes passes the join on probes; only the join of the whole
-    8-byte windows around the shared probe tells them apart. The log is
-    the larger side, so it is probed at 0, 4, 8, ..., and the logged window
-    starts ``alignment`` bytes past one; the grid probe inside it starts at
-    the next multiple of 4."""
+    8-byte windows around the shared probe tells them apart. The secrets
+    are probed at 0, 4, 8, ..., so the secret window is planted in a longer
+    secret ``alignment`` bytes past one, and the grid probe inside it starts
+    at the next multiple of 4; then the lookalike is planted so in the log."""
     rng = random.Random(alignment)
-    secret = rng.randbytes(8)
+    window = rng.randbytes(8)
     at = 20 + alignment
-    inside = -alignment % 4  # where the grid probe lies in the logged window
-    lookalike = bytearray(byte ^ 0xFF for byte in secret)
-    lookalike[inside : inside + 5] = secret[inside : inside + 5]
-    assert [x == y for x, y in zip(lookalike, secret)] == [inside <= k < inside + 5 for k in range(8)]
-    record = bytearray(rng.randbytes(64))
-    record[at : at + 8] = lookalike
-    grid = at + inside
-    assert grid % 4 == 0 and record[grid : grid + 5] == secret[inside : inside + 5]
-    buf = SharedBuffer()
-    buf.append(record, TaintTag.PUBLIC)
-    assert find_plaintext_leak(buf, [secret]) is None
-    buf.append(secret, TaintTag.PUBLIC)
-    assert find_plaintext_leak(buf, [secret]) == secret
+    inside = -alignment % 4  # where the grid probe lies in the planted window
+    lookalike = bytearray(byte ^ 0xFF for byte in window)
+    lookalike[inside : inside + 5] = window[inside : inside + 5]
+    assert [x == y for x, y in zip(lookalike, window)] == [inside <= k < inside + 5 for k in range(8)]
+    planted = []
+    for piece in (window, lookalike):
+        around = bytearray(rng.randbytes(64))
+        around[at : at + 8] = piece
+        grid = at + inside
+        assert grid % 4 == 0 and around[grid : grid + 5] == window[inside : inside + 5]
+        planted.append(bytes(around))
+    for secret, logged in ((planted[0], lookalike), (window, planted[1])):
+        buf = SharedBuffer()
+        buf.append(logged, TaintTag.PUBLIC)
+        assert find_plaintext_leak(buf, [secret]) is None
+        buf.append(window, TaintTag.PUBLIC)
+        assert find_plaintext_leak(buf, [secret]) == window
 
 
 def test_find_plaintext_leak_keeps_keys_exact_above_2_63():
