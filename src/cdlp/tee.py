@@ -23,10 +23,13 @@ the package needs to reason about confidentiality and cost:
 * find_plaintext_leak: the exact audit that no 8-byte slice of a secret
   (plaintext weights, spilled activations) appears in a shared buffer's
   write log, read in place from the appends; ``_shared_keys`` has the join
-  and why it misses no shared slice. A bounded memo, keyed on an append's
-  bytes, whether it is a container and the secrets, keeps each append's
-  shared keys, so an append is joined once per secret set; it holds
-  references to the appends and secrets it keys on.
+  and why it misses no shared slice. The join runs one way: each secret
+  set's grid probes are indexed once, sorted by hash under two membership
+  filters, and an audit probes only the appends it has not joined with that
+  set, at every position, against the index. Two bounded memos, both keyed
+  by content, keep each set's index and each append's shared keys, so an
+  append is joined once per secret set; they hold references to the
+  appends and secrets they key on.
 
 The executor's per-partition trace is a ledger: each secure partition
 is charged to its own, and a run's ledger is the sum of its traces.
@@ -285,8 +288,8 @@ _BACK = np.arange(_STRIDE)  # a probe at p lies in the windows p - 3 .. p
 def _probes(pieces: Iterable[bytes], step: int) -> tuple[np.ndarray, np.ndarray]:
     """Keys whose low 40 bits are the probes of ``pieces`` at positions 0,
     step, 2 * step, ..., up to n - 5 of each, concatenated in order, and the
-    index where each piece's start; a piece under 8 bytes holds no window
-    and gives none."""
+    index where each piece's probes start; a piece under 8 bytes holds no
+    window and gives none."""
     parts, firsts, size = [np.empty(0, _KEY)], [], 0
     for data in pieces:
         firsts.append(size)
@@ -308,10 +311,13 @@ def _windows_at(pieces: list[bytes], firsts: np.ndarray, step: int, at: np.ndarr
     ``step`` bytes from its first index in ``firsts``: for a probe at p, the
     windows p - 3 .. p, clipped to its piece."""
     piece = np.searchsorted(firsts, at, side="right") - 1  # past pieces without probes
-    for run in np.split(np.arange(at.size), np.flatnonzero(np.diff(piece)) + 1):
-        data = pieces[piece[run[0]]]
-        windows = (step * (at[run] - firsts[piece[run[0]]])[:, None] - _BACK).ravel()
-        yield _window_keys(data)[np.clip(windows, 0, len(data) - _KEY.itemsize)]
+    ends = [*(np.flatnonzero(piece[1:] != piece[:-1]) + 1).tolist(), at.size]
+    for start, end in zip([0, *ends], ends):
+        data = pieces[piece[start]]
+        windows = (step * (at[start:end] - firsts[piece[start]])[:, None] - _BACK).ravel()
+        np.maximum(windows, 0, out=windows)  # not np.clip, whose checks cost more here
+        np.minimum(windows, len(data) - _KEY.itemsize, out=windows)
+        yield _window_keys(data)[windows]
 
 
 # Two odd 40-bit multipliers, each in the top 40 bits of a word. A key times
@@ -327,7 +333,7 @@ _FILTER_MULTIPLIERS = (_M1, _M2)
 # hold, and the two together about 1.5%.
 _BITS_PER_PROBE = 8
 _CHUNK = 1 << 16  # probes filtered per step, so the temporaries stay in cache
-# an index entry is a probe's 32-bit hash over its 32-bit place
+# an index entry is a probe's 32-bit hash over its 32-bit index
 _HALF = np.uint64(32)
 _LOW_HALF = np.uint64((1 << 32) - 1)
 
@@ -368,9 +374,10 @@ class _SecretIndex:
     """One secret set's side of the join, built once: its secrets' grid
     probes, sorted by hash, and two membership filters over them.
 
-    Each of the sorted ``entries`` holds a grid probe's 32-bit hash in its
-    top half and the probe's index in the secrets' probes, concatenated in
-    order, in its low half; ``firsts`` holds where each secret's probes
+    Each of the sorted ``entries`` holds a grid probe's 32-bit hash, the top
+    bits of its product with the first filter's multiplier, in its top half,
+    and the probe's index in the secrets' probes, concatenated in order, in
+    its low half; ``firsts`` holds where each secret's probes
     start there, so the probe at index g of secret s lies at
     4 * (g - firsts[s]). Each filter is a table of 2**``bits`` bits with the
     bit of each probe's slot set.
@@ -466,8 +473,8 @@ def _shared_keys(logged: list[memoryview], index: _SecretIndex) -> np.ndarray:
 _AUDITED_ENTRIES = 128
 _audited: OrderedDict[tuple[bytes, bool, tuple[bytes, ...]], np.ndarray] = OrderedDict()
 # secrets -> their index. The bound is the 8 secret sets that a pass over 8
-# inputs touches when each input has its own, which a cyclic pass in least
-# recently used order keeps all of; an index holds about 4 bytes per secret
+# inputs touches when each input has its own, all of which a cyclic pass in
+# least recently used order keeps; an index holds under 3 bytes per secret
 # byte, so a larger bound keeps more memory of sets no longer audited alive.
 _INDEXED_SETS = 8
 _indexed: OrderedDict[tuple[bytes, ...], _SecretIndex] = OrderedDict()
@@ -483,12 +490,8 @@ def _remember(memo: OrderedDict, key, value, bound: int) -> None:
 
 def _index_of(secrets: tuple[bytes, ...]) -> _SecretIndex:
     """The index of ``secrets``, built on its first use."""
-    index = _indexed.get(secrets)
-    if index is None:
-        index = _SecretIndex(secrets)
-        _remember(_indexed, secrets, index, _INDEXED_SETS)
-    else:
-        _indexed.move_to_end(secrets)
+    index = _indexed.pop(secrets, None) or _SecretIndex(secrets)
+    _remember(_indexed, secrets, index, _INDEXED_SETS)
     return index
 
 
