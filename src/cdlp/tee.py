@@ -377,10 +377,10 @@ class _SecretIndex:
     Each of the sorted ``entries`` holds a grid probe's 32-bit hash, the top
     bits of its product with the first filter's multiplier, in its top half,
     and the probe's index in the secrets' probes, concatenated in order, in
-    its low half; ``firsts`` holds where each secret's probes
-    start there, so the probe at index g of secret s lies at
-    4 * (g - firsts[s]). Each filter is a table of 2**``bits`` bits with the
-    bit of each probe's slot set.
+    its low half; ``firsts`` holds where each secret's probes start there,
+    so the probe at index g of secret s lies at 4 * (g - firsts[s]). Each
+    filter is a table of 2**``bits`` bits with the bit of each probe's slot
+    set.
     """
 
     __slots__ = ("secrets", "firsts", "entries", "bits", "filters")
