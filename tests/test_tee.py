@@ -651,32 +651,32 @@ def test_the_memo_keeps_at_most_its_bound_of_entries():
     assert len(tee._audited) == tee._AUDITED_ENTRIES
 
 
-# The larger side's piece is one byte past a multiple of 4 long, so its last
-# grid probe, at n - 5, lies past its last window's start, at n - 8.
+# When the secrets are larger, secrets[2], which the slice is cut from, is one
+# byte past a multiple of 4 long, so its last grid probe, at n - 5, lies past
+# its last window's start, at n - 8.
 _LOG_LARGER = ([(1 << 20) + 1, 3000, 700, 40_000], [64 << 10, 32 << 10, 16 << 10, 16 << 10])
 _SECRETS_LARGER = ([64 << 10, 30 << 10, 2000], [512 << 10, 256 << 10, (160 << 10) + 1, 100 << 10])
 # Where the planted slice is cut from secrets[2] and where it goes in
 # records[0], each as (f, k): the offset f * (len - 8) + k, so f = 0 is the
 # first window, f = 1 the last, and f = 0.5 a multiple of 4 in the middle.
-# The larger side is probed at 0, 4, 8, ..., and the other side at every
-# position, the three past its last window's start (n - 7, n - 6 and n - 5)
-# included; a slice in the last window is found by one of those, or by the
-# larger side's grid probe at n - 5.
+# The secrets are probed at 0, 4, 8, ..., and the log at every position, the
+# three past its last window's start (n - 7, n - 6 and n - 5) included; a
+# slice in the log's last window is found by one of those, and a slice in a
+# secret's last window by that secret's grid probe at n - 8 or at n - 5.
 _PLACEMENTS = {
     "": ((0, 5000), (0.5, 17)),
     "-mod4-0": ((0, 5000), (0.5, 0)),  # offsets 0, 1, 2 and 3 mod 4 on both sides
     "-mod4-1": ((0, 5001), (0.5, 1)),
     "-mod4-2": ((0, 5002), (0.5, 2)),
     "-mod4-3": ((0, 5003), (0.5, 3)),
-    "-record-first": ((0, 5001), (0, 0)),  # the log's first window, when the secrets are larger
-    # the log's grid probe at n - 5, when the log is larger, and its probes
-    # at n - 7, n - 6 and n - 5, when the secrets are larger
+    "-record-first": ((0, 5001), (0, 0)),  # the log's first window
+    # the log's probes at n - 7, n - 6 and n - 5
     "-record-last": ((0, 5003), (1, 0)),
     "-record-tail-6": ((0, 5002), (1, 0)),
     "-record-tail-5": ((0, 5001), (1, 0)),
-    "-secret-first": ((0, 0), (0.5, 1)),  # the secrets' first window, when the log is larger
-    # the secrets' grid probe at n - 5, when they are larger, and their probes
-    # at n - 7, n - 6 and n - 5, when the log is larger
+    "-secret-first": ((0, 0), (0.5, 1)),  # the secrets' first window
+    # the last window of secrets[2]: found by its grid probe at n - 8 when the
+    # log is larger, and at n - 5 when the secrets are
     "-secret-tail-7": ((1, 0), (0.5, 3)),
     "-secret-last": ((1, 0), (0.5, 2)),
     "-secret-tail-5": ((1, 0), (0.5, 1)),
@@ -720,17 +720,25 @@ def test_find_plaintext_leak_at_scale(log_sizes, secret_sizes, cut, plant):
 
 
 def test_keys_sharing_every_filter_slot_are_not_a_leak():
-    """A logged probe that is not the secret's but whose slot is set in each
-    of the secret set's filters passes them; only the check against the
-    index's whole probes tells it apart."""
-    secret = os.urandom(5) + bytes(3)  # one window, one grid probe
-    index = tee._SecretIndex((secret,))
-    own = int.from_bytes(secret[:5], "little")
-    candidates = np.random.default_rng(3).integers(0, 1 << 40, 1 << 16, np.uint64)
-    passing = [int(p) for p in candidates[index.passing(candidates)] if p != own]
-    assert passing  # each filter has 64 slots: about 16 of 2**16 pass both
-    # the logged window has a passing probe at the secret window's place
-    logged = passing[0].to_bytes(5, "little") + bytes(3)
+    """A logged probe that is not the secret's but has its 32-bit hash, and
+    so its slot in the first filter, and its slot in the second filter too,
+    passes both filters and is found in the index; only the join on whole
+    8-byte windows tells it apart."""
+    m1 = int(tee._M1) >> 24  # the 40-bit multiplier
+    inverse = pow(m1, -1, 1 << 40)
+    for seed in itertools.count():
+        secret = random.Random(seed).randbytes(5) + bytes(3)  # one window, one grid probe
+        own = int.from_bytes(secret[:5], "little")
+        # the probes whose products with m1 differ from own's in the low 8 bits only
+        product = own * m1 % (1 << 40)
+        twins = np.array([(product ^ low) * inverse % (1 << 40) for low in range(1, 256)], np.uint64)
+        twins = twins[tee._SecretIndex((secret,)).passing(twins)]
+        if twins.size:  # each filter has 64 slots: about 4 of 255 share the second's
+            break
+    hashes = tee._hashes(np.array([own, twins[0]], np.uint64), tee._M1, 32)
+    assert hashes[0] == hashes[1] and own != twins[0]
+    # the logged window has the twin probe at the secret window's place
+    logged = int(twins[0]).to_bytes(5, "little") + bytes(3)
     buf = SharedBuffer()
     buf.append(logged, TaintTag.CIPHERTEXT)
     assert find_plaintext_leak(buf, [secret]) is None
