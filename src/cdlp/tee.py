@@ -298,7 +298,8 @@ def _probes(pieces: Iterable[bytes], step: int) -> tuple[np.ndarray, np.ndarray]
             # the probes past the last window's start, n - 8: all three, or
             # on the grid the one multiple of 4 among them, if there is one
             last = len(data) - _KEY.itemsize
-            tail = np.ndarray((1,), _KEY, data, last) >> _TAIL_SHIFTS[step * windows.size - last - 1 :: step]
+            shifts = _TAIL_SHIFTS[step * windows.size - last - 1 :: step]
+            tail = np.ndarray((1,), _KEY, data, last) >> shifts
             parts += (windows, tail)
             size += windows.size + tail.size
     return np.concatenate(parts), np.array(firsts, np.intp)
@@ -544,7 +545,7 @@ def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes
     if not shared.size:
         return None
     # each shared key is a secret window's, so some secret holds the first
-    hits = ((secret, np.flatnonzero(_in_sorted(shared, _window_keys(secret)))) for secret in secrets)
+    hits = ((s, np.flatnonzero(_in_sorted(shared, _window_keys(s)))) for s in secrets)
     secret, at = next((secret, at[0]) for secret, at in hits if at.size)
     return secret[at : at + _KEY.itemsize]
 

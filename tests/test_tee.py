@@ -731,7 +731,8 @@ def test_keys_sharing_every_filter_slot_are_not_a_leak():
         own = int.from_bytes(secret[:5], "little")
         # the probes whose products with m1 differ from own's in the low 8 bits only
         product = own * m1 % (1 << 40)
-        twins = np.array([(product ^ low) * inverse % (1 << 40) for low in range(1, 256)], np.uint64)
+        twins = [(product ^ low) * inverse % (1 << 40) for low in range(1, 256)]
+        twins = np.array(twins, np.uint64)
         twins = twins[tee._SecretIndex((secret,)).passing(twins)]
         if twins.size:  # each filter has 64 slots: about 4 of 255 share the second's
             break
@@ -793,7 +794,8 @@ def test_windows_sharing_a_probe_are_not_a_leak(alignment):
     inside = -alignment % 4  # where the grid probe lies in the planted window
     lookalike = bytearray(byte ^ 0xFF for byte in window)
     lookalike[inside : inside + 5] = window[inside : inside + 5]
-    assert [x == y for x, y in zip(lookalike, window)] == [inside <= k < inside + 5 for k in range(8)]
+    same = [x == y for x, y in zip(lookalike, window)]
+    assert same == [inside <= k < inside + 5 for k in range(8)]
     planted = []
     for piece in (window, lookalike):
         around = bytearray(rng.randbytes(64))
