@@ -6,6 +6,7 @@ schemes (layered, sub-layer, branched) and a cost ledger predicts the
 confidentiality overhead.
 """
 
+from .audit import LeakAudit, find_plaintext_leak
 from .config import load_canonical_model, parse_config
 from .container import aead, decrypt_partition, encrypt_partition
 from .errors import (
@@ -64,7 +65,6 @@ from .tee import (
     SharedBuffer,
     TaintTag,
     estimate_overhead,
-    find_plaintext_leak,
     ledger_decrypt,
     ledger_overhead,
 )

@@ -9,13 +9,14 @@ from contextlib import contextmanager
 import numpy as np
 import pytest
 
+from cdlp.audit import find_plaintext_leak
 from cdlp.config import load_canonical_model
 from cdlp.container import HEADER_BYTES, MAC_BYTES, read_header
 from cdlp.errors import IntegrityError, LayerTooLargeError
 from cdlp.executor import compare_runs, prepare_partition_data, run_partitioned, run_reference
 from cdlp.model import LayerSpec, ModelSpec
 from cdlp.planner import plan_branched, plan_layered, plan_sublayer
-from cdlp.tee import SecureArena, estimate_overhead, find_plaintext_leak
+from cdlp.tee import SecureArena, estimate_overhead
 from cdlp.weights import split_weights
 
 from support import random_case, random_tensor, random_weight_store, spilled_secrets

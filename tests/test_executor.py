@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdlp import container, executor
+from cdlp.audit import find_plaintext_leak
 from cdlp.config import load_canonical_model
 from cdlp.container import HEADER_BYTES, MAGIC, aead
 from cdlp.errors import DimensionError, FormatError, IntegrityError, PlanError, SecureMemoryError
@@ -35,7 +36,6 @@ from cdlp.tee import (
     SecureArena,
     SharedBuffer,
     TaintTag,
-    find_plaintext_leak,
     ledger_decrypt,
 )
 from cdlp.weights import split_weights

@@ -1,13 +1,16 @@
+import gc
 import itertools
 import os
 import random
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdlp import tee
+from cdlp import audit
+from cdlp.audit import LeakAudit, find_plaintext_leak
 from cdlp.container import HEADER_BYTES, aead, encrypt_partition
 from cdlp.errors import SecureMemoryError
 from cdlp.executor import PartitionTrace
@@ -20,7 +23,6 @@ from cdlp.tee import (
     SharedBuffer,
     TaintTag,
     estimate_overhead,
-    find_plaintext_leak,
     ledger_decrypt,
     ledger_overhead,
 )
@@ -516,11 +518,15 @@ def test_audits_of_buffers_sharing_appends_match_the_oracle(pool, data):
     """Buffers built from one pool of append objects, so later audits find
     earlier ones' appends in the memo, with secrets passed as a list, a
     tuple or with a bytearray that changes between calls: every audit
-    equals the plain scan of its buffer."""
+    equals the plain scan of its buffer, and so does that of an auditor
+    held across the buffers, against the secrets as they were when it was
+    made."""
     flat = b"".join(payload for _kind, payload in pool)
     cut = st.integers(0, len(flat)).flatmap(
         lambda at: st.integers(8, 16).map(lambda n: flat[at : at + n]))
     mutable = bytearray(data.draw(cut))
+    held_secrets = [*data.draw(st.lists(st.one_of(cut, _two_symbols), max_size=3)), mutable]
+    held, snapshot = LeakAudit(held_secrets), [bytes(s) for s in held_secrets]
     for _ in range(4):
         buf = SharedBuffer()
         for kind, payload in data.draw(st.lists(st.sampled_from(pool), max_size=6)):
@@ -535,20 +541,21 @@ def test_audits_of_buffers_sharing_appends_match_the_oracle(pool, data):
         mutable[:] = data.draw(cut)  # the same buffer again, the bytearray changed
         want = leak_oracle(buf, [*secrets, bytes(mutable)])
         assert find_plaintext_leak(buf, [*secrets, mutable]) == want
+        assert held.find(buf) == leak_oracle(buf, snapshot)
 
 
 def test_an_unchanged_audit_joins_nothing_and_an_append_only_itself(monkeypatch):
     """A second audit of the same buffer and secrets is answered from the
-    memo; after one more append, only that append's records are joined,
-    against the index the first audit built."""
+    auditor's memo; after one more append, only that append's records are
+    joined, by the auditor the first audit made."""
     joins = []
 
-    def counted(logged, index):
-        joins.append((logged, index))
-        return shared_keys(logged, index)
+    def counted(auditor, logged):
+        joins.append((auditor, logged))
+        return shared_keys(auditor, logged)
 
-    shared_keys = tee._shared_keys
-    monkeypatch.setattr(tee, "_shared_keys", counted)
+    shared_keys = LeakAudit._shared_keys
+    monkeypatch.setattr(LeakAudit, "_shared_keys", counted)
     secrets = [os.urandom(256), os.urandom(64)]
     buf = SharedBuffer()
     buf.append(os.urandom(500), TaintTag.PUBLIC)
@@ -562,26 +569,24 @@ def test_an_unchanged_audit_joins_nothing_and_an_append_only_itself(monkeypatch)
     buf.append_container(sealed)
     assert find_plaintext_leak(buf, secrets) is None
     assert len(joins) == 2
-    logged, index = joins[1]
+    auditor, logged = joins[1]
     assert [bytes(view) for view in logged] == [sealed[:HEADER_BYTES], sealed[HEADER_BYTES:]]
     assert all(view.obj is sealed for view in logged)
-    assert index is joins[0][1] and index.secrets == tuple(secrets)
+    assert auditor is joins[0][0] and auditor.secrets == tuple(secrets)
 
 
 @pytest.fixture
 def index_builds(monkeypatch):
-    """Each secret set indexed from here on, in order, with an empty index memo."""
+    """Each secret set indexed from here on, in order, with no auditor kept."""
     built = []
 
-    class Counted(tee._SecretIndex):
-        __slots__ = ()
-
+    class Counted(LeakAudit):
         def __init__(self, secrets):
             built.append(secrets)
             super().__init__(secrets)
 
-    monkeypatch.setattr(tee, "_SecretIndex", Counted)
-    monkeypatch.setattr(tee, "_indexed", type(tee._indexed)())
+    monkeypatch.setattr(audit, "LeakAudit", Counted)
+    monkeypatch.setattr(audit, "_auditors", type(audit._auditors)())
     return built
 
 
@@ -615,40 +620,72 @@ def test_the_index_memo_evicts_the_least_recently_used_set(index_builds):
         for secrets in sets:
             _audit_fresh_appends(secrets)
     assert len(index_builds) == 8
-    extra = [[os.urandom(64)] for _ in range(tee._INDEXED_SETS - 7)]
+    extra = [[os.urandom(64)] for _ in range(audit._AUDITED_SETS - 7)]
     for secrets in extra:
         _audit_fresh_appends(secrets)
-    assert len(tee._indexed) == tee._INDEXED_SETS
+    assert len(audit._auditors) == audit._AUDITED_SETS
     _audit_fresh_appends(sets[-1])  # held
     assert len(index_builds) == 8 + len(extra)
     _audit_fresh_appends(sets[0])  # evicted
     assert index_builds[-1] == tuple(sets[0]) and len(index_builds) == 9 + len(extra)
 
 
-def test_the_filters_drop_most_probes_of_a_large_secret_set(monkeypatch):
+def test_an_auditor_evicted_from_the_memo_is_freed(monkeypatch):
+    """The auditor of the secret set audited longest ago is freed once one
+    set past the bound is audited, and not before."""
+    monkeypatch.setattr(audit, "_auditors", type(audit._auditors)())
+    first = [os.urandom(64)]
+    _audit_fresh_appends(first)
+    held = weakref.ref(audit._auditors[tuple(first)])
+    for _ in range(audit._AUDITED_SETS - 1):
+        _audit_fresh_appends([os.urandom(64)])
+    gc.collect()
+    assert held() is not None
+    _audit_fresh_appends([os.urandom(64)])
+    gc.collect()
+    assert held() is None
+
+
+def test_a_dropped_auditor_is_freed():
+    """An auditor no caller holds is freed, and its index with it: no
+    module state keeps what an auditor built."""
+    auditor = LeakAudit([os.urandom(300), os.urandom(40)])
+    buf = SharedBuffer()
+    buf.append(os.urandom(100), TaintTag.PUBLIC)
+    assert auditor.find(buf) is None
+    refs = [weakref.ref(auditor), weakref.ref(auditor.entries)]
+    del auditor
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
+
+
+def test_the_filters_drop_most_probes_of_a_large_secret_set():
     """Over 2**20 grid probes of random secrets: the filters keep under 10%
     of a random log's probes, and a planted 8-byte slice is still found."""
-    monkeypatch.setattr(tee, "_indexed", type(tee._indexed)())  # freed after the test
     rng = np.random.default_rng(15)
     secrets = [rng.bytes(3 << 20), rng.bytes((1 << 20) + 4099)]
-    index = tee._SecretIndex(tuple(secrets))
-    assert index.entries.size > 1 << 20
+    auditor = LeakAudit(secrets)
+    assert auditor.entries.size > 1 << 20
     log = rng.bytes(1 << 18)
-    probes, _firsts = tee._probes([log], 1)
-    assert index.passing(probes).size < 0.1 * probes.size
+    probes, _firsts = audit._probes([log], 1)
+    assert auditor._passing(probes).size < 0.1 * probes.size
     buf = _buffer([(log, TaintTag.CIPHERTEXT)])
-    assert find_plaintext_leak(buf, secrets) is None
+    assert auditor.find(buf) is None
     piece = secrets[1][777_777 : 777_777 + 8]
     buf.append(log[:5000] + piece + log[5000:10000], TaintTag.PUBLIC)
-    assert find_plaintext_leak(buf, secrets) == piece == leak_oracle(buf, secrets)
+    assert auditor.find(buf) == piece == leak_oracle(buf, secrets)
 
 
 def test_the_memo_keeps_at_most_its_bound_of_entries():
-    buf = SharedBuffer()
-    for _ in range(tee._AUDITED_ENTRIES + 10):
-        buf.append(os.urandom(16), TaintTag.PUBLIC)
-    assert find_plaintext_leak(buf, [os.urandom(16)]) is None
-    assert len(tee._audited) == tee._AUDITED_ENTRIES
+    """An auditor's append memo keeps its bound of the appends it joined
+    last, audit after audit of fresh appends."""
+    auditor = LeakAudit([os.urandom(16)])
+    for _ in range(2):
+        buf = SharedBuffer()
+        for _ in range(audit._JOINED_APPENDS + 10):
+            buf.append(os.urandom(16), TaintTag.PUBLIC)
+        assert auditor.find(buf) is None
+        assert len(auditor._joined) == audit._JOINED_APPENDS
 
 
 # When the secrets are larger, secrets[2], which the slice is cut from, is one
@@ -724,7 +761,7 @@ def test_keys_sharing_every_filter_slot_are_not_a_leak():
     so its slot in the first filter, and its slot in the second filter too,
     passes both filters and is found in the index; only the join on whole
     8-byte windows tells it apart."""
-    m1 = int(tee._M1) >> 24  # the 40-bit multiplier
+    m1 = int(audit._M1) >> 24  # the 40-bit multiplier
     inverse = pow(m1, -1, 1 << 40)
     for seed in itertools.count():
         secret = random.Random(seed).randbytes(5) + bytes(3)  # one window, one grid probe
@@ -733,10 +770,10 @@ def test_keys_sharing_every_filter_slot_are_not_a_leak():
         product = own * m1 % (1 << 40)
         twins = [(product ^ low) * inverse % (1 << 40) for low in range(1, 256)]
         twins = np.array(twins, np.uint64)
-        twins = twins[tee._SecretIndex((secret,)).passing(twins)]
+        twins = twins[LeakAudit([secret])._passing(twins)]
         if twins.size:  # each filter has 64 slots: about 4 of 255 share the second's
             break
-    hashes = tee._hashes(np.array([own, twins[0]], np.uint64), tee._M1, 32)
+    hashes = audit._hashes(np.array([own, twins[0]], np.uint64), audit._M1, 32)
     assert hashes[0] == hashes[1] and own != twins[0]
     # the logged window has the twin probe at the secret window's place
     logged = int(twins[0]).to_bytes(5, "little") + bytes(3)
@@ -756,9 +793,9 @@ def test_keys_sharing_every_filter_slot_are_not_a_leak():
 def test_a_windows_slots_read_only_its_first_5_bytes(probe, rest, bits):
     """Two windows with the same first 5 bytes share their slot in every
     filter, of any size, whatever their last 3 bytes are."""
-    keys = np.frombuffer(b"".join(probe + tail for tail in rest), tee._KEY)
-    for multiplier in tee._FILTER_MULTIPLIERS:
-        slots = tee._hashes(keys, multiplier, bits)
+    keys = np.frombuffer(b"".join(probe + tail for tail in rest), audit._KEY)
+    for multiplier in audit._FILTER_MULTIPLIERS:
+        slots = audit._hashes(keys, multiplier, bits)
         assert slots[0] == slots[1] < 1 << bits
 
 
@@ -775,7 +812,7 @@ def test_probes_are_each_positions_first_5_bytes(pieces, grid):
         firsts.append(len(want))
         positions = range(0, len(data) - 4, step) if len(data) >= 8 else []
         want += [int.from_bytes(data[p : p + 5], "little") for p in positions]
-    probes, got_firsts = tee._probes(pieces, step)
+    probes, got_firsts = audit._probes(pieces, step)
     assert (probes & np.uint64((1 << 40) - 1)).tolist() == want
     assert got_firsts.tolist() == firsts
 

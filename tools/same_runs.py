@@ -23,7 +23,7 @@ that secret alone once 16 bytes from its middle are appended to a fresh
 run's buffer, which must find a slice. For each such secret it also records
 a warm planted audit: a fresh run's buffer is audited with the input's whole
 secret set, the same 16 bytes are appended, and the buffer is audited with
-that set again, so the run's appends are answered from the audit's memo and
+that set again, so the run's appends are answered from the auditor's memo and
 the slice must still be found. Plans are compared beyond the workload's
 own: at each of ``PLAN_CAPS`` caps, eight steps per octave from 2^8 to 2^23
 bytes, the child records the manifest that ``plan_layered``,
