@@ -4,7 +4,7 @@
 secret (plaintext weights, spilled activations) in ``buffer``'s write log,
 which it reads in place, through ``SharedBuffer._appends``. An auditor
 indexes its secrets' probes at positions 0, 4, 8, ... once, and an audit
-probes the appends the auditor has not joined at every position, looks up
+probes the appends the auditor has not cleared at every position, looks up
 the probes its filters hold, and joins the 8-byte windows around the probes
 found on both sides on whole keys, so a shared hash never makes a match.
 
@@ -20,9 +20,9 @@ side.
 
 Two memos, each keyed by content, so a hit is what a fresh join or build
 would give, and each dropping its least recently used entry past its bound:
-an auditor's, of the keys each append it joined shares with its secrets,
-and ``find_plaintext_leak``'s, of the auditors of the secret sets it was
-given. Each holds references to the appends or secrets it keys on.
+an auditor's, of the appends it joined and found to share no window with its
+secrets, and ``find_plaintext_leak``'s, of the auditors of the secret sets
+it was given. Each holds references to the appends or secrets it keys on.
 """
 
 from __future__ import annotations
@@ -151,18 +151,18 @@ def _filter(slots: np.ndarray, bits: int) -> np.ndarray:
     return np.packbits(marked, bitorder="little")
 
 
-# The bound of an auditor's append memo: above the distinct appends one pass
-# over a caller's inputs makes, lest a cyclic pass evict each append before
-# its next audit. Over the benchmark's 8 inputs that is 19 on lenet-layered
-# (11 containers, 8 inputs), 16 on branched (8 containers, 8 hand-offs) and
-# 6 per input set on spill-stream, plus 2 fresh spill chunks per audit. A
-# larger bound keeps more appends no longer audited alive.
-_JOINED_APPENDS = 64
+# The bound of an auditor's cleared appends: above the distinct appends one
+# pass over a caller's clean inputs makes, lest a cyclic pass evict each
+# append before its next audit. Over the benchmark's 8 inputs that is 19 on
+# lenet-layered (11 containers, 8 inputs), 16 on branched (8 containers, 8
+# hand-offs) and 6 per input set on spill-stream, plus 2 fresh spill chunks
+# per audit. A larger bound keeps more appends no longer audited alive.
+_CLEARED_APPENDS = 64
 
 
 class LeakAudit:
     """The audit against one secret set: its index, built once, and the
-    appends it has joined.
+    appends it has cleared.
 
     Each of the sorted ``entries`` holds a grid probe's 32-bit hash, the
     top bits of its product with the first filter's multiplier, in its top
@@ -187,10 +187,10 @@ class LeakAudit:
         self.bits = min(max(6, (_BITS_PER_PROBE * probes.size - 1).bit_length()), 32)
         self.filters = [_filter(self.entries >> np.uint64(64 - self.bits), self.bits),
                         _filter(_hashes(probes, _M2, self.bits), self.bits)]
-        # (append, is_container) -> the sorted distinct keys the append's
-        # records share with the secrets, least recently used first; a
-        # container's records differ, as no slice spans its header and body
-        self._joined: OrderedDict[tuple[bytes, bool], np.ndarray] = OrderedDict()
+        # each (append, is_container) whose records share no window with the
+        # secrets, least recently used first; a container's records differ,
+        # as no slice spans its header and body
+        self._cleared: OrderedDict[tuple[bytes, bool], None] = OrderedDict()
 
     def _holds(self, probes: np.ndarray, k: int) -> np.ndarray:
         """Mask of the ``probes`` whose slot's bit filter ``k`` has set."""
@@ -244,35 +244,34 @@ class LeakAudit:
 
         Secrets are searched in order, each from its start; a logged slice
         lies within one write record. Secrets shorter than 8 bytes cannot be
-        detected and are skipped. The appends the memo misses are joined in
-        one ``_shared_keys`` call.
+        detected and are skipped. The appends not cleared before are joined
+        in one ``_shared_keys`` call, and a cleared append shares no window,
+        so the join's keys are all the buffer shares. An audit that finds
+        nothing clears the appends it joined; one that finds a slice clears
+        none, its clean appends included, and a later audit joins them
+        again, a cost that does not matter, as a leak fails the run.
 
         The match is on bytes, not on where they came from: a secret window
         made of a float's top byte and zero bytes also occurs in public ReLU
         activations with zero runs. So a branched plan that spills after its
         public normal-world hand-off is flagged although nothing leaks.
         """
-        found, missed = [], []
+        missed, logged = [], []
         for data, is_container, records in buffer._appends():
             key = (data, is_container)
-            keys = self._joined.get(key)
-            if keys is None:
-                missed.append((key, [view for _offset, _tag, view in records]))
+            if key in self._cleared:
+                self._cleared.move_to_end(key)
             else:
-                self._joined.move_to_end(key)
-                found.append(keys)
-        if missed:
-            joined = self._shared_keys([view for _key, views in missed for view in views])
-            for key, views in missed:
-                keys = joined  # no window of any append is shared: each shares none
-                if joined.size:
-                    keys = _distinct(w[_in_sorted(joined, w)] for w in map(_window_keys, views))
-                self._joined[key] = keys
-                if len(self._joined) > _JOINED_APPENDS:
-                    self._joined.popitem(last=False)
-                found.append(keys)
-        shared = _distinct(found)
+                missed.append(key)
+                logged += (view for _offset, _tag, view in records)
+        if not missed:
+            return None
+        shared = self._shared_keys(logged)
         if not shared.size:
+            for key in missed:
+                self._cleared[key] = None
+                if len(self._cleared) > _CLEARED_APPENDS:
+                    self._cleared.popitem(last=False)
             return None
         # each shared key is a secret window's, so some secret holds the first
         hits = ((s, np.flatnonzero(_in_sorted(shared, _window_keys(s)))) for s in self.secrets)
@@ -291,7 +290,7 @@ _auditors: OrderedDict[tuple[bytes, ...], LeakAudit] = OrderedDict()
 def find_plaintext_leak(buffer: SharedBuffer, secrets: Iterable[bytes]) -> bytes | None:
     """``LeakAudit(secrets).find(buffer)``, with the auditor of each of the
     last ``_AUDITED_SETS`` secret sets kept between calls, so its index is
-    built once and its appends are joined once."""
+    built once and each append it clears is joined once."""
     secrets = tuple(map(bytes, secrets))
     auditor = _auditors.pop(secrets, None) or LeakAudit(secrets)
     _auditors[secrets] = auditor

@@ -22,7 +22,7 @@ from cdlp.executor import (
     stream_spilled,
 )
 from cdlp.model import FLOAT_BYTES, LayerSpec, ModelSpec, Tensor
-from cdlp.nn import layer_forward
+from cdlp.nn import layer_forward, reference_forward
 from cdlp.planner import (
     SPILL_CHUNK_BYTES,
     partition_footprint,
@@ -258,6 +258,33 @@ def test_plans_run_at_their_cap_and_peak_at_their_footprints(seed, per_mille, da
     assert compare_runs(result.output, reference).bitwise_equal
     planned = {p.id: p.footprint_bytes for p in spilled.partitions}
     assert all(t.arena_peak <= planned[t.partition.id] for t in result.partitions)
+
+
+# a NaN with a payload, the infinities, -0.0, the smallest subnormals and
+# floats near the largest, which overflow once summed
+_NON_FINITE = np.concatenate([
+    np.array([0x7FC0_1234], np.uint32).view(np.float32),
+    np.array([np.inf, -np.inf, -0.0, 1e-45, -1e-45, 3e38, -3e38], np.float32),
+])
+
+
+def test_non_finite_inputs_run_bitwise_equal_to_the_reference():
+    """One input value in eight replaced by a special float: each of 24
+    models, under each scheme at its tightest cap and at 1.5 times it,
+    gives the reference's output bit for bit, NaN payloads included."""
+    for seed in range(24):
+        model, store, x = random_case(seed)
+        values = x.data.copy()
+        values[::8] = np.resize(np.roll(_NON_FINITE, seed), values[::8].size)
+        x = Tensor(x.dims, values)
+        with np.errstate(all="ignore"):  # overflow and invalid values are the point
+            reference = reference_forward(model, store, x).data.tobytes()
+        for plan_fn in (plan_layered, plan_sublayer, plan_branched):
+            tightest = tightest_cap(plan_fn, model)
+            for cap in (tightest, tightest * 3 // 2):
+                with np.errstate(all="ignore"):
+                    result = run_plan(model, store, plan_fn(model, cap), x, cap=cap)
+                assert result.output.data.tobytes() == reference, (seed, plan_fn.__name__, cap)
 
 
 def test_canonical_sublayer_plan_runs_at_24000_bytes():

@@ -19,6 +19,7 @@ def test_the_working_tree_runs_every_workload_the_same_twice():
         assert len(dump["inferences"]) == workloads.POOL_SIZE
         assert all(run["partitions"] and run["writes"] for run in dump["inferences"])
         assert dump["planted"] and None not in dump["planted"]
+        assert dump["replanted"] == dump["planted"]
         assert len(dump["warm_planted"]) == len(dump["planted"])
         assert None not in dump["warm_planted"]
     assert tool.first_difference(first, second) is None

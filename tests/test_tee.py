@@ -13,8 +13,9 @@ from cdlp import audit
 from cdlp.audit import LeakAudit, find_plaintext_leak
 from cdlp.container import HEADER_BYTES, aead, encrypt_partition
 from cdlp.errors import SecureMemoryError
-from cdlp.executor import PartitionTrace
-from cdlp.planner import WORLD_SECURE, Partition
+from cdlp.executor import PartitionTrace, prepare_partition_data, run_partitioned
+from cdlp.model import LayerSpec, ModelSpec
+from cdlp.planner import WORLD_SECURE, Partition, plan_layered, plan_sublayer
 from cdlp.tee import (
     CostConstants,
     CostLedger,
@@ -26,6 +27,9 @@ from cdlp.tee import (
     ledger_decrypt,
     ledger_overhead,
 )
+from cdlp.weights import split_weights
+
+from support import random_tensor, random_weight_store, spilled_secrets
 
 CIPHER = aead(bytes(range(16)))
 CONTEXT = b"weights" + bytes(32)  # a weights context: tag, plan digest
@@ -487,7 +491,7 @@ def test_find_plaintext_leak_splits_containers_as_the_log_does(appends, data):
     assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
 
 
-# --- the audit's memo: each append joined once per secret set ---
+# --- the audit's memo: each clean append joined once per secret set ---
 
 @pytest.mark.parametrize("container_first", [True, False])
 def test_a_memoized_container_does_not_answer_for_the_same_bytes_appended_plain(
@@ -520,13 +524,15 @@ def test_audits_of_buffers_sharing_appends_match_the_oracle(pool, data):
     tuple or with a bytearray that changes between calls: every audit
     equals the plain scan of its buffer, and so does that of an auditor
     held across the buffers, against the secrets as they were when it was
-    made."""
+    made. Each buffer is then audited again, in reverse order, so answers
+    given after a leaking audit are checked too."""
     flat = b"".join(payload for _kind, payload in pool)
     cut = st.integers(0, len(flat)).flatmap(
         lambda at: st.integers(8, 16).map(lambda n: flat[at : at + n]))
     mutable = bytearray(data.draw(cut))
     held_secrets = [*data.draw(st.lists(st.one_of(cut, _two_symbols), max_size=3)), mutable]
     held, snapshot = LeakAudit(held_secrets), [bytes(s) for s in held_secrets]
+    audited = []
     for _ in range(4):
         buf = SharedBuffer()
         for kind, payload in data.draw(st.lists(st.sampled_from(pool), max_size=6)):
@@ -541,6 +547,10 @@ def test_audits_of_buffers_sharing_appends_match_the_oracle(pool, data):
         mutable[:] = data.draw(cut)  # the same buffer again, the bytearray changed
         want = leak_oracle(buf, [*secrets, bytes(mutable)])
         assert find_plaintext_leak(buf, [*secrets, mutable]) == want
+        assert held.find(buf) == leak_oracle(buf, snapshot)
+        audited.append((buf, [*secrets, bytes(mutable)]))
+    for buf, secrets in reversed(audited):
+        assert find_plaintext_leak(buf, secrets) == leak_oracle(buf, secrets)
         assert held.find(buf) == leak_oracle(buf, snapshot)
 
 
@@ -573,6 +583,47 @@ def test_an_unchanged_audit_joins_nothing_and_an_append_only_itself(monkeypatch)
     assert [bytes(view) for view in logged] == [sealed[:HEADER_BYTES], sealed[HEADER_BYTES:]]
     assert all(view.obj is sealed for view in logged)
     assert auditor is joins[0][0] and auditor.secrets == tuple(secrets)
+
+
+@pytest.fixture
+def joins(monkeypatch):
+    """The bytes of the records each ``_shared_keys`` call from here on
+    joins, one list per call."""
+    joined = []
+
+    def counted(auditor, logged):
+        joined.append([bytes(view) for view in logged])
+        return shared_keys(auditor, logged)
+
+    shared_keys = LeakAudit._shared_keys
+    monkeypatch.setattr(LeakAudit, "_shared_keys", counted)
+    return joined
+
+
+def test_a_leaking_audit_clears_nothing_and_is_joined_again(joins):
+    """A buffer holding a planted slice, audited twice by one auditor, is
+    joined both times, bar the appends a clean audit cleared before, and
+    gives the same slice: no append of a leaking audit is cleared, and the
+    appends cleared before stay cleared."""
+    secret = os.urandom(256)
+    auditor = LeakAudit([os.urandom(64), secret])
+    public = os.urandom(500)
+    sealed = encrypt_partition(os.urandom(300), CIPHER, 0, CONTEXT)
+    clean = _buffer([(public, TaintTag.PUBLIC)])
+    clean.append_container(sealed)
+    assert auditor.find(clean) is None
+    cleared = [(public, False), (sealed, True)]
+    assert len(joins) == 1 and list(auditor._cleared) == cleared
+
+    fresh, planted = os.urandom(200), os.urandom(40) + secret[100:116]
+    leaky = _buffer([(public, TaintTag.PUBLIC)])
+    leaky.append_container(sealed)
+    leaky.append(fresh, TaintTag.PUBLIC)
+    leaky.append(planted, TaintTag.PUBLIC)
+    for audits in (2, 3):
+        assert auditor.find(leaky) == secret[100:108] == leak_oracle(leaky, auditor.secrets)
+        assert len(joins) == audits and joins[-1] == [fresh, planted]
+        assert list(auditor._cleared) == cleared
 
 
 @pytest.fixture
@@ -677,15 +728,50 @@ def test_the_filters_drop_most_probes_of_a_large_secret_set():
 
 
 def test_the_memo_keeps_at_most_its_bound_of_entries():
-    """An auditor's append memo keeps its bound of the appends it joined
-    last, audit after audit of fresh appends."""
+    """An auditor keeps its bound of the appends it cleared last, audit
+    after audit of fresh appends."""
     auditor = LeakAudit([os.urandom(16)])
     for _ in range(2):
         buf = SharedBuffer()
-        for _ in range(audit._JOINED_APPENDS + 10):
+        for _ in range(audit._CLEARED_APPENDS + 10):
             buf.append(os.urandom(16), TaintTag.PUBLIC)
         assert auditor.find(buf) is None
-        assert len(auditor._joined) == audit._JOINED_APPENDS
+        assert len(auditor._cleared) == audit._CLEARED_APPENDS
+
+
+@pytest.mark.parametrize("spill", [False, True])
+def test_a_second_pass_over_run_logs_joins_only_fresh_spill_chunks(joins, monkeypatch, spill):
+    """Runs of a pool of 3 inputs, audited twice in a cycle with each
+    input's secrets: on the second pass, a layered plan's audits join
+    nothing, and a spilling plan's join only the records of the chunks
+    that run spilled, which are sealed afresh each run."""
+    monkeypatch.setattr(audit, "_auditors", type(audit._auditors)())
+    model = ModelSpec([LayerSpec.connected(300, "relu"), LayerSpec.connected(10, "linear")],
+                      (8, 1, 1))
+    rng = np.random.default_rng(37)
+    store = random_weight_store(model, rng)
+    inputs = [random_tensor(rng, model.input_dims) for _ in range(3)]
+    if spill:
+        plan = plan_sublayer(model, 1 << 20, subset_size={0: 100, 1: 5}).with_spill(1)
+    else:
+        plan = plan_layered(model, 1 << 20)
+    data = prepare_partition_data(store, plan, bytes(16))
+    blobs = [b for b in split_weights(store, plan) if len(b) >= 8]
+    for audits in (1, 2):
+        for x in inputs:
+            shared = run_partitioned(model, data, plan, x, SecureArena(1 << 20), bytes(16)).shared
+            secrets = blobs + spilled_secrets(model, store, plan, x)
+            joined = len(joins)
+            assert find_plaintext_leak(shared, secrets) is None
+            if audits == 1:
+                assert len(joins) == joined + 1
+                continue
+            # each spill chunk's header and body
+            fresh = [bytes(view) for blob, is_container, records in shared._appends()
+                     if is_container and blob not in data.values()
+                     for _offset, _tag, view in records]
+            assert len(fresh) == (6 if spill else 0)
+            assert joins[joined:] == ([fresh] if spill else [])
 
 
 # When the secrets are larger, secrets[2], which the slice is cut from, is one

@@ -20,7 +20,9 @@ it, so a run that fails must fail and clean up alike. The leak audit is
 compared too: each inference's ``find_plaintext_leak`` result on its shared
 buffer and secrets, and, for each secret of the first input, the audit of
 that secret alone once 16 bytes from its middle are appended to a fresh
-run's buffer, which must find a slice. For each such secret it also records
+run's buffer, which must find a slice, and the same audit of the same
+buffer once more, which must find it again, as an audit that finds a slice
+clears none of the buffer's appends. For each such secret it also records
 a warm planted audit: a fresh run's buffer is audited with the input's whole
 secret set, the same 16 bytes are appended, and the buffer is audited with
 that set again, so the run's appends are answered from the auditor's memo and
@@ -97,7 +99,7 @@ def child_dump() -> dict:
                 "writes": [[w.offset, w.length, w.tag.name] for w in result.shared.writes],
                 "audit": audit(result.shared, instance.secrets[index]),
             })
-        planted, warm_planted = [], []
+        planted, replanted, warm_planted = [], [], []
         secrets = instance.secrets[0]
         for secret in secrets:
             start = max(len(secret) // 2 - 8, 0)
@@ -105,6 +107,7 @@ def child_dump() -> dict:
             shared = instance.infer(0).shared
             shared.append(piece, TaintTag.PUBLIC)
             planted.append(audit(shared, [secret]))
+            replanted.append(audit(shared, [secret]))
             # the run's appends audited with every secret first, so the
             # audit after the plant finds them in the memo
             shared = instance.infer(0).shared
@@ -135,7 +138,7 @@ def child_dump() -> dict:
                 plans[f"{planner.__name__} {cap}"] = entry
         dump[name] = {"manifest": render_manifest(instance.plan).splitlines(),
                       "inferences": inferences, "tampered": tampered, "planted": planted,
-                      "warm_planted": warm_planted, "plans": plans}
+                      "replanted": replanted, "warm_planted": warm_planted, "plans": plans}
     return dump
 
 
