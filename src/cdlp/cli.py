@@ -106,6 +106,7 @@ def _partition_payload(p) -> dict:
         "end": p.end,
         "world": p.world,
         "footprint_bytes": p.footprint_bytes,
+        "layout": p.layout,
     }
 
 

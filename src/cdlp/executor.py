@@ -279,7 +279,9 @@ def run_partitioned(
                 traces.append(trace)
                 blob = partition_data[p.id]
                 if p.world != WORLD_SECURE:
-                    rows = partition_weights(model, i, p.start, p.end, blob) if weighted else None
+                    rows = None
+                    if weighted:
+                        rows = partition_weights(model, i, p.start, p.end, blob, p.layout)
                     started = clock()
                     outputs.append(layer_forward(model, i, x, rows, p.start))
                     trace.kernel_seconds = clock() - started
@@ -302,7 +304,9 @@ def run_partitioned(
                         # the trusted app reads public inputs straight from shared memory
                         data = shared.read(offset, FLOAT_BYTES * x.size)
                         inputs = Tensor(x.dims, np.frombuffer(data, FLOAT))
-                    rows = partition_weights(model, i, p.start, p.end, weights.data) if weighted else None
+                    rows = None
+                    if weighted:
+                        rows = partition_weights(model, i, p.start, p.end, weights.data, p.layout)
                     started = clock()
                     if spilled is None:
                         result = layer_forward(model, i, inputs, rows, p.start)

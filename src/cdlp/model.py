@@ -22,6 +22,12 @@ ACTIVATIONS = ("linear", "relu")
 FLOAT = np.dtype("<f4")
 FLOAT_BYTES = 4
 
+# How a LayerWeights holds its weight matrix in memory, and so how a partition
+# blob writes it: column by column, or row by row; each with its numpy order.
+LAYOUT_COLUMNS = "columns"
+LAYOUT_ROWS = "rows"
+LAYOUT_ORDERS = {LAYOUT_COLUMNS: "F", LAYOUT_ROWS: "C"}
+
 
 def _flat_floats(values) -> np.ndarray:
     """``values`` as a 1-D contiguous float32 array: the array itself if it
@@ -139,15 +145,22 @@ class LayerWeights:
 
     Rows are output neurons (connected) or filters (convolutional). For a
     branched connected layer the row length is the per-group input count.
-    Weights are stored column-major, so a kernel's block of columns is
-    contiguous (see ``nn``); ``tobytes()`` still writes row-major order.
+    Weights are stored in ``layout``: column-major by default, as a weight
+    store holds them, so a kernel's block of columns is contiguous (see
+    ``nn``), or row-major, as a thin connected partition's blob holds them.
+    Weights already in that layout are kept as they are, so a view of a blob
+    stays a view; ``tobytes()`` writes row-major order in either layout.
     """
 
     weights: np.ndarray
     biases: np.ndarray
+    layout: str = LAYOUT_COLUMNS
 
     def __post_init__(self):
-        self.weights = np.asfortranarray(self.weights, dtype=FLOAT)
+        order = LAYOUT_ORDERS.get(self.layout)
+        if order is None:
+            raise DimensionError(f"unknown weight layout {self.layout!r}")
+        self.weights = np.asarray(self.weights, FLOAT, order=order)
         self.biases = _flat_floats(self.biases)
         if self.weights.ndim != 2:
             raise DimensionError(f"weight matrix must be 2-D, got {self.weights.shape}")

@@ -21,29 +21,44 @@ chunks) is bitwise identical to computing it whole:
 
 The per-element float32 operations never get reassociated, which makes the
 partitioned executor's outputs comparable to the reference with ==, not a
-tolerance. All three weighted kernels sum through ``_accumulate``: it stacks
-the running sums and a block of negated product terms as the rows of one array
-and reduces that outer axis into the sums with ``np.subtract.reduce``.
-Subtraction does not associate, so numpy never sums it pairwise: it runs row
-after row at every shape, and ``s - (-t)`` is ``s + t`` bit for bit (IEEE 754).
+tolerance. All three weighted kernels sum through ``_accumulate``: it lays
+the running sums and a block of negated product terms side by side in one
+array and reduces the terms' axis into the sums with ``np.subtract.reduce``.
+Subtraction does not associate, so numpy never sums it pairwise: it runs term
+after term at every shape and along either axis, and ``s - (-t)`` is
+``s + t`` bit for bit (IEEE 754).
 No kernel uses ``matmul``, ``dot`` or ``einsum``: BLAS reorders the sums.
 
-A term block is the transposed weight block times the inputs, laid out as
-(terms, rows, *pixels) to stack under the running sums. Weights are stored
-column-major (see ``LayerWeights``), so the transposed block is contiguous;
-row-major, a long connected row would put every row of a weight column into
-one cache set. A block is filled by a broadcast copy of one operand and one
-multiply in place by the other, never by a multiply with a stride-0 inner
-axis, which numpy runs 2-3 times slower.
+Weights come in the layout their partition names (see ``LayerWeights``), and
+the term block follows it. Column-major weights, as a weight store and every
+convolution and wide connected partition hold them, give a block laid out as
+(terms, rows, *pixels), the transposed weight block times the inputs, stacked
+under the running sums and reduced along its outer axis; the transposed block
+is contiguous, where row-major a long connected row would put every row of a
+weight column into one cache set. Such a block is filled by a broadcast copy
+of one operand and one multiply in place by the other, never by a multiply
+with a stride-0 inner axis, which numpy runs 2-3 times slower. Row-major
+weights, as a thin connected partition holds them (at most
+``planner.THIN_ROWS`` rows), give a block laid out as (rows, terms + 1): column
+0 holds the running sums, one multiply of the weight block by the negated
+inputs fills the rest, the broadcast running along the outer axis, and the
+reduce runs along each contiguous row. A column-major block of 16 rows by
+1 024 inputs reduces 1 025 term rows of 16 floats each, and numpy's cost per
+term row, not the arithmetic, sets its time; the row-major block takes about
+0.6 times as long. At 24 to 32 rows the two run within about 10% of each
+other, so row-major stops paying there. Both reduce in ascending order from
+the running sums, so the layouts give the same bits.
 
 Kernel scratch is not charged to the secure arena. It is the convolution's
 zero-padded input, made only when the padding is above 0 (unpadded, the im2col
 windows view the input, which no kernel writes); its im2col patch matrix
 (channels * kernel_size**2 * out_h * out_w values); the negated copy of the
 operand a block spreads (n * rows values for a convolution with more than one
-output pixel, else n, for n terms); and one block of product terms: at most
-``_BLOCK_FLOATS`` values, or two output rows when a layer subset's output
-alone is larger.
+output pixel, else n, for n terms: the inputs, whatever the layout); and one
+block of product terms: at most ``_BLOCK_FLOATS`` values, or two output rows
+when a layer subset's output alone is larger. A row-major block holds the
+same count, (rows, terms + 1) where a column-major one holds
+(terms + 1, rows).
 """
 
 from __future__ import annotations
@@ -73,19 +88,36 @@ def _accumulate(acc: np.ndarray, weights: np.ndarray, inputs: np.ndarray) -> np.
     ``acc`` is (rows, *rest), ``weights`` (rows, n) and ``inputs`` (n, *rest); the
     sums are written into ``acc``, which the caller owns.
 
-    A block of terms is a broadcast copy of one operand times the other, whose
-    inner axis is contiguous: the weights times the patch rows when a row has
-    more than one value (a convolution's pixels), else the inputs times the
-    weight block. The copied operand is negated once, so each block holds -t[i]
-    (exact, as ``(-s) * f == -(s * f)``) and the reduce subtracts it.
+    A 1-D ``acc`` whose weights run along contiguous rows (a row-major
+    partition's) sums a block of terms laid out as (rows, terms), column 0
+    holding the running sums, along its rows: one multiply of the weight block
+    by the negated inputs, broadcast along the outer axis. Otherwise a block
+    of terms is (terms, rows, *rest), row 0 holding the running sums, reduced
+    along its outer axis: a broadcast copy of one operand times the other,
+    whose inner axis is contiguous: the weights times the patch rows when a
+    row has more than one value (a convolution's pixels), else the inputs
+    times the weight block. Either way the spread operand is negated once, so
+    each block holds -t[i] (exact, as ``(-s) * f == -(s * f)``) and the reduce
+    subtracts it.
     """
     m = acc.size
     if m == 0:
         return acc
     shape = acc.shape
     n, rows = len(inputs), shape[0]
-    # the terms' operands as (n, rows, *rest) arrays; weights are column-major,
-    # so the transposed weights are contiguous
+    if acc.ndim == 1 and weights.strides[1] == FLOAT.itemsize:
+        spread = np.negative(inputs)
+        block = max(1, min(n, _BLOCK_FLOATS // rows - 1))
+        terms = np.empty((rows, block + 1), dtype=FLOAT)  # column 0, then a block of terms
+        for lo in range(0, n, block):
+            hi = min(lo + block, n)
+            part = terms[:, : hi - lo + 1]
+            part[:, 0] = acc
+            np.multiply(weights[:, lo:hi], spread[lo:hi], out=part[:, 1:])
+            np.subtract.reduce(part, axis=1, out=acc)
+        return acc
+    # the terms' operands as (n, rows, *rest) arrays; column-major weights
+    # make the transposed weights contiguous
     w = weights.T
     if len(shape) > 1:
         w = w.reshape(n, rows, *(1,) * (len(shape) - 1))

@@ -36,6 +36,16 @@ model still plans it with more budget.
 A weightless (maxpool or softmax) layer always runs as one partition.
 Normal-world partitions never touch the arena and record 0 footprint
 bytes. Kernel scratch lies outside the arena and every footprint (``nn``).
+
+Each partition also names the layout its weight blob is written in. A
+connected partition of at most ``THIN_ROWS`` rows, in either world, is
+row-major: its kernel then reduces each term block along contiguous rows,
+which is faster than down the short columns of so few rows. Every other
+partition is column-major. The layout changes no byte count and no
+footprint. The manifest writes a row-major mark as a ``layout rows`` token
+and writes nothing for column-major, so a manifest without the token, as
+every manifest before the mark, still reads column-major, and the plan
+digest, the SHA-256 of the manifest, binds the layout to every container.
 """
 
 from __future__ import annotations
@@ -46,7 +56,7 @@ from dataclasses import dataclass, field, replace
 from typing import AbstractSet, Callable, Mapping
 
 from .errors import LayerTooLargeError, PlanError, PlanInfeasibleError
-from .model import FLOAT_BYTES, ModelSpec
+from .model import FLOAT_BYTES, LAYOUT_COLUMNS, LAYOUT_ORDERS, LAYOUT_ROWS, ModelSpec
 
 SCHEME_LAYERED = "layered"
 SCHEME_SUBLAYER = "sublayer"
@@ -57,11 +67,13 @@ WORLD_SECURE = "secure"
 WORLD_NORMAL = "normal"
 
 SPILL_CHUNK_BYTES = 4096
+THIN_ROWS = 16  # the most rows a row-major connected partition has
 
 
 @dataclass(frozen=True)
 class Partition:
-    """One executable unit: a row range of one layer, bound to a world."""
+    """One executable unit: a row range of one layer, bound to a world, and
+    the layout its weight blob is written in."""
 
     id: int
     layer_index: int
@@ -69,6 +81,7 @@ class Partition:
     end: int
     world: str
     footprint_bytes: int
+    layout: str = LAYOUT_COLUMNS
 
 
 @dataclass(frozen=True)
@@ -187,6 +200,12 @@ def plan_branched(model: ModelSpec, cap: int) -> PartitionPlan:
     )
 
 
+def _layout(kind: str, rows: int) -> str:
+    """Row-major for a connected partition of at most ``THIN_ROWS`` rows,
+    else column-major."""
+    return LAYOUT_ROWS if kind == "connected" and rows <= THIN_ROWS else LAYOUT_COLUMNS
+
+
 def _plan(
     model: ModelSpec,
     cap: int,
@@ -209,7 +228,9 @@ def _plan(
     for i in range(len(model.layers)):
         units, kind = model.units(i), model.layers[i].kind
         if i < secure_from:
-            partitions.append(Partition(len(partitions), i, 0, units, WORLD_NORMAL, 0))
+            partitions.append(
+                Partition(len(partitions), i, 0, units, WORLD_NORMAL, 0, _layout(kind, units))
+            )
             continue
 
         def footprint(rows: int, i: int = i) -> int:
@@ -240,10 +261,11 @@ def _plan(
                 f"needs {footprint(size)} bytes, budget is {cap}"
             )
         for start in range(0, units, size):
-            end = min(start + size, units)
-            partitions.append(
-                Partition(len(partitions), i, start, end, WORLD_SECURE, footprint(end - start))
-            )
+            rows = min(size, units - start)
+            partitions.append(Partition(
+                len(partitions), i, start, start + rows, WORLD_SECURE, footprint(rows),
+                _layout(kind, rows),
+            ))
         producer = size
     return PartitionPlan(scheme, partitions, flags)
 
@@ -277,6 +299,12 @@ def validate_plan(plan: PartitionPlan, model: ModelSpec, cap: int | None) -> lis
         if not 0 <= i < layers:
             problems.append(f"partition {p.id} names layer {i} of {layers}")
             continue
+        if p.layout == LAYOUT_ROWS and model.layers[i].kind != "connected":
+            problems.append(
+                f"partition {p.id} is marked row-major but layer {i} is {model.layers[i].kind}"
+            )
+        elif p.layout not in LAYOUT_ORDERS:
+            problems.append(f"partition {p.id} has unknown layout {p.layout!r}")
         if p.world == WORLD_SECURE:
             seen_secure = True
             if cap is not None and p.footprint_bytes > cap:
@@ -353,12 +381,14 @@ def render_manifest(plan: PartitionPlan) -> str:
         lines.append(
             f"partition {p.id} layer {p.layer_index} range {p.start}..{p.end} "
             f"world {p.world} bytes {p.footprint_bytes}"
+            + (f" layout {p.layout}" if p.layout != LAYOUT_COLUMNS else "")
         )
     return "\n".join(lines) + "\n"
 
 
 _PARTITION_RE = re.compile(
-    r"^partition (\d+) layer (\d+) range (\d+)\.\.(\d+) world (secure|normal) bytes (\d+)$"
+    r"^partition (\d+) layer (\d+) range (\d+)\.\.(\d+) world (secure|normal) bytes (\d+)"
+    r"(?: layout (\S+))?$"
 )
 _SPILL_RE = re.compile(r"^spill (\d+)$")
 
@@ -383,10 +413,13 @@ def parse_manifest(text: str) -> PartitionPlan:
         m = _PARTITION_RE.match(line)
         if not m:
             raise PlanError(f"manifest line {number}: unrecognized entry {line!r}")
-        pid, layer, start, end, world, footprint = m.groups()
-        partitions.append(
-            Partition(int(pid), int(layer), int(start), int(end), world, int(footprint))
-        )
+        pid, layer, start, end, world, footprint, layout = m.groups()
+        if layout is not None and layout not in LAYOUT_ORDERS:
+            raise PlanError(f"manifest line {number}: unknown layout {layout!r}")
+        partitions.append(Partition(
+            int(pid), int(layer), int(start), int(end), world, int(footprint),
+            layout or LAYOUT_COLUMNS,
+        ))
     if scheme is None:
         raise PlanError("manifest has no scheme line")
     if scheme not in SCHEMES:

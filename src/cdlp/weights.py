@@ -9,9 +9,12 @@ File layout, all little-endian:
 
 The file stays row-major whatever the memory layout (``tobytes()`` writes
 logical order). A partition blob has no header: the biases of the partition's
-rows, then its weights column by column, the order ``LayerWeights`` holds them
-in. The blobs of one layer hold each of its values once, but do not
-concatenate to its section in the file.
+rows, then its weights in the layout the plan names for the partition
+(``Partition.layout``). That is column by column, except for a thin connected
+partition, whose weights go row by row. ``partition_weights`` lays its views
+over the blob in that same layout. The blobs of one layer hold each of its
+values once, but do not concatenate to its section in the file, not even when
+they are all row-major, as each blob starts with its own biases.
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ import struct
 import numpy as np
 
 from .errors import DimensionError, FormatError
-from .model import FLOAT, FLOAT_BYTES, LayerWeights, ModelSpec, WeightStore
+from .model import FLOAT, FLOAT_BYTES, LAYOUT_COLUMNS, LAYOUT_ORDERS, LayerWeights, ModelSpec
+from .model import WeightStore
 
 _HEADER = struct.Struct("<4I")
 HEADER_BYTES = _HEADER.size
@@ -76,33 +80,44 @@ def load_weights(data: bytes, model: ModelSpec) -> WeightStore:
     return WeightStore(layers)
 
 
-def layer_blob(store: WeightStore, layer_index: int, start: int, end: int) -> bytes:
-    """Biases, then column-major weights, of rows [start, end) of one layer."""
+def layer_blob(
+    store: WeightStore, layer_index: int, start: int, end: int, layout: str = LAYOUT_COLUMNS
+) -> bytes:
+    """Biases, then the weights in ``layout``, of rows [start, end) of one layer."""
     lw = store.layers[layer_index]
     if lw is None:
         return b""
     if not 0 <= start <= end <= lw.rows:
         raise DimensionError(f"rows [{start}, {end}) outside layer of {lw.rows} rows")
-    return lw.biases[start:end].tobytes() + lw.weights[start:end].T.tobytes()
+    return lw.biases[start:end].tobytes() + lw.weights[start:end].tobytes(LAYOUT_ORDERS[layout])
 
 
 def split_weights(store: WeightStore, plan) -> list[bytes]:
-    """One blob per plan partition, in plan order; together the blobs of a
-    layer cover its rows exactly once."""
-    return [layer_blob(store, p.layer_index, p.start, p.end) for p in plan.partitions]
+    """One blob per plan partition, in plan order and in each partition's
+    layout; together the blobs of a layer cover its rows exactly once."""
+    return [
+        layer_blob(store, p.layer_index, p.start, p.end, p.layout) for p in plan.partitions
+    ]
 
 
 def partition_weights(
-    model: ModelSpec, layer_index: int, start: int, end: int, blob: bytes
+    model: ModelSpec,
+    layer_index: int,
+    start: int,
+    end: int,
+    blob: bytes,
+    layout: str = LAYOUT_COLUMNS,
 ) -> LayerWeights:
-    """Parse a partition blob back into the row slice it serializes.
+    """Parse a partition blob, written in ``layout``, back into the row slice
+    it serializes.
 
     Both arrays are read-only views of ``blob`` (the weights a column-major
-    one), not copies, so they take no memory beyond the blob: a decrypted
-    blob is its arena allocation's ``data``, freed only after the kernel that
-    reads the views has returned, and a normal-world blob is immutable ``bytes``.
-    Each view is laid over the blob as one array in the layout
-    ``LayerWeights`` keeps, so it keeps both as they are.
+    or a row-major one, as ``layout`` says), not copies, so they take no
+    memory beyond the blob: a decrypted blob is its arena allocation's
+    ``data``, freed only after the kernel that reads the views has returned,
+    and a normal-world blob is immutable ``bytes``. Each view is laid over the
+    blob as one array in the layout ``LayerWeights`` is given, so it keeps
+    both as they are.
     """
     shape = model.param_shape(layer_index)
     if shape is None:
@@ -117,6 +132,7 @@ def partition_weights(
     if type(blob) is not bytes:  # a bytearray blob would give writable views
         blob = memoryview(blob).toreadonly()
     return LayerWeights(
-        np.ndarray((rows, cols), FLOAT, blob, FLOAT_BYTES * rows, order="F"),
+        np.ndarray((rows, cols), FLOAT, blob, FLOAT_BYTES * rows, order=LAYOUT_ORDERS[layout]),
         np.ndarray(rows, FLOAT, blob),
+        layout,
     )

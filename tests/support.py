@@ -150,7 +150,7 @@ def merge_blobs(model: ModelSpec, plan, blobs: Mapping[int, bytes]) -> WeightSto
     for p in plan.partitions:
         if not model.is_parameterized(p.layer_index):
             continue
-        lw = partition_weights(model, p.layer_index, p.start, p.end, blobs[p.id])
+        lw = partition_weights(model, p.layer_index, p.start, p.end, blobs[p.id], p.layout)
         target = layers[p.layer_index]
         target.biases[p.start : p.end] = lw.biases
         target.weights[p.start : p.end] = lw.weights

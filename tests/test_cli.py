@@ -14,7 +14,7 @@ from cdlp.cli import main, read_tensor_file, write_tensor_file
 from cdlp.config import canonical_config_text, load_canonical_model
 from cdlp.container import HEADER_BYTES
 from cdlp.model import LayerWeights, Tensor
-from cdlp.planner import parse_manifest, render_manifest
+from cdlp.planner import THIN_ROWS, parse_manifest, render_manifest
 from cdlp.weights import load_weights, serialize_weights
 
 from support import random_tensor, random_weight_store
@@ -68,6 +68,25 @@ def test_plan_shows_subset_choice_and_spill(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["sublayer"]["4"]["subset_count"] == 2
     assert payload["spill_layers"] == []
+
+
+def test_plan_and_run_json_name_each_partition_layout(workspace, capsys):
+    """The canonical layered plan's thin connected partition is row-major,
+    in the plan's JSON and in the run's trace alike."""
+    tmp, cfg, _, tensor = workspace
+    model = load_canonical_model()
+    expect = [
+        "rows" if layer.kind == "connected" and layer.outputs <= THIN_ROWS else "columns"
+        for layer in model.layers
+    ]
+    assert "rows" in expect
+    assert run_cli("plan", "--cfg", cfg, "--scheme", "layered", "--cap", CAP, "--json") == 0
+    assert [p["layout"] for p in json.loads(capsys.readouterr().out)["partitions"]] == expect
+    manifest, parts = plan_and_encrypt(workspace)
+    capsys.readouterr()
+    assert run_cli("run", "--cfg", cfg, "--parts", parts, "--plan", manifest, "--key", KEY_HEX,
+                   "--input", tensor, "--cap", CAP, "--json") == 0
+    assert [entry["layout"] for entry in json.loads(capsys.readouterr().out)["trace"]] == expect
 
 
 def test_plan_infeasible_cap_exits_3(workspace, capsys):

@@ -21,14 +21,18 @@ from cdlp.executor import (
     spill_activations,
     stream_spilled,
 )
-from cdlp.model import FLOAT_BYTES, LayerSpec, ModelSpec, Tensor
+from cdlp.model import FLOAT_BYTES, LAYOUT_COLUMNS, LAYOUT_ROWS, BranchTopology, LayerSpec
+from cdlp.model import ModelSpec, Tensor
 from cdlp.nn import layer_forward, reference_forward
 from cdlp.planner import (
     SPILL_CHUNK_BYTES,
+    THIN_ROWS,
+    parse_manifest,
     partition_footprint,
     plan_branched,
     plan_layered,
     plan_sublayer,
+    render_manifest,
     validate_plan,
 )
 from cdlp.tee import (
@@ -258,6 +262,76 @@ def test_plans_run_at_their_cap_and_peak_at_their_footprints(seed, per_mille, da
     assert compare_runs(result.output, reference).bitwise_equal
     planned = {p.id: p.footprint_bytes for p in spilled.partitions}
     assert all(t.arena_peak <= planned[t.partition.id] for t in result.partitions)
+
+
+@given(
+    widths=st.lists(st.integers(1, 3 * THIN_ROWS), min_size=1, max_size=3),
+    inputs=st.integers(1, 300),
+    branches=st.sampled_from([1, 2, 4]),
+    per_mille=st.integers(1000, 3000),
+    data=st.data(),
+)
+@settings(max_examples=40, deadline=None)
+def test_row_major_partitions_run_bitwise_equal_to_the_reference(
+    widths, inputs, branches, per_mille, data
+):
+    """Random connected models, branched ones among them, under sublayer
+    plans at tight caps, spilled or not: thin partitions run row-major and
+    every output is the reference's, bit for bit."""
+    layers = [LayerSpec.connected(width * branches, "relu") for width in widths]
+    layers.append(LayerSpec.connected(2 * branches, "linear"))
+    branch = BranchTopology(len(layers) - 1, branches) if branches > 1 else None
+    model = ModelSpec(layers, (inputs * branches, 1, 1), branch)
+    rng = np.random.default_rng(sum(widths) + inputs)
+    store, x = random_weight_store(model, rng), random_tensor(rng, model.input_dims)
+    reference = reference_forward(model, store, x).data.tobytes()
+    cap = tightest_cap(plan_sublayer, model) * per_mille // 1000
+    plan = plan_sublayer(model, cap)
+    assert any(p.layout == LAYOUT_ROWS for p in plan.partitions)
+    assert run_plan(model, store, plan, x, cap=cap).output.data.tobytes() == reference
+    spilled = plan.with_spill(data.draw(st.integers(1, len(layers) - 1)))
+    assert validate_plan(spilled, model, cap) == []
+    assert run_plan(model, store, spilled, x, cap=cap).output.data.tobytes() == reference
+    if branch is not None:
+        branched = plan_branched(model, CAP)
+        assert run_plan(model, store, branched, x).output.data.tobytes() == reference
+
+
+def test_a_column_major_manifest_still_runs_its_containers():
+    """A manifest without layout tokens, as every one written before
+    partitions named a layout, plans every partition column-major; the
+    containers sealed under it open and run to the reference's output."""
+    model, store, plan, (x, _) = wide_spill_case()
+    text = render_manifest(plan)
+    assert " layout rows" in text
+    legacy = parse_manifest(text.replace(" layout rows", ""))
+    assert {p.layout for p in legacy.partitions} == {LAYOUT_COLUMNS}
+    result = run_plan(model, store, legacy, x)
+    assert compare_runs(result.output, reference_forward(model, store, x)).bitwise_equal
+    assert result.ledger == run_plan(model, store, plan, x).ledger
+
+
+def test_containers_sealed_column_major_do_not_open_under_a_row_major_plan(monkeypatch):
+    """The plan digest binds the layout: containers sealed under a plan whose
+    partitions are all column-major are refused under the same plan marked
+    row-major, before any of them is decrypted or any kernel runs."""
+    model, store, plan, (x, _) = wide_spill_case()
+    columns = replace(plan, partitions=[replace(p, layout=LAYOUT_COLUMNS) for p in plan.partitions])
+    data = prepare_partition_data(store, columns, KEY)
+    opened, ran = [], []
+    decrypt = container.decrypt_partition
+
+    def open_(*args):
+        opened.append(decrypt(*args))
+        return opened[-1]
+
+    monkeypatch.setattr("cdlp.container.decrypt_partition", open_)
+    monkeypatch.setattr(executor, "layer_forward", lambda *args: ran.append(args))
+    arena = SecureArena(CAP)
+    with pytest.raises(IntegrityError):
+        run_partitioned(model, data, plan, x, arena, KEY)
+    assert opened == [] and ran == []
+    assert arena.current_usage == 0
 
 
 # a NaN with a payload, the infinities, -0.0, the smallest subnormals and

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from cdlp import nn
 from cdlp.errors import DimensionError, RangeError
-from cdlp.model import BranchTopology, LayerSpec, LayerWeights, ModelSpec, Tensor, WeightStore
+from cdlp.model import LAYOUT_COLUMNS, LAYOUT_ROWS, BranchTopology, LayerSpec, LayerWeights
+from cdlp.model import ModelSpec, Tensor, WeightStore
 from cdlp.nn import (
     DenseAccumulator,
     connected_forward_rows,
@@ -18,6 +19,8 @@ from cdlp.nn import (
     reference_forward,
     softmax_forward,
 )
+
+from cdlp.weights import layer_blob, partition_weights
 
 from support import random_case, random_tensor, random_weight_store
 
@@ -347,7 +350,7 @@ def long_rows_case():
     b = rng.standard_normal(256).astype(f32)
     x = rng.standard_normal(2048).astype(f32)
     rows = LayerWeights(w, b)
-    assert rows.weights.flags.f_contiguous
+    assert rows.layout == LAYOUT_COLUMNS and rows.weights.flags.f_contiguous
     return rows, x, dense_oracle(x, w, b, "relu")
 
 
@@ -380,7 +383,7 @@ def test_grouped_long_rows_match_oracle():
     b = rng.standard_normal(total).astype(f32)
     x = rng.standard_normal(cols * groups).astype(f32)
     rows = LayerWeights(w, b)
-    assert rows.weights.flags.f_contiguous
+    assert rows.layout == LAYOUT_COLUMNS and rows.weights.flags.f_contiguous
     expect = grouped_oracle(x, w, b, groups, "relu")
     whole = connected_forward_rows(Tensor((x.size,), x), rows, spec, groups=groups)
     assert whole.data.tobytes() == expect.tobytes()
@@ -479,9 +482,81 @@ _EDGE = nn._BLOCK_FLOATS // 2
 )
 def test_accumulate_matches_scalar_loop_on_special_values(kind, rows, n, rest):
     acc, w, x = special_terms(kind, rows, n, rest)
-    with np.errstate(over="ignore", invalid="ignore"):
-        got = nn._accumulate(acc.copy(), np.asfortranarray(w), x)
-    assert got.tobytes() == accumulate_oracle(acc, w, x).tobytes()
+    expect = accumulate_oracle(acc, w, x).tobytes()
+    # column-major weights; a connected layer's row-major ones too
+    layouts = [np.asfortranarray(w)] + ([] if rest else [np.ascontiguousarray(w)])
+    for weights in layouts:
+        with np.errstate(over="ignore", invalid="ignore"):
+            got = nn._accumulate(acc.copy(), weights, x)
+        assert got.tobytes() == expect
+
+
+# --- row-major weights: a thin partition's block reduces along its rows ---
+
+def row_major_rows(w, b):
+    """A thin partition's weights as the executor sees them: views of its
+    row-major blob."""
+    model = ModelSpec([LayerSpec.connected(len(b), "linear")], (w.shape[1], 1, 1))
+    store = WeightStore([LayerWeights(w, b)])
+    blob = layer_blob(store, 0, 0, len(b), LAYOUT_ROWS)
+    rows = partition_weights(model, 0, 0, len(b), blob, LAYOUT_ROWS)
+    assert rows.layout == LAYOUT_ROWS and rows.weights.flags.c_contiguous
+    assert np.shares_memory(rows.weights, np.frombuffer(blob, np.uint8))
+    return rows
+
+
+def test_row_major_reduce_adds_in_order_where_pairwise_would_not():
+    """A trap for a reassociated reduce: one row whose sum in order is 2**24,
+    as every later 1 rounds away, while numpy's pairwise float32 sum of the
+    same terms keeps some of the ones."""
+    n = 200
+    x = np.ones(n, f32)
+    x[0] = 2.0**24
+    w = np.ones((1, n), f32)
+    rows = row_major_rows(w, np.zeros(1, f32))
+    assert f32(np.sum(w[0] * x)) != f32(2.0**24)  # the pairwise sum differs
+    got = connected_forward_rows(Tensor((n,), x), rows, LayerSpec.connected(1, "linear"))
+    assert got.data.tolist() == [2.0**24]
+    assert got.data.tobytes() == dense_oracle(x, w, np.zeros(1, f32), "linear").tobytes()
+
+
+def test_row_major_accumulator_streamed_across_block_edges():
+    rng = np.random.default_rng(16)
+    count = 16
+    block = nn._BLOCK_FLOATS // count - 1
+    n = 2 * block + 50
+    w = rng.standard_normal((count, n)).astype(f32)
+    b = rng.standard_normal(count).astype(f32)
+    x = rng.standard_normal(n).astype(f32)
+    x[::7] = 0.0
+    x[3::7] = -0.0
+    spec = LayerSpec.connected(count, "relu")
+    rows = row_major_rows(w, b)
+    expect = dense_oracle(x, w, b, "relu").tobytes()
+    assert connected_forward_rows(Tensor((n,), x), rows, spec).data.tobytes() == expect
+    acc = DenseAccumulator(rows, spec)
+    # chunks cut one before and one after each block edge, and a tail
+    cuts = [0, 1, block - 1, block + 1, 2 * block - 1, 2 * block + 1, n]
+    for lo, hi in zip(cuts, cuts[1:]):
+        acc.feed(x[lo:hi], lo)
+    assert acc.finish().data.tobytes() == expect
+
+
+@pytest.mark.parametrize("count, n", [(1, 30), (10, 24), (16, 1024), (3, nn._BLOCK_FLOATS + 5)])
+def test_row_major_reduce_keeps_the_sign_of_zero_and_negative_zero_inputs(count, n):
+    """Zero and -0.0 inputs, and rows whose every product is -0.0: both
+    layouts and the scalar loop give the same bits."""
+    rng = np.random.default_rng(count * n)
+    w = rng.standard_normal((count, n)).astype(f32)
+    w[0] = -np.abs(w[0])  # row 0: every product with a +0.0 input is -0.0
+    x = np.abs(rng.standard_normal(n)).astype(f32)
+    x[::2] = 0.0
+    x[1::4] = -0.0
+    acc = np.zeros(count, f32)
+    acc[1::2] = -0.0
+    row_major = nn._accumulate(acc.copy(), np.ascontiguousarray(w), x)
+    column_major = nn._accumulate(acc.copy(), np.asfortranarray(w), x)
+    assert row_major.tobytes() == column_major.tobytes() == accumulate_oracle(acc, w, x).tobytes()
 
 
 def test_nan_weight_and_input_give_the_whole_layer_bits_in_pieces():

@@ -7,9 +7,11 @@ from hypothesis import strategies as st
 from cdlp.config import load_canonical_model
 from cdlp.errors import LayerTooLargeError, PlanError, PlanInfeasibleError
 from cdlp.executor import prepare_partition_data, run_partitioned
-from cdlp.model import BranchTopology, LayerSpec, ModelSpec, Tensor, WeightStore
+from cdlp.model import LAYOUT_COLUMNS, LAYOUT_ROWS, BranchTopology, LayerSpec, ModelSpec, Tensor
+from cdlp.model import WeightStore
 from cdlp.planner import (
     SCHEME_LAYERED,
+    THIN_ROWS,
     PartitionPlan,
     SubsetParams,
     parse_manifest,
@@ -448,6 +450,13 @@ def _diagonal_scheme():
     return model, dataclasses.replace(plan_layered(model, CAP), scheme="diagonal")
 
 
+def _diagonal_layout():
+    model = square_connected(8)
+    plan = plan_layered(model, CAP)
+    plan.partitions[0] = dataclasses.replace(plan.partitions[0], layout="diagonal")
+    return model, plan
+
+
 PLAN_VIOLATIONS = {
     "duplicate-id": (
         _canonical_manifest(lambda ls: [*ls, ls[-1].replace("partition 10", "partition 9")]),
@@ -477,6 +486,11 @@ PLAN_VIOLATIONS = {
     ),
     "mixed-worlds": (_branched_layer_1_in_two_worlds, "layer 1 mixes worlds ['normal', 'secure']"),
     "unknown-scheme": (_diagonal_scheme, "unknown scheme 'diagonal'"),
+    "row-major-conv": (
+        _canonical_manifest(lambda ls: [ls[0], ls[1] + " layout rows", *ls[2:]]),
+        "partition 0 is marked row-major but layer 0 is convolutional",
+    ),
+    "unknown-layout": (_diagonal_layout, "partition 0 has unknown layout 'diagonal'"),
 }
 
 
@@ -529,7 +543,62 @@ def test_manifest_rejects_an_unknown_scheme():
 def test_manifest_partition_line_format():
     plan = plan_layered(square_connected(8), CAP)
     line = render_manifest(plan).splitlines()[1]
-    assert line == f"partition 0 layer 0 range 0..8 world secure bytes {plan.partitions[0].footprint_bytes}"
+    assert line == (
+        f"partition 0 layer 0 range 0..8 world secure bytes {plan.partitions[0].footprint_bytes}"
+        " layout rows"
+    )
+    plan = plan_layered(square_connected(THIN_ROWS + 1), CAP)  # column-major: no layout token
+    line = render_manifest(plan).splitlines()[1]
+    assert line == f"partition 0 layer 0 range 0..17 world secure bytes {plan.partitions[0].footprint_bytes}"
+
+
+def test_thin_connected_partitions_are_row_major_in_both_worlds():
+    model = ModelSpec(
+        [
+            LayerSpec.convolutional(2, 3, 1, 1, "relu"),
+            LayerSpec.connected(THIN_ROWS, "relu"),
+            LayerSpec.connected(2 * (THIN_ROWS + 1), "relu"),
+            LayerSpec.connected(4, "linear"),
+        ],
+        (1, 4, 4),
+        BranchTopology(2, 2),
+    )
+    plans = [plan_layered(model, CAP), plan_branched(model, CAP)]
+    plans += [plan_sublayer(model, CAP, subset_size={2: size}) for size in (THIN_ROWS, THIN_ROWS + 1)]
+    for plan in plans:
+        for p in plan.partitions:
+            thin = model.layers[p.layer_index].kind == "connected" and p.end - p.start <= THIN_ROWS
+            assert p.layout == (LAYOUT_ROWS if thin else LAYOUT_COLUMNS)
+        assert validate_plan(plan, model, CAP) == []
+    assert [p.layout for p in plans[1].partitions] == ["columns", "rows", "columns", "columns", "rows", "rows"]
+    assert [p.world for p in plans[1].partitions][:2] == ["normal", "normal"]
+
+
+def test_a_manifest_without_layout_tokens_reads_column_major():
+    """Every manifest written before partitions named a layout reads back
+    column-major, and renders to the same text, so to the same plan digest."""
+    model = square_connected(8, layers=2)
+    text = (
+        "scheme sublayer\n"
+        "partition 0 layer 0 range 0..4 world secure bytes 176\n"
+        "partition 1 layer 0 range 4..8 world secure bytes 176\n"
+        "partition 2 layer 1 range 0..8 world secure bytes 352\n"
+    )
+    plan = parse_manifest(text)
+    assert [p.layout for p in plan.partitions] == [LAYOUT_COLUMNS] * 3
+    assert render_manifest(plan) == text
+    assert validate_plan(plan, model, CAP) == []
+    # the same plan made now marks its thin partitions row-major: another manifest
+    made = plan_sublayer(model, CAP, subset_size={0: 4, 1: 8})
+    assert [dataclasses.replace(p, layout=LAYOUT_COLUMNS) for p in made.partitions] == plan.partitions
+    assert render_manifest(made).replace(" layout rows", "") == text
+
+
+@pytest.mark.parametrize("token", ["layout diagonal", "layout", "layout rows rows", "layout ROWS"])
+def test_manifest_rejects_an_unknown_layout_token(token):
+    text = f"scheme layered\npartition 0 layer 0 range 0..8 world secure bytes 1 {token}\n"
+    with pytest.raises(PlanError, match="line 2: "):
+        parse_manifest(text)
 
 
 def test_manifest_rejects_a_sublayer_line():

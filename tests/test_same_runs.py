@@ -49,3 +49,16 @@ def test_the_working_tree_runs_every_workload_the_same_twice():
     replanned["spill-stream"]["plans"]["plan_sublayer 65536"][-1] += "0"
     found = tool.first_difference(first, replanned)
     assert found.startswith(".spill-stream.plans.plan_sublayer 65536[")
+
+    # one verdict per field of each workload: the changed fields alone differ
+    fields = ["manifest", "inferences", "tampered", "planted", "replanted", "warm_planted", "plans"]
+    assert [where for where, _ in tool.verdicts(first, second)] == [
+        f"{name}.{field}" for name in first for field in fields
+    ]
+    assert all(found is None for _, found in tool.verdicts(first, second))
+    replanned["branched"]["manifest"][1] += " layout rows"
+    replanned["branched"]["planted"][0] = None
+    differ = {where: found for where, found in tool.verdicts(first, replanned) if found}
+    assert sorted(differ) == ["branched.manifest", "branched.planted", "spill-stream.plans"]
+    assert differ["branched.manifest"].startswith(".branched.manifest[1]: ")
+    assert differ["branched.planted"].endswith(" vs None")

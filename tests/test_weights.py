@@ -7,8 +7,8 @@ from hypothesis import strategies as st
 
 from cdlp.config import load_canonical_model
 from cdlp.errors import DimensionError, FormatError
-from cdlp.model import LayerSpec, LayerWeights, ModelSpec, WeightStore
-from cdlp.planner import plan_branched, plan_layered, plan_sublayer
+from cdlp.model import LAYOUT_COLUMNS, LAYOUT_ROWS, LayerSpec, LayerWeights, ModelSpec, WeightStore
+from cdlp.planner import THIN_ROWS, plan_branched, plan_layered, plan_sublayer
 from cdlp.weights import (
     HEADER_BYTES,
     layer_blob,
@@ -95,14 +95,19 @@ def test_bad_version():
 
 
 def test_single_partition_blob_equals_layer_section():
-    """A whole-layer blob is the layer's biases, then its weights column by column."""
-    model = ModelSpec([LayerSpec.connected(3, "linear")], (4, 1, 1))
-    store = random_weight_store(model, np.random.default_rng(4))
-    plan = plan_layered(model, CAP)
-    blobs = split_weights(store, plan)
-    assert len(blobs) == 1
-    lw = store.layers[0]
-    assert blobs[0] == lw.biases.tobytes() + lw.weights.T.tobytes()
+    """A whole-layer blob is the layer's biases, then its weights column by
+    column, or row by row, as the file holds them, for a thin connected layer."""
+    for rows, layout in ((THIN_ROWS + 1, LAYOUT_COLUMNS), (3, LAYOUT_ROWS)):
+        model = ModelSpec([LayerSpec.connected(rows, "linear")], (4, 1, 1))
+        store = random_weight_store(model, np.random.default_rng(4))
+        plan = plan_layered(model, CAP)
+        blobs = split_weights(store, plan)
+        assert len(blobs) == 1 and plan.partitions[0].layout == layout
+        lw = store.layers[0]
+        weights = lw.weights if layout == LAYOUT_ROWS else lw.weights.T
+        assert blobs[0] == lw.biases.tobytes() + weights.tobytes()
+        if layout == LAYOUT_ROWS:
+            assert blobs[0] == serialize_weights(store)[HEADER_BYTES:]
 
 
 def test_sublayer_blobs_are_disjoint_row_ranges():
@@ -150,7 +155,7 @@ def test_branched_blobs_hold_single_branch_rows():
     assert len(parts) == k
     blobs = split_weights(store, plan)
     for p in parts:
-        assert blobs[p.id] == layer_blob(store, first_branched, p.start, p.end)
+        assert blobs[p.id] == layer_blob(store, first_branched, p.start, p.end, p.layout)
 
 
 def test_canonical_model_weights_round_trip():
@@ -165,14 +170,19 @@ def test_partition_weights_are_read_only_views_of_the_blob():
     plan = plan_sublayer(model, CAP, subset_size={i: max(1, model.units(i) // 3)
                                                   for i in range(len(model.layers))
                                                   if model.is_parameterized(i)})
+    assert {p.layout for p in plan.partitions} == {LAYOUT_ROWS, LAYOUT_COLUMNS}
     blobs = split_weights(store, plan)
     for p, blob in zip(plan.partitions, blobs):
         if not model.is_parameterized(p.layer_index):
             continue
         for source in (blob, bytearray(blob)):  # normal-world bytes, or a mutable buffer
-            rows = partition_weights(model, p.layer_index, p.start, p.end, source)
+            rows = partition_weights(model, p.layer_index, p.start, p.end, source, p.layout)
             raw = np.frombuffer(source, np.uint8)
-            assert rows.weights.flags.f_contiguous
+            assert rows.layout == p.layout
+            if p.layout == LAYOUT_ROWS:
+                assert rows.weights.flags.c_contiguous
+            else:
+                assert rows.weights.flags.f_contiguous
             for array in (rows.weights, rows.biases):
                 assert np.shares_memory(array, raw)
                 assert not array.flags.writeable

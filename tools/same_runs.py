@@ -32,9 +32,13 @@ bytes, the child records the manifest that ``plan_layered``,
 ``plan_sublayer`` and ``plan_branched`` make of the workload's model, or the
 refusal each raises as ``ExceptionClass: message``.
 
-It prints ``same``, or the first difference (the commit's value first), per
-workload. The exit code is 0 when every workload is the same, 1 when some
-workload differs, and 2 when a tree cannot run. Wall times are not compared.
+It prints one verdict per field of each workload (``manifest``,
+``inferences``, ``tampered``, ``planted``, ``replanted``, ``warm_planted`` and
+``plans``): ``same``, or the field's first difference (the commit's value
+first). So a change that is meant to alter one field, a plan's manifest say,
+still shows that every other field is the same. The exit code is 0 when every
+workload is the same, 1 when some workload differs, and 2 when a tree cannot
+run. Wall times are not compared.
 """
 
 from __future__ import annotations
@@ -191,6 +195,18 @@ def first_difference(a, b, where: str = "") -> str | None:
     return None if a == b else f"{where}: {a!r} vs {b!r}"
 
 
+def verdicts(theirs: dict, ours: dict) -> list[tuple[str, str | None]]:
+    """``("workload.field", first difference or None)`` for every field of
+    every workload in either dump, in the order the dumps list them."""
+    found = []
+    for name in [*ours, *(n for n in theirs if n not in ours)]:
+        a, b = theirs.get(name) or {}, ours.get(name) or {}
+        for key in [*b, *(k for k in a if k not in b)]:
+            where = f"{name}.{key}"
+            found.append((where, first_difference(a.get(key), b.get(key), "." + where)))
+    return found
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", required=True, metavar="REV",
@@ -204,10 +220,9 @@ def main(argv=None) -> int:
         print(f"error: {err}", file=sys.stderr)
         return 2
     differs = False
-    for name in ours:
-        found = first_difference(theirs.get(name), ours[name], name)
+    for field, found in verdicts(theirs, ours):
         differs = differs or found is not None
-        print(f"{name}: {'same' if found is None else 'different at ' + found}")
+        print(f"{field}: {'same' if found is None else 'different at ' + found}")
     return 1 if differs else 0
 
 
